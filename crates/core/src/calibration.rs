@@ -8,12 +8,16 @@
 //! procedure the paper describes (binary search over `[0.94, 1.0]`, terminating at a step
 //! of 1e-4). The result is a [`StoragePolicy`] mapping resolutions to thresholds.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
 use rescnn_data::{Dataset, DatasetKind, Sample};
-use rescnn_imaging::{crop_and_resize_cow, CropRatio, Image, SsimConfig, SsimReference};
+use rescnn_imaging::{
+    center_crop, crop_and_resize_cow, resize_cow, CropRatio, Filter, Image, SsimConfig,
+    SsimReference,
+};
 use rescnn_models::ModelKind;
 use rescnn_oracle::{AccuracyOracle, EvalContext};
 use rescnn_projpeg::{ProgressiveDecoder, ProgressiveImage, ScanPlan};
@@ -248,80 +252,103 @@ impl CalibrationCurves {
     }
 }
 
-/// Walks `decoder` forward and returns the cheapest [`ScanPoint`] whose SSIM at `res`
-/// reaches `threshold` — or the final point when no threshold is given or it is never
-/// met — together with the presented (cropped + resized) image at that point.
+/// One forward pass over the scan prefixes of a stored image, presenting each prefix
+/// (centre-cropped and resized) at whatever resolutions the storage decisions ask for.
 ///
 /// This is the serving-side early-exit complement to the full
-/// [`CalibrationCurves::sample_curves`]: `plan` only needs the point the storage policy
-/// would select, so with a threshold the walk scores one scan at a time and stops at the
-/// first sufficient prefix (identical to `point_for_threshold` on the full curve, which
-/// also returns the *first* sufficient point), and with no threshold (read-all) it jumps
-/// straight to the final scan and scores a single frame.
+/// [`CalibrationCurves::sample_curves`]: `plan` only needs the points the storage policy
+/// would select, so a walk decodes exactly as deep as the deepest prefix any of its
+/// decisions looks at — through one [`ProgressiveDecoder`], each scan entropy-decoded
+/// once.
 ///
-/// The reference arrives as a persistent [`SsimReference`] so its integral state is
-/// shared across every prefix the walk scores (and any [`quality_at_scans`] follow-up);
-/// `SsimReference::score` is bitwise identical to plain `ssim`.
-///
-/// With a threshold the decoder must be fresh (zero scans applied) so the walk starts at
-/// scan 1; the decoder is left positioned at the returned point, ready for
-/// [`quality_at_scans`] follow-ups.
-pub(crate) fn cheapest_sufficient_point(
-    decoder: &mut ProgressiveDecoder<'_>,
-    reference: &SsimReference,
+/// A *retaining* walk keeps the crop window of every prefix it decodes, so a second
+/// decision (the chosen resolution's, after the preview's) scores the early prefixes from
+/// those windows and only then advances the same decoder. A non-retaining walk holds no
+/// copies and can only move forward, which is all a single decision needs. Either way a
+/// presented prefix is bitwise `crop_and_resize_cow(encoded.decode(scans), crop, res)`:
+/// the decoder's frames are bitwise `decode(scans)`, and cropping then resizing the copy
+/// is what `crop_and_resize_cow` does.
+pub(crate) struct PrefixWalk<'a> {
+    decoder: ProgressiveDecoder<'a>,
     crop: CropRatio,
-    res: usize,
-    threshold: Option<f64>,
-) -> Result<(ScanPoint, Image)> {
-    let encoded = decoder.image();
-    let num_scans = encoded.num_scans();
-    match threshold {
-        Some(threshold) => {
-            debug_assert_eq!(
-                decoder.scans_applied(),
-                0,
-                "threshold walks must score every prefix from the first scan"
-            );
-            loop {
-                let scans = decoder.scans_applied() + 1;
-                let frame = decoder.advance()?;
-                let presented = crop_and_resize_cow(frame, crop, res)?;
-                let quality = reference.score(&presented)?;
-                let point =
-                    ScanPoint { scans, read_fraction: encoded.read_fraction(scans), ssim: quality };
-                if quality >= threshold || scans == num_scans {
-                    return Ok((point, presented.into_owned()));
-                }
-            }
-        }
-        None => {
-            let frame = decoder.advance_to(num_scans)?;
-            let presented = crop_and_resize_cow(frame, crop, res)?;
-            let quality = reference.score(&presented)?;
-            let point = ScanPoint {
-                scans: num_scans,
-                read_fraction: encoded.read_fraction(num_scans),
-                ssim: quality,
-            };
-            Ok((point, presented.into_owned()))
-        }
-    }
+    /// `windows[k - 1]` is the crop window of the `k`-scan prefix, for every prefix the
+    /// decoder has passed; `None` when the walk does not retain.
+    windows: Option<Vec<Image>>,
 }
 
-/// SSIM of the decoded image at exactly `scans` scans against `reference`, advancing the
-/// decoder there. Used by the planner when the preview stage read deeper into the file
-/// than the chosen resolution's own sufficient point, so the quality actually presented
-/// to the backbone is that of the deeper prefix.
-pub(crate) fn quality_at_scans(
-    decoder: &mut ProgressiveDecoder<'_>,
-    reference: &SsimReference,
-    crop: CropRatio,
-    res: usize,
-    scans: usize,
-) -> Result<f64> {
-    let frame = decoder.advance_to(scans)?;
-    let presented = crop_and_resize_cow(frame, crop, res)?;
-    Ok(reference.score(&presented)?)
+impl<'a> PrefixWalk<'a> {
+    /// Starts a walk at zero scans applied.
+    ///
+    /// # Errors
+    /// Returns an error if the stored quality factor is invalid.
+    pub(crate) fn new(
+        encoded: &'a ProgressiveImage,
+        crop: CropRatio,
+        retain: bool,
+    ) -> Result<Self> {
+        let decoder = encoded.progressive_decoder()?;
+        Ok(PrefixWalk { decoder, crop, windows: retain.then(Vec::new) })
+    }
+
+    /// The `scans`-scan prefix as the backbone would be given it at `res`, decoding
+    /// forward as far as needed.
+    fn present(&mut self, scans: usize, res: usize) -> Result<Cow<'_, Image>> {
+        let Some(windows) = &mut self.windows else {
+            let frame = self.decoder.advance_to(scans)?;
+            return Ok(crop_and_resize_cow(frame, self.crop, res)?);
+        };
+        while windows.len() < scans {
+            let frame = self.decoder.advance()?;
+            windows.push(center_crop(frame, self.crop)?);
+        }
+        Ok(resize_cow(&windows[scans - 1], res, res, Filter::Bilinear)?)
+    }
+
+    /// The cheapest [`ScanPoint`] whose SSIM at `res` reaches `threshold` — or the final
+    /// point when no threshold is given or it is never met — together with the presented
+    /// image at that point.
+    ///
+    /// With a threshold the prefixes are scored one scan at a time from the first and the
+    /// walk stops at the first sufficient one (identical to `point_for_threshold` on the
+    /// full curve, which also returns the *first* sufficient point); with no threshold
+    /// (read-all) only the final prefix is scored.
+    ///
+    /// The reference arrives as a persistent [`SsimReference`] so its integral state is
+    /// shared across every prefix scored against it; `SsimReference::score` is bitwise
+    /// identical to plain `ssim`.
+    pub(crate) fn cheapest_sufficient_point(
+        &mut self,
+        reference: &SsimReference,
+        res: usize,
+        threshold: Option<f64>,
+    ) -> Result<(ScanPoint, Image)> {
+        let encoded = self.decoder.image();
+        let num_scans = encoded.num_scans();
+        let mut scans = if threshold.is_some() { 1 } else { num_scans };
+        loop {
+            let presented = self.present(scans, res)?;
+            let ssim = reference.score(&presented)?;
+            if scans >= num_scans || threshold.is_some_and(|threshold| ssim >= threshold) {
+                let point = ScanPoint { scans, read_fraction: encoded.read_fraction(scans), ssim };
+                return Ok((point, presented.into_owned()));
+            }
+            scans += 1;
+        }
+    }
+
+    /// SSIM at `res` of the `scans`-scan prefix against `reference`. Used by the planner
+    /// when the preview stage read deeper into the file than the chosen resolution's own
+    /// sufficient point, so the quality actually presented to the backbone is that of the
+    /// deeper prefix.
+    pub(crate) fn quality_at_scans(
+        &mut self,
+        reference: &SsimReference,
+        res: usize,
+        scans: usize,
+    ) -> Result<f64> {
+        let presented = self.present(scans, res)?;
+        Ok(reference.score(&presented)?)
+    }
 }
 
 /// A calibrated storage policy: the minimal SSIM threshold per resolution.
@@ -376,11 +403,8 @@ impl StoragePolicy {
     ) -> Result<ScanPoint> {
         let reference = crop_and_resize_cow(original, crop, resolution)?;
         let reference = SsimReference::new(&reference, SsimConfig::default())?;
-        let mut decoder = encoded.progressive_decoder()?;
-        let (point, _) = cheapest_sufficient_point(
-            &mut decoder,
+        let (point, _) = PrefixWalk::new(encoded, crop, false)?.cheapest_sufficient_point(
             &reference,
-            crop,
             resolution,
             self.threshold_for(resolution),
         )?;

@@ -90,7 +90,7 @@ pub use slo::{
     CompletedRequest, PrecisionDemotion, Rejected, ResolutionLatencyModel, SloOptions, SloOutcome,
     SloReport, SloRequest, SloScheduler,
 };
-pub use trace::{ServingTrace, TraceDecision, TraceRequest};
+pub use trace::{ServingTrace, TraceDecision, TraceRequest, TraceStep};
 
 #[cfg(test)]
 pub(crate) mod test_sync {

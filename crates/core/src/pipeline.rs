@@ -21,7 +21,7 @@ use rescnn_tensor::{
     algo_calibration_generation, AlgoCalibration, ConvAlgo, ConvShapeKey, EngineContext,
 };
 
-use crate::calibration::{cheapest_sufficient_point, quality_at_scans, ScanPoint, StoragePolicy};
+use crate::calibration::{PrefixWalk, ScanPoint, StoragePolicy};
 use crate::error::{CoreError, Result};
 use crate::features::extract_features;
 use crate::scale_model::ScaleModel;
@@ -652,19 +652,18 @@ impl DynamicResolutionPipeline {
     ) -> Result<InferencePlan> {
         let crop = self.config.crop;
         let preview_res = self.scale_model.preview_resolution();
-        let num_scans = encoded.num_scans();
 
         // Stage 1a: read the preview's scans (early-exiting at its threshold) and run
         // the scale model on the frame that walk already presented. The ground-truth
-        // reference is lifted into a persistent SsimReference, so its integral state
-        // is built once and shared by every prefix the walk scores.
+        // reference is lifted into a persistent SsimReference, so its integral state is
+        // built once and shared by every prefix the walk scores. Under a thresholded
+        // policy the walk retains the prefixes it decodes: stage 1b's search starts over
+        // from the first scan, and scores them again at another resolution.
         let preview_reference = crop_and_resize_cow(original, crop, preview_res)?;
         let preview_reference = SsimReference::new(&preview_reference, SsimConfig::default())?;
-        let mut decoder = encoded.progressive_decoder()?;
-        let (preview_point, preview_image) = cheapest_sufficient_point(
-            &mut decoder,
+        let mut walk = PrefixWalk::new(&encoded, crop, !self.config.storage.is_read_all())?;
+        let (preview_point, preview_image) = walk.cheapest_sufficient_point(
             &preview_reference,
-            crop,
             preview_res,
             self.config.storage.threshold_for(preview_res),
         )?;
@@ -672,54 +671,25 @@ impl DynamicResolutionPipeline {
         let chosen_resolution = self.scale_model.choose_resolution(&features);
 
         // Stage 1b: the storage decision for the chosen resolution, and the quality of
-        // the deepest prefix the inference will actually read.
+        // the deepest prefix the inference will actually read — on the same walk, so no
+        // scan is entropy-decoded twice.
         let (chosen_point, scans_read, quality) = if chosen_resolution == preview_res {
             (preview_point, preview_point.scans, preview_point.ssim)
         } else {
             let chosen_reference = crop_and_resize_cow(original, crop, chosen_resolution)?;
             let chosen_reference = SsimReference::new(&chosen_reference, SsimConfig::default())?;
-            match self.config.storage.threshold_for(chosen_resolution) {
-                None => {
-                    // Read-all: only the final scan's quality matters, and the preview
-                    // decoder can advance there directly.
-                    let (point, _) = cheapest_sufficient_point(
-                        &mut decoder,
-                        &chosen_reference,
-                        crop,
-                        chosen_resolution,
-                        None,
-                    )?;
-                    (point, preview_point.scans.max(num_scans), point.ssim)
-                }
-                Some(threshold) => {
-                    // Threshold search scores prefixes from scan 1, which needs a fresh
-                    // pass (the preview decoder is already past the early prefixes).
-                    let mut chosen_decoder = encoded.progressive_decoder()?;
-                    let (point, _) = cheapest_sufficient_point(
-                        &mut chosen_decoder,
-                        &chosen_reference,
-                        crop,
-                        chosen_resolution,
-                        Some(threshold),
-                    )?;
-                    let scans_read = preview_point.scans.max(point.scans);
-                    let quality = if scans_read == point.scans {
-                        point.ssim
-                    } else {
-                        // scans_read == preview_point.scans here, where the preview
-                        // decoder already sits — score its frame rather than advancing
-                        // the fresh pass through scans it would have to re-decode.
-                        quality_at_scans(
-                            &mut decoder,
-                            &chosen_reference,
-                            crop,
-                            chosen_resolution,
-                            scans_read,
-                        )?
-                    };
-                    (point, scans_read, quality)
-                }
-            }
+            let threshold = self.config.storage.threshold_for(chosen_resolution);
+            let (point, _) =
+                walk.cheapest_sufficient_point(&chosen_reference, chosen_resolution, threshold)?;
+            let scans_read = preview_point.scans.max(point.scans);
+            let quality = if scans_read == point.scans {
+                point.ssim
+            } else {
+                // The preview read deeper than the chosen resolution needs: the backbone
+                // sees the deeper prefix.
+                walk.quality_at_scans(&chosen_reference, chosen_resolution, scans_read)?
+            };
+            (point, scans_read, quality)
         };
 
         Ok(InferencePlan {
@@ -755,38 +725,21 @@ impl DynamicResolutionPipeline {
         let crop = self.config.crop;
         let original = sample.render()?;
         let encoded = plan.encoded.clone();
-        let num_scans = encoded.num_scans();
         let reference = crop_and_resize_cow(&original, crop, resolution)?;
         let reference = SsimReference::new(&reference, SsimConfig::default())?;
-        let mut decoder = encoded.progressive_decoder()?;
-        let (chosen_point, scans_read, quality) = match self
-            .config
-            .storage
-            .threshold_for(resolution)
-        {
-            None => {
-                let (point, _) =
-                    cheapest_sufficient_point(&mut decoder, &reference, crop, resolution, None)?;
-                (point, plan.preview_point.scans.max(num_scans), point.ssim)
-            }
-            Some(threshold) => {
-                let (point, _) = cheapest_sufficient_point(
-                    &mut decoder,
-                    &reference,
-                    crop,
-                    resolution,
-                    Some(threshold),
-                )?;
-                let scans_read = plan.preview_point.scans.max(point.scans);
-                let quality = if scans_read == point.scans {
-                    point.ssim
-                } else {
-                    // The decoder sits at `point.scans` < `scans_read`; score the
-                    // deeper prefix the preview stage already paid for.
-                    quality_at_scans(&mut decoder, &reference, crop, resolution, scans_read)?
-                };
-                (point, scans_read, quality)
-            }
+        let mut walk = PrefixWalk::new(&encoded, crop, false)?;
+        let (chosen_point, _) = walk.cheapest_sufficient_point(
+            &reference,
+            resolution,
+            self.config.storage.threshold_for(resolution),
+        )?;
+        let scans_read = plan.preview_point.scans.max(chosen_point.scans);
+        let quality = if scans_read == chosen_point.scans {
+            chosen_point.ssim
+        } else {
+            // The walk sits at `chosen_point.scans` < `scans_read`; score the deeper
+            // prefix the preview stage already paid for.
+            walk.quality_at_scans(&reference, resolution, scans_read)?
         };
         Ok(InferencePlan {
             chosen_resolution: resolution,
@@ -1144,6 +1097,259 @@ mod tests {
             assert_eq!(record.quality.to_bits(), quality.to_bits(), "sample {}", sample.id);
             assert_eq!(record.bytes_read, encoded.cumulative_bytes(scans_read));
         }
+    }
+
+    /// The planner this one replaced, kept as its reference: the preview walk and the
+    /// chosen resolution's threshold walk each run their own `ProgressiveDecoder`, so the
+    /// early scans are decoded twice and no prefix is retained.
+    mod two_pass {
+        use super::*;
+        use rescnn_imaging::{CropRatio, Image};
+        use rescnn_projpeg::ProgressiveDecoder;
+
+        fn cheapest_sufficient_point(
+            decoder: &mut ProgressiveDecoder<'_>,
+            reference: &SsimReference,
+            crop: CropRatio,
+            res: usize,
+            threshold: Option<f64>,
+        ) -> Result<(ScanPoint, Image)> {
+            let encoded = decoder.image();
+            let num_scans = encoded.num_scans();
+            match threshold {
+                Some(threshold) => loop {
+                    let scans = decoder.scans_applied() + 1;
+                    let frame = decoder.advance()?;
+                    let presented = crop_and_resize_cow(frame, crop, res)?;
+                    let ssim = reference.score(&presented)?;
+                    let point =
+                        ScanPoint { scans, read_fraction: encoded.read_fraction(scans), ssim };
+                    if ssim >= threshold || scans == num_scans {
+                        return Ok((point, presented.into_owned()));
+                    }
+                },
+                None => {
+                    let frame = decoder.advance_to(num_scans)?;
+                    let presented = crop_and_resize_cow(frame, crop, res)?;
+                    let point = ScanPoint {
+                        scans: num_scans,
+                        read_fraction: encoded.read_fraction(num_scans),
+                        ssim: reference.score(&presented)?,
+                    };
+                    Ok((point, presented.into_owned()))
+                }
+            }
+        }
+
+        pub(super) fn plan(
+            pipeline: &DynamicResolutionPipeline,
+            sample: &Sample,
+            encoded: ProgressiveImage,
+        ) -> Result<InferencePlan> {
+            let original = sample.render()?;
+            let crop = pipeline.config.crop;
+            let storage = &pipeline.config.storage;
+            let preview_res = pipeline.scale_model.preview_resolution();
+            let num_scans = encoded.num_scans();
+
+            let preview_reference = crop_and_resize_cow(&original, crop, preview_res)?;
+            let preview_reference = SsimReference::new(&preview_reference, SsimConfig::default())?;
+            let mut decoder = encoded.progressive_decoder()?;
+            let (preview_point, preview_image) = cheapest_sufficient_point(
+                &mut decoder,
+                &preview_reference,
+                crop,
+                preview_res,
+                storage.threshold_for(preview_res),
+            )?;
+            let features = extract_features(&preview_image)?;
+            let chosen_resolution = pipeline.scale_model.choose_resolution(&features);
+
+            let (chosen_point, scans_read, quality) = if chosen_resolution == preview_res {
+                (preview_point, preview_point.scans, preview_point.ssim)
+            } else {
+                let chosen_reference = crop_and_resize_cow(&original, crop, chosen_resolution)?;
+                let chosen_reference =
+                    SsimReference::new(&chosen_reference, SsimConfig::default())?;
+                match storage.threshold_for(chosen_resolution) {
+                    None => {
+                        let (point, _) = cheapest_sufficient_point(
+                            &mut decoder,
+                            &chosen_reference,
+                            crop,
+                            chosen_resolution,
+                            None,
+                        )?;
+                        (point, preview_point.scans.max(num_scans), point.ssim)
+                    }
+                    Some(threshold) => {
+                        let mut chosen_decoder = encoded.progressive_decoder()?;
+                        let (point, _) = cheapest_sufficient_point(
+                            &mut chosen_decoder,
+                            &chosen_reference,
+                            crop,
+                            chosen_resolution,
+                            Some(threshold),
+                        )?;
+                        let scans_read = preview_point.scans.max(point.scans);
+                        let quality = if scans_read == point.scans {
+                            point.ssim
+                        } else {
+                            let frame = decoder.advance_to(scans_read)?;
+                            let presented = crop_and_resize_cow(frame, crop, chosen_resolution)?;
+                            chosen_reference.score(&presented)?
+                        };
+                        (point, scans_read, quality)
+                    }
+                }
+            };
+            Ok(InferencePlan {
+                chosen_resolution,
+                encoded,
+                preview_point,
+                chosen_point,
+                scans_read,
+                quality,
+            })
+        }
+    }
+
+    /// Field-by-field, bitwise plan equality (`f64`s by bit pattern).
+    fn assert_plans_identical(new: &InferencePlan, reference: &InferencePlan, context: &str) {
+        let point_bits = |p: &ScanPoint| (p.scans, p.read_fraction.to_bits(), p.ssim.to_bits());
+        assert_eq!(new.chosen_resolution, reference.chosen_resolution, "{context}: resolution");
+        assert_eq!(
+            point_bits(&new.preview_point),
+            point_bits(&reference.preview_point),
+            "{context}: preview point"
+        );
+        assert_eq!(
+            point_bits(&new.chosen_point),
+            point_bits(&reference.chosen_point),
+            "{context}: chosen point"
+        );
+        assert_eq!(new.scans_read, reference.scans_read, "{context}: scans read");
+        assert_eq!(new.quality.to_bits(), reference.quality.to_bits(), "{context}: quality");
+        assert!(new.encoded == reference.encoded, "{context}: stream");
+    }
+
+    #[test]
+    fn one_pass_planner_matches_the_two_pass_reference() {
+        use crate::calibration::{CalibrationCurves, StorageCalibrator};
+        use crate::scale_model::{ScaleModel, TrainingExample};
+        use std::cmp::Ordering::{Equal, Greater, Less};
+
+        // A small ladder keeps the debug-build SSIMs cheap; the preview rung is its lowest.
+        let resolutions = vec![64usize, 96, 128];
+        let crop = CropRatio::new(0.56).unwrap();
+        let thresholds = |values: &[(usize, f64)]| {
+            StoragePolicy::from_thresholds(values.iter().copied().collect::<BTreeMap<_, _>>())
+        };
+        // How deep the preview walk went relative to the chosen resolution's own point,
+        // over everything planned below: [preview == chosen, shallower, equal, deeper].
+        let mut coverage = [0usize; 4];
+
+        for (kind, spec) in [
+            (DatasetKind::CarsLike, DatasetSpec::cars_like()),
+            (DatasetKind::ImageNetLike, DatasetSpec::imagenet_like()),
+        ] {
+            let pool = spec.with_len(6).with_max_dimension(72).build(123);
+            // A scale model that spreads the pool over the ladder: fitted to say that
+            // sample k is classified correctly at rung k mod 3 only.
+            let config = ScaleModelConfig {
+                resolutions: resolutions.clone(),
+                preview_resolution: 64,
+                epochs: 200,
+                ..Default::default()
+            };
+            let examples: Vec<TrainingExample> = pool
+                .iter()
+                .enumerate()
+                .map(|(k, sample)| {
+                    let preview = crop_and_resize_cow(&sample.render().unwrap(), crop, 64)
+                        .unwrap()
+                        .into_owned();
+                    TrainingExample {
+                        features: extract_features(&preview).unwrap(),
+                        labels: (0..3).map(|rung| rung == k % 3).collect(),
+                    }
+                })
+                .collect();
+            let scale_model = ScaleModel::train(&config, &examples).unwrap();
+            let oracle = AccuracyOracle::new(77);
+            let curves =
+                CalibrationCurves::compute(&pool, ModelKind::ResNet18, crop, &resolutions, 90)
+                    .unwrap();
+            let calibrated = StorageCalibrator::default().calibrate(&curves, &oracle);
+            let policies = [
+                ("read-all", StoragePolicy::read_all()),
+                ("calibrated", calibrated),
+                // No prefix reaches an SSIM of 2: every walk runs to the last scan.
+                ("unreachable", thresholds(&[(64, 2.0), (96, 2.0), (128, 2.0)])),
+                // A demanding preview over lenient backbones, and the reverse.
+                ("deep-preview", thresholds(&[(64, 0.995), (96, 0.90), (128, 0.90)])),
+                ("deep-chosen", thresholds(&[(64, 0.90), (96, 0.995), (128, 0.995)])),
+                // Mixed policies: a rung without a threshold is read in full.
+                ("preview-unthresholded", thresholds(&[(96, 0.95), (128, 0.95)])),
+                ("preview-only", thresholds(&[(64, 0.95)])),
+            ];
+            for (label, storage) in policies {
+                let pipeline_config = PipelineConfig::new(ModelKind::ResNet18, kind)
+                    .with_crop(crop)
+                    .with_resolutions(resolutions.clone())
+                    .with_storage(storage);
+                let pipeline =
+                    DynamicResolutionPipeline::new(pipeline_config, scale_model.clone(), oracle)
+                        .unwrap();
+                for sample in &pool {
+                    let context = format!("{kind:?} {label} sample {}", sample.id);
+                    let encoded =
+                        sample.encode_progressive(pipeline.config().encode_quality).unwrap();
+                    let plan = pipeline.plan_with_storage(sample, encoded.clone()).unwrap();
+                    let reference = two_pass::plan(&pipeline, sample, encoded.clone()).unwrap();
+                    assert_plans_identical(&plan, &reference, &context);
+
+                    let relation = match plan.preview_point.scans.cmp(&plan.chosen_point.scans) {
+                        _ if plan.chosen_resolution == 64 => 0,
+                        Less => 1,
+                        Equal => 2,
+                        Greater => 3,
+                    };
+                    coverage[relation] += 1;
+
+                    // The degradation ladder re-plans from either plan identically.
+                    for &rung in resolutions.iter().filter(|&&r| r < plan.chosen_resolution) {
+                        let lowered = pipeline.replan_at(sample, &plan, rung).unwrap();
+                        let expected = pipeline.replan_at(sample, &reference, rung).unwrap();
+                        assert_plans_identical(&lowered, &expected, &format!("{context} @{rung}"));
+                    }
+
+                    // Damaged streams fail (or decode) the same way, scan for scan.
+                    let id = sample.id as usize;
+                    for (what, damaged) in [
+                        ("flip", encoded.with_bit_flip(id, 20 + 7 * id, id as u8)),
+                        ("truncated", encoded.with_truncated_scan(id, 17 + id % 24)),
+                    ] {
+                        let new = pipeline.plan_with_storage(sample, damaged.clone());
+                        let old = two_pass::plan(&pipeline, sample, damaged);
+                        match (new, old) {
+                            (Ok(new), Ok(old)) => {
+                                assert_plans_identical(&new, &old, &format!("{context} {what}"));
+                            }
+                            (new, old) => assert_eq!(
+                                new.map(|_| ()).err(),
+                                old.map(|_| ()).err(),
+                                "{context} {what}"
+                            ),
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            coverage.iter().all(|&hits| hits >= 5),
+            "every relation of preview depth to chosen depth must be exercised, got {coverage:?}"
+        );
     }
 
     #[test]

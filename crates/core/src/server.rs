@@ -3,8 +3,9 @@
 //! [`SloServer`] turns the batch [`SloScheduler`](crate::SloScheduler) policy
 //! into a long-running service: a dedicated event-loop thread owns the
 //! incremental [`AdmissionCore`](crate::slo) and steps it at wall-clock `now`,
-//! so a request submitted while a resolution bucket is forming joins *that*
-//! bucket (continuous batching) instead of waiting for a full drain.
+//! one wave of at most the thread budget at a time — outcomes stream out wave
+//! by wave, and a request submitted during a burst joins the next wave
+//! (continuous batching) instead of waiting for a full drain.
 //!
 //! Robustness is the point of this layer:
 //!
@@ -789,7 +790,11 @@ fn run_worker(
         }
         let now = shared.now_ms();
         if core.has_eligible(now) {
-            let settled = core.admit_step(now);
+            // One wave — as many attempts as can plan side by side — then
+            // deliver and come back round for the inbox: a burst's first
+            // outcomes leave while its tail is still being planned, and an
+            // arrival during the burst is ingested before the burst is over.
+            let settled = core.admit_step(now, Some(threads));
             deliver(
                 shared,
                 &core,
@@ -836,7 +841,7 @@ fn run_worker(
         if core.has_eligible(now) {
             // Kernel-bearing work runs inside the token scope so the
             // watcher's deadline refuses it at the next task boundary.
-            let settled = shared.cancel.scope(|| core.admit_step(now));
+            let settled = shared.cancel.scope(|| core.admit_step(now, Some(threads)));
             if shared.cancel.is_cancelled() {
                 // Mid-step refusals depended on the wall clock; the tail of
                 // this run is no longer bitwise replayable.

@@ -84,7 +84,7 @@ use crate::lifecycle::{
 use crate::pipeline::{DynamicResolutionPipeline, InferencePlan, InferenceRecord, PipelineReport};
 use crate::precision::PrecisionGate;
 use crate::serve::{run_batch_isolated, BatchOptions};
-use crate::trace::{ServingTrace, TraceDecision, TraceRequest};
+use crate::trace::{ServingTrace, TraceDecision, TraceRequest, TraceStep};
 
 /// Cancellation reason the drain deadline settles stragglers with. Shared with
 /// trace replay so a replayed hard-cancel settles byte-identical errors.
@@ -638,11 +638,12 @@ impl<'a> SloScheduler<'a> {
             core.submit(request.into_queued());
         }
         // A batch drain is the degenerate real-clock run: every step happens
-        // at `now = ∞`, so each step drains everything currently pending (all
-        // first attempts in round 0, each round's retries thereafter) —
-        // exactly the rounds loop this core was extracted from, bit for bit.
+        // at `now = ∞` and is a whole round, so each step drains everything
+        // currently pending (all first attempts in round 0, each round's
+        // retries thereafter) — exactly the rounds loop this core was
+        // extracted from, bit for bit.
         while core.has_pending() {
-            core.admit_step(f64::INFINITY);
+            core.admit_step(f64::INFINITY, None);
         }
         Ok(core.finish(wall_start.elapsed().as_secs_f64()))
     }
@@ -652,7 +653,9 @@ impl<'a> SloScheduler<'a> {
     /// Queued requests supply the payloads (samples, caller-supplied storage)
     /// in submission order; the trace supplies every timing input — the
     /// arrival/deadline/cost/source stamps, the submission/step interleaving,
-    /// and each step's `now`. For a gracefully drained trace
+    /// and each step's `now` and size (so a trace recorded in waves of one
+    /// thread budget replays in those same waves under any other). For a
+    /// gracefully drained trace
     /// ([`ServingTrace::replayable`]) the admission decisions of the returned
     /// report — and the returned re-recorded trace's
     /// [`decisions`](ServingTrace::decisions) — are bitwise identical to the
@@ -690,11 +693,11 @@ impl<'a> SloScheduler<'a> {
                 (queued, stamps.enqueued_step)
             })
             .peekable();
-        for (step, &now_ms) in trace.steps.iter().enumerate() {
+        for (step, recorded) in trace.steps.iter().enumerate() {
             while let Some((queued, _)) = feed.next_if(|(_, enqueued)| *enqueued <= step) {
                 core.submit(queued);
             }
-            core.admit_step(now_ms);
+            core.admit_step(recorded.now_ms, recorded.size);
         }
         // Requests recorded after the final step (arrivals the live run never
         // stepped past) plus any hand-authored tail.
@@ -705,7 +708,7 @@ impl<'a> SloScheduler<'a> {
             core.cancel_pending(DRAIN_CANCEL_REASON);
         } else {
             while core.has_pending() {
-                core.admit_step(f64::INFINITY);
+                core.admit_step(f64::INFINITY, None);
             }
         }
         let (report, replayed) = core.finish(wall_start.elapsed().as_secs_f64());
@@ -728,14 +731,16 @@ pub(crate) fn thread_budget(pipeline: &DynamicResolutionPipeline, options: &SloO
 /// explicit `now` values.
 ///
 /// Both serving modes drive this one state machine. The batch
-/// [`SloScheduler::run`] submits everything and steps at `now = ∞` until the
-/// pending set drains — the original run-to-completion rounds loop. The
-/// real-clock [`SloServer`](crate::SloServer) submits requests as they arrive
-/// and steps at wall `now`, so a request joins whatever resolution bucket is
-/// forming at the next step (continuous batching) instead of waiting for a
-/// full drain. Every admission decision is a pure function of the submitted
-/// stamps and the step sequence — never of the wall clock — which is what
-/// makes recorded runs replayable bitwise.
+/// [`SloScheduler::run`] submits everything and steps whole rounds at
+/// `now = ∞` until the pending set drains — the original run-to-completion
+/// rounds loop. The real-clock [`SloServer`](crate::SloServer) submits
+/// requests as they arrive and steps at wall `now`, one *wave* (as many
+/// attempts as it has threads) at a time, so a request's outcome is delivered
+/// when its own wave finishes rather than when everything that arrived with
+/// it has, and a request arriving meanwhile joins the next wave instead of
+/// waiting for a full drain. Every admission decision is a pure function of
+/// the submitted stamps and the step sequence — never of the wall clock —
+/// which is what makes recorded runs replayable bitwise.
 #[derive(Debug)]
 pub(crate) struct AdmissionCore<'a> {
     pipeline: &'a DynamicResolutionPipeline,
@@ -907,33 +912,39 @@ impl<'a> AdmissionCore<'a> {
         }
     }
 
-    /// Runs one admission round over every pending attempt whose arrival is
-    /// at or before `now_ms`: plan (under per-request isolation and breaker
-    /// gating) → admit over the virtual clock → execute as homogeneous
-    /// resolution buckets → settle, scheduling retries. Returns the indices
-    /// of requests whose outcome became *terminal* this step (a provisional
-    /// failure with a retry scheduled is not terminal), ascending.
+    /// Runs one admission round over the pending attempts whose arrival is at
+    /// or before `now_ms` — all of them, or with `wave = Some(n)` the earliest
+    /// `n` in (arrival, submission index) order, the rest staying pending:
+    /// plan (under per-request isolation and breaker gating) → admit over the
+    /// virtual clock → execute as homogeneous resolution buckets → settle,
+    /// scheduling retries. Returns the indices of requests whose outcome
+    /// became *terminal* this step (a provisional failure with a retry
+    /// scheduled is not terminal), ascending.
     ///
-    /// At `now_ms = ∞` one step is exactly one round of the original
+    /// At `now_ms = ∞` a whole-round step is exactly one round of the original
     /// run-to-completion loop. At finite `now_ms` the step additionally
     /// enforces the wall-clock deadline: an eligible request whose deadline
     /// has already passed on the stepping clock expires without compute.
-    pub(crate) fn admit_step(&mut self, now_ms: f64) -> Vec<usize> {
-        let mut round: Vec<PendingAttempt> = Vec::new();
-        let mut deferred: Vec<PendingAttempt> = Vec::new();
-        for attempt in std::mem::take(&mut self.pending) {
-            if attempt.arrival_ms <= now_ms {
-                round.push(attempt);
-            } else {
-                deferred.push(attempt);
-            }
+    ///
+    /// A recording core logs the step's `now` and the number of attempts it
+    /// took, so replaying with `wave = Some(that number)` takes the same ones.
+    pub(crate) fn admit_step(&mut self, now_ms: f64, wave: Option<usize>) -> Vec<usize> {
+        let (mut round, mut deferred): (Vec<PendingAttempt>, Vec<PendingAttempt>) =
+            std::mem::take(&mut self.pending)
+                .into_iter()
+                .partition(|attempt| attempt.arrival_ms <= now_ms);
+        if let Some(wave) = wave.filter(|&wave| wave < round.len()) {
+            round.sort_by(|a, b| {
+                a.arrival_ms.total_cmp(&b.arrival_ms).then_with(|| a.index.cmp(&b.index))
+            });
+            deferred.extend(round.drain(wave..));
         }
         self.pending = deferred;
         if round.is_empty() {
             return Vec::new();
         }
         if let Some(trace) = &mut self.trace {
-            trace.steps.push(now_ms);
+            trace.steps.push(TraceStep { now_ms, size: Some(round.len()) });
         }
         let pipeline = self.pipeline;
         let threads = self.threads;

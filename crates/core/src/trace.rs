@@ -5,8 +5,9 @@
 //! whenever the event loop wakes. Every admission decision, however, is a pure
 //! function of (a) the request stamps (arrival, deadline, cost multiplier,
 //! source), (b) the order in which requests became visible to the core, and
-//! (c) the sequence of `now` values the core was stepped at — never of the
-//! wall clock itself. A [`ServingTrace`] records exactly those inputs (plus
+//! (c) the sequence of steps the core took — the `now` value of each and how
+//! many attempts it admitted — never of the wall clock itself. A
+//! [`ServingTrace`] records exactly those inputs (plus
 //! the decisions they produced), so replaying the trace through the
 //! virtual-clock [`SloScheduler`](crate::SloScheduler) reproduces the live
 //! run's admission decisions bitwise: any production incident becomes a
@@ -28,6 +29,11 @@
 //! their IEEE-754 bit patterns in hex (decimal formatting would not round-trip
 //! bitwise). The offline `serde` compatibility stub cannot deserialize, so the
 //! format is hand-rolled, mirroring `CalibratedCostModel::save`/`load`.
+//!
+//! A step line is `step <now bits> <size>`. Traces written before steps had a
+//! size carry `step <now bits>` alone; they load with [`TraceStep::size`]
+//! `None` and replay each such step as a whole round, which is what those
+//! runs did.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -55,6 +61,18 @@ pub struct TraceRequest {
     /// exactly (a request can arrive mid-drain and only be seen two steps
     /// later; eligibility alone cannot reconstruct that).
     pub enqueued_step: usize,
+}
+
+/// One admission step of a recorded run.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+pub struct TraceStep {
+    /// The `now` value the core was stepped at.
+    pub now_ms: f64,
+    /// How many attempts the step admitted: the earliest `size` eligible ones
+    /// in (arrival, submission index) order. A live server's steps are waves
+    /// of at most its thread budget; a batch drain's are whole rounds. `None`
+    /// (a trace from before sizes were recorded) replays as a whole round.
+    pub size: Option<usize>,
 }
 
 /// The admission decision one request received.
@@ -104,9 +122,8 @@ impl TraceDecision {
 pub struct ServingTrace {
     /// Request stamps in submission (ticket) order.
     pub requests: Vec<TraceRequest>,
-    /// The `now` value of every admission step that processed at least one
-    /// attempt, in order.
-    pub steps: Vec<f64>,
+    /// Every admission step that processed at least one attempt, in order.
+    pub steps: Vec<TraceStep>,
     /// Per-request decision, in submission order (filled when the run
     /// finishes).
     pub decisions: Vec<TraceDecision>,
@@ -160,8 +177,12 @@ impl ServingTrace {
             );
         }
         let _ = writeln!(text, "steps {}", self.steps.len());
-        for &now_ms in &self.steps {
-            let _ = writeln!(text, "step {:016x}", now_ms.to_bits());
+        for step in &self.steps {
+            let now_bits = step.now_ms.to_bits();
+            let _ = match step.size {
+                Some(size) => writeln!(text, "step {now_bits:016x} {size}"),
+                None => writeln!(text, "step {now_bits:016x}"),
+            };
         }
         let _ = writeln!(text, "decisions {}", self.decisions.len());
         for decision in &self.decisions {
@@ -235,7 +256,11 @@ impl ServingTrace {
                         enqueued_step,
                     });
                 }
-                "step" => trace.steps.push(next_bits(&mut fields)?),
+                "step" => {
+                    let now_ms = next_bits(&mut fields)?;
+                    let size = fields.next().map(parse_usize).transpose()?;
+                    trace.steps.push(TraceStep { now_ms, size });
+                }
                 "served" => {
                     let planned = next_usize(&mut fields)?;
                     let served = next_usize(&mut fields)?;
@@ -268,7 +293,10 @@ fn next_bits<'s>(fields: &mut impl Iterator<Item = &'s str>) -> std::result::Res
 fn next_usize<'s>(
     fields: &mut impl Iterator<Item = &'s str>,
 ) -> std::result::Result<usize, String> {
-    let raw = fields.next().ok_or("missing integer field")?;
+    parse_usize(fields.next().ok_or("missing integer field")?)
+}
+
+fn parse_usize(raw: &str) -> std::result::Result<usize, String> {
     raw.parse::<usize>().map_err(|e| format!("integer {raw:?}: {e}"))
 }
 
@@ -296,7 +324,11 @@ mod tests {
                     enqueued_step: 2,
                 },
             ],
-            steps: vec![1.5, 3.0000000000000004, f64::INFINITY],
+            steps: vec![
+                TraceStep { now_ms: 1.5, size: Some(1) },
+                TraceStep { now_ms: 3.0000000000000004, size: Some(2) },
+                TraceStep { now_ms: f64::INFINITY, size: None },
+            ],
             decisions: vec![
                 TraceDecision::Served { planned: 224, served: 112, int8: true },
                 TraceDecision::Failed,
@@ -314,8 +346,27 @@ mod tests {
         trace.save(&path).unwrap();
         let loaded = ServingTrace::load(&path).unwrap();
         assert_eq!(trace, loaded, "text round trip must be bit-exact, infinities included");
-        assert_eq!(loaded.steps[1].to_bits(), trace.steps[1].to_bits());
+        assert_eq!(loaded.steps[1].now_ms.to_bits(), trace.steps[1].now_ms.to_bits());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn traces_without_step_sizes_still_load() {
+        // The text a pre-wave build wrote: `step` lines carry the `now` bits alone.
+        let legacy = "rescnn-serving-trace v1\nhard_cancelled 0\nrequests 1\n\
+                      req 0000000000000000 4049000000000000 3ff0000000000000 - 0\n\
+                      steps 2\nstep 3ff8000000000000\nstep 7ff0000000000000\n\
+                      decisions 1\nserved 224 224 0\n";
+        let trace = ServingTrace::parse(legacy).unwrap();
+        assert_eq!(
+            trace.steps,
+            vec![
+                TraceStep { now_ms: 1.5, size: None },
+                TraceStep { now_ms: f64::INFINITY, size: None },
+            ]
+        );
+        assert_eq!(trace.to_text(), legacy, "and it is written back as it was read");
+        assert!(ServingTrace::parse("rescnn-serving-trace v1\nstep 3ff8000000000000 x").is_err());
     }
 
     #[test]

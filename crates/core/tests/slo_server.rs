@@ -6,9 +6,9 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use rescnn_core::{
-    DynamicResolutionPipeline, PipelineConfig, Rejected, ResolutionLatencyModel, ScaleModelConfig,
-    ScaleModelTrainer, ServerConfig, ServerRequest, ServerState, SloOptions, SloOutcome,
-    SloRequest, SloScheduler, SloServer,
+    BatchOptions, DynamicResolutionPipeline, PipelineConfig, Rejected, ResolutionLatencyModel,
+    ScaleModelConfig, ScaleModelTrainer, ServerConfig, ServerRequest, ServerState, ServingTrace,
+    SloOptions, SloOutcome, SloRequest, SloScheduler, SloServer, TraceStep,
 };
 use rescnn_data::{Dataset, DatasetKind, DatasetSpec};
 use rescnn_imaging::CropRatio;
@@ -216,4 +216,146 @@ fn recorded_trace_replays_bitwise_through_the_batch_scheduler() {
     assert_eq!(replayed_report.degraded, report.slo.degraded);
     assert_eq!(replayed_report.shed, report.slo.shed);
     assert_eq!(replayed_report.expired, report.slo.expired);
+}
+
+#[test]
+fn a_burst_settles_wave_by_wave_and_replays_at_any_thread_budget() {
+    let _guard = test_lock();
+    const BURST: usize = 8;
+    for threads in [1usize, 2] {
+        // The live server's budget is pinned, so its waves are at most `threads`
+        // wide whatever RESCNN_THREADS says; the replays below are not pinned.
+        let pinned = options().with_batch(BatchOptions::default().with_threads(threads));
+        // Completion capacity 1 and a stream nobody reads yet wedge the event
+        // loop on its second delivery, so the burst queues up behind it.
+        let config = ServerConfig::default()
+            .with_options(pinned)
+            .with_record(true)
+            .with_completion_capacity(1)
+            .with_idle_tick_ms(1.0)
+            .with_drain_deadline_ms(60_000.0);
+        let mut server = SloServer::start(pipeline(), config).unwrap();
+        let stream = server.completions().unwrap();
+        let sample = |i: usize| Arc::new(data()[i % data().len()].clone());
+        server.submit(ServerRequest::new(sample(0), 0.0)).unwrap();
+        server.submit(ServerRequest::new(sample(0), 0.0)).unwrap();
+        let wedged_by = Instant::now() + Duration::from_secs(10);
+        while server.in_flight() != 1 && Instant::now() < wedged_by {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(server.in_flight(), 1, "event loop never wedged on the full completion queue");
+        for i in 0..BURST {
+            server.submit(ServerRequest::new(sample(i), 60_000.0)).unwrap();
+        }
+        server.drain();
+        let completions: Vec<_> = stream.collect();
+        let report = server.join().unwrap();
+        assert!(report.drained_gracefully);
+        assert_eq!(completions.len(), 2 + BURST);
+        assert!(completions[2..].iter().all(|c| matches!(c.outcome, SloOutcome::Completed(_))));
+
+        // No step admitted more than the thread budget, so on one thread the
+        // burst of eight took eight steps of one.
+        let trace = report.trace.as_ref().expect("recording run carries its trace");
+        assert!(trace.replayable());
+        let sizes: Vec<usize> =
+            trace.steps.iter().map(|step| step.size.expect("live steps record a size")).collect();
+        assert!(sizes.iter().all(|&size| (1..=threads).contains(&size)), "{sizes:?}");
+        assert_eq!(sizes.iter().sum::<usize>(), 2 + BURST, "one attempt per request: {sizes:?}");
+        if threads == 1 {
+            assert_eq!(sizes, vec![1; 2 + BURST]);
+        }
+
+        // Outcomes leave in ticket order, each step's under one settle stamp
+        // that is strictly later than the step before's.
+        let tickets: Vec<u64> = completions.iter().map(|c| c.ticket.0).collect();
+        assert_eq!(tickets, (0..(2 + BURST) as u64).collect::<Vec<_>>());
+        let mut delivered = completions.iter();
+        let mut previous = f64::NEG_INFINITY;
+        for &size in &sizes {
+            let stamps: Vec<f64> =
+                delivered.by_ref().take(size).map(|c| c.wall_settled_ms).collect();
+            assert!(
+                stamps.iter().all(|&stamp| stamp == stamps[0] && stamp > previous),
+                "{stamps:?}"
+            );
+            previous = stamps[0];
+        }
+
+        // The sizes survive the text format, and drive replay: decisions and
+        // steps come out equal under the ambient budget (the CI matrix runs this
+        // at RESCNN_THREADS 1, 2 and 4) and under each explicit one.
+        let reloaded = ServingTrace::from_text(&trace.to_text()).unwrap();
+        assert_eq!(&reloaded, trace);
+        let samples: Vec<_> = [0, 0].into_iter().chain(0..BURST).map(sample).collect();
+        for budget in [None, Some(1), Some(2), Some(4)] {
+            let replay_options = match budget {
+                Some(n) => options().with_batch(BatchOptions::default().with_threads(n)),
+                None => options(),
+            };
+            let mut scheduler = SloScheduler::new(pipeline_ref(), replay_options);
+            for sample in &samples {
+                scheduler.submit(SloRequest::new(sample, 0.0, 1.0));
+            }
+            let (_, replayed) = scheduler.replay(&reloaded).unwrap();
+            assert_eq!(replayed.decisions, trace.decisions, "budget {budget:?}");
+            assert_eq!(replayed.steps, trace.steps, "budget {budget:?}");
+        }
+    }
+}
+
+#[test]
+fn sizeless_steps_replay_as_whole_rounds_and_sized_ones_as_waves() {
+    let _guard = test_lock();
+    let submit_all = |scheduler: &mut SloScheduler<'static>| {
+        for (i, sample) in data().iter().enumerate() {
+            let arrival = (i / 4) as f64 * 5.0;
+            let deadline = arrival + 40.0 + 30.0 * (i % 3) as f64;
+            scheduler.submit(SloRequest::new(sample, arrival, deadline));
+        }
+    };
+    let replay = |trace: &ServingTrace| {
+        let mut scheduler = SloScheduler::new(pipeline_ref(), options());
+        submit_all(&mut scheduler);
+        scheduler.replay(trace).unwrap()
+    };
+    // A recorded batch drain steps whole rounds, and says how large they were.
+    let mut scheduler = SloScheduler::new(pipeline_ref(), options());
+    submit_all(&mut scheduler);
+    let (report, trace) = scheduler.run_recorded().unwrap();
+    let total = data().len();
+    assert_eq!(trace.steps.len(), 1, "without retries a batch drain is one round");
+    assert_eq!(trace.steps[0].size, Some(total));
+    assert!(report.completed > 0 && report.completed < report.total, "a mix of outcomes");
+
+    // Stripping the sizes from its text gives what a build from before sizes
+    // existed wrote; it loads, and each step replays as the whole round.
+    let legacy_text: String = trace
+        .to_text()
+        .lines()
+        .map(|line| match line.strip_prefix("step ") {
+            Some(rest) => format!("step {}\n", rest.split(' ').next().unwrap()),
+            None => format!("{line}\n"),
+        })
+        .collect();
+    let legacy = ServingTrace::from_text(&legacy_text).unwrap();
+    assert!(legacy.steps.iter().all(|step| step.size.is_none()));
+    let (replayed_report, replayed) = replay(&legacy);
+    assert_eq!(replayed.decisions, trace.decisions);
+    assert_eq!(replayed.steps, trace.steps, "the sizeless step replayed as the whole round");
+    assert_eq!(replayed_report.outcomes, report.outcomes);
+
+    // The same drain cut into waves of any width: each step takes the earliest
+    // arrivals still pending, so the virtual server sees the requests in the
+    // same order and every outcome is unchanged.
+    for width in [1usize, 2, 5, total] {
+        let mut waves = trace.clone();
+        waves.steps =
+            vec![TraceStep { size: Some(width), ..trace.steps[0] }; total.div_ceil(width)];
+        let (wave_report, replayed) = replay(&waves);
+        let sizes: Vec<usize> = replayed.steps.iter().filter_map(|step| step.size).collect();
+        assert_eq!(sizes.iter().sum::<usize>(), total, "width {width}: {sizes:?}");
+        assert!(sizes[..sizes.len() - 1].iter().all(|&size| size == width), "{sizes:?}");
+        assert_eq!(wave_report.outcomes, report.outcomes, "width {width}");
+    }
 }

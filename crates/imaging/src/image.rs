@@ -106,9 +106,7 @@ impl Image {
     ) -> Result<Self> {
         let mut img = Image::zeros(width, height)?;
         for y in 0..height {
-            for x in 0..width {
-                img.set_pixel(x, y, f(x, y));
-            }
+            img.set_row_with(y, 0..width, |x| f(x, y));
         }
         Ok(img)
     }
@@ -182,6 +180,29 @@ impl Image {
         self.data[idx] = rgb[0];
         self.data[size + idx] = rgb[1];
         self.data[2 * size + idx] = rgb[2];
+    }
+
+    /// Writes `f(x)` to the pixels `xs` of row `y`, in ascending `x` — the same stores as
+    /// [`set_pixel`](Self::set_pixel) per pixel, with one bounds check for the whole run.
+    ///
+    /// # Panics
+    /// Panics if the row or the column range is out of bounds.
+    pub fn set_row_with<F: FnMut(usize) -> [f32; 3]>(
+        &mut self,
+        y: usize,
+        xs: std::ops::Range<usize>,
+        mut f: F,
+    ) {
+        assert!(y < self.height && xs.end <= self.width, "pixel out of bounds");
+        let size = self.width * self.height;
+        let row = y * self.width;
+        let (red, rest) = self.data.split_at_mut(size);
+        let (green, blue) = rest.split_at_mut(size);
+        let run = row + xs.start.min(xs.end)..row + xs.end;
+        let samples = red[run.clone()].iter_mut().zip(&mut green[run.clone()]).zip(&mut blue[run]);
+        for (x, ((r, g), b)) in xs.zip(samples) {
+            [*r, *g, *b] = f(x);
+        }
     }
 
     /// Clamps all samples into `[0, 1]`.
@@ -290,6 +311,29 @@ mod tests {
         assert_eq!(img.pixel(2, 2), [1.0, 0.5, 0.25]);
         let grad = Image::from_fn(4, 2, |x, _| [x as f32 / 4.0, 0.0, 0.0]).unwrap();
         assert_eq!(grad.pixel(3, 1)[0], 0.75);
+    }
+
+    #[test]
+    fn set_row_with_writes_exactly_the_run() {
+        let mut img = Image::zeros(5, 3).unwrap();
+        img.set_row_with(1, 1..4, |x| [x as f32, 10.0 + x as f32, 20.0 + x as f32]);
+        for y in 0..3 {
+            for x in 0..5 {
+                let expected = if y == 1 && (1..4).contains(&x) {
+                    [x as f32, 10.0 + x as f32, 20.0 + x as f32]
+                } else {
+                    [0.0; 3]
+                };
+                assert_eq!(img.pixel(x, y), expected, "({x}, {y})");
+            }
+        }
+        img.set_row_with(2, 3..3, |_| unreachable!("an empty run writes nothing"));
+    }
+
+    #[test]
+    #[should_panic(expected = "pixel out of bounds")]
+    fn set_row_with_rejects_runs_past_the_row() {
+        Image::zeros(4, 2).unwrap().set_row_with(0, 2..5, |_| [0.0; 3]);
     }
 
     #[test]

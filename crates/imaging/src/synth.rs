@@ -215,13 +215,21 @@ pub fn render_scene(spec: &SceneSpec) -> Result<Image> {
     let jitter_x = (unit_hash(spec.seed, 5) - 0.5) * radius * 0.1;
     let jitter_y = (unit_hash(spec.seed, 6) - 0.5) * radius * 0.1;
 
+    // The first clutter field is a product of a per-column and a per-row term: evaluate each
+    // once per column / row (the same expressions as in place) instead of once per pixel.
+    let clutter_cols: Vec<f64> =
+        (0..spec.width).map(|x| (x as f64 * bg_freq * 3.1 + phase).sin()).collect();
+    let clutter_rows: Vec<f64> =
+        (0..spec.height).map(|y| (y as f64 * bg_freq * 2.3).cos()).collect();
+    let (orientation_cos, orientation_sin) = (phase.cos(), phase.sin());
+
     Image::from_fn(spec.width, spec.height, |x, y| {
         let xf = x as f64;
         let yf = y as f64;
         // Background: gradient + two sinusoidal clutter fields.
         let grad = 0.15 * (xf / spec.width as f64 - 0.5) + 0.1 * (yf / spec.height as f64 - 0.5);
         let clutter = bg_amp
-            * ((xf * bg_freq * 3.1 + phase).sin() * (yf * bg_freq * 2.3).cos()
+            * (clutter_cols[x] * clutter_rows[y]
                 + 0.5 * (xf * bg_freq * 7.7 + yf * bg_freq * 5.1).sin());
         let mut rgb = [
             (bg_rgb[0] as f64 + grad + clutter).clamp(0.0, 1.0) as f32,
@@ -233,8 +241,7 @@ pub fn render_scene(spec: &SceneSpec) -> Result<Image> {
         let dy = (yf - cy - jitter_y) / radius.max(1e-9);
         if shape.contains(dx, dy) {
             // Class-discriminative texture: oriented stripes + a radial ring pattern.
-            let orientation = phase;
-            let u = dx * orientation.cos() + dy * orientation.sin();
+            let u = dx * orientation_cos + dy * orientation_sin;
             let r = (dx * dx + dy * dy).sqrt();
             let stripes = (u * tex_freq * radius + phase).sin();
             let rings = (r * tex_freq * radius * 0.5).cos();

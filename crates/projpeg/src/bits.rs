@@ -56,51 +56,91 @@ impl BitWriter {
 }
 
 /// Reads bits most-significant-first from a byte slice.
+///
+/// Bits are buffered a word at a time: `acc` holds the next unconsumed bits left-aligned,
+/// so reading, peeking and skipping are shifts rather than per-bit byte lookups — the
+/// table-driven entropy decoder peeks a 16-bit window and consumes one code length.
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     bytes: &'a [u8],
-    pos: usize,
-    bit: u8,
+    /// Index of the next byte not yet loaded into `acc`.
+    next: usize,
+    /// Unconsumed bits, left-aligned (bit 63 is the next bit of the stream); every bit
+    /// below the top `count` is zero.
+    acc: u64,
+    /// Number of valid bits in `acc`.
+    count: u32,
 }
 
 impl<'a> BitReader<'a> {
     /// Creates a reader over `bytes`.
     pub fn new(bytes: &'a [u8]) -> Self {
-        BitReader { bytes, pos: 0, bit: 0 }
+        BitReader { bytes, next: 0, acc: 0, count: 0 }
+    }
+
+    /// Tops the accumulator up to more than 56 bits, or to everything the stream has left.
+    #[inline]
+    fn refill(&mut self) {
+        while self.count <= 56 {
+            let Some(&byte) = self.bytes.get(self.next) else { break };
+            self.acc |= u64::from(byte) << (56 - self.count);
+            self.count += 8;
+            self.next += 1;
+        }
+    }
+
+    /// The next 16 bits of the stream (zero-padded past its end) without consuming them,
+    /// and how many bits are really available (possibly more than 16).
+    #[inline]
+    pub(crate) fn peek16(&mut self) -> (u32, u32) {
+        if self.count < 16 {
+            self.refill();
+        }
+        ((self.acc >> 48) as u32, self.count)
+    }
+
+    /// Skips `bits` bits, which a preceding [`peek16`](Self::peek16) reported available.
+    #[inline]
+    pub(crate) fn consume(&mut self, bits: u32) {
+        debug_assert!(bits <= self.count && bits < 64, "consume past the peeked window");
+        self.acc <<= bits;
+        self.count -= bits;
     }
 
     /// Reads a single bit, or `None` at end of stream.
     #[inline]
     pub fn read_bit(&mut self) -> Option<u8> {
-        if self.pos >= self.bytes.len() {
-            return None;
-        }
-        let byte = self.bytes[self.pos];
-        let bit = (byte >> (7 - self.bit)) & 1;
-        self.bit += 1;
-        if self.bit == 8 {
-            self.bit = 0;
-            self.pos += 1;
-        }
-        Some(bit)
+        self.read_bits(1).map(|bit| bit as u8)
     }
 
-    /// Reads `count` bits into the low bits of a `u32`, or `None` if the stream ends first.
+    /// Reads `count` bits into the low bits of a `u32`, or `None` if the stream ends first
+    /// (the rest of the stream is consumed, as if read bit by bit).
+    ///
+    /// # Panics
+    /// Panics if `count > 32`.
+    #[inline]
     pub fn read_bits(&mut self, count: u8) -> Option<u32> {
-        let mut out = 0u32;
-        for _ in 0..count {
-            out = (out << 1) | u32::from(self.read_bit()?);
+        assert!(count <= 32, "cannot read more than 32 bits at once");
+        let count = u32::from(count);
+        if count == 0 {
+            return Some(0);
         }
-        Some(out)
+        if self.count < count {
+            self.refill();
+            if self.count < count {
+                self.acc = 0;
+                self.count = 0;
+                return None;
+            }
+        }
+        let value = (self.acc >> (64 - count)) as u32;
+        self.consume(count);
+        Some(value)
     }
 
     /// Number of bits remaining in the stream.
     pub fn remaining_bits(&self) -> usize {
-        if self.pos >= self.bytes.len() {
-            0
-        } else {
-            (self.bytes.len() - self.pos) * 8 - self.bit as usize
-        }
+        self.count as usize + (self.bytes.len() - self.next) * 8
     }
 }
 
@@ -161,5 +201,76 @@ mod tests {
     #[should_panic(expected = "32 bits")]
     fn oversized_write_panics() {
         BitWriter::new().write_bits(0, 33);
+    }
+
+    #[test]
+    #[should_panic(expected = "32 bits")]
+    fn oversized_read_panics() {
+        BitReader::new(&[0; 8]).read_bits(33);
+    }
+
+    /// The pre-word-buffer reader: one byte lookup per bit.
+    struct BitwiseReader<'a> {
+        bytes: &'a [u8],
+        bit: usize,
+    }
+
+    impl BitwiseReader<'_> {
+        fn read_bits(&mut self, count: u8) -> Option<u32> {
+            let mut out = 0u32;
+            for _ in 0..count {
+                let byte = *self.bytes.get(self.bit / 8)?;
+                out = (out << 1) | u32::from((byte >> (7 - self.bit % 8)) & 1);
+                self.bit += 1;
+            }
+            Some(out)
+        }
+
+        fn remaining_bits(&self) -> usize {
+            self.bytes.len() * 8 - self.bit
+        }
+    }
+
+    #[test]
+    fn word_buffered_reads_match_bit_at_a_time_reads() {
+        // Every mix of read widths, peeks and skips over streams of every short length,
+        // including reads that run off the end, must agree with the bitwise reference on
+        // each value and on the position afterwards.
+        let mut rng = crate::Xorshift(0x9e37_79b9_7f4a_7c15);
+        for len in 0..40usize {
+            for _ in 0..20 {
+                let bytes = rng.bytes(len);
+                let mut fast = BitReader::new(&bytes);
+                let mut slow = BitwiseReader { bytes: &bytes, bit: 0 };
+                loop {
+                    let width = rng.below(33) as u8;
+                    if rng.below(4) == 0 {
+                        // Peek, then skip part of what is there.
+                        let (window, avail) = fast.peek16();
+                        let left = slow.remaining_bits();
+                        assert!(avail as usize == left || (avail >= 16 && avail as usize <= left));
+                        if avail < 16 {
+                            assert_eq!(window & ((1 << (16 - avail)) - 1), 0, "zero padding");
+                        }
+                        let skip = u32::from(width).min(avail).min(16);
+                        let expected = slow.read_bits(skip as u8).unwrap();
+                        assert_eq!(window >> (16 - skip), expected);
+                        fast.consume(skip);
+                    } else {
+                        let got = fast.read_bits(width);
+                        let expected = slow.read_bits(width);
+                        if expected.is_none() {
+                            slow.bit = bytes.len() * 8;
+                        }
+                        assert_eq!(got, expected, "len {len} width {width}");
+                    }
+                    assert_eq!(fast.remaining_bits(), slow.remaining_bits());
+                    if slow.remaining_bits() == 0 {
+                        assert_eq!(fast.read_bit(), None);
+                        break;
+                    }
+                }
+            }
+        }
     }
 }

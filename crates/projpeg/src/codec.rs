@@ -191,7 +191,7 @@ impl CoefficientPlanes {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProgressiveImage {
     width: usize,
     height: usize,
@@ -514,9 +514,13 @@ pub(crate) fn decode_scan(
                     0
                 };
                 let diff = decode_amplitude(raw, bits);
-                let dc = prev + diff;
-                prev = dc;
-                let level = dc as i16;
+                // The encoder only writes differences whose running sum is a stored
+                // (i16) level; anything else is a corrupt stream, not a value to wrap.
+                let level = prev
+                    .checked_add(diff)
+                    .and_then(|dc| i16::try_from(dc).ok())
+                    .ok_or(CodecError::CorruptStream { scan: scan_index })?;
+                prev = i32::from(level);
                 if let Some(flags) = dirty.as_deref_mut() {
                     if planes.blocks[c][b][0] != level {
                         flags[b] = true;
@@ -753,6 +757,45 @@ mod tests {
         }
         // Earlier scans still decode fine.
         assert!(encoded.decode(3).is_ok());
+    }
+
+    #[test]
+    fn dc_sum_outside_the_level_range_is_corrupt_not_wrapped() {
+        // A hand-built DC scan over a 1032x1024 block grid (16 512 blocks per component):
+        // one 1-bit code for the symbol "17 amplitude bits", every amplitude +131 071.
+        // The running sum used to wrap silently to -1 through `as i16` at the first block,
+        // and overflowed `i32` — a panic in debug builds — at block 16 384.
+        let mut lengths = [0u8; 256];
+        lengths[17] = 1;
+        let code = HuffmanCode::from_lengths(lengths);
+        let (blocks_x, blocks_y) = (129, 128);
+        let mut data = Vec::new();
+        code.write_table(&mut data);
+        let mut writer = BitWriter::new();
+        for _ in 0..COMPONENTS * blocks_x * blocks_y {
+            code.encode(17, &mut writer);
+            writer.write_bits((1 << 17) - 1, 17);
+        }
+        data.extend_from_slice(&writer.finish());
+        let scan = EncodedScan { band: ScanBand::new(0, 0), data };
+        let mut planes = CoefficientPlanes::zeroed(blocks_x, blocks_y);
+        assert_eq!(
+            decode_scan(&scan, 0, &mut planes, None),
+            Err(CodecError::CorruptStream { scan: 0 })
+        );
+
+        // The extremes the encoder can produce still decode: levels alternating between
+        // i16::MAX and i16::MIN are the largest differences there are, and every sum fits.
+        let mut planes = CoefficientPlanes::zeroed(4, 2);
+        for (c, blocks) in planes.blocks.iter_mut().enumerate() {
+            for (b, block) in blocks.iter_mut().enumerate() {
+                block[0] = if (b + c) % 2 == 0 { i16::MAX } else { i16::MIN };
+            }
+        }
+        let scan = encode_scan(&planes, ScanBand::new(0, 0));
+        let mut decoded = CoefficientPlanes::zeroed(4, 2);
+        decode_scan(&scan, 0, &mut decoded, None).unwrap();
+        assert_eq!(decoded.blocks, planes.blocks);
     }
 
     #[test]

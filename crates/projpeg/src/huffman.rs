@@ -10,6 +10,9 @@ use crate::bits::{BitReader, BitWriter};
 /// Maximum code length permitted (same limit as JPEG).
 const MAX_CODE_LEN: u8 = 16;
 
+/// Codes of at most this many bits decode with one lookup of the next `LUT_BITS` bits.
+const LUT_BITS: u8 = 9;
+
 /// A canonical Huffman code over byte-valued symbols.
 #[derive(Debug, Clone)]
 pub struct HuffmanCode {
@@ -17,6 +20,12 @@ pub struct HuffmanCode {
     lengths: [u8; 256],
     /// Code value per symbol (valid when length > 0).
     codes: [u16; 256],
+    /// Decode table over the next [`LUT_BITS`] bits of the stream: `length << 8 | symbol`
+    /// of the code that is a prefix of the index, or 0 when no code of at most `LUT_BITS`
+    /// bits is.
+    lut: Box<[u16]>,
+    /// `(length, code, symbol)` of every code longer than [`LUT_BITS`], ascending.
+    long_codes: Vec<(u8, u16, u8)>,
 }
 
 impl HuffmanCode {
@@ -30,7 +39,7 @@ impl HuffmanCode {
         let mut lengths = [0u8; 256];
         let total: u64 = freqs.iter().sum();
         if total == 0 {
-            return HuffmanCode { lengths, codes: [0; 256] };
+            return Self::assign_codes(lengths);
         }
         let present: Vec<usize> = (0..256).filter(|&s| freqs[s] > 0).collect();
         if present.len() == 1 {
@@ -117,7 +126,33 @@ impl HuffmanCode {
             code += 1;
             prev_len = len;
         }
-        HuffmanCode { lengths, codes }
+
+        // Decode tables, from the `(length, code)` pairs assigned above whatever the lengths
+        // were: a table read from a corrupt header can be over-subscribed, and then some
+        // codes do not fit their length (those can never match and are left out) and a
+        // 16-bit-truncated long code can repeat a shorter one (decode searches lengths in
+        // ascending order, as a bit-by-bit search would). Codes that do fit are assigned in
+        // ascending order of their left-aligned value, so the short ones claim disjoint
+        // ranges of the lookup table.
+        let mut lut = vec![0u16; 1 << LUT_BITS].into_boxed_slice();
+        let mut long_codes = Vec::new();
+        for &s in &symbols {
+            let (len, code) = (lengths[s], codes[s]);
+            if len > MAX_CODE_LEN || u32::from(code) >> len != 0 {
+                continue;
+            }
+            if len > LUT_BITS {
+                long_codes.push((len, code, s as u8));
+                continue;
+            }
+            let spare = LUT_BITS - len;
+            let first = usize::from(code) << spare;
+            let range = &mut lut[first..first + (1 << spare)];
+            debug_assert!(range.iter().all(|&slot| slot == 0), "short codes are prefix-free");
+            range.fill(u16::from(len) << 8 | s as u16);
+        }
+        long_codes.sort_unstable();
+        HuffmanCode { lengths, codes, lut, long_codes }
     }
 
     /// Reconstructs a code from a stored length table (as written by [`Self::write_table`]).
@@ -141,18 +176,44 @@ impl HuffmanCode {
     }
 
     /// Decodes one symbol from the reader, or `None` on end of stream / unknown code.
+    ///
+    /// Entropy decoding is the larger part of applying a scan, so this is table-driven:
+    /// one lookup of the next [`LUT_BITS`] bits resolves every code that short, and longer
+    /// codes are searched by length in a sorted list. For every table and every byte
+    /// string the result — and the number of bits consumed, also on `None` — is what
+    /// matching the stream bit by bit against all 256 codes gives (the test-only
+    /// `decode_linear`, which this replaced): `None` after consuming what is left when the
+    /// stream ends inside a code, `None` after 16 bits when no code matches.
+    #[inline]
     pub fn decode(&self, reader: &mut BitReader<'_>) -> Option<u8> {
-        let mut code = 0u32;
-        for len in 1..=MAX_CODE_LEN {
-            code = (code << 1) | u32::from(reader.read_bit()?);
-            // Linear scan is acceptable: tables are small and decode speed is not the
-            // bottleneck of the experiments.
-            for s in 0..256usize {
-                if self.lengths[s] == len && u32::from(self.codes[s]) == code {
-                    return Some(s as u8);
+        let (window, available) = reader.peek16();
+        let entry = self.lut[(window >> (16 - LUT_BITS)) as usize];
+        let len = u32::from(entry >> 8);
+        if len != 0 {
+            if len <= available {
+                reader.consume(len);
+                return Some(entry as u8);
+            }
+            // The shortest match leans on the zero padding past the end of the stream, so
+            // no code matches the bits that are really there.
+            reader.consume(available);
+            return None;
+        }
+        for len in LUT_BITS + 1..=MAX_CODE_LEN {
+            if u32::from(len) > available {
+                reader.consume(available);
+                return None;
+            }
+            let code = (window >> (16 - len)) as u16;
+            let at = self.long_codes.partition_point(|&(l, c, _)| (l, c) < (len, code));
+            if let Some(&(l, c, symbol)) = self.long_codes.get(at) {
+                if (l, c) == (len, code) {
+                    reader.consume(u32::from(len));
+                    return Some(symbol);
                 }
             }
         }
+        reader.consume(u32::from(MAX_CODE_LEN));
         None
     }
 
@@ -201,6 +262,7 @@ impl HuffmanCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Xorshift;
 
     fn histogram(symbols: &[u8]) -> [u64; 256] {
         let mut freqs = [0u64; 256];
@@ -312,5 +374,126 @@ mod tests {
             decoded += 1;
             assert!(decoded < 64, "decode must terminate");
         }
+    }
+
+    impl HuffmanCode {
+        /// The decoder `decode` replaced, kept as its oracle: extend the code one bit at a
+        /// time and scan all 256 symbols for a match at each length.
+        fn decode_linear(&self, reader: &mut BitReader<'_>) -> Option<u8> {
+            let mut code = 0u32;
+            for len in 1..=MAX_CODE_LEN {
+                code = (code << 1) | u32::from(reader.read_bit()?);
+                for s in 0..256usize {
+                    if self.lengths[s] == len && u32::from(self.codes[s]) == code {
+                        return Some(s as u8);
+                    }
+                }
+            }
+            None
+        }
+    }
+
+    /// Decodes `bytes` to exhaustion with both decoders: same symbol or `None` at every
+    /// step, and the reader left at the same bit after each.
+    fn assert_decoders_agree(code: &HuffmanCode, bytes: &[u8], context: &str) {
+        let mut fast = BitReader::new(bytes);
+        let mut slow = BitReader::new(bytes);
+        for step in 0.. {
+            let got = code.decode(&mut fast);
+            let expected = code.decode_linear(&mut slow);
+            assert_eq!(got, expected, "{context}: symbol {step}");
+            assert_eq!(fast.remaining_bits(), slow.remaining_bits(), "{context}: after {step}");
+            if slow.remaining_bits() == 0 {
+                assert_eq!(code.decode(&mut fast), code.decode_linear(&mut slow), "{context}");
+                break;
+            }
+        }
+    }
+
+    /// Random bitstreams for `code`: noise of every short length, and — when the code can
+    /// encode at all — valid symbol streams cut at a random byte.
+    fn assert_agree_on_streams(code: &HuffmanCode, rng: &mut Xorshift, context: &str) {
+        for len in 0..24 {
+            assert_decoders_agree(code, &rng.bytes(len), &format!("{context} noise {len}"));
+        }
+        let present: Vec<u8> = (0..=255u8).filter(|&s| code.lengths[s as usize] > 0).collect();
+        if present.is_empty() || present.iter().any(|&s| code.lengths[s as usize] > MAX_CODE_LEN) {
+            return;
+        }
+        for case in 0..8 {
+            let mut writer = BitWriter::new();
+            for _ in 0..rng.below(200) {
+                code.encode(present[rng.below(present.len() as u64) as usize], &mut writer);
+            }
+            let mut bytes = writer.finish();
+            assert_decoders_agree(code, &bytes, &format!("{context} valid {case}"));
+            bytes.truncate(rng.below(bytes.len() as u64 + 1) as usize);
+            assert_decoders_agree(code, &bytes, &format!("{context} truncated {case}"));
+        }
+    }
+
+    #[test]
+    fn table_decoder_matches_linear_scan_on_encoder_tables() {
+        // Kraft-satisfying tables as the encoder builds them: skewed, flat, sparse, and
+        // with codes on both sides of the lookup width.
+        let mut rng = Xorshift(0x5eed_0001);
+        for case in 0..40 {
+            let mut freqs = [0u64; 256];
+            let distinct = 1 + rng.below(256);
+            for _ in 0..distinct {
+                let skew = rng.below(20);
+                freqs[rng.below(256) as usize] += 1 + rng.below(1 << skew);
+            }
+            let code = HuffmanCode::from_frequencies(&freqs);
+            assert_agree_on_streams(&code, &mut rng, &format!("encoder table {case}"));
+        }
+    }
+
+    #[test]
+    fn table_decoder_matches_linear_scan_on_arbitrary_length_tables() {
+        // `from_lengths` accepts what no encoder writes: over-subscribed lengths make codes
+        // collide, nest inside one another, and overflow their own width.
+        let mut rng = Xorshift(0x5eed_0002);
+        for case in 0..60 {
+            let mut lengths = [0u8; 256];
+            let max_len = 1 + rng.below(u64::from(MAX_CODE_LEN));
+            for _ in 0..1 + rng.below(256) {
+                lengths[rng.below(256) as usize] = 1 + rng.below(max_len) as u8;
+            }
+            let code = HuffmanCode::from_lengths(lengths);
+            assert_agree_on_streams(&code, &mut rng, &format!("length table {case}"));
+        }
+        // All 256 symbols at one length, for every length.
+        for len in 1..=MAX_CODE_LEN {
+            let code = HuffmanCode::from_lengths([len; 256]);
+            assert_agree_on_streams(&code, &mut rng, &format!("flat table {len}"));
+        }
+    }
+
+    #[test]
+    fn table_decoder_matches_linear_scan_on_corrupt_headers() {
+        // What `read_table` makes of a damaged scan header: counts that no longer describe
+        // a prefix code, and symbols listed twice (the later length wins).
+        let mut rng = Xorshift(0x5eed_0003);
+        let mut parsed = 0;
+        for case in 0..120 {
+            let mut header = vec![0u8; MAX_CODE_LEN as usize];
+            for count in &mut header {
+                if rng.below(3) == 0 {
+                    *count = rng.below(40) as u8;
+                }
+            }
+            let listed: usize = header.iter().map(|&c| c as usize).sum();
+            let alphabet = 1 + rng.below(256);
+            header.extend((0..listed).map(|_| rng.below(alphabet) as u8));
+            if let Some(bit) = rng.below(header.len() as u64 * 8).checked_sub(64) {
+                header[(bit / 8) as usize] ^= 1 << (bit % 8);
+            }
+            header.extend(rng.bytes(32));
+            let Some((code, _)) = HuffmanCode::read_table(&header) else { continue };
+            parsed += 1;
+            assert_agree_on_streams(&code, &mut rng, &format!("corrupt header {case}"));
+        }
+        assert!(parsed > 60, "only {parsed} corrupt headers parsed");
     }
 }

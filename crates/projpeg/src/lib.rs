@@ -47,6 +47,28 @@ pub mod prelude {
     pub use crate::{CodecError, ProgressiveDecoder, ProgressiveImage, ScanBand, ScanPlan};
 }
 
+/// xorshift64 for the differential tests: their corpora are the same on every run and host.
+#[cfg(test)]
+pub(crate) struct Xorshift(pub(crate) u64);
+
+#[cfg(test)]
+impl Xorshift {
+    pub(crate) fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    pub(crate) fn below(&mut self, bound: u64) -> u64 {
+        self.next() % bound
+    }
+
+    pub(crate) fn bytes(&mut self, len: usize) -> Vec<u8> {
+        (0..len).map(|_| self.next() as u8).collect()
+    }
+}
+
 #[cfg(test)]
 mod proptests {
     use super::*;

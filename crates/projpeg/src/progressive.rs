@@ -110,10 +110,9 @@ impl<'a> ProgressiveDecoder<'a> {
         let planes = CoefficientPlanes::zeroed(blocks_x, blocks_y);
         // Zeroed spatial planes equal the inverse DCT of zeroed coefficients exactly
         // (every accumulator stays +0.0), so no transform is needed here.
+        // … and every pixel of the zero-scan frame is the one colour they convert to.
         let comp = vec![vec![0.0f32; padded_w * padded_h]; NUM_COMPONENTS];
-        let frame = Image::from_fn(image.width(), image.height(), |x, y| {
-            pixel_from_planes(&comp, y * padded_w + x)
-        })?;
+        let frame = Image::filled(image.width(), image.height(), pixel_from_planes(&comp, 0))?;
         Ok(ProgressiveDecoder {
             image,
             planes,
@@ -177,10 +176,11 @@ impl<'a> ProgressiveDecoder<'a> {
                 reconstruct_block(&self.planes.blocks[c][b], table, plane, padded_w, bx, by);
             }
             // Refresh the block's visible pixels (edge blocks may extend past the image).
+            let xs = bx * BLOCK..((bx + 1) * BLOCK).min(width);
             for y in by * BLOCK..((by + 1) * BLOCK).min(height) {
-                for x in bx * BLOCK..((bx + 1) * BLOCK).min(width) {
-                    self.frame.set_pixel(x, y, pixel_from_planes(&self.comp, y * padded_w + x));
-                }
+                self.frame.set_row_with(y, xs.clone(), |x| {
+                    pixel_from_planes(&self.comp, y * padded_w + x)
+                });
             }
         }
         self.scans_applied += 1;

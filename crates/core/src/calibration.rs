@@ -25,6 +25,7 @@ use rescnn_tensor::num_threads;
 use rescnn_tensor::parallel::parallel_map_indexed;
 
 use crate::error::{CoreError, Result};
+use crate::scan_index::IndexedRung;
 
 /// Quality/read-size of one (sample, resolution, scan-count) point.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -253,13 +254,16 @@ impl CalibrationCurves {
 }
 
 /// One forward pass over the scan prefixes of a stored image, presenting each prefix
-/// (centre-cropped and resized) at whatever resolutions the storage decisions ask for.
+/// (centre-cropped and resized) at whatever resolutions the storage decisions ask for and
+/// scoring it against the original.
 ///
-/// This is the serving-side early-exit complement to the full
-/// [`CalibrationCurves::sample_curves`]: `plan` only needs the points the storage policy
-/// would select, so a walk decodes exactly as deep as the deepest prefix any of its
-/// decisions looks at — through one [`ProgressiveDecoder`], each scan entropy-decoded
-/// once.
+/// This is the early-exit complement to the full [`CalibrationCurves::sample_curves`]: a
+/// storage decision only needs the point the policy would select, so a walk decodes
+/// exactly as deep as the deepest prefix any of its decisions looks at — through one
+/// [`ProgressiveDecoder`], each scan entropy-decoded once. It runs wherever the original
+/// is in hand: in [`ingest`](crate::DynamicResolutionPipeline::ingest), which walks every
+/// rung into a stream's scan index; in `plan` / `evaluate`, which have just rendered the
+/// sample; and in the first read of a stream not yet indexed. Indexed reads never walk.
 ///
 /// A *retaining* walk keeps the crop window of every prefix it decodes, so a second
 /// decision (the chosen resolution's, after the preview's) scores the early prefixes from
@@ -336,11 +340,10 @@ impl<'a> PrefixWalk<'a> {
         }
     }
 
-    /// SSIM at `res` of the `scans`-scan prefix against `reference`. Used by the planner
-    /// when the preview stage read deeper into the file than the chosen resolution's own
-    /// sufficient point, so the quality actually presented to the backbone is that of the
-    /// deeper prefix.
-    pub(crate) fn quality_at_scans(
+    /// SSIM at `res` of the `scans`-scan prefix against `reference`: the quality actually
+    /// presented to the backbone when the preview stage read deeper into the file than the
+    /// chosen resolution's own sufficient point.
+    fn quality_at_scans(
         &mut self,
         reference: &SsimReference,
         res: usize,
@@ -348,6 +351,28 @@ impl<'a> PrefixWalk<'a> {
     ) -> Result<f64> {
         let presented = self.present(scans, res)?;
         Ok(reference.score(&presented)?)
+    }
+
+    /// The one producer of scan-index entries: the storage decision for `res`, scored
+    /// against `original` — the cheapest point sufficient for `threshold` and, where the
+    /// preview stage's read of `preview_scans` scans is deeper than it, the SSIM of that
+    /// deeper prefix (which is then what the backbone sees).
+    pub(crate) fn measure_rung(
+        &mut self,
+        original: &Image,
+        res: usize,
+        threshold: Option<f64>,
+        preview_scans: usize,
+    ) -> Result<IndexedRung> {
+        let reference = crop_and_resize_cow(original, self.crop, res)?;
+        let reference = SsimReference::new(&reference, SsimConfig::default())?;
+        let (point, _) = self.cheapest_sufficient_point(&reference, res, threshold)?;
+        let preview_depth_ssim = if preview_scans > point.scans {
+            Some(self.quality_at_scans(&reference, res, preview_scans)?)
+        } else {
+            None
+        };
+        Ok(IndexedRung { point, preview_depth_ssim })
     }
 }
 
@@ -386,11 +411,16 @@ impl StoragePolicy {
     /// Decides how many scans to read for an encoded image at `resolution`, returning the
     /// scan count, the fraction of the file read, and the achieved SSIM.
     ///
-    /// This is an ingest-time decision (the full image is available to measure quality
-    /// against), matching the paper's setup where per-image scan counts follow calibrated
-    /// thresholds. The search early-exits: it decodes incrementally and stops at the
-    /// first sufficient prefix instead of computing the full curve, returning exactly
-    /// the point `point_for_threshold` would pick from it.
+    /// This is the ingest-time decision of §V: it measures quality against the original
+    /// image, which whoever stores the image has in hand and a reader does not. It is one
+    /// rung of what [`DynamicResolutionPipeline::ingest`](crate::DynamicResolutionPipeline::ingest)
+    /// records for a stream at every rung — a [`ScanIndex`](crate::ScanIndex), the same
+    /// search on the same walk — after which reading the stream
+    /// ([`plan_with_storage`](crate::DynamicResolutionPipeline::plan_with_storage)) is a
+    /// lookup of this point and a decode of its `scans`, with no original and no SSIM. The
+    /// search early-exits: it decodes incrementally and stops at the first sufficient
+    /// prefix instead of computing the full curve, returning exactly the point
+    /// `point_for_threshold` would pick from it.
     ///
     /// # Errors
     /// Returns an error if decoding or resizing fails.
@@ -401,14 +431,9 @@ impl StoragePolicy {
         crop: CropRatio,
         resolution: usize,
     ) -> Result<ScanPoint> {
-        let reference = crop_and_resize_cow(original, crop, resolution)?;
-        let reference = SsimReference::new(&reference, SsimConfig::default())?;
-        let (point, _) = PrefixWalk::new(encoded, crop, false)?.cheapest_sufficient_point(
-            &reference,
-            resolution,
-            self.threshold_for(resolution),
-        )?;
-        Ok(point)
+        let threshold = self.threshold_for(resolution);
+        let mut walk = PrefixWalk::new(encoded, crop, false)?;
+        Ok(walk.measure_rung(original, resolution, threshold, 0)?.point)
     }
 }
 

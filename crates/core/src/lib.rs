@@ -14,7 +14,10 @@
 //!   an [`execute`](DynamicResolutionPipeline::execute) stage, and every kernel-bearing
 //!   call runs inside the pipeline's scoped
 //!   [`EngineContext`](rescnn_tensor::EngineContext) rather than mutating process-global
-//!   engine state.
+//!   engine state. Stored streams are measured once, with the original in hand
+//!   ([`ingest`](DynamicResolutionPipeline::ingest) → [`ScanIndex`]), and read from the
+//!   stream and that index alone
+//!   ([`plan_with_storage`](DynamicResolutionPipeline::plan_with_storage)).
 //! * [`BatchScheduler`] — the batched serving layer: groups queued requests into
 //!   resolution buckets, executes each bucket with batch-level data parallelism over
 //!   the persistent engine worker pool, and reports per-bucket latency/throughput
@@ -61,6 +64,7 @@ mod lifecycle;
 mod pipeline;
 mod precision;
 mod scale_model;
+mod scan_index;
 mod serve;
 mod server;
 mod slo;
@@ -81,6 +85,7 @@ pub use pipeline::{
 };
 pub use precision::{PrecisionGate, PrecisionGateConfig, PrecisionVerdict};
 pub use scale_model::{ScaleModel, ScaleModelConfig, ScaleModelTrainer, TrainingExample};
+pub use scan_index::ScanIndex;
 pub use serve::{BatchOptions, BatchScheduler, BucketStats, RequestError, ServeReport};
 pub use server::{
     Completion, CompletionStream, ServerConfig, ServerReport, ServerRequest, ServerState,

@@ -6,14 +6,23 @@
 //! any additional scans the chosen resolution requires, and finally runs the backbone.
 //! Accuracy is judged by the calibrated oracle on exactly what was decoded; compute cost
 //! is accounted in FLOPs of the backbone at the chosen resolution plus the scale model.
+//!
+//! How many scans a resolution needs is decided by scoring decoded prefixes against the
+//! original image, which only the side that stores an image has: that is
+//! [`DynamicResolutionPipeline::ingest`], and its result is the stream's
+//! [`ScanIndex`](crate::ScanIndex). Reading a stored stream
+//! ([`DynamicResolutionPipeline::plan_with_storage`]) takes the stream and the index.
+//! [`plan`](DynamicResolutionPipeline::plan) and
+//! [`evaluate`](DynamicResolutionPipeline::evaluate) render and encode the sample
+//! themselves, so they have the original and walk it directly.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
 use serde::{Deserialize, Serialize};
 
 use rescnn_data::{Dataset, DatasetKind, Sample};
-use rescnn_imaging::{crop_and_resize_cow, CropRatio, SsimConfig, SsimReference};
+use rescnn_imaging::{crop_and_resize_cow, CropRatio, Image, SsimConfig, SsimReference};
 use rescnn_models::ModelKind;
 use rescnn_oracle::{AccuracyOracle, EvalContext};
 use rescnn_projpeg::{ProgressiveImage, ScanPlan};
@@ -25,6 +34,7 @@ use crate::calibration::{PrefixWalk, ScanPoint, StoragePolicy};
 use crate::error::{CoreError, Result};
 use crate::features::extract_features;
 use crate::scale_model::ScaleModel;
+use crate::scan_index::{IndexedRung, ScanIndex, ScanIndexStore};
 
 /// Configuration of a dynamic-resolution deployment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -269,18 +279,43 @@ impl InferencePlan {
     }
 }
 
-/// Loads a convolution-dispatch calibration persisted by
-/// `rescnn_hwsim::CalibratedCostModel::save` and installs its
-/// measured-fastest-algorithm table process-wide
-/// ([`rescnn_tensor::install_algo_calibration`]), returning the number of
-/// calibrated layer shapes.
-///
-/// Serving deployments run the measured sweep offline (see
-/// `examples/kernel_tuning.rs`), persist it, and point
-/// [`PipelineConfig::with_conv_calibration`] at the file so every pipeline in
-/// the process starts warm. Explicit algorithm overrides and shapes absent from
-/// the table are unaffected.
-///
+/// The storage side of an [`InferencePlan`] — every field but the stream itself — so a
+/// planner can settle it while it still borrows the stream.
+#[derive(Debug, Clone, Copy)]
+struct StorageRead {
+    chosen_resolution: usize,
+    preview_point: ScanPoint,
+    chosen_point: ScanPoint,
+    scans_read: usize,
+    quality: f64,
+}
+
+impl StorageRead {
+    /// The read that serves `resolution` after a preview read of `preview_point`, given
+    /// the rung's measurements; `None` if they do not cover a preview read that deep.
+    fn new(preview_point: ScanPoint, resolution: usize, rung: IndexedRung) -> Option<Self> {
+        let (scans_read, quality) = rung.delivered(preview_point.scans)?;
+        Some(StorageRead {
+            chosen_resolution: resolution,
+            preview_point,
+            chosen_point: rung.point,
+            scans_read,
+            quality,
+        })
+    }
+
+    fn of(self, encoded: ProgressiveImage) -> InferencePlan {
+        InferencePlan {
+            chosen_resolution: self.chosen_resolution,
+            encoded,
+            preview_point: self.preview_point,
+            chosen_point: self.chosen_point,
+            scans_read: self.scans_read,
+            quality: self.quality,
+        }
+    }
+}
+
 /// What [`install_conv_calibration`] accomplished: how much of the file this
 /// build could use, and what it had to leave behind.
 #[derive(Debug, Clone, PartialEq)]
@@ -386,9 +421,17 @@ pub struct DynamicResolutionPipeline {
     /// `Network::arena_plan` (shared across clones; see
     /// [`DynamicResolutionPipeline::arena_peak_bytes`]).
     arena_peaks: Arc<Mutex<BTreeMap<usize, usize>>>,
+    /// Scan indexes of the stored streams this pipeline has ingested or planned, by
+    /// content address (shared across clones; see
+    /// [`DynamicResolutionPipeline::ingest`]).
+    scan_index: Arc<Mutex<ScanIndexStore>>,
     /// Non-fatal degradations recorded at construction.
     warnings: Vec<PipelineWarning>,
 }
+
+/// Streams a pipeline keeps a [`ScanIndex`] for (a few hundred bytes each) before the
+/// oldest-inserted one is evicted.
+const SCAN_INDEX_CAPACITY: usize = 4096;
 
 impl DynamicResolutionPipeline {
     /// Assembles a pipeline from its parts.
@@ -447,8 +490,16 @@ impl DynamicResolutionPipeline {
             scale_gflops,
             bucket_dispatch: Arc::new(Mutex::new(BucketDispatchCache::new())),
             arena_peaks: Arc::new(Mutex::new(BTreeMap::new())),
+            scan_index: Arc::new(Mutex::new(ScanIndexStore::new(SCAN_INDEX_CAPACITY))),
             warnings,
         })
+    }
+
+    /// The same pipeline over an empty scan-index store of another capacity.
+    #[cfg(test)]
+    pub(crate) fn with_scan_index_capacity(mut self, capacity: usize) -> Self {
+        self.scan_index = Arc::new(Mutex::new(ScanIndexStore::new(capacity)));
+        self
     }
 
     /// Non-fatal degradations recorded while the pipeline was constructed
@@ -613,7 +664,8 @@ impl DynamicResolutionPipeline {
         let original = sample.render()?;
         let encoded =
             ProgressiveImage::encode(&original, self.config.encode_quality, ScanPlan::standard())?;
-        self.plan_from_parts(&original, encoded)
+        let (read, _) = self.plan_from_parts(&original, &encoded)?;
+        Ok(read.of(encoded))
     }
 
     /// [`plan`](Self::plan) over a caller-supplied storage state instead of
@@ -621,6 +673,22 @@ impl DynamicResolutionPipeline {
     /// possibly corrupt or truncated — progressive streams reach the decoder.
     /// A stream error surfaces as [`CoreError::Codec`]; the serving layers
     /// isolate it to the one request that carried the bad stream.
+    ///
+    /// This is the *read* half of §V. How deep to read is an ingest-time decision,
+    /// kept per stream in a [`ScanIndex`]; a stream the pipeline has an index for —
+    /// [`ingest`](Self::ingest)ed ahead of time, or planned before — is planned
+    /// from the stream and the index alone: look up the preview rung, decode that
+    /// many scans, run the scale model, look up the chosen rung, advance the same
+    /// decoder to the depth the inference reads. No render of the sample, no SSIM.
+    ///
+    /// A stream met for the first time has no index yet. Its plan is made the way
+    /// `plan` makes one — render the sample and walk the scan prefixes, scoring
+    /// each against the original until the policy's threshold is met — and what
+    /// that walk measured (the preview rung and the chosen one) is recorded, so
+    /// the first read costs one walking plan plus one digest of the stream and
+    /// every later one is indexed. Either way the plan is the same, bit for bit:
+    /// the index holds nothing but the walk's own results, keyed by the stream's
+    /// content address, so it can neither go stale nor follow a damaged copy.
     ///
     /// # Errors
     /// Returns an error if rendering, decoding, or feature extraction fails.
@@ -639,17 +707,104 @@ impl DynamicResolutionPipeline {
         sample: &Sample,
         encoded: ProgressiveImage,
     ) -> Result<InferencePlan> {
-        let original = sample.render()?;
-        self.plan_from_parts(&original, encoded)
+        let digest = encoded.digest();
+        if let Some(index) = self.indexed(digest, sample) {
+            // The frame is what an execute stage that runs the backbone will consume;
+            // the oracle-judged one needs only the plan.
+            if let Some((read, _frame)) = self.plan_indexed(&encoded, &index)? {
+                return Ok(read.of(encoded));
+            }
+        }
+        self.plan_walking(sample, encoded, digest)
     }
 
-    /// The planning body shared by the render-and-encode and caller-supplied
-    /// storage paths.
+    /// The first-sight read: the walking plan, whose measurements — the preview rung and
+    /// the chosen one — go on record under the stream's `digest`.
+    fn plan_walking(
+        &self,
+        sample: &Sample,
+        encoded: ProgressiveImage,
+        digest: u128,
+    ) -> Result<InferencePlan> {
+        let original = sample.render()?;
+        let (read, measured) = self.plan_from_parts(&original, &encoded)?;
+        self.record(digest, sample, measured);
+        Ok(read.of(encoded))
+    }
+
+    /// The index this pipeline holds for the stream with this digest, measured against
+    /// `sample`'s scene.
+    fn indexed(&self, digest: u128, sample: &Sample) -> Option<Arc<ScanIndex>> {
+        // Every update leaves the store valid, so a poisoned lock is still usable.
+        self.scan_index.lock().unwrap_or_else(|e| e.into_inner()).get(digest, &sample.scene)
+    }
+
+    fn record(
+        &self,
+        digest: u128,
+        sample: &Sample,
+        rungs: impl IntoIterator<Item = (usize, IndexedRung)>,
+    ) {
+        let mut store = self.scan_index.lock().unwrap_or_else(|e| e.into_inner());
+        store.record(digest, &sample.scene, rungs);
+    }
+
+    /// Measures a stored stream at every rung a read can ask for — the preview
+    /// resolution, the scale model's candidates and the configured ladder — while
+    /// the original is in hand, and records the resulting [`ScanIndex`] under the
+    /// stream's content address: §V's ingest. Every later
+    /// [`plan_with_storage`](Self::plan_with_storage) of these bytes (with this
+    /// sample), and every degradation of such a plan down the ladder, is then a
+    /// lookup and a decode.
+    ///
+    /// Ingesting is optional — a read of a stream never ingested walks it and
+    /// records what it measured — and changes no plan: the index is built by the
+    /// walking planner's own search (one retaining walk over the stream, each rung
+    /// scored from the first scan up to its threshold), so reads before and after
+    /// it agree bit for bit. The returned index says how many scans, and what
+    /// fraction of the file, each rung reads.
+    ///
+    /// # Errors
+    /// Returns an error if rendering, decoding, or resizing fails — a stream damaged
+    /// in a scan that any rung reads fails here, even if the reads it actually gets
+    /// stop short of the damage. Nothing is recorded then, and those reads go on
+    /// walking the stream as if it had never been offered.
+    pub fn ingest(&self, sample: &Sample, encoded: &ProgressiveImage) -> Result<ScanIndex> {
+        self.config.engine_context().scope(|| {
+            let original = sample.render()?;
+            let preview_res = self.scale_model.preview_resolution();
+            let retain = !self.config.storage.is_read_all();
+            let mut walk = PrefixWalk::new(encoded, self.config.crop, retain)?;
+            let storage = &self.config.storage;
+            // The preview first, as in a plan: how deep it reads is an input of the rest.
+            let preview =
+                walk.measure_rung(&original, preview_res, storage.threshold_for(preview_res), 0)?;
+            let depth = preview.point.scans;
+            let mut rungs = vec![(preview_res, preview)];
+            let ladder = self.config.resolutions.iter().chain(self.scale_model.resolutions());
+            for resolution in ladder.copied().collect::<BTreeSet<usize>>() {
+                if resolution != preview_res {
+                    let threshold = storage.threshold_for(resolution);
+                    rungs.push((
+                        resolution,
+                        walk.measure_rung(&original, resolution, threshold, depth)?,
+                    ));
+                }
+            }
+            self.record(encoded.digest(), sample, rungs.iter().copied());
+            Ok(rungs.into_iter().collect())
+        })
+    }
+
+    /// The planning body shared by the render-and-encode path and the first-sight read
+    /// of caller-supplied storage: the walking planner, with the original in hand.
+    /// Returns the plan's storage side and the two rungs — the preview's and the chosen
+    /// one — as it measured them.
     fn plan_from_parts(
         &self,
-        original: &rescnn_imaging::Image,
-        encoded: ProgressiveImage,
-    ) -> Result<InferencePlan> {
+        original: &Image,
+        encoded: &ProgressiveImage,
+    ) -> Result<(StorageRead, [(usize, IndexedRung); 2])> {
         let crop = self.config.crop;
         let preview_res = self.scale_model.preview_resolution();
 
@@ -661,7 +816,7 @@ impl DynamicResolutionPipeline {
         // from the first scan, and scores them again at another resolution.
         let preview_reference = crop_and_resize_cow(original, crop, preview_res)?;
         let preview_reference = SsimReference::new(&preview_reference, SsimConfig::default())?;
-        let mut walk = PrefixWalk::new(&encoded, crop, !self.config.storage.is_read_all())?;
+        let mut walk = PrefixWalk::new(encoded, crop, !self.config.storage.is_read_all())?;
         let (preview_point, preview_image) = walk.cheapest_sufficient_point(
             &preview_reference,
             preview_res,
@@ -673,43 +828,67 @@ impl DynamicResolutionPipeline {
         // Stage 1b: the storage decision for the chosen resolution, and the quality of
         // the deepest prefix the inference will actually read — on the same walk, so no
         // scan is entropy-decoded twice.
-        let (chosen_point, scans_read, quality) = if chosen_resolution == preview_res {
-            (preview_point, preview_point.scans, preview_point.ssim)
+        let preview = IndexedRung { point: preview_point, preview_depth_ssim: None };
+        let chosen = if chosen_resolution == preview_res {
+            preview
         } else {
-            let chosen_reference = crop_and_resize_cow(original, crop, chosen_resolution)?;
-            let chosen_reference = SsimReference::new(&chosen_reference, SsimConfig::default())?;
             let threshold = self.config.storage.threshold_for(chosen_resolution);
-            let (point, _) =
-                walk.cheapest_sufficient_point(&chosen_reference, chosen_resolution, threshold)?;
-            let scans_read = preview_point.scans.max(point.scans);
-            let quality = if scans_read == point.scans {
-                point.ssim
-            } else {
-                // The preview read deeper than the chosen resolution needs: the backbone
-                // sees the deeper prefix.
-                walk.quality_at_scans(&chosen_reference, chosen_resolution, scans_read)?
-            };
-            (point, scans_read, quality)
+            walk.measure_rung(original, chosen_resolution, threshold, preview_point.scans)?
         };
+        let read = StorageRead::new(preview_point, chosen_resolution, chosen)
+            .expect("the rung was measured against this preview read");
+        Ok((read, [(preview_res, preview), (chosen_resolution, chosen)]))
+    }
 
-        Ok(InferencePlan {
-            chosen_resolution,
-            encoded,
-            preview_point,
-            chosen_point,
-            scans_read,
-            quality,
-        })
+    /// The reference-free read: plans `encoded` from its [`ScanIndex`] alone — no
+    /// sample, no original image, no SSIM — and returns with the plan's storage side
+    /// the frame the read presents to the backbone, bitwise
+    /// `crop_and_resize(encoded.decode(scans_read), crop, chosen_resolution)`. The
+    /// walking planner materialises that frame as a by-product of scoring it; here only
+    /// the scoring is gone. One decoder serves both stages, and since it knows its
+    /// depth each jump reconstructs a touched block once.
+    ///
+    /// `None` when the index lacks a rung the read turns out to need.
+    fn plan_indexed(
+        &self,
+        encoded: &ProgressiveImage,
+        index: &ScanIndex,
+    ) -> Result<Option<(StorageRead, Image)>> {
+        let crop = self.config.crop;
+        let preview_res = self.scale_model.preview_resolution();
+        let Some(preview) = index.rung(preview_res) else { return Ok(None) };
+        let mut decoder = encoded.progressive_decoder()?;
+        let preview_frame = decoder.advance_to(preview.point.scans)?;
+        let preview_image = crop_and_resize_cow(preview_frame, crop, preview_res)?;
+        let features = extract_features(&preview_image)?;
+        let chosen_resolution = self.scale_model.choose_resolution(&features);
+        let Some(read) = index
+            .rung(chosen_resolution)
+            .and_then(|rung| StorageRead::new(preview.point, chosen_resolution, rung))
+        else {
+            return Ok(None);
+        };
+        let presented = if chosen_resolution == preview_res {
+            preview_image.into_owned()
+        } else {
+            drop(preview_image);
+            let frame = decoder.advance_to(read.scans_read)?;
+            crop_and_resize_cow(frame, crop, chosen_resolution)?.into_owned()
+        };
+        Ok(Some((read, presented)))
     }
 
     /// Re-plans an already-planned request at a different backbone resolution,
     /// reusing the plan's storage state and preview read — the SLO scheduler's
     /// degradation ladder (`slo` module). The returned plan is bitwise identical
     /// to what planning would have produced had the scale model chosen
-    /// `resolution` in the first place: the storage decision re-runs the same
-    /// `cheapest_sufficient_point` walk over the same encoded scans, and the
-    /// incremental decoder's invariant makes every scored frame identical to a
-    /// from-scratch decode.
+    /// `resolution` in the first place.
+    ///
+    /// With the rung on the stream's index this is a lookup plus the one decode
+    /// that reads the rung's frame. Otherwise the storage decision re-runs the
+    /// same `cheapest_sufficient_point` walk over the same encoded scans against
+    /// the rendered original (the incremental decoder's invariant makes every
+    /// scored frame identical to a from-scratch decode) and goes on record.
     ///
     /// # Errors
     /// Returns an error if rendering or decoding fails.
@@ -723,32 +902,31 @@ impl DynamicResolutionPipeline {
             return Ok(plan.clone());
         }
         let crop = self.config.crop;
-        let original = sample.render()?;
-        let encoded = plan.encoded.clone();
-        let reference = crop_and_resize_cow(&original, crop, resolution)?;
-        let reference = SsimReference::new(&reference, SsimConfig::default())?;
-        let mut walk = PrefixWalk::new(&encoded, crop, false)?;
-        let (chosen_point, _) = walk.cheapest_sufficient_point(
-            &reference,
-            resolution,
-            self.config.storage.threshold_for(resolution),
-        )?;
-        let scans_read = plan.preview_point.scans.max(chosen_point.scans);
-        let quality = if scans_read == chosen_point.scans {
-            chosen_point.ssim
-        } else {
-            // The walk sits at `chosen_point.scans` < `scans_read`; score the deeper
-            // prefix the preview stage already paid for.
-            walk.quality_at_scans(&reference, resolution, scans_read)?
+        let digest = plan.encoded.digest();
+        let indexed = self
+            .indexed(digest, sample)
+            .and_then(|index| index.rung(resolution))
+            .and_then(|rung| StorageRead::new(plan.preview_point, resolution, rung));
+        let read = match indexed {
+            Some(read) => {
+                // The read itself — the frame this rung's execution consumes — which the
+                // walk below makes as a by-product of scoring it.
+                let mut decoder = plan.encoded.progressive_decoder()?;
+                crop_and_resize_cow(decoder.advance_to(read.scans_read)?, crop, resolution)?;
+                read
+            }
+            None => {
+                let original = sample.render()?;
+                let mut walk = PrefixWalk::new(&plan.encoded, crop, false)?;
+                let threshold = self.config.storage.threshold_for(resolution);
+                let depth = plan.preview_point.scans;
+                let rung = walk.measure_rung(&original, resolution, threshold, depth)?;
+                self.record(digest, sample, [(resolution, rung)]);
+                StorageRead::new(plan.preview_point, resolution, rung)
+                    .expect("the rung was measured against this preview read")
+            }
         };
-        Ok(InferencePlan {
-            chosen_resolution: resolution,
-            encoded,
-            preview_point: plan.preview_point,
-            chosen_point,
-            scans_read,
-            quality,
-        })
+        Ok(read.of(plan.encoded.clone()))
     }
 
     /// [`execute`](Self::execute) without installing the pipeline's engine context.
@@ -1212,6 +1390,43 @@ mod tests {
                 quality,
             })
         }
+
+        /// The walking `replan_at` as it stood before reads were indexed: the rung's own
+        /// threshold walk on a fresh decoder, then the deeper prefix the preview paid for.
+        pub(super) fn replan(
+            pipeline: &DynamicResolutionPipeline,
+            sample: &Sample,
+            plan: &InferencePlan,
+            resolution: usize,
+        ) -> Result<InferencePlan> {
+            let crop = pipeline.config.crop;
+            let original = sample.render()?;
+            let reference = crop_and_resize_cow(&original, crop, resolution)?;
+            let reference = SsimReference::new(&reference, SsimConfig::default())?;
+            let mut decoder = plan.encoded.progressive_decoder()?;
+            let (chosen_point, _) = cheapest_sufficient_point(
+                &mut decoder,
+                &reference,
+                crop,
+                resolution,
+                pipeline.config.storage.threshold_for(resolution),
+            )?;
+            let scans_read = plan.preview_point.scans.max(chosen_point.scans);
+            let quality = if scans_read == chosen_point.scans {
+                chosen_point.ssim
+            } else {
+                let frame = decoder.advance_to(scans_read)?;
+                reference.score(&*crop_and_resize_cow(frame, crop, resolution)?)?
+            };
+            Ok(InferencePlan {
+                chosen_resolution: resolution,
+                encoded: plan.encoded.clone(),
+                preview_point: plan.preview_point,
+                chosen_point,
+                scans_read,
+                quality,
+            })
+        }
     }
 
     /// Field-by-field, bitwise plan equality (`f64`s by bit pattern).
@@ -1233,18 +1448,92 @@ mod tests {
         assert!(new.encoded == reference.encoded, "{context}: stream");
     }
 
+    /// The frame an indexed read presents is, bit for bit, the from-scratch decode of the
+    /// prefix the plan reads, cropped and resized to the plan's rung.
+    fn assert_presents_the_planned_read(frame: &Image, plan: &InferencePlan, crop: CropRatio) {
+        let decoded = plan.encoded.decode(plan.scans_read).unwrap();
+        let expected =
+            rescnn_imaging::crop_and_resize(&decoded, crop, plan.chosen_resolution).unwrap();
+        assert_eq!(frame.dimensions(), expected.dimensions());
+        let bits =
+            |image: &Image| image.as_planar().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert!(bits(frame) == bits(&expected), "presented frame differs from decode + resize");
+    }
+
+    /// A small ladder keeps the debug-build SSIMs cheap; the preview rung is its lowest.
+    const SMALL_LADDER: [usize; 3] = [64, 96, 128];
+
+    fn thresholds(values: &[(usize, f64)]) -> StoragePolicy {
+        StoragePolicy::from_thresholds(values.iter().copied().collect::<BTreeMap<_, _>>())
+    }
+
+    /// A scale model over [`SMALL_LADDER`] that spreads `pool` over the ladder: fitted to
+    /// say that sample k is classified correctly at rung k mod 3 only.
+    fn spread_scale_model(pool: &Dataset, crop: CropRatio) -> ScaleModel {
+        use crate::scale_model::TrainingExample;
+        let config = ScaleModelConfig {
+            resolutions: SMALL_LADDER.to_vec(),
+            preview_resolution: SMALL_LADDER[0],
+            epochs: 200,
+            ..Default::default()
+        };
+        let examples: Vec<TrainingExample> = pool
+            .iter()
+            .enumerate()
+            .map(|(k, sample)| {
+                let preview = crop_and_resize_cow(&sample.render().unwrap(), crop, SMALL_LADDER[0])
+                    .unwrap()
+                    .into_owned();
+                TrainingExample {
+                    features: extract_features(&preview).unwrap(),
+                    labels: (0..3).map(|rung| rung == k % 3).collect(),
+                }
+            })
+            .collect();
+        ScaleModel::train(&config, &examples).unwrap()
+    }
+
+    /// A Cars-like pool of `len` small images, their stored streams, and a pipeline over
+    /// [`SMALL_LADDER`] that reads them under `storage`.
+    fn small_deployment(
+        len: usize,
+        storage: StoragePolicy,
+    ) -> (Dataset, Vec<ProgressiveImage>, DynamicResolutionPipeline) {
+        let crop = CropRatio::new(0.56).unwrap();
+        let pool = DatasetSpec::cars_like().with_len(len).with_max_dimension(72).build(123);
+        let config = PipelineConfig::new(ModelKind::ResNet18, DatasetKind::CarsLike)
+            .with_crop(crop)
+            .with_resolutions(SMALL_LADDER.to_vec())
+            .with_storage(storage);
+        let streams =
+            pool.iter().map(|s| s.encode_progressive(config.encode_quality).unwrap()).collect();
+        let scale_model = spread_scale_model(&pool, crop);
+        let pipeline =
+            DynamicResolutionPipeline::new(config, scale_model, AccuracyOracle::new(77)).unwrap();
+        (pool, streams, pipeline)
+    }
+
+    /// Plans (or plan errors) agree: field by field, or the same `CoreError`.
+    fn assert_outcomes_identical(
+        new: Result<InferencePlan>,
+        reference: Result<InferencePlan>,
+        context: &str,
+    ) {
+        match (new, reference) {
+            (Ok(new), Ok(reference)) => assert_plans_identical(&new, &reference, context),
+            (new, reference) => {
+                assert_eq!(new.map(|_| ()).err(), reference.map(|_| ()).err(), "{context}")
+            }
+        }
+    }
+
     #[test]
     fn one_pass_planner_matches_the_two_pass_reference() {
         use crate::calibration::{CalibrationCurves, StorageCalibrator};
-        use crate::scale_model::{ScaleModel, TrainingExample};
         use std::cmp::Ordering::{Equal, Greater, Less};
 
-        // A small ladder keeps the debug-build SSIMs cheap; the preview rung is its lowest.
-        let resolutions = vec![64usize, 96, 128];
+        let resolutions = SMALL_LADDER.to_vec();
         let crop = CropRatio::new(0.56).unwrap();
-        let thresholds = |values: &[(usize, f64)]| {
-            StoragePolicy::from_thresholds(values.iter().copied().collect::<BTreeMap<_, _>>())
-        };
         // How deep the preview walk went relative to the chosen resolution's own point,
         // over everything planned below: [preview == chosen, shallower, equal, deeper].
         let mut coverage = [0usize; 4];
@@ -1254,28 +1543,7 @@ mod tests {
             (DatasetKind::ImageNetLike, DatasetSpec::imagenet_like()),
         ] {
             let pool = spec.with_len(6).with_max_dimension(72).build(123);
-            // A scale model that spreads the pool over the ladder: fitted to say that
-            // sample k is classified correctly at rung k mod 3 only.
-            let config = ScaleModelConfig {
-                resolutions: resolutions.clone(),
-                preview_resolution: 64,
-                epochs: 200,
-                ..Default::default()
-            };
-            let examples: Vec<TrainingExample> = pool
-                .iter()
-                .enumerate()
-                .map(|(k, sample)| {
-                    let preview = crop_and_resize_cow(&sample.render().unwrap(), crop, 64)
-                        .unwrap()
-                        .into_owned();
-                    TrainingExample {
-                        features: extract_features(&preview).unwrap(),
-                        labels: (0..3).map(|rung| rung == k % 3).collect(),
-                    }
-                })
-                .collect();
-            let scale_model = ScaleModel::train(&config, &examples).unwrap();
+            let scale_model = spread_scale_model(&pool, crop);
             let oracle = AccuracyOracle::new(77);
             let curves =
                 CalibrationCurves::compute(&pool, ModelKind::ResNet18, crop, &resolutions, 90)
@@ -1317,12 +1585,51 @@ mod tests {
                     };
                     coverage[relation] += 1;
 
-                    // The degradation ladder re-plans from either plan identically.
-                    for &rung in resolutions.iter().filter(|&&r| r < plan.chosen_resolution) {
-                        let lowered = pipeline.replan_at(sample, &plan, rung).unwrap();
-                        let expected = pipeline.replan_at(sample, &reference, rung).unwrap();
-                        assert_plans_identical(&lowered, &expected, &format!("{context} @{rung}"));
+                    // That first sight walked the stream and indexed what it measured:
+                    // the second read is the reference-free one — given the stream and
+                    // the index, nothing else — and changes nothing.
+                    let again = pipeline.plan_with_storage(sample, encoded.clone()).unwrap();
+                    assert_plans_identical(&again, &reference, &format!("{context} warm"));
+                    let index = pipeline.indexed(encoded.digest(), sample).expect("indexed");
+                    let (read, frame) = pipeline.plan_indexed(&encoded, &index).unwrap().unwrap();
+                    assert_plans_identical(&read.of(encoded.clone()), &reference, &context);
+                    assert_presents_the_planned_read(&frame, &reference, crop);
+
+                    // The degradation ladder: the first re-plan at a rung walks it (as
+                    // `replan_at` always used to, unless the rung is the preview's and so
+                    // already on the index), the second looks it up.
+                    let lower = resolutions.iter().filter(|&&r| r < plan.chosen_resolution);
+                    for &rung in lower.clone() {
+                        let context = format!("{context} @{rung}");
+                        let expected = two_pass::replan(&pipeline, sample, &reference, rung);
+                        let expected = expected.unwrap();
+                        let walked = pipeline.replan_at(sample, &plan, rung).unwrap();
+                        assert_plans_identical(&walked, &expected, &context);
+                        let index = pipeline.indexed(encoded.digest(), sample).unwrap();
+                        assert!(index.rung(rung).is_some(), "{context}: not recorded");
+                        let looked_up = pipeline.replan_at(sample, &again, rung).unwrap();
+                        assert_plans_identical(&looked_up, &expected, &format!("{context} warm"));
                     }
+
+                    // Ingest ahead of any read (a pipeline of its own, so nothing above
+                    // is on its index): every rung is measured up front, and the plan and
+                    // every degradation of it are lookups from the first request on.
+                    let ingested = pipeline.clone().with_scan_index_capacity(8);
+                    let index = ingested.ingest(sample, &encoded).unwrap();
+                    assert_eq!(index.points().map(|(r, _)| r).collect::<Vec<_>>(), resolutions);
+                    assert_eq!(*ingested.indexed(encoded.digest(), sample).unwrap(), index);
+                    let (read, frame) = ingested.plan_indexed(&encoded, &index).unwrap().unwrap();
+                    assert_plans_identical(&read.of(encoded.clone()), &reference, &context);
+                    assert_presents_the_planned_read(&frame, &reference, crop);
+                    let planned = ingested.plan_with_storage(sample, encoded.clone()).unwrap();
+                    assert_plans_identical(&planned, &reference, &format!("{context} ingested"));
+                    for &rung in lower {
+                        let context = format!("{context} ingested @{rung}");
+                        let expected = two_pass::replan(&pipeline, sample, &reference, rung);
+                        let lowered = ingested.replan_at(sample, &planned, rung).unwrap();
+                        assert_plans_identical(&lowered, &expected.unwrap(), &context);
+                    }
+                    assert_eq!(*ingested.indexed(encoded.digest(), sample).unwrap(), index);
 
                     // Damaged streams fail (or decode) the same way, scan for scan.
                     let id = sample.id as usize;
@@ -1332,16 +1639,7 @@ mod tests {
                     ] {
                         let new = pipeline.plan_with_storage(sample, damaged.clone());
                         let old = two_pass::plan(&pipeline, sample, damaged);
-                        match (new, old) {
-                            (Ok(new), Ok(old)) => {
-                                assert_plans_identical(&new, &old, &format!("{context} {what}"));
-                            }
-                            (new, old) => assert_eq!(
-                                new.map(|_| ()).err(),
-                                old.map(|_| ()).err(),
-                                "{context} {what}"
-                            ),
-                        }
+                        assert_outcomes_identical(new, old, &format!("{context} {what}"));
                     }
                 }
             }
@@ -1350,6 +1648,213 @@ mod tests {
             coverage.iter().all(|&hits| hits >= 5),
             "every relation of preview depth to chosen depth must be exercised, got {coverage:?}"
         );
+    }
+
+    #[test]
+    fn an_index_is_never_trusted_across_bytes() {
+        // The preview and the middle rung are lenient; the top rung is never satisfied, so
+        // it — and with it any ingest — reads every scan.
+        let storage = thresholds(&[(64, 0.90), (96, 0.90), (128, 2.0)]);
+        let (pool, streams, pipeline) = small_deployment(6, storage);
+        let last = streams[0].num_scans() - 1;
+        let mut short_reads = 0;
+        for (id, (sample, pristine)) in pool.iter().zip(&streams).enumerate() {
+            let context = format!("sample {id}");
+            let fresh = || pipeline.clone().with_scan_index_capacity(8);
+
+            // With the pristine stream ingested, its damaged copies — clones of the very
+            // value that was indexed — are strangers: each plans, or fails, exactly as
+            // the walking reference does on the damaged bytes.
+            let ingested = fresh();
+            ingested.ingest(sample, pristine).unwrap();
+            for (what, damaged) in [
+                ("flip", pristine.with_bit_flip(0, 40 + 11 * id, id as u8)),
+                ("late flip", pristine.with_bit_flip(id, 20 + 7 * id, id as u8)),
+                ("truncated", pristine.with_truncated_scan(0, 17 + id)),
+                ("late truncated", pristine.with_truncated_scan(1 + id % last, 17 + id)),
+            ] {
+                assert!(ingested.indexed(damaged.digest(), sample).is_none(), "{context} {what}");
+                let expected = two_pass::plan(&pipeline, sample, damaged.clone());
+                for sight in ["first", "second"] {
+                    let planned = ingested.plan_with_storage(sample, damaged.clone());
+                    let context = format!("{context} {what}, {sight} sight");
+                    assert_outcomes_identical(planned, expected.clone(), &context);
+                }
+            }
+
+            // Damage in the last scan alone: ingest reads that far, fails with the
+            // walk's error and records nothing. A read that stops short of the damage
+            // must still plan exactly as it always has — at first sight and from the
+            // index that sight leaves behind.
+            let damaged = pristine.with_truncated_scan(last, 17 + id);
+            let stream_error = damaged.decode(damaged.num_scans()).unwrap_err();
+            let ingested = fresh();
+            assert_eq!(ingested.ingest(sample, &damaged).err(), Some(stream_error.into()));
+            assert!(ingested.indexed(damaged.digest(), sample).is_none(), "{context}");
+            let expected = two_pass::plan(&pipeline, sample, damaged.clone());
+            short_reads += usize::from(expected.is_ok());
+            for sight in ["first", "second"] {
+                let planned = ingested.plan_with_storage(sample, damaged.clone());
+                let context = format!("{context} damaged tail, {sight} sight");
+                assert_outcomes_identical(planned, expected.clone(), &context);
+            }
+            let indexed = ingested.indexed(damaged.digest(), sample).is_some();
+            assert_eq!(indexed, expected.is_ok(), "{context}: only a plan that succeeds records");
+        }
+        assert!(short_reads >= 2, "some reads must stop short of the damaged tail");
+
+        // Sample ids repeat across datasets (they count up from the build seed). The same
+        // bytes offered with another dataset's sample of the same id are scored against
+        // another original: neither sample ever sees what was measured for the other.
+        let others = DatasetSpec::imagenet_like().with_len(1).with_max_dimension(72).build(123);
+        let (ours, theirs, stream) = (&pool[0], &others[0], &streams[0]);
+        assert!(ours.id == theirs.id && ours.scene != theirs.scene);
+        pipeline.ingest(ours, stream).unwrap();
+        let expected_ours = two_pass::plan(&pipeline, ours, stream.clone()).unwrap();
+        let expected_theirs = two_pass::plan(&pipeline, theirs, stream.clone()).unwrap();
+        assert_ne!(expected_ours.quality.to_bits(), expected_theirs.quality.to_bits());
+        for (sample, expected) in
+            [(theirs, &expected_theirs), (ours, &expected_ours), (theirs, &expected_theirs)]
+        {
+            for sight in ["first", "second"] {
+                let planned = pipeline.plan_with_storage(sample, stream.clone()).unwrap();
+                assert_plans_identical(&planned, expected, &format!("shared id, {sight} sight"));
+            }
+        }
+    }
+
+    #[test]
+    fn the_scan_index_changes_time_never_values() {
+        use crate::{
+            BatchOptions, BatchScheduler, ResolutionLatencyModel, ServerConfig, ServerRequest,
+            SloOptions, SloReport, SloRequest, SloScheduler, SloServer,
+        };
+
+        let storage = thresholds(&[(64, 0.95), (96, 0.90), (128, 0.995)]);
+        let (pool, mut streams, pipeline) = small_deployment(9, storage);
+        // One request in the mix carries a stream damaged where every read meets it.
+        streams[4] = streams[4].with_truncated_scan(0, 9);
+
+        // Three states of the store: empty, never holding more than the last stream
+        // planned, and holding every rung of every healthy stream ahead of time.
+        let cold = || pipeline.clone().with_scan_index_capacity(SCAN_INDEX_CAPACITY);
+        let tiny = pipeline.clone().with_scan_index_capacity(1);
+        let warm = cold();
+        for (k, (sample, stream)) in pool.iter().zip(&streams).enumerate() {
+            assert_eq!(warm.ingest(sample, stream).is_err(), k == 4);
+        }
+
+        let drain = |pipeline: &DynamicResolutionPipeline, threads: usize| {
+            let mut scheduler =
+                BatchScheduler::new(pipeline, BatchOptions::default().with_threads(threads));
+            for (sample, stream) in pool.iter().zip(&streams) {
+                scheduler.submit_with_storage(sample, stream.clone());
+            }
+            let served = scheduler.run().unwrap();
+            (served.report, served.errors)
+        };
+        // Deadlines tight enough that the ladder walk degrades some requests (re-plans
+        // at lower rungs, bounded by an SSIM floor) and sheds others.
+        let latency = ResolutionLatencyModel::from_estimates([(64, 5.0), (96, 12.0), (128, 30.0)]);
+        let options = |threads: usize| {
+            SloOptions::default()
+                .with_latency_model(latency.clone())
+                .with_ssim_floor(0.95)
+                .with_batch(BatchOptions::default().with_threads(threads))
+        };
+        let timeless = |mut report: SloReport| {
+            report.wall_seconds = 0.0;
+            report
+        };
+        let slo = |pipeline: &DynamicResolutionPipeline, threads: usize| {
+            let mut scheduler = SloScheduler::new(pipeline, options(threads));
+            for (k, (sample, stream)) in pool.iter().zip(&streams).enumerate() {
+                let arrival = (k / 3) as f64 * 20.0;
+                let request = SloRequest::new(sample, arrival, arrival + 18.0);
+                scheduler.submit(request.with_storage(stream.clone()));
+            }
+            timeless(scheduler.run().unwrap())
+        };
+
+        // A live server's recorded run, to replay under every store.
+        let live = {
+            let config = ServerConfig::default().with_options(options(2)).with_record(true);
+            let mut server = SloServer::start(Arc::new(cold()), config).unwrap();
+            let stream = server.completions().unwrap();
+            let consumer = std::thread::spawn(move || stream.count());
+            for (k, (sample, stored)) in pool.iter().zip(&streams).enumerate() {
+                let slack = [60_000.0, 35.0, 14.0][k % 3];
+                let request = ServerRequest::new(Arc::new(sample.clone()), slack);
+                server.submit(request.with_storage(stored.clone())).unwrap();
+            }
+            let report = server.join().unwrap();
+            assert_eq!(consumer.join().unwrap(), pool.len());
+            let trace = report.trace.expect("a recording run carries its trace");
+            assert!(trace.replayable());
+            trace
+        };
+        let replay = |pipeline: &DynamicResolutionPipeline, threads: usize| {
+            let mut scheduler = SloScheduler::new(pipeline, options(threads));
+            for (sample, stream) in pool.iter().zip(&streams) {
+                // Placeholder stamps: replay takes every stamp from the trace.
+                scheduler.submit(SloRequest::new(sample, 0.0, 1.0).with_storage(stream.clone()));
+            }
+            let (report, replayed) = scheduler.replay(&live).unwrap();
+            assert_eq!(replayed.decisions, live.decisions);
+            timeless(report)
+        };
+
+        let expected_slo = slo(&cold(), 1);
+        assert!(expected_slo.degraded > 0 && expected_slo.shed > 0 && expected_slo.faulted == 1);
+        for threads in [1usize, 2, 4] {
+            let expected_drain = drain(&cold(), threads);
+            assert_eq!(expected_drain.1.len(), 1, "the damaged stream is the one error");
+            let expected_slo = SloReport { threads, ..expected_slo.clone() };
+            let expected_replay = replay(&cold(), threads);
+            // Twice each: the second pass of `tiny` finds at most the last stream of the
+            // first, the second pass of `warm` what the first left as it found it.
+            for pass in 0..2 {
+                for (state, pipeline) in [("capacity 1", &tiny), ("warm", &warm)] {
+                    let context = format!("{state}, pass {pass}, {threads} threads");
+                    assert_eq!(drain(pipeline, threads), expected_drain, "{context}: drain");
+                    assert_eq!(slo(pipeline, threads), expected_slo, "{context}: slo");
+                    assert_eq!(replay(pipeline, threads), expected_replay, "{context}: replay");
+                }
+            }
+        }
+        let held = |pipeline: &DynamicResolutionPipeline| pipeline.scan_index.lock().unwrap().len();
+        assert_eq!((held(&tiny), held(&warm)), (1, pool.len() - 1));
+    }
+
+    #[test]
+    fn concurrent_first_sights_record_equal_entries() {
+        let (pool, streams, pipeline) = small_deployment(3, thresholds(&[(64, 0.95), (96, 0.9)]));
+        for (sample, stream) in pool.iter().zip(&streams) {
+            let digest = stream.digest();
+            let alone = pipeline.clone().with_scan_index_capacity(8);
+            let expected = alone.plan_walking(sample, stream.clone(), digest).unwrap();
+            let expected_index = alone.indexed(digest, sample).unwrap();
+
+            // Both workers are past the lookup — each has found nothing — before either
+            // records: the barrier holds them at the walk, which is where a miss leads.
+            let shared = pipeline.clone().with_scan_index_capacity(8);
+            let barrier = std::sync::Barrier::new(2);
+            let plans = std::thread::scope(|scope| {
+                let workers = [(); 2].map(|()| {
+                    scope.spawn(|| {
+                        assert!(shared.indexed(digest, sample).is_none());
+                        barrier.wait();
+                        shared.plan_walking(sample, stream.clone(), digest).unwrap()
+                    })
+                });
+                workers.map(|worker| worker.join().unwrap())
+            });
+            for plan in &plans {
+                assert_plans_identical(plan, &expected, "concurrent first sight");
+            }
+            assert_eq!(shared.indexed(digest, sample).unwrap(), expected_index);
+            assert_eq!(shared.scan_index.lock().unwrap().len(), 1);
+        }
     }
 
     #[test]

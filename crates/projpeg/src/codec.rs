@@ -153,9 +153,6 @@ impl EncodedScan {
     }
 }
 
-/// Number of colour components, visible to the incremental decoder.
-pub(crate) const NUM_COMPONENTS: usize = COMPONENTS;
-
 /// Quantized coefficient planes for the three components of an image.
 pub(crate) struct CoefficientPlanes {
     /// Per component: blocks in raster order, each block raster-order quantized levels.
@@ -290,6 +287,43 @@ impl ProgressiveImage {
         &self.scans
     }
 
+    /// A 128-bit content address of the stored stream: it covers everything a decode
+    /// reads — dimensions, quality, and each scan's band, length and every stored byte —
+    /// so two streams with equal digests decode alike, scan for scan, errors included.
+    /// Readers key per-stream records by it (`rescnn-core`'s scan index).
+    ///
+    /// The digest is computed from the bytes on every call and never stored on the value:
+    /// [`with_bit_flip`](Self::with_bit_flip) and
+    /// [`with_truncated_scan`](Self::with_truncated_scan) build damaged streams by cloning
+    /// a pristine one, and a digest memoised inside the value would follow the clone.
+    ///
+    /// It guards against accidental collisions only (two multiply-rotate lanes with a
+    /// bijective finish), not against streams crafted to collide.
+    pub fn digest(&self) -> u128 {
+        let mut lanes = DigestLanes::new();
+        for field in [self.width, self.height, usize::from(self.quality), self.scans.len()] {
+            lanes.absorb(field as u64);
+        }
+        for scan in &self.scans {
+            // The length goes in ahead of the bytes, so moving bytes across a scan
+            // boundary (or into the zero padding of a final word) changes the digest.
+            for field in [scan.band.start, scan.band.end, scan.data.len()] {
+                lanes.absorb(field as u64);
+            }
+            let mut words = scan.data.chunks_exact(8);
+            for word in &mut words {
+                lanes.absorb(u64::from_le_bytes(word.try_into().expect("chunks of eight")));
+            }
+            let tail = words.remainder();
+            if !tail.is_empty() {
+                let mut word = [0u8; 8];
+                word[..tail.len()].copy_from_slice(tail);
+                lanes.absorb(u64::from_le_bytes(word));
+            }
+        }
+        lanes.finish()
+    }
+
     /// Returns a copy of this image with one bit flipped in one scan's stored
     /// data — a deterministic corrupt-stream injector for robustness tests and
     /// the fault-injection load harness. `scan` and `byte` are reduced modulo
@@ -332,6 +366,41 @@ impl ProgressiveImage {
         let data = &mut corrupted.scans[scan].data;
         data.truncate(keep_bytes.min(data.len()));
         corrupted
+    }
+}
+
+/// The running state of [`ProgressiveImage::digest`]: two 64-bit lanes absorbing the same
+/// words under different odd multipliers and rotations. Each step is a bijection of a
+/// lane's state for a given word and of the word for a given state, so streams that
+/// differ in one word never collide, and streams that differ in more collide only if
+/// both lanes' state differences cancel at the same word.
+struct DigestLanes {
+    a: u64,
+    b: u64,
+}
+
+impl DigestLanes {
+    fn new() -> Self {
+        // Fractional bits of √2 and √3: arbitrary, distinct, non-zero.
+        DigestLanes { a: 0x6A09_E667_F3BC_C908, b: 0xBB67_AE85_84CA_A73B }
+    }
+
+    fn absorb(&mut self, word: u64) {
+        self.a = (self.a ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29);
+        self.b = (self.b.rotate_left(31) ^ word).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+    }
+
+    /// Avalanches both lanes (the splitmix64 finaliser, itself a bijection) and chains the
+    /// second through the first, so distinct lane states give distinct digests.
+    fn finish(self) -> u128 {
+        fn avalanche(mut z: u64) -> u64 {
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        let high = avalanche(self.a);
+        let low = avalanche(self.b ^ high);
+        (u128::from(high) << 64) | u128::from(low)
     }
 }
 
@@ -566,36 +635,41 @@ pub(crate) fn decode_scan(
     Ok(())
 }
 
-/// Dequantizes and inverse-transforms one block, writing its 8×8 spatial samples into the
-/// padded component plane. Shared by the from-scratch reconstruction and the incremental
-/// decoder so both produce bit-identical spatial planes from identical coefficients.
-pub(crate) fn reconstruct_block(
-    levels: &[i16; BLOCK_AREA],
-    table: &QuantTable,
-    plane: &mut [f32],
-    padded_w: usize,
-    bx: usize,
-    by: usize,
+/// Dequantizes and inverse-transforms the three components of block `block` and writes the
+/// block's visible pixels into `frame` (edge blocks may extend past the image).
+///
+/// A pixel depends on its own block only — the three component block grids coincide (no
+/// chroma subsampling) — so the 8×8 spatial samples live in stack buffers for exactly as
+/// long as the conversion needs them; nothing image-sized is kept. Shared by the
+/// from-scratch reconstruction and the incremental decoder, so both produce bit-identical
+/// pixels from identical coefficients.
+pub(crate) fn refresh_block(
+    planes: &CoefficientPlanes,
+    block: usize,
+    luma_table: &QuantTable,
+    chroma_table: &QuantTable,
+    frame: &mut Image,
 ) {
-    let coeffs = table.dequantize(levels);
-    let spatial = inverse_dct(&coeffs);
-    for dy in 0..BLOCK {
-        for dx in 0..BLOCK {
-            plane[(by * BLOCK + dy) * padded_w + bx * BLOCK + dx] = spatial[dy * BLOCK + dx];
-        }
+    let spatial: [[f32; BLOCK_AREA]; COMPONENTS] = std::array::from_fn(|c| {
+        let table = if c == 0 { luma_table } else { chroma_table };
+        inverse_dct(&table.dequantize(&planes.blocks[c][block]))
+    });
+    let (x0, y0) = ((block % planes.blocks_x) * BLOCK, (block / planes.blocks_x) * BLOCK);
+    let xs = x0..(x0 + BLOCK).min(frame.width());
+    for y in y0..(y0 + BLOCK).min(frame.height()) {
+        let row = (y - y0) * BLOCK;
+        frame.set_row_with(y, xs.clone(), |x| {
+            let i = row + x - x0;
+            pixel_from_samples([spatial[0][i], spatial[1][i], spatial[2][i]])
+        });
     }
 }
 
-/// Converts the YCbCr samples of the padded component planes at linear index `idx` into an
-/// RGB pixel. Shared by both reconstruction paths (same caveat as [`reconstruct_block`]).
+/// Converts one position's reconstructed YCbCr samples (centred on zero, as the inverse
+/// DCT leaves them) into an RGB pixel.
 #[inline]
-pub(crate) fn pixel_from_planes(comp: &[Vec<f32>], idx: usize) -> [f32; 3] {
-    let ycbcr = [
-        (comp[0][idx] + 128.0) / 255.0,
-        (comp[1][idx] + 128.0) / 255.0,
-        (comp[2][idx] + 128.0) / 255.0,
-    ];
-    ycbcr_to_rgb(ycbcr)
+pub(crate) fn pixel_from_samples(samples: [f32; COMPONENTS]) -> [f32; 3] {
+    ycbcr_to_rgb(samples.map(|sample| (sample + 128.0) / 255.0))
 }
 
 fn reconstruct_image(
@@ -606,22 +680,11 @@ fn reconstruct_image(
 ) -> Result<Image> {
     let luma_table = QuantTable::luma(quality)?;
     let chroma_table = QuantTable::chroma(quality)?;
-    let padded_w = planes.blocks_x * BLOCK;
-    let padded_h = planes.blocks_y * BLOCK;
-    let mut comp = vec![vec![0.0f32; padded_w * padded_h]; COMPONENTS];
-
-    for (c, plane) in comp.iter_mut().enumerate() {
-        let table = if c == 0 { &luma_table } else { &chroma_table };
-        for by in 0..planes.blocks_y {
-            for bx in 0..planes.blocks_x {
-                let levels = &planes.blocks[c][by * planes.blocks_x + bx];
-                reconstruct_block(levels, table, plane, padded_w, bx, by);
-            }
-        }
+    let mut frame = Image::zeros(width, height)?;
+    for block in 0..planes.blocks_x * planes.blocks_y {
+        refresh_block(planes, block, &luma_table, &chroma_table, &mut frame);
     }
-
-    let img = Image::from_fn(width, height, |x, y| pixel_from_planes(&comp, y * padded_w + x))?;
-    Ok(img)
+    Ok(frame)
 }
 
 #[cfg(test)]
@@ -796,6 +859,48 @@ mod tests {
         let mut decoded = CoefficientPlanes::zeroed(4, 2);
         decode_scan(&scan, 0, &mut decoded, None).unwrap();
         assert_eq!(decoded.blocks, planes.blocks);
+    }
+
+    #[test]
+    fn digest_follows_the_bytes_not_the_value() {
+        let img = test_image(0.5);
+        let encoded = ProgressiveImage::encode(&img, 75, ScanPlan::standard()).unwrap();
+        let digest = encoded.digest();
+        assert_eq!(encoded.clone().digest(), digest);
+        let again = ProgressiveImage::encode(&img, 75, ScanPlan::standard()).unwrap();
+        assert_eq!(again.digest(), digest, "equal streams share an address");
+
+        // Everything a decode reads moves it: any stored bit (the damaged copies are
+        // clones, so a digest memoised on the value would follow them), a scan's length,
+        // bytes moved across a scan boundary, a band, the quality, the dimensions.
+        let mut seen = std::collections::BTreeSet::from([digest]);
+        for scan in 0..encoded.num_scans() {
+            for (byte, bit) in [(0usize, 0u8), (7, 7), (8, 3), (usize::MAX, 5)] {
+                assert!(seen.insert(encoded.with_bit_flip(scan, byte, bit).digest()));
+            }
+            let len = encoded.scans[scan].data.len();
+            for keep in [0, 1, len - 9, len - 1] {
+                assert!(seen.insert(encoded.with_truncated_scan(scan, keep).digest()));
+            }
+        }
+        let mut edited = encoded.clone();
+        let moved = edited.scans[1].data.remove(0);
+        edited.scans[0].data.push(moved);
+        assert!(seen.insert(edited.digest()));
+        let mut edited = encoded.clone();
+        edited.scans[1].data.push(0);
+        assert!(seen.insert(edited.digest()), "a zero byte past the end is not padding");
+        let mut edited = encoded.clone();
+        edited.scans[2].band.end += 1;
+        assert!(seen.insert(edited.digest()));
+        let mut edited = encoded.clone();
+        edited.quality += 1;
+        assert!(seen.insert(edited.digest()));
+        let mut edited = encoded.clone();
+        (edited.width, edited.height) = (edited.height, edited.width);
+        assert!(seen.insert(edited.digest()));
+        let shorter = ProgressiveImage { scans: encoded.scans[..4].to_vec(), ..encoded.clone() };
+        assert!(seen.insert(shorter.digest()));
     }
 
     #[test]

@@ -3,38 +3,49 @@
 //! [`ProgressiveImage::decode`] rebuilds the image from scratch for every requested scan
 //! prefix, which makes walking the quality/read curve of an image — the hot loop of the
 //! paper's §V storage-calibration stage — O(S²) in the number of scans. The
-//! [`ProgressiveDecoder`] here holds the accumulated coefficient planes, the padded
-//! spatial component planes, and the current decoded frame, and applies one scan at a
-//! time: entropy-decode the scan, merge its band into the coefficient planes, re-run the
-//! inverse DCT for exactly the blocks the scan changed, and refresh only those blocks'
-//! pixels. Walking all S prefixes becomes O(S) total decode work, and late scans (which
-//! mostly extend zero runs) refresh only a fraction of the blocks.
+//! [`ProgressiveDecoder`] here holds the accumulated coefficient planes and the current
+//! decoded frame, and moves forward through the scans: entropy-decode the pending scans
+//! into the coefficient planes, then re-run the inverse DCT for exactly the blocks they
+//! changed and refresh those blocks' pixels. Walking all S prefixes becomes O(S) total
+//! decode work, and late scans (which mostly extend zero runs) refresh only a fraction of
+//! the blocks.
+//!
+//! The decoder keeps no spatial planes. A block's 8×8 samples exist only on the stack,
+//! between its inverse DCT and the colour conversion that writes its pixels into the
+//! frame (`refresh_block`), so a decoder costs the coefficient planes, one dirty flag per
+//! block and the frame — nothing else image-sized is allocated or zero-filled.
+//!
+//! A reader that knows its depth needs no intermediate frames:
+//! [`advance_to`](ProgressiveDecoder::advance_to) entropy-decodes every pending scan
+//! first, OR-ing their dirty flags, and reconstructs each touched block **once** — from
+//! its final coefficients — rather than once per scan.
+//! [`advance`](ProgressiveDecoder::advance) is the one-scan case of the same code.
 //!
 //! # The incremental-refresh invariant
 //!
-//! After `k` calls to [`advance`](ProgressiveDecoder::advance), [`frame`]
-//! (ProgressiveDecoder::frame) is **bitwise identical** to `image.decode(k)`. This holds
-//! structurally rather than by parallel maintenance of two code paths:
+//! After advancing to `k` scans — one at a time, in jumps, or any mixture —
+//! [`frame`](ProgressiveDecoder::frame) is **bitwise identical** to `image.decode(k)`.
+//! This holds structurally rather than by parallel maintenance of two code paths:
 //!
 //! * both paths funnel scans through the same `decode_scan`, so the coefficient planes
 //!   after `k` scans are identical;
 //! * a block is flagged dirty exactly when a scan *changed* one of its stored
-//!   coefficients (in any component), and the spatial samples of a block are a pure
-//!   function of its coefficients (`reconstruct_block`), so skipping clean blocks cannot
-//!   change their samples;
-//! * a pixel is a pure function of the three component planes at its position
-//!   (`pixel_from_planes`), and the component block grids coincide (no chroma
-//!   subsampling), so refreshing the pixels of dirty blocks only — with the dirty mask
-//!   shared across components — reaches every pixel that could have changed.
+//!   coefficients (in any component), flags are only ever set between two refreshes, and
+//!   the pixels of a block are a pure function of its three components' coefficients
+//!   (`refresh_block`, which `decode` runs over every block), so skipping clean blocks
+//!   cannot change their pixels and rebuilding a dirty one from its latest coefficients
+//!   gives what `decode` gives;
+//! * the component block grids coincide (no chroma subsampling), so a dirty block is
+//!   rebuilt in all three components and a pixel depends on no block but its own: the
+//!   dirty mask, shared across components, reaches every pixel that could have changed.
 //!
 //! The zero-scan starting state needs no transform at all: the inverse DCT of an all-zero
-//! block is exactly `+0.0` everywhere, so freshly zeroed component planes already equal
-//! the reconstruction of zeroed coefficients, and the initial frame is the same mid-grey
-//! image `decode(0)` produces.
+//! block is exactly `+0.0` everywhere, so every pixel of the initial frame is the one
+//! colour three zero samples convert to — the same mid-grey image `decode(0)` produces.
 //!
-//! `crates/projpeg/tests/incremental_parity.rs` pins the invariant for every prefix of
-//! several scan plans; `CalibrationCurves::sample_curves` in `rescnn-core` is the primary
-//! consumer.
+//! `crates/projpeg/tests/incremental_parity.rs` pins the invariant for every prefix and
+//! every jump of several scan plans; `CalibrationCurves::sample_curves` (scan by scan) and
+//! the planner's reads (in jumps) in `rescnn-core` are the consumers.
 //!
 //! # Examples
 //! ```
@@ -56,26 +67,25 @@
 use rescnn_imaging::Image;
 
 use crate::codec::{
-    decode_scan, pixel_from_planes, reconstruct_block, CoefficientPlanes, ProgressiveImage,
-    NUM_COMPONENTS,
+    decode_scan, pixel_from_samples, refresh_block, CoefficientPlanes, ProgressiveImage,
 };
 use crate::dct::BLOCK;
 use crate::error::{CodecError, Result};
 use crate::quant::QuantTable;
 
-/// An incremental decoder over a [`ProgressiveImage`]: applies scans one at a time,
-/// re-running the inverse DCT only for blocks each scan actually refreshed.
+/// An incremental decoder over a [`ProgressiveImage`]: moves forward through the scans,
+/// re-running the inverse DCT only for the blocks the applied scans actually changed, and
+/// only once per block however many scans one call applies.
 ///
 /// See the [module docs](self) for the invariant tying [`frame`](Self::frame) to
 /// [`ProgressiveImage::decode`]. The decoder only moves forward; decoding a smaller
-/// prefix requires a fresh decoder. If [`advance`](Self::advance) returns a stream
-/// error, the decoder's state is unspecified and it must be discarded.
+/// prefix requires a fresh decoder. If [`advance`](Self::advance) or
+/// [`advance_to`](Self::advance_to) returns a stream error, the decoder's state is
+/// unspecified and it must be discarded.
 pub struct ProgressiveDecoder<'a> {
     image: &'a ProgressiveImage,
     planes: CoefficientPlanes,
-    /// Padded spatial planes (YCbCr), kept in sync with `planes` block by block.
-    comp: Vec<Vec<f32>>,
-    /// Per-block-grid-position change flags for the scan being applied (scratch).
+    /// Per-block-grid-position change flags of the scans being applied (scratch).
     dirty: Vec<bool>,
     frame: Image,
     scans_applied: usize,
@@ -105,18 +115,13 @@ impl<'a> ProgressiveDecoder<'a> {
         let chroma_table = QuantTable::chroma(image.quality())?;
         let blocks_x = image.width().div_ceil(BLOCK);
         let blocks_y = image.height().div_ceil(BLOCK);
-        let padded_w = blocks_x * BLOCK;
-        let padded_h = blocks_y * BLOCK;
-        let planes = CoefficientPlanes::zeroed(blocks_x, blocks_y);
-        // Zeroed spatial planes equal the inverse DCT of zeroed coefficients exactly
-        // (every accumulator stays +0.0), so no transform is needed here.
-        // … and every pixel of the zero-scan frame is the one colour they convert to.
-        let comp = vec![vec![0.0f32; padded_w * padded_h]; NUM_COMPONENTS];
-        let frame = Image::filled(image.width(), image.height(), pixel_from_planes(&comp, 0))?;
+        // Zeroed coefficients reconstruct to exactly +0.0 in every component (each
+        // accumulator of the inverse DCT stays +0.0), so no transform is needed here:
+        // every pixel of the zero-scan frame is the one colour zero samples convert to.
+        let frame = Image::filled(image.width(), image.height(), pixel_from_samples([0.0; 3]))?;
         Ok(ProgressiveDecoder {
             image,
-            planes,
-            comp,
+            planes: CoefficientPlanes::zeroed(blocks_x, blocks_y),
             dirty: vec![false; blocks_x * blocks_y],
             frame,
             scans_applied: 0,
@@ -158,42 +163,21 @@ impl<'a> ProgressiveDecoder<'a> {
     /// or a stream error if the scan data is corrupt (after which the decoder must be
     /// discarded).
     pub fn advance(&mut self) -> Result<&Image> {
-        let index = self.scans_applied;
-        let scan = self.image.scans().get(index).ok_or(CodecError::ScanOutOfRange {
-            requested: index + 1,
-            available: self.image.num_scans(),
-        })?;
-        self.dirty.fill(false);
-        decode_scan(scan, index, &mut self.planes, Some(&mut self.dirty))?;
-
-        let blocks_x = self.planes.blocks_x;
-        let padded_w = blocks_x * BLOCK;
-        let (width, height) = (self.image.width(), self.image.height());
-        for (b, _) in self.dirty.iter().enumerate().filter(|(_, &flag)| flag) {
-            let (bx, by) = (b % blocks_x, b / blocks_x);
-            for (c, plane) in self.comp.iter_mut().enumerate() {
-                let table = if c == 0 { &self.luma_table } else { &self.chroma_table };
-                reconstruct_block(&self.planes.blocks[c][b], table, plane, padded_w, bx, by);
-            }
-            // Refresh the block's visible pixels (edge blocks may extend past the image).
-            let xs = bx * BLOCK..((bx + 1) * BLOCK).min(width);
-            for y in by * BLOCK..((by + 1) * BLOCK).min(height) {
-                self.frame.set_row_with(y, xs.clone(), |x| {
-                    pixel_from_planes(&self.comp, y * padded_w + x)
-                });
-            }
-        }
-        self.scans_applied += 1;
-        Ok(&self.frame)
+        self.advance_to(self.scans_applied + 1)
     }
 
     /// Advances until `scans` scans have been applied and returns the frame. A no-op when
     /// already positioned there.
     ///
+    /// However many scans are pending, each block they change is reconstructed once, from
+    /// its coefficients after the last of them: the frames of the prefixes in between are
+    /// never built. The scans are entropy-decoded in order, so a damaged stream yields
+    /// the error of its first bad scan, exactly as a scan-by-scan walk would.
+    ///
     /// # Errors
     /// Returns [`CodecError::CannotRewind`] if `scans` is smaller than the number already
     /// applied, [`CodecError::ScanOutOfRange`] if it exceeds the encoded scan count, or a
-    /// stream error for corrupt data.
+    /// stream error for corrupt data (after which the decoder must be discarded).
     pub fn advance_to(&mut self, scans: usize) -> Result<&Image> {
         if scans < self.scans_applied {
             return Err(CodecError::CannotRewind { applied: self.scans_applied, requested: scans });
@@ -204,9 +188,24 @@ impl<'a> ProgressiveDecoder<'a> {
                 available: self.image.num_scans(),
             });
         }
-        while self.scans_applied < scans {
-            self.advance()?;
+        if scans == self.scans_applied {
+            return Ok(&self.frame);
         }
+        self.dirty.fill(false);
+        for (index, scan) in self.image.scans()[..scans].iter().enumerate().skip(self.scans_applied)
+        {
+            decode_scan(scan, index, &mut self.planes, Some(&mut self.dirty))?;
+        }
+        for (block, _) in self.dirty.iter().enumerate().filter(|(_, &flag)| flag) {
+            refresh_block(
+                &self.planes,
+                block,
+                &self.luma_table,
+                &self.chroma_table,
+                &mut self.frame,
+            );
+        }
+        self.scans_applied = scans;
         Ok(&self.frame)
     }
 }

@@ -48,25 +48,46 @@ fn decode_never_panics(stream: &ProgressiveImage, context: &str) -> usize {
             Err(_) => panic!("{context}: decode({scans}) panicked"),
         }
     }
-    // Incremental walk through every scan.
+    // Incremental walk through every scan: how far it got, the frame it last returned,
+    // and the error that stopped it.
     let walked = catch_unwind(AssertUnwindSafe(|| {
-        let mut decoder = match stream.progressive_decoder() {
-            Ok(decoder) => decoder,
-            Err(_) => return 0usize,
-        };
-        let mut applied = 0usize;
-        for _ in 0..stream.num_scans() {
+        let mut decoder = stream.progressive_decoder().ok()?;
+        let mut last_frame = decoder.frame().clone();
+        for applied in 0..stream.num_scans() {
             match decoder.advance() {
-                Ok(_) => applied += 1,
-                Err(_) => break,
+                Ok(frame) => last_frame = frame.clone(),
+                Err(error) => return Some((applied, last_frame, Some(error))),
             }
         }
-        applied
+        Some((stream.num_scans(), last_frame, None))
     }));
-    match walked {
-        Ok(applied) => clean + applied,
-        Err(_) => panic!("{context}: incremental decode panicked"),
+    let Ok(walked) = walked else { panic!("{context}: incremental decode panicked") };
+    let Some((applied, last_frame, stopped_by)) = walked else { return clean };
+    // Multi-scan jumps 0 -> i -> j decode the same scans in the same order, so they stop
+    // at the same scan with the same error — or land on the same frame.
+    for i in 0..=stream.num_scans() {
+        for j in i..=stream.num_scans() {
+            let jumped = catch_unwind(AssertUnwindSafe(|| {
+                let mut decoder = stream.progressive_decoder().unwrap();
+                decoder.advance_to(i)?;
+                decoder.advance_to(j).cloned()
+            }));
+            let Ok(jumped) = jumped else { panic!("{context}: advance_to({i}, {j}) panicked") };
+            match jumped {
+                Ok(frame) => {
+                    assert!(j <= applied, "{context}: advance_to({i}, {j}) passed a bad scan");
+                    if j == applied {
+                        assert!(frame == last_frame, "{context}: advance_to({i}, {j}) frame");
+                    }
+                }
+                Err(error) => {
+                    assert!(j > applied, "{context}: advance_to({i}, {j}) failed early");
+                    assert_eq!(Some(error), stopped_by, "{context}: advance_to({i}, {j})");
+                }
+            }
+        }
     }
+    clean + applied
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! The incremental decoder's contract: after `k` scans, [`ProgressiveDecoder::frame`] is
 //! bitwise identical to from-scratch [`ProgressiveImage::decode`]`(k)` — for every prefix
-//! of every scan plan, every quality, and awkward (non-multiple-of-8, tiny) dimensions.
+//! of every scan plan, every quality, and awkward (non-multiple-of-8, tiny) dimensions,
+//! whether the decoder got there one scan at a time or in multi-scan jumps.
 
 use rescnn_imaging::{render_scene, Image, SceneSpec};
 use rescnn_projpeg::{CodecError, ProgressiveImage, ScanBand, ScanPlan};
@@ -32,6 +33,29 @@ fn check_all_prefixes(image: &Image, quality: u8, plan: ScanPlan, context: &str)
         );
     }
     assert_eq!(decoder.remaining_scans(), 0);
+    check_all_jumps(&encoded, context);
+}
+
+/// Every way of reaching `j` scans through one stop at `i` (`0 <= i <= j`, so the
+/// no-op, the single jump from the zero-scan frame and the scan-by-scan step are all
+/// among them), then one plain `advance()` on top: a multi-scan `advance_to` rebuilds each
+/// touched block once, and must land on the frames a from-scratch decode gives.
+fn check_all_jumps(encoded: &ProgressiveImage, context: &str) {
+    let scans = encoded.num_scans();
+    let scratch: Vec<Image> = (0..=scans).map(|k| encoded.decode(k).unwrap()).collect();
+    for i in 0..=scans {
+        for j in i..=scans {
+            let context = format!("{context}, jump 0 -> {i} -> {j}");
+            let mut decoder = encoded.progressive_decoder().unwrap();
+            assert_frames_bitwise_equal(decoder.advance_to(i).unwrap(), &scratch[i], &context);
+            assert_frames_bitwise_equal(decoder.advance_to(j).unwrap(), &scratch[j], &context);
+            assert_eq!(decoder.scans_applied(), j, "{context}");
+            if j < scans {
+                let stepped = decoder.advance().unwrap();
+                assert_frames_bitwise_equal(stepped, &scratch[j + 1], &format!("{context} + 1"));
+            }
+        }
+    }
 }
 
 fn scene(width: usize, height: usize, detail: f64, seed: u64) -> Image {

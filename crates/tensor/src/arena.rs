@@ -82,6 +82,8 @@ impl ActivationArena {
             Some(index) => self.slots.swap_remove(index),
             None => {
                 scratch::record_external_allocation();
+                #[cfg(test)]
+                tests::MISSES_ON_THIS_THREAD.with(|misses| misses.set(misses.get() + 1));
                 Vec::with_capacity(len)
             }
         };
@@ -181,6 +183,18 @@ pub fn with_thread_arena<R>(f: impl FnOnce(&mut ActivationArena) -> R) -> R {
 mod tests {
     use super::*;
 
+    thread_local! {
+        /// Allocations `take` has made on the calling thread. The zero-delta assertions
+        /// below count here: [`scratch::heap_allocations`] is process-wide, and the rest
+        /// of this binary's tests allocate on their own threads while these run.
+        pub(super) static MISSES_ON_THIS_THREAD: std::cell::Cell<u64> =
+            const { std::cell::Cell::new(0) };
+    }
+
+    fn misses_on_this_thread() -> u64 {
+        MISSES_ON_THIS_THREAD.with(std::cell::Cell::get)
+    }
+
     #[test]
     fn reuses_retired_buffers_without_allocating() {
         let mut arena = ActivationArena::new();
@@ -188,11 +202,11 @@ mod tests {
         let ptr = first.as_slice().as_ptr();
         arena.give(first);
 
-        let warm = scratch::heap_allocations();
+        let warm = misses_on_this_thread();
         let second = arena.take(Shape::chw(1, 8, 8));
         assert_eq!(second.as_slice().as_ptr(), ptr, "best fit should reuse the retired buffer");
         assert_eq!(second.shape().volume(), 64);
-        assert_eq!(scratch::heap_allocations() - warm, 0, "reuse must not allocate");
+        assert_eq!(misses_on_this_thread() - warm, 0, "reuse must not allocate");
         arena.give(second);
     }
 
@@ -217,12 +231,14 @@ mod tests {
     #[test]
     fn reserve_then_forward_sized_takes_do_not_allocate() {
         let mut arena = ActivationArena::new();
+        let cold = misses_on_this_thread();
         arena.reserve(&[512, 256, 256]);
-        let warm = scratch::heap_allocations();
+        let warm = misses_on_this_thread();
+        assert_eq!(warm - cold, 3, "the reservation's own misses are counted");
         let a = arena.take(Shape::new(1, 1, 1, 512));
         let b = arena.take(Shape::new(1, 1, 1, 250));
         let c = arena.take(Shape::new(1, 1, 1, 256));
-        assert_eq!(scratch::heap_allocations() - warm, 0);
+        assert_eq!(misses_on_this_thread() - warm, 0);
         arena.give(a);
         arena.give(b);
         arena.give(c);
@@ -279,11 +295,11 @@ mod tests {
         let mut arena = ActivationArena::new();
         arena.reserve(&[256]);
         arena.reset_peak();
-        let warm = scratch::heap_allocations();
+        let warm = misses_on_this_thread();
         let t = arena.take(Shape::new(1, 1, 1, 256));
         assert_eq!(arena.peak_live_bytes(), 1024);
         arena.give(t);
-        assert_eq!(scratch::heap_allocations() - warm, 0, "byte accounting must stay free");
+        assert_eq!(misses_on_this_thread() - warm, 0, "byte accounting must stay free");
     }
 
     #[test]

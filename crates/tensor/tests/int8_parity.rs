@@ -21,8 +21,10 @@ use rescnn_tensor::{
     INT8_WEIGHT_QMAX,
 };
 
-/// Serializes tests that mutate the process-wide thread count or observe the
-/// process-wide allocation counter.
+/// Serializes this binary's tests: some mutate the process-wide thread count or
+/// observe the process-wide allocation counter, and every other one runs kernels
+/// that take scratch buffers — on its own thread, which is a first allocation
+/// the counter sees.
 static GLOBAL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -43,6 +45,7 @@ fn sample(params: &Conv2dParams, n: usize, h: usize, w: usize, seed: u64) -> (Te
 /// depends on it) and every in-range value reconstructs within half a step.
 #[test]
 fn activation_round_trip_is_within_half_a_step_and_zero_is_exact() {
+    let _guard = lock();
     for (lo, hi) in [(-1.0f32, 1.0f32), (0.0, 6.0), (-0.25, 3.75), (-5.0, 0.0), (0.1, 0.9)] {
         let q = ActQuant::from_range(lo, hi);
         assert_eq!(
@@ -71,6 +74,7 @@ fn activation_round_trip_is_within_half_a_step_and_zero_is_exact() {
 /// [`INT8_WEIGHT_QMAX`], activations spanning all of u8).
 #[test]
 fn microkernel_tiers_agree_bitwise_with_the_portable_reference() {
+    let _guard = lock();
     let mut state = 0x2545_F491_4F6C_DD1Du64;
     let mut next = move || {
         state ^= state << 13;
@@ -106,6 +110,7 @@ fn microkernel_tiers_agree_bitwise_with_the_portable_reference() {
 /// calibration gate keys on it.
 #[test]
 fn characterized_unit_error_stays_within_pinned_bound_across_ladder_shapes() {
+    let _guard = lock();
     let stages: &[(usize, usize, usize, usize)] = &[
         (64, 64, 3, 56),
         (128, 128, 3, 28),
@@ -139,6 +144,7 @@ fn characterized_unit_error_stays_within_pinned_bound_across_ladder_shapes() {
 /// pad 0/1/2, rectangular frames, batches > 1, odd channel counts.
 #[test]
 fn tolerance_against_packed_im2col_across_shapes_and_paddings() {
+    let _guard = lock();
     let cases: &[(usize, usize, usize, usize, usize, usize, usize)] = &[
         // (in_ch, out_ch, kernel, batch, h, w, pad)
         (1, 1, 3, 1, 6, 6, 0),
@@ -243,6 +249,7 @@ fn warm_quantized_path_does_not_allocate() {
 /// preparing a layer's int8 weights does not perturb the f32 forward — bitwise.
 #[test]
 fn gate_off_leaves_f32_forwards_bitwise_identical() {
+    let _guard = lock();
     // No shape ever selects Int8 without installed calibration.
     for (ic, oc, k, s) in [(64usize, 64usize, 3usize, 56usize), (256, 64, 1, 56), (3, 64, 7, 224)] {
         let params = Conv2dParams::new(ic, oc, k, 1, k / 2);

@@ -46,6 +46,14 @@ fn measured_calibration_round_trips_and_steers_dispatch() {
     assert_eq!(reloaded.len(), model.len());
     assert_eq!(reloaded.dispatch_table(), model.dispatch_table());
 
+    // The static rule's answers while no table is installed: what an
+    // uncalibrated shape must keep getting, and what uninstalling restores.
+    let unseen = Conv2dParams::new(8, 8, 3, 1, 1);
+    let unseen_input = Shape::chw(8, 40, 40);
+    let rule_unseen = select_algo(&unseen, unseen_input);
+    assert_eq!(rule_unseen, ConvAlgo::WinogradF4, "10×10 F(4×4) tiles fill a panel");
+    let rule_swept = select_algo(&layers[0].params, layers[0].input);
+
     // Install the reloaded table: conv2d_dispatch now runs the measured-fastest
     // algorithm for each swept shape.
     let table = reloaded.dispatch_table();
@@ -76,14 +84,12 @@ fn measured_calibration_round_trips_and_steers_dispatch() {
         assert_eq!(ran, fastest);
     }
 
-    // An uncalibrated shape keeps the static heuristics.
-    let unseen = Conv2dParams::new(8, 8, 3, 1, 1);
-    let unseen_input = Shape::chw(8, 40, 40);
+    // An uncalibrated shape keeps the static rule.
     assert!(installed_algo_calibration()
         .unwrap()
         .get(&ConvShapeKey::new(unseen, unseen_input))
         .is_none());
-    assert_eq!(select_algo(&unseen, unseen_input), ConvAlgo::Im2colPacked);
+    assert_eq!(select_algo(&unseen, unseen_input), rule_unseen);
 
     // Scoped and process-wide overrides still beat the calibrated default.
     let layer = &layers[0];
@@ -95,9 +101,9 @@ fn measured_calibration_round_trips_and_steers_dispatch() {
     assert_eq!(planned_conv_algo(&layer.params, layer.input), ConvAlgo::Im2col);
     rescnn_tensor::force_conv_algo(None);
 
-    // Uninstall restores heuristic-only dispatch.
+    // Uninstall restores rule-only dispatch.
     let removed = install_algo_calibration(None);
     assert!(removed.is_some());
     assert!(installed_algo_calibration().is_none());
-    assert_eq!(select_algo(&layers[0].params, layers[0].input), ConvAlgo::Im2colPacked);
+    assert_eq!(select_algo(&layers[0].params, layers[0].input), rule_swept);
 }

@@ -11,8 +11,10 @@
 //!
 //! Every layer is *prepared once* at construction
 //! ([`rescnn_tensor::PreparedLayer`]): batch-norm is folded into the convolution,
-//! the folded weights are prepacked into GEMM panel layout per channel group, and
-//! Winograd-eligible layers cache their transformed filter bank. A forward pass
+//! the folded weights are prepacked into GEMM panel layout per channel group (the
+//! only f32 copy kept), and Winograd-eligible layers cache the transformed filter
+//! bank of whichever arm dispatch picks for them at a resolution where their
+//! tiles fill the microkernel ([`rescnn_tensor::select_algo`]). A forward pass
 //! then
 //!
 //! * never repacks a weight panel,
@@ -150,9 +152,10 @@ impl ConvBn {
     }
 
     /// The PR-4-era execution path: per-call weight packing (except the cached
-    /// Winograd transform, which PR 4 already cached), separate activation
-    /// passes, fresh allocations. Kept as the measured baseline and the parity
-    /// target — bitwise identical to [`ConvBn::forward`].
+    /// Winograd transform, which PR 4 already cached) from an exact unpack of
+    /// the prepared panels, separate activation passes, fresh allocations. Kept
+    /// as the measured baseline and the parity target — bitwise identical to
+    /// [`ConvBn::forward`].
     fn forward_reference(&self, input: &Tensor) -> Result<Tensor> {
         let params = self.prepared.params();
         let algo = planned_conv_algo(params, input.shape());
@@ -192,7 +195,7 @@ impl ConvBn {
             return Ok(out);
         }
         let mut out =
-            conv2d_with_algo(input, self.prepared.weight(), self.prepared.bias(), params, algo)?;
+            conv2d_with_algo(input, &self.prepared.weight(), self.prepared.bias(), params, algo)?;
         match self.act {
             Activation::None => {}
             Activation::Relu => relu_in_place(&mut out),

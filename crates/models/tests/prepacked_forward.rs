@@ -10,7 +10,9 @@
 use std::sync::{Mutex, MutexGuard};
 
 use rescnn_models::{ModelKind, Network};
-use rescnn_tensor::{scratch, ActivationArena, ConvAlgo, EngineContext, Shape, Tensor};
+use rescnn_tensor::{
+    scratch, select_algo, ActivationArena, ConvAlgo, EngineContext, Shape, Tensor,
+};
 
 /// Serializes tests in this binary: they observe the process-wide allocation
 /// counter, which any concurrent engine work would advance.
@@ -51,6 +53,60 @@ fn prepared_forward_matches_reference_under_winograd_dispatch() {
     let fast = context.scope(|| net.forward(&input).unwrap());
     let reference = context.scope(|| net.forward_reference(&input).unwrap());
     assert_eq!(fast.as_slice(), reference.as_slice());
+}
+
+/// The default rule inside a real forward, one rung per arm it can choose:
+/// ResNet-18 at 112² runs its 3×3 layers on F(4×4) (c2) and packed im2col
+/// (c3–c5), 224² adds F(2×2) (c4). At every thread budget the prepared forward
+/// equals the reference bitwise, repeats its own bits across budgets, and —
+/// once warm — allocates nothing (the Winograd banks are built on the first
+/// forward, from an unpack of the panels, and cached).
+#[test]
+fn default_rule_arms_match_reference_and_stay_allocation_free_at_every_thread_count() {
+    let _guard = lock();
+    let net = Network::new(ModelKind::ResNet18, 6, 21);
+    let arch = ModelKind::ResNet18.arch(6);
+    for (res, arms) in [
+        (112usize, &[ConvAlgo::WinogradF4, ConvAlgo::Im2colPacked][..]),
+        (224, &[ConvAlgo::WinogradF4, ConvAlgo::Winograd, ConvAlgo::Im2colPacked][..]),
+    ] {
+        let mut chosen: Vec<ConvAlgo> = arch
+            .conv_layers(res)
+            .unwrap()
+            .iter()
+            .filter(|layer| layer.params.kernel == 3 && layer.params.stride == 1)
+            .map(|layer| select_algo(&layer.params, layer.input))
+            .collect();
+        chosen.dedup();
+        assert_eq!(chosen, arms, "arms of the stride-1 3×3 layers at {res}², in network order");
+
+        let input = Tensor::random_uniform(Shape::chw(3, res, res), 1.0, res as u64);
+        let mut outputs = Vec::new();
+        for threads in [1usize, 2, 4] {
+            EngineContext::new().with_threads(threads).scope(|| {
+                let reference = net.forward_reference(&input).unwrap();
+                // Warm every participating worker's arena.
+                for _ in 0..3 {
+                    net.forward(&input).unwrap();
+                }
+                let warm = scratch::heap_allocations();
+                let fast = net.forward(&input).unwrap();
+                assert_eq!(
+                    scratch::heap_allocations() - warm,
+                    0,
+                    "warm forward at {res}² on {threads} threads allocated"
+                );
+                assert_eq!(
+                    fast.as_slice(),
+                    reference.as_slice(),
+                    "forward diverged from forward_reference at {res}² on {threads} threads"
+                );
+                outputs.push(fast);
+            });
+        }
+        assert_eq!(outputs[0].as_slice(), outputs[1].as_slice(), "1 vs 2 threads at {res}²");
+        assert_eq!(outputs[0].as_slice(), outputs[2].as_slice(), "1 vs 4 threads at {res}²");
+    }
 }
 
 /// Warm forwards must not allocate: the kernel scratch pool and the activation

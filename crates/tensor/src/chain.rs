@@ -42,7 +42,8 @@ use crate::error::{Result, TensorError};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::winograd::{
-    chunk_tile_rows, chunk_tile_rows_f4, OutPtr, WinogradPass, ALPHA, ALPHA_F4, TILE, TILE_F4,
+    chunk_tile_rows, chunk_tile_rows_f4, chunk_workspace_len, OutPtr, WinogradPass, ALPHA,
+    ALPHA_F4, TILE, TILE_F4,
 };
 use crate::{parallel, scratch};
 
@@ -305,6 +306,27 @@ pub fn conv2d_chain_fused_into(
     let band_len = mid_ch * band_rows * mid_w;
     let band_data = band.as_mut_slice();
 
+    // Consumer-side tile geometry: (tile extent, tile rows, tile columns, tile
+    // rows per chunk).
+    let c_geometry = c_winograd.map(|(c_f4, _)| {
+        let tile = if c_f4 { TILE_F4 } else { TILE };
+        let (tiles_h, tiles_w) = (oh.div_ceil(tile), ow.div_ceil(tile));
+        let rows = if c_f4 {
+            chunk_tile_rows_f4(mid_ch, tiles_w, tiles_h)
+        } else {
+            chunk_tile_rows(mid_ch, tiles_w, tiles_h)
+        };
+        (tile, tiles_h, tiles_w, rows)
+    });
+    // The chain runs its chunks serially, so producer and consumer share one
+    // chunk workspace sized for the larger of the two.
+    let p_tiles_w = mid_w.div_ceil(p_tile);
+    let p_ws = chunk_workspace_len(p_f4, p_params.in_channels, mid_ch, p_tiles_w, p_rows_per_chunk);
+    let c_ws = c_winograd.zip(c_geometry).map_or(0, |((c_f4, _), (_, _, tiles_w, rows))| {
+        chunk_workspace_len(c_f4, mid_ch, c_params.out_channels, tiles_w, rows)
+    });
+    let mut ws = scratch::take_uninit(p_ws.max(c_ws));
+
     for n in 0..ishape.n {
         let band_ptr = band_data.as_mut_ptr();
         let p_pass = WinogradPass {
@@ -323,7 +345,7 @@ pub fn conv2d_chain_fused_into(
             out_rows: band_rows,
             oh: mid_h,
             ow: mid_w,
-            tiles_w: mid_w.div_ceil(p_tile),
+            tiles_w: p_tiles_w,
             bias: producer.bias(),
             residual: None,
             activation: producer_activation,
@@ -332,22 +354,14 @@ pub fn conv2d_chain_fused_into(
         // Consumer state: either the trailing Winograd pass or the pointwise
         // GEMM closure's stripe bookkeeping.
         let sample_residual = residual.map(|s| &s[n * out_plane..(n + 1) * out_plane]);
-        match c_winograd {
-            Some((c_f4, c_filter)) => {
-                let c_tile = if c_f4 { TILE_F4 } else { TILE };
-                let c_tiles_h = oh.div_ceil(c_tile);
-                let c_tiles_w = ow.div_ceil(c_tile);
-                let c_rows_per_chunk = if c_f4 {
-                    chunk_tile_rows_f4(mid_ch, c_tiles_w, c_tiles_h)
-                } else {
-                    chunk_tile_rows(mid_ch, c_tiles_w, c_tiles_h)
-                };
+        match c_winograd.zip(c_geometry) {
+            Some(((c_f4, c_filter), (c_tile, c_tiles_h, c_tiles_w, c_rows_per_chunk))) => {
                 let c_alpha = if c_f4 { ALPHA_F4 } else { ALPHA };
                 let mut next_tr = 0usize;
                 for chunk in 0..p_n_chunks {
                     let tr0 = chunk * p_rows_per_chunk;
                     let tr1 = (tr0 + p_rows_per_chunk).min(p_tiles_h);
-                    p_pass.run_chunk_f2_or_f4(p_f4, tr0, tr1);
+                    p_pass.run_chunk_f2_or_f4(p_f4, tr0, tr1, &mut ws);
                     let produced = (tr1 * p_tile).min(mid_h);
                     // Drain every consumer chunk whose band reads (output tile
                     // rows `[next_tr, c_tr1)` touch input rows up to
@@ -382,7 +396,7 @@ pub fn conv2d_chain_fused_into(
                             residual: sample_residual,
                             activation: epilogue.activation,
                         };
-                        c_pass.run_chunk_f2_or_f4(c_f4, next_tr, c_tr1);
+                        c_pass.run_chunk_f2_or_f4(c_f4, next_tr, c_tr1, &mut ws);
                         next_tr = c_tr1;
                     }
                 }
@@ -401,7 +415,7 @@ pub fn conv2d_chain_fused_into(
                 for chunk in 0..p_n_chunks {
                     let tr0 = chunk * p_rows_per_chunk;
                     let tr1 = (tr0 + p_rows_per_chunk).min(p_tiles_h);
-                    p_pass.run_chunk_f2_or_f4(p_f4, tr0, tr1);
+                    p_pass.run_chunk_f2_or_f4(p_f4, tr0, tr1, &mut ws);
                     let row0 = tr0 * p_tile;
                     let row1 = (tr1 * p_tile).min(mid_h);
                     // The band holds exactly one producer chunk, so these rows
@@ -440,6 +454,7 @@ pub fn conv2d_chain_fused_into(
             }
         }
     }
+    scratch::give(ws);
     Ok(())
 }
 

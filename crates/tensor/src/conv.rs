@@ -12,15 +12,19 @@
 //! * The **packed engine** ([`conv2d_with_algo`]) — packed, multi-threaded kernels built
 //!   on [`engine`](crate::engine): a direct-GEMM fast path for 1×1 stride-1 convolutions
 //!   ([`ConvAlgo::Gemm1x1`]), a dedicated shift-and-accumulate depthwise kernel
-//!   ([`ConvAlgo::Depthwise`]), a Winograd F(2×2, 3×3) arm for stride-1 dense 3×3
-//!   layers ([`ConvAlgo::Winograd`], implemented in [`winograd`](crate::winograd)),
-//!   and a packing-aware im2col for everything else ([`ConvAlgo::Im2colPacked`]).
+//!   ([`ConvAlgo::Depthwise`]), Winograd F(2×2, 3×3) and F(4×4, 3×3) arms for
+//!   stride-1 dense 3×3 layers ([`ConvAlgo::Winograd`], [`ConvAlgo::WinogradF4`],
+//!   implemented in [`winograd`](crate::winograd)), and a packing-aware im2col for
+//!   everything else ([`ConvAlgo::Im2colPacked`]).
 //!
-//! The Winograd arm trades multiplies for transforms: ~2.25× fewer MACs than im2col +
-//! GEMM on the shapes it supports, bitwise deterministic across thread counts, but —
-//! because it legitimately reassociates the arithmetic — only *tolerance*-equal to the
-//! other paths. Its contract, pinned by `tests/winograd_parity.rs`, is elementwise
-//! agreement with [`ConvAlgo::Im2colPacked`] within `1e-4` at unit-scale activations.
+//! The Winograd arms trade multiplies for transforms: 2.25× (F(2×2)) to 4× (F(4×4))
+//! fewer MACs than im2col + GEMM on the shapes they support, bitwise deterministic
+//! across thread counts, but — because they legitimately reassociate the arithmetic —
+//! only *tolerance*-equal to the other paths: F(2×2) agrees with
+//! [`ConvAlgo::Im2colPacked`] elementwise within `1e-4` at unit-scale activations
+//! (`tests/winograd_parity.rs`), F(4×4) within
+//! [`WINOGRAD_F4_TOLERANCE`](crate::winograd::WINOGRAD_F4_TOLERANCE). They are the
+//! default exactly where their tiles fill the microkernel — see [`select_algo`].
 //!
 //! [`conv2d`] — the entry point the model zoo uses — routes through [`select_algo`],
 //! and [`conv2d_dispatch`] additionally reports which algorithm ran so autotuners and
@@ -31,12 +35,13 @@
 //! `rescnn-hwsim`'s measured tuner from wall-clock sweeps and installed process-wide
 //! via [`install_algo_calibration`] — maps exact layer shapes to their measured-fastest
 //! algorithm, and [`select_algo`] consults it before falling back to the static
-//! heuristics. Scoped ([`EngineContext::with_algo`](crate::EngineContext::with_algo))
+//! rule. Scoped ([`EngineContext::with_algo`](crate::EngineContext::with_algo))
 //! and global ([`force_conv_algo`]) overrides take precedence over calibration.
 //!
 //! Weights are stored as `O × I/g × K × K` tensors (encoded in the NCHW [`Shape`] as
 //! `n = O`, `c = I/g`, `h = w = K`).
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -49,7 +54,7 @@ use crate::error::{Result, TensorError};
 use crate::gemm::{gemm_blocked, GemmBlocking, MatDims};
 use crate::shape::{Conv2dParams, Shape};
 use crate::tensor::Tensor;
-use crate::winograd::{conv2d_winograd_fused_into, WinogradFilter};
+use crate::winograd::{conv2d_winograd_fused_into, WinogradFilter, TILE, TILE_F4};
 use crate::{parallel, scratch};
 
 /// Validates that a weight tensor matches the convolution parameters.
@@ -373,7 +378,10 @@ pub enum ConvAlgo {
     /// determinism contract as [`ConvAlgo::Winograd`], but the larger transform
     /// stencils loosen the elementwise agreement with [`ConvAlgo::Im2colPacked`] to
     /// [`WINOGRAD_F4_TOLERANCE`](crate::winograd::WINOGRAD_F4_TOLERANCE) at unit
-    /// scale — calibration sweeps gate it per shape on the measured unit error.
+    /// scale — default dispatch admits it only up to
+    /// [`WINOGRAD_F4_MAX_IN_CHANNELS`] input channels (unit error ≤ 4e-4
+    /// there), and calibration sweeps gate it per shape on the measured unit
+    /// error.
     WinogradF4,
     /// Engine: int8-quantized u8×i8 GEMM for dense (groups == 1) layers —
     /// per-output-channel symmetric weight scales folded at prepack time,
@@ -467,7 +475,7 @@ impl ConvShapeKey {
 /// Built by `rescnn-hwsim`'s calibrated cost model from `MeasuredTuner` sweeps
 /// (and persistable to disk there, so serving starts warm), then installed
 /// process-wide with [`install_algo_calibration`]. [`select_algo`] consults the
-/// installed table before its static heuristics; scoped and global algorithm
+/// installed table before its static rule; scoped and global algorithm
 /// overrides still win, and entries whose algorithm cannot execute the shape are
 /// ignored defensively.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -563,7 +571,7 @@ pub fn with_algo_calibration_scope<R>(table: Arc<AlgoCalibration>, f: impl FnOnc
 ///
 /// Calibration supplies *default choices* only — it never overrides an explicit
 /// [`EngineContext`](crate::EngineContext) or [`force_conv_algo`] pin, and shapes
-/// absent from the table fall back to the static heuristics — so installing one
+/// absent from the table fall back to the static rule — so installing one
 /// is safe for every concurrent caller and is intentionally process-wide: a table
 /// measured on this host is equally valid for every pipeline in the process.
 pub fn install_algo_calibration(
@@ -622,6 +630,41 @@ fn calibrated_algo(params: &Conv2dParams, input: Shape) -> Option<ConvAlgo> {
     algo.supports(params).then_some(algo)
 }
 
+/// Fewest Winograd tiles a layer must offer before default dispatch leaves
+/// packed im2col for a Winograd arm: one full column panel of the widest
+/// microkernel tier. Every transform point's GEMM has one column per tile, so
+/// below a panel the microkernel multiplies mostly padding and the transforms
+/// are pure overhead. A fixed 32 rather than [`NR`]: the choice — and with it
+/// the bits — must not vary with the ISA tier the build selected.
+pub const WINOGRAD_MIN_TILES: usize = 32;
+
+/// Widest layer (in input channels) default dispatch sends to F(4×4, 3×3);
+/// wider layers use F(2×2, 3×3). Bounds the F(4×4) unit error of the default
+/// (it grows with the reduction depth) to the ≤ 4 × 10⁻⁴ pinned by
+/// `tests/dispatch_rule.rs` — measured maximum 2.7 × 10⁻⁴, against a
+/// [`WINOGRAD_F4_TOLERANCE`](crate::winograd::WINOGRAD_F4_TOLERANCE) of
+/// 2 × 10⁻³ — and the resident bank to one variant per layer: the 4×-weights
+/// F(4×4) bank only where weights are small, the 1.78× F(2×2) bank on the
+/// wide, weight-heavy layers.
+pub const WINOGRAD_F4_MAX_IN_CHANNELS: usize = 128;
+
+/// The Winograd arm default dispatch picks for a 3×3 stride-1 dense layer at
+/// this input extent, or `None` when the layer is not eligible or offers fewer
+/// than [`WINOGRAD_MIN_TILES`] tiles of that arm.
+fn winograd_default(params: &Conv2dParams, input: Shape) -> Option<ConvAlgo> {
+    if !ConvAlgo::Winograd.supports(params) {
+        return None;
+    }
+    let (algo, tile) = if params.in_channels <= WINOGRAD_F4_MAX_IN_CHANNELS {
+        (ConvAlgo::WinogradF4, TILE_F4)
+    } else {
+        (ConvAlgo::Winograd, TILE)
+    };
+    let oh = params.output_extent(input.h).ok()?;
+    let ow = params.output_extent(input.w).ok()?;
+    (oh.div_ceil(tile) * ow.div_ceil(tile) >= WINOGRAD_MIN_TILES).then_some(algo)
+}
+
 /// Chooses the engine algorithm for a convolution shape.
 ///
 /// Dispatch rules, in priority order:
@@ -633,11 +676,24 @@ fn calibrated_algo(params: &Conv2dParams, input: Shape) -> Option<ConvAlgo> {
 /// 3. Depthwise convolutions (`groups == in == out`, the MobileNetV2 workhorse) run the
 ///    dedicated shift-and-accumulate kernel; lowering them to GEMM would spend
 ///    `k²`-fold more memory traffic for rank-1 matrix products.
-/// 4. Everything else runs packing-aware im2col stripes + packed GEMM, with stripe
+/// 4. Dense 3×3 stride-1 layers whose output fills at least one column panel with
+///    Winograd tiles ([`WINOGRAD_MIN_TILES`]) run a Winograd arm:
+///    [`ConvAlgo::WinogradF4`] when `in_channels ≤` [`WINOGRAD_F4_MAX_IN_CHANNELS`]
+///    and `⌈oh/4⌉·⌈ow/4⌉` reaches the threshold, [`ConvAlgo::Winograd`] for wider
+///    layers when `⌈oh/2⌉·⌈ow/2⌉` does. The rule is stated in tiles because the
+///    tile count *is* the column count of the arm's per-point GEMMs: the 2.25–4×
+///    cut in multiplies only pays once those GEMMs fill the microkernel, which is
+///    a property of the layer's resolution, not of the host. Measured per shape
+///    in `docs/winograd-chaining.md` (wins of 1.7–2.6× above the threshold,
+///    losses down to 0.2× below it).
+/// 5. Everything else runs packing-aware im2col stripes + packed GEMM, with stripe
 ///    heights sized from the output resolution so packed panels stay cache-resident.
-///    ([`ConvAlgo::Winograd`] is never a *heuristic* default: whether its transform
-///    overhead pays off is shape- and host-dependent, which is exactly what the
-///    calibration table measures.)
+///
+/// Rules 2–5 are deterministic and host-independent. Rule 4 changes numerics
+/// within the arms' contracts (F(2×2) ≤ 1e-4, F(4×4) ≤ 4e-4 at the admitted
+/// widths, both against [`ConvAlgo::Im2colPacked`] at unit scale); pin
+/// [`EngineContext::with_algo`](crate::EngineContext::with_algo)`(ConvAlgo::Im2colPacked)`
+/// for an A/B against the pre-rule behaviour.
 pub fn select_algo(params: &Conv2dParams, input: Shape) -> ConvAlgo {
     if let Some(algo) = calibrated_algo(params, input) {
         return algo;
@@ -647,7 +703,7 @@ pub fn select_algo(params: &Conv2dParams, input: Shape) -> ConvAlgo {
     } else if ConvAlgo::Depthwise.supports(params) {
         ConvAlgo::Depthwise
     } else {
-        ConvAlgo::Im2colPacked
+        winograd_default(params, input).unwrap_or(ConvAlgo::Im2colPacked)
     }
 }
 
@@ -753,8 +809,7 @@ pub fn conv2d(
 /// A convolution layer prepared once for the serving hot path: weights prepacked
 /// into GEMM panel layout per channel group ([`engine::PreparedGemmA`]), the
 /// bias captured, and — for Winograd-eligible layers — the transformed filter
-/// bank cached (lazily, the first time dispatch actually picks
-/// [`ConvAlgo::Winograd`]).
+/// bank cached (lazily, the first time dispatch actually picks a Winograd arm).
 ///
 /// A `PreparedLayer` forward skips every per-call weight-packing pass and can
 /// fuse the block tail ([`ConvEpilogue`]: residual add + activation) into the
@@ -763,18 +818,18 @@ pub fn conv2d(
 /// unprepared `conv2d_with_algo` path per algorithm (pinned by
 /// `tests/prepacked_parity.rs`).
 ///
-/// The raw weights are retained for the fallback algorithms
-/// ([`ConvAlgo::Direct`], [`ConvAlgo::Im2col`]) and the Winograd filter
-/// transform, so memory cost is roughly 2× the weights for GEMM-dispatched
-/// layers.
+/// The f32 weights are stored **once**: as packed panels, or — for
+/// depthwise-dispatched layers, which carry no panels — as the raw tensor.
+/// Everything off the hot path that wants row-major weights (the fallback
+/// algorithms [`ConvAlgo::Direct`] / [`ConvAlgo::Im2col`], the lazy Winograd and
+/// int8 builders, [`PreparedLayer::weight`]) reads an exact unpack of the
+/// panels. Memory cost is therefore ~1× the weights (rounded up to `MR`-row
+/// tiles) plus whichever lazily-built banks dispatch has asked for.
 #[derive(Debug, Clone)]
 pub struct PreparedLayer {
     params: Conv2dParams,
-    weight: Tensor,
+    weights: LayerWeights,
     bias: Option<Vec<f32>>,
-    /// Per-group prepacked GEMM left operands (`out_per_group` rows over
-    /// `in_per_group * k * k`), shared by the 1×1 and packed-im2col paths.
-    gemm: Vec<engine::PreparedGemmA>,
     /// Lazily-built Winograd F(2×2) filter transform (eligible layers only).
     winograd: OnceLock<WinogradFilter>,
     /// Lazily-built Winograd F(4×4) filter transform (eligible layers only).
@@ -787,6 +842,19 @@ pub struct PreparedLayer {
     int8_range: Option<(f32, f32)>,
 }
 
+/// The single resident copy of a prepared layer's f32 weights.
+#[derive(Debug, Clone)]
+enum LayerWeights {
+    /// Depthwise-dispatched layers never consume GEMM panels (their kernel
+    /// reads raw weights, and `MR`-padding 1-row groups would cost ~6× the
+    /// weight memory); an explicit GEMM-algo override on such a layer packs on
+    /// the fly.
+    Raw(Tensor),
+    /// Per-group prepacked GEMM left operands (`out_per_group` rows over
+    /// `in_per_group * k * k`), shared by the 1×1 and packed-im2col paths.
+    Packed(Vec<engine::PreparedGemmA>),
+}
+
 impl PreparedLayer {
     /// Prepares a layer: validates the shapes and prepacks the per-group weight
     /// panels.
@@ -797,30 +865,23 @@ impl PreparedLayer {
     pub fn new(weight: Tensor, bias: Option<Vec<f32>>, params: Conv2dParams) -> Result<Self> {
         validate_weight(&params, &weight)?;
         validate_bias(&params, bias.as_deref())?;
-        let k = params.kernel;
-        let in_per_group = params.in_channels / params.groups;
-        let out_per_group = params.out_channels / params.groups;
-        let rows = in_per_group * k * k;
-        let wdata = weight.as_slice();
-        // Depthwise-dispatched layers never consume GEMM panels (their kernel
-        // reads raw weights, and MR-padding 1-row groups would cost ~6× the
-        // weight memory); an explicit GEMM-algo override on such a layer falls
-        // back to on-the-fly packing instead.
-        let gemm = if ConvAlgo::Depthwise.supports(&params) {
-            Vec::new()
+        let weights = if ConvAlgo::Depthwise.supports(&params) {
+            LayerWeights::Raw(weight)
         } else {
-            (0..params.groups)
-                .map(|g| {
-                    let wslice = &wdata[g * out_per_group * rows..(g + 1) * out_per_group * rows];
-                    engine::PreparedGemmA::prepare(wslice, rows, out_per_group, rows)
-                })
-                .collect()
+            let rows = (params.in_channels / params.groups) * params.kernel * params.kernel;
+            let out_per_group = params.out_channels / params.groups;
+            LayerWeights::Packed(
+                weight
+                    .as_slice()
+                    .chunks_exact(out_per_group * rows)
+                    .map(|group| engine::PreparedGemmA::prepare(group, rows, out_per_group, rows))
+                    .collect(),
+            )
         };
         Ok(PreparedLayer {
             params,
-            weight,
+            weights,
             bias,
-            gemm,
             winograd: OnceLock::new(),
             winograd_f4: OnceLock::new(),
             int8: OnceLock::new(),
@@ -833,9 +894,25 @@ impl PreparedLayer {
         &self.params
     }
 
-    /// The raw (unpacked) weights.
-    pub fn weight(&self) -> &Tensor {
-        &self.weight
+    /// The raw (row-major `O × I/g × K × K`) weights, bit-for-bit the tensor
+    /// the layer was built from: borrowed where the layer keeps them raw,
+    /// otherwise unpacked from the GEMM panels on every call — fine for
+    /// builders and reference paths, not for a hot loop.
+    pub fn weight(&self) -> Cow<'_, Tensor> {
+        match &self.weights {
+            LayerWeights::Raw(weight) => Cow::Borrowed(weight),
+            LayerWeights::Packed(groups) => {
+                let p = &self.params;
+                let shape =
+                    Shape::new(p.out_channels, p.in_channels / p.groups, p.kernel, p.kernel);
+                let mut data = vec![0.0f32; shape.volume()];
+                let per_group = data.len() / groups.len();
+                for (group, dst) in groups.iter().zip(data.chunks_exact_mut(per_group)) {
+                    group.unpack_into(dst);
+                }
+                Cow::Owned(Tensor::from_vec(shape, data).expect("volume matches the shape"))
+            }
+        }
     }
 
     /// The per-channel bias, if any.
@@ -846,10 +923,11 @@ impl PreparedLayer {
     /// The prepacked dense (single-group) GEMM left operand, if this layer
     /// carries packed panels. Used by the chain executor's pointwise consumer.
     pub(crate) fn dense_gemm_lhs(&self) -> Option<engine::GemmLhs<'_>> {
-        if self.params.groups == 1 {
-            self.gemm.first().map(engine::PreparedGemmA::as_lhs)
-        } else {
-            None
+        match &self.weights {
+            LayerWeights::Packed(groups) if self.params.groups == 1 => {
+                groups.first().map(engine::PreparedGemmA::as_lhs)
+            }
+            _ => None,
         }
     }
 
@@ -866,7 +944,8 @@ impl PreparedLayer {
             });
         }
         Ok(self.winograd.get_or_init(|| {
-            WinogradFilter::prepare(&self.weight, &self.params).expect("eligibility checked above")
+            WinogradFilter::prepare(&self.weight(), &self.params)
+                .expect("eligibility checked above")
         }))
     }
 
@@ -884,7 +963,7 @@ impl PreparedLayer {
             });
         }
         Ok(self.winograd_f4.get_or_init(|| {
-            WinogradFilter::prepare_f4(&self.weight, &self.params)
+            WinogradFilter::prepare_f4(&self.weight(), &self.params)
                 .expect("eligibility checked above")
         }))
     }
@@ -902,7 +981,7 @@ impl PreparedLayer {
             });
         }
         Ok(self.int8.get_or_init(|| {
-            crate::quant::QuantizedConv::prepare(&self.weight, &self.params)
+            crate::quant::QuantizedConv::prepare(&self.weight(), &self.params)
                 .expect("eligibility checked above")
         }))
     }
@@ -919,10 +998,17 @@ impl PreparedLayer {
         self.int8_range
     }
 
-    /// Bytes resident beyond the raw weights (packed panels + any cached
-    /// Winograd banks or int8 panels).
+    /// Bytes resident in packed form: the GEMM panels (the layer's only f32
+    /// weight copy; zero for depthwise layers, which keep the raw tensor
+    /// instead) plus any cached Winograd banks or int8 panels.
     pub fn prepacked_bytes(&self) -> usize {
-        self.gemm.iter().map(engine::PreparedGemmA::resident_bytes).sum::<usize>()
+        let panels = match &self.weights {
+            LayerWeights::Raw(_) => 0,
+            LayerWeights::Packed(groups) => {
+                groups.iter().map(engine::PreparedGemmA::resident_bytes).sum()
+            }
+        };
+        panels
             + self.winograd.get().map_or(0, WinogradFilter::resident_bytes)
             + self.winograd_f4.get().map_or(0, WinogradFilter::resident_bytes)
             + self.int8.get().map_or(0, crate::quant::QuantizedConv::resident_bytes)
@@ -968,12 +1054,9 @@ impl PreparedLayer {
     ) -> Result<()> {
         let algo = if algo.supports(&self.params) { algo } else { ConvAlgo::Im2colPacked };
         let bias = self.bias.as_deref();
-        // Layers whose default dispatch never hits a GEMM path carry no panels;
-        // an explicit GEMM-algo override packs on the fly from the raw weights.
-        let gemm_weights = if self.gemm.is_empty() {
-            ConvWeights::Raw(self.weight.as_slice())
-        } else {
-            ConvWeights::Packed(&self.gemm)
+        let gemm_weights = match &self.weights {
+            LayerWeights::Raw(weight) => ConvWeights::Raw(weight.as_slice()),
+            LayerWeights::Packed(groups) => ConvWeights::Packed(groups),
         };
         match algo {
             ConvAlgo::Im2colPacked => {
@@ -983,7 +1066,8 @@ impl PreparedLayer {
                 gemm_1x1_into(input, gemm_weights, bias, &self.params, epilogue, out)
             }
             ConvAlgo::Depthwise => {
-                depthwise_into(input, self.weight.as_slice(), bias, &self.params, epilogue, out)
+                // `supports` admitted the algorithm, so the weights are raw: a borrow.
+                depthwise_into(input, self.weight().as_slice(), bias, &self.params, epilogue, out)
             }
             ConvAlgo::Winograd => {
                 let filter = self.winograd_filter()?;
@@ -1023,10 +1107,11 @@ impl PreparedLayer {
             }
             ConvAlgo::Direct | ConvAlgo::Im2col => {
                 let oshape = validate_into(&self.params, input, &epilogue, out)?;
+                let weight = self.weight();
                 let tmp = if algo == ConvAlgo::Direct {
-                    conv2d_direct(input, &self.weight, bias, &self.params)?
+                    conv2d_direct(input, &weight, bias, &self.params)?
                 } else {
-                    conv2d_im2col(input, &self.weight, bias, &self.params)?
+                    conv2d_im2col(input, &weight, bias, &self.params)?
                 };
                 debug_assert_eq!(tmp.shape(), oshape);
                 out.as_mut_slice().copy_from_slice(tmp.as_slice());
@@ -1697,9 +1782,17 @@ mod tests {
         let shape = Shape::chw(16, 32, 32);
         assert_eq!(select_algo(&Conv2dParams::new(16, 32, 1, 1, 0), shape), ConvAlgo::Gemm1x1);
         assert_eq!(select_algo(&Conv2dParams::depthwise(16, 3, 1, 1), shape), ConvAlgo::Depthwise);
-        assert_eq!(select_algo(&Conv2dParams::new(16, 32, 3, 1, 1), shape), ConvAlgo::Im2colPacked);
         // 1x1 stride-2 must not take the fast path (it subsamples).
         assert_eq!(select_algo(&Conv2dParams::new(16, 32, 1, 2, 0), shape), ConvAlgo::Im2colPacked);
+        // Dense 3x3 stride-1: a Winograd arm once its tiles fill a column panel
+        // (the full table lives in `tests/dispatch_rule.rs`).
+        let dense = Conv2dParams::new(16, 32, 3, 1, 1);
+        assert_eq!(select_algo(&dense, shape), ConvAlgo::WinogradF4, "8·8 F(4×4) tiles");
+        assert_eq!(select_algo(&dense, Shape::chw(16, 16, 16)), ConvAlgo::Im2colPacked, "4·4");
+        let wide = Conv2dParams::new(160, 32, 3, 1, 1);
+        assert_eq!(select_algo(&wide, Shape::chw(160, 32, 32)), ConvAlgo::Winograd, "16·16 F(2×2)");
+        assert_eq!(select_algo(&wide, Shape::chw(160, 10, 10)), ConvAlgo::Im2colPacked, "5·5");
+        assert_eq!(select_algo(&Conv2dParams::new(16, 32, 3, 2, 1), shape), ConvAlgo::Im2colPacked);
     }
 
     #[test]

@@ -197,6 +197,29 @@ impl PreparedGemmA {
     pub fn resident_bytes(&self) -> usize {
         self.panels.len() * std::mem::size_of::<f32>()
     }
+
+    /// Writes the `rows × k` matrix back out row-major: the exact inverse of
+    /// [`PreparedGemmA::prepare`] with `lda == k` (element copies only, so
+    /// every bit pattern — `-0.0`, NaN payloads — round-trips). Lets owners
+    /// keep the panels as their only copy of the weights.
+    ///
+    /// # Panics
+    /// Panics if `dst.len() != rows * k`.
+    pub fn unpack_into(&self, dst: &mut [f32]) {
+        assert_eq!(dst.len(), self.rows * self.k, "unpack destination size");
+        if dst.is_empty() {
+            return;
+        }
+        for (panel, tile_rows) in
+            self.panels.chunks_exact(self.k * MR).zip(dst.chunks_mut(self.k * MR))
+        {
+            for (r, row) in tile_rows.chunks_exact_mut(self.k).enumerate() {
+                for (p, value) in row.iter_mut().enumerate() {
+                    *value = panel[p * MR + r];
+                }
+            }
+        }
+    }
 }
 
 /// A right-hand GEMM operand packed once into [`pack_b`]'s `NR`-column panels.

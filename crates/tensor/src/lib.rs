@@ -34,15 +34,23 @@
 //!    [`set_num_threads`] / `RESCNN_THREADS`.
 //! 5. **Dispatch** ([`select_algo`]) — 1×1 stride-1 convolutions route straight to
 //!    GEMM over the input planes ([`ConvAlgo::Gemm1x1`]), depthwise shapes to a
-//!    dedicated shift-and-accumulate kernel ([`ConvAlgo::Depthwise`]), everything
-//!    else to packed im2col stripes ([`ConvAlgo::Im2colPacked`]). A Winograd
-//!    F(2×2, 3×3) arm ([`ConvAlgo::Winograd`], module [`winograd`]) covers stride-1
-//!    dense 3×3 layers with ~2.25× fewer multiplies; it becomes the default for a
-//!    shape when an installed measurement-derived [`AlgoCalibration`] table (see
-//!    [`install_algo_calibration`]) says it was fastest there. The chosen
+//!    dedicated shift-and-accumulate kernel ([`ConvAlgo::Depthwise`]). Dense 3×3
+//!    stride-1 layers are **resolution-aware**: a Winograd arm (module
+//!    [`winograd`]) cuts their multiplies 2.25–4×, but its per-point GEMMs have
+//!    one column per output tile, so it only wins once the layer's output fills a
+//!    column panel of the microkernel. The rule is therefore stated in tiles:
+//!    [`ConvAlgo::WinogradF4`] for layers of at most
+//!    [`WINOGRAD_F4_MAX_IN_CHANNELS`] input channels with at least
+//!    [`WINOGRAD_MIN_TILES`] 4×4 output tiles, [`ConvAlgo::Winograd`] for wider
+//!    layers with that many 2×2 tiles, packed im2col stripes
+//!    ([`ConvAlgo::Im2colPacked`]) below the threshold and for everything else.
+//!    The rule is deterministic and host-independent; an installed
+//!    measurement-derived [`AlgoCalibration`] table (see
+//!    [`install_algo_calibration`]) overrides it per exact shape. The chosen
 //!    algorithm is observable via [`conv2d_dispatch`] and can be pinned per scope
-//!    with [`EngineContext::with_algo`] or process-wide with [`force_conv_algo`]
-//!    so autotuners and benchmarks can sweep algorithm × tiling per resolution.
+//!    with [`EngineContext::with_algo`] (`ConvAlgo::Im2colPacked` restores the
+//!    pre-rule behaviour for an A/B) or process-wide with [`force_conv_algo`] so
+//!    autotuners and benchmarks can sweep algorithm × tiling per resolution.
 //! 6. **Per-call configuration** ([`EngineContext`]) — thread budgets and
 //!    algorithm overrides are scoped values rather than global mutations, so
 //!    concurrent pipelines with different settings never race.
@@ -92,6 +100,7 @@ pub use conv::{
     force_conv_algo, im2col, install_algo_calibration, installed_algo_calibration,
     merge_algo_calibration, planned_conv_algo, select_algo, with_algo_calibration_scope,
     AlgoCalibration, ConvAlgo, ConvEpilogue, ConvShapeKey, ConvTiling, PreparedLayer,
+    WINOGRAD_F4_MAX_IN_CHANNELS, WINOGRAD_MIN_TILES,
 };
 pub use engine::{Epilogue, FusedActivation, GemmLhs, PreparedGemmA, PreparedGemmB};
 pub use error::{Result, TensorError};
@@ -242,6 +251,29 @@ mod proptests {
             let r = relu(&t);
             prop_assert!(r.min() >= 0.0);
             prop_assert_eq!(relu(&r), r.clone());
+        }
+
+        #[test]
+        fn max_pool_fast_path_matches_general_loop_bitwise(
+            (c, h, w) in (1usize..3, 1usize..24, 1usize..24),
+            (k, s, p) in (2usize..4, 1usize..3, 0usize..2),
+            special in proptest::collection::vec(0usize..64, 0..24),
+        ) {
+            prop_assume!(h + 2 * p >= k && w + 2 * p >= k);
+            let mut input = Tensor::random_uniform(Shape::chw(c, h, w), 1.0, (h * 31 + w) as u64);
+            // Values whose maximum depends on tap order and operand order: signed
+            // zeros against each other, and NaN against anything.
+            let len = input.as_slice().len();
+            for (i, &at) in special.iter().enumerate() {
+                input.as_mut_slice()[at % len] = [-0.0, 0.0, f32::NAN][i % 3];
+            }
+            let params = Pool2dParams::new(k, s, p);
+            let fast = max_pool2d(&input, &params).unwrap();
+            let general = crate::ops::max_pool2d_general(&input, &params).unwrap();
+            prop_assert_eq!(fast.shape(), general.shape());
+            for (x, y) in fast.as_slice().iter().zip(general.as_slice()) {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
         }
 
         #[test]

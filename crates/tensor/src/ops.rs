@@ -5,6 +5,7 @@
 //! `_into` variants writing into a caller-provided tensor (every element of
 //! which is overwritten), so arena-backed forward passes allocate nothing.
 
+use crate::conv::valid_out_range;
 use crate::engine::{self, PreparedGemmB};
 use crate::error::{Result, TensorError};
 use crate::shape::{Pool2dParams, Shape};
@@ -146,57 +147,119 @@ fn pool2d_into(
             op: "pool output buffer",
         });
     }
-    let pad = params.padding as isize;
+    // Outputs whose whole window lies inside the image: valid for the first
+    // tap and for the last. Max pooling fills those a row at a time; the
+    // border, and average pooling, take the general per-output loop.
+    let interior = |extent: usize, out_extent: usize| {
+        let (lo, _) = valid_out_range(extent, out_extent, 0, params.stride, params.padding);
+        let (_, hi) =
+            valid_out_range(extent, out_extent, params.kernel - 1, params.stride, params.padding);
+        lo.min(hi)..hi
+    };
+    let (fast_rows, fast_cols) = match kind {
+        PoolKind::Max => (interior(ishape.h, oshape.h), interior(ishape.w, oshape.w)),
+        PoolKind::Avg => (0..0, 0..0),
+    };
     for n in 0..ishape.n {
         for c in 0..ishape.c {
             let plane = input.plane(n, c);
-            for oh in 0..oshape.h {
-                for ow in 0..oshape.w {
-                    let mut acc = match kind {
-                        PoolKind::Max => f32::NEG_INFINITY,
-                        PoolKind::Avg => 0.0,
-                    };
-                    let mut count = 0usize;
-                    for kh in 0..params.kernel {
-                        let ih = (oh * params.stride + kh) as isize - pad;
-                        if ih < 0 || ih >= ishape.h as isize {
-                            continue;
-                        }
-                        for kw in 0..params.kernel {
-                            let iw = (ow * params.stride + kw) as isize - pad;
-                            if iw < 0 || iw >= ishape.w as isize {
-                                continue;
-                            }
-                            let v = plane[ih as usize * ishape.w + iw as usize];
-                            match kind {
-                                PoolKind::Max => acc = acc.max(v),
-                                PoolKind::Avg => acc += v,
-                            }
-                            count += 1;
-                        }
-                    }
-                    let value = match kind {
-                        PoolKind::Max => {
-                            if count == 0 {
-                                0.0
-                            } else {
-                                acc
-                            }
-                        }
-                        PoolKind::Avg => {
-                            if count == 0 {
-                                0.0
-                            } else {
-                                acc / count as f32
-                            }
-                        }
-                    };
-                    out.set(n, c, oh, ow, value);
+            let dst = out.plane_mut(n, c);
+            for (oh, row) in dst.chunks_exact_mut(oshape.w).enumerate() {
+                let fast = if fast_rows.contains(&oh) { fast_cols.clone() } else { 0..0 };
+                if !fast.is_empty() {
+                    max_pool_interior_row(
+                        plane,
+                        ishape.w,
+                        params,
+                        oh,
+                        fast.start,
+                        &mut row[fast.clone()],
+                    );
+                }
+                for ow in (0..fast.start).chain(fast.end..oshape.w) {
+                    row[ow] = pool_window(plane, ishape, params, kind, oh, ow);
                 }
             }
         }
     }
     Ok(())
+}
+
+/// Max pooling of output columns `ow0..ow0 + acc.len()` of output row `oh`,
+/// all of whose windows lie inside the image: each tap is one sweep over the
+/// whole run. Every output still sees its taps in `(kh, kw)` order, so the
+/// result is bitwise the [`pool_window`] one (`-0.0` and NaN included).
+fn max_pool_interior_row(
+    plane: &[f32],
+    width: usize,
+    params: &Pool2dParams,
+    oh: usize,
+    ow0: usize,
+    acc: &mut [f32],
+) {
+    acc.fill(f32::NEG_INFINITY);
+    for kh in 0..params.kernel {
+        let ih = oh * params.stride + kh - params.padding;
+        let src_row = &plane[ih * width..(ih + 1) * width];
+        for kw in 0..params.kernel {
+            let taps = &src_row[ow0 * params.stride + kw - params.padding..];
+            if params.stride == 2 {
+                // The stem pool's stride. Whole pairs vectorize as a
+                // deinterleave (`step_by` does not); the last tap may have no
+                // partner, so it goes alone.
+                let (last, body) = acc.split_last_mut().expect("non-empty run");
+                *last = last.max(taps[2 * body.len()]);
+                for (a, pair) in body.iter_mut().zip(taps.chunks_exact(2)) {
+                    *a = a.max(pair[0]);
+                }
+            } else {
+                for (a, &v) in acc.iter_mut().zip(taps.iter().step_by(params.stride)) {
+                    *a = a.max(v);
+                }
+            }
+        }
+    }
+}
+
+/// One pooled output by the general loop: every tap bounds-checked, applied
+/// in `(kh, kw)` order; a window that sees no pixel yields 0.
+fn pool_window(
+    plane: &[f32],
+    ishape: Shape,
+    params: &Pool2dParams,
+    kind: PoolKind,
+    oh: usize,
+    ow: usize,
+) -> f32 {
+    let pad = params.padding as isize;
+    let mut acc = match kind {
+        PoolKind::Max => f32::NEG_INFINITY,
+        PoolKind::Avg => 0.0,
+    };
+    let mut count = 0usize;
+    for kh in 0..params.kernel {
+        let ih = (oh * params.stride + kh) as isize - pad;
+        if ih < 0 || ih >= ishape.h as isize {
+            continue;
+        }
+        for kw in 0..params.kernel {
+            let iw = (ow * params.stride + kw) as isize - pad;
+            if iw < 0 || iw >= ishape.w as isize {
+                continue;
+            }
+            let v = plane[ih as usize * ishape.w + iw as usize];
+            match kind {
+                PoolKind::Max => acc = acc.max(v),
+                PoolKind::Avg => acc += v,
+            }
+            count += 1;
+        }
+    }
+    match kind {
+        _ if count == 0 => 0.0,
+        PoolKind::Max => acc,
+        PoolKind::Avg => acc / count as f32,
+    }
 }
 
 /// Global average pooling: reduces each channel plane to a single value, producing an
@@ -396,6 +459,17 @@ pub fn sigmoid(input: &Tensor) -> Tensor {
     input.map(|x| 1.0 / (1.0 + (-x).exp()))
 }
 
+/// Max pooling by [`pool_window`] alone — the loop the interior fast path must
+/// reproduce bit for bit.
+#[cfg(test)]
+pub(crate) fn max_pool2d_general(input: &Tensor, params: &Pool2dParams) -> Result<Tensor> {
+    let ishape = input.shape();
+    let oshape = params.output_shape(ishape)?;
+    Ok(Tensor::from_fn(oshape, |n, c, oh, ow| {
+        pool_window(input.plane(n, c), ishape, params, PoolKind::Max, oh, ow)
+    }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,6 +504,28 @@ mod tests {
         let out = max_pool2d(&input, &Pool2dParams::new(2, 2, 0)).unwrap();
         assert_eq!(out.shape(), Shape::new(1, 1, 2, 2));
         assert_eq!(out.as_slice(), &[5.0, 7.0, 13.0, 15.0]);
+    }
+
+    #[test]
+    fn max_pool_stem_shape_matches_general_loop_bitwise() {
+        // The ResNet stem pool (3×3, stride 2, pad 1) over odd and even extents:
+        // border rows/columns take the general loop, the interior the fast
+        // path, and the seam between them must not show.
+        for (h, w) in [(112usize, 112usize), (57, 85), (3, 3), (2, 9)] {
+            let mut input = Tensor::random_uniform(Shape::new(2, 3, h, w), 1.0, (h * w) as u64);
+            for (i, v) in input.as_mut_slice().iter_mut().enumerate() {
+                match i % 11 {
+                    0 => *v = -0.0,
+                    5 => *v = 0.0,
+                    _ => {}
+                }
+            }
+            let params = Pool2dParams::new(3, 2, 1);
+            let fast = max_pool2d(&input, &params).unwrap();
+            let general = max_pool2d_general(&input, &params).unwrap();
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast), bits(&general), "{h}×{w}");
+        }
     }
 
     #[test]

@@ -485,6 +485,19 @@ fn run_on_pool(total: usize, workers: usize, task: &(dyn Fn(usize) + Sync)) {
     }
 }
 
+/// How many threads (the caller included) a dispatch of `total` tasks from this
+/// thread, right now, runs on at most: 1 unless `parallel`, and 1 inside a pool
+/// worker, where nested dispatches run inline. Kernels size per-task state
+/// they must own up front with it.
+pub(crate) fn dispatch_width(total: usize, parallel: bool) -> usize {
+    let nested = IS_POOL_WORKER.with(|flag| flag.get());
+    if parallel && !nested {
+        num_threads().min(total)
+    } else {
+        1
+    }
+}
+
 /// Splits `data` into consecutive chunks of `chunk_len` elements (the final chunk may
 /// be shorter) and invokes `f(chunk_index, chunk)` for every chunk, on pool workers
 /// when `parallel` is set and the configuration allows it.
@@ -500,8 +513,7 @@ where
 {
     let chunk_len = chunk_len.max(1);
     let n_chunks = data.len().div_ceil(chunk_len);
-    let nested = IS_POOL_WORKER.with(|flag| flag.get());
-    let workers = if parallel && !nested { num_threads().min(n_chunks) } else { 1 };
+    let workers = dispatch_width(n_chunks, parallel);
     // Snapshotted once per dispatch; checked at every chunk boundary. A fired
     // token skips the remaining chunk bodies (output is then unspecified — the
     // scope that installed the token discards the result).
@@ -554,8 +566,7 @@ pub fn for_each_task<F>(total: usize, parallel: bool, f: F)
 where
     F: Fn(usize) + Sync,
 {
-    let nested = IS_POOL_WORKER.with(|flag| flag.get());
-    let workers = if parallel && !nested { num_threads().min(total) } else { 1 };
+    let workers = dispatch_width(total, parallel);
     let token = CancellationToken::current();
     if workers <= 1 {
         for index in 0..total {

@@ -43,8 +43,14 @@ pub(crate) fn record_external_allocation() {
 /// capacity, so one huge early request cannot pin memory for tiny later ones.
 const MIN_UTILIZATION: f32 = 0.25;
 
-/// Maximum number of retired buffers kept per thread.
-const POOL_SLOTS: usize = 8;
+/// Maximum number of retired buffers kept per thread. When the pool is full the
+/// smallest buffer makes way, and a buffer only serves requests down to
+/// [`MIN_UTILIZATION`] of its size, so the slots must cover every size class a
+/// steady-state workload cycles through or the largest crowd the smallest out
+/// and each pass re-allocates them: a ResNet-50 forward over the 112²–448²
+/// ladder needs ten (1.5 K-element A-panel slices up to 1.9 M-element Winograd
+/// chunk workspaces).
+const POOL_SLOTS: usize = 16;
 
 thread_local! {
     static POOL: RefCell<Vec<Vec<f32>>> = const { RefCell::new(Vec::new()) };

@@ -26,8 +26,11 @@
 //! Tiles are processed in chunks of whole tile rows sized from the engine's
 //! scratch budget ([`engine::MAX_B_PANEL_ELEMS`]); chunks run on the persistent
 //! worker pool ([`parallel::for_each_task`]). All working buffers (packed `V`,
-//! the 16 `M` matrices) come from the thread-local [`scratch`](crate::scratch)
-//! arena, so steady-state forward passes perform zero heap allocations here too.
+//! the 16 `M` matrices) are slots of one workspace the *calling* thread takes
+//! from its [`scratch`](crate::scratch) arena per dispatch — one slot per
+//! concurrent task, never the workers' arenas, because which workers join a
+//! dispatch of a few chunks varies from call to call — so steady-state forward
+//! passes perform zero heap allocations here too.
 //!
 //! # Determinism and tolerance
 //!
@@ -40,6 +43,8 @@
 //! legitimately reassociates the arithmetic, and the contract — pinned by
 //! `tests/winograd_parity.rs` — is elementwise agreement within `1e-4` at
 //! unit-scale activations.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::engine::{self, Epilogue, GemmLhs, WriteMode, MR, NR};
 use crate::error::{Result, TensorError};
@@ -121,11 +126,41 @@ impl WinogradFilter {
     /// Returns an error if the parameters are not Winograd-eligible
     /// (kernel 3, stride 1, dense groups) or the weight shape does not match.
     pub fn prepare(weight: &Tensor, params: &Conv2dParams) -> Result<Self> {
+        Self::transform(weight, params, false, |len| vec![0.0; len])
+    }
+
+    /// Computes the F(4×4, 3×3) filter transform: `U = G·g·Gᵀ` with the 6×3
+    /// `G` of [`f4_filter_stencil`], lifting every kernel to 36 transform
+    /// points in the same prepacked panel layout as [`Self::prepare`]. Memory
+    /// cost is `36/9 = 4×` the original weights (vs `1.78×` for F(2×2)), paid
+    /// once per layer.
+    ///
+    /// # Errors
+    /// Returns an error if the parameters are not Winograd-eligible
+    /// (kernel 3, stride 1, dense groups) or the weight shape does not match.
+    pub fn prepare_f4(weight: &Tensor, params: &Conv2dParams) -> Result<Self> {
+        Self::transform(weight, params, true, |len| vec![0.0; len])
+    }
+
+    /// Validates the layer and fills a zeroed bank from `alloc` with the
+    /// F(2×2) or F(4×4) transform. Cached banks own a plain `Vec`; the
+    /// per-call banks of the unprepared entry points borrow theirs from the
+    /// scratch arena.
+    fn transform(
+        weight: &Tensor,
+        params: &Conv2dParams,
+        f4: bool,
+        alloc: impl FnOnce(usize) -> Vec<f32>,
+    ) -> Result<Self> {
         if !crate::conv::ConvAlgo::Winograd.supports(params) {
             return Err(TensorError::ShapeMismatch {
                 left: vec![params.kernel, params.stride, params.groups],
                 right: vec![3, 1, 1],
-                op: "winograd requires kernel=3 stride=1 groups=1",
+                op: if f4 {
+                    "winograd_f4 requires kernel=3 stride=1 groups=1"
+                } else {
+                    "winograd requires kernel=3 stride=1 groups=1"
+                },
             });
         }
         crate::conv::validate_weight(params, weight)?;
@@ -134,14 +169,29 @@ impl WinogradFilter {
         // Packed destination: point t, tile oc/MR, element (r = oc % MR, p = ic)
         // at `t*seg + tile*(i*MR) + ic*MR + r` — written directly, no O×I
         // intermediate. Tail-tile padding rows stay zero.
-        let tiles = o.div_ceil(MR);
-        let point_seg = tiles * i * MR;
-        let mut u = vec![0.0f32; POINTS * point_seg];
-        let wdata = weight.as_slice();
-        for oc in 0..o {
-            let tile_base = (oc / MR) * (i * MR) + oc % MR;
-            for ic in 0..i {
-                let g = &wdata[(oc * i + ic) * 9..(oc * i + ic) * 9 + 9];
+        let point_seg = o.div_ceil(MR) * i * MR;
+        let points = if f4 { POINTS_F4 } else { POINTS };
+        let mut u = alloc(points * point_seg);
+        for (pair, g) in weight.as_slice().chunks_exact(9).enumerate() {
+            let (oc, ic) = (pair / i, pair % i);
+            let base = (oc / MR) * (i * MR) + oc % MR + ic * MR;
+            if f4 {
+                // tmp = G·g: the 6-point stencil down each of the 3 columns.
+                let mut tmp = [[0.0f32; 3]; ALPHA_F4];
+                for c in 0..3 {
+                    let col = f4_filter_stencil(g[c], g[3 + c], g[6 + c]);
+                    for r in 0..ALPHA_F4 {
+                        tmp[r][c] = col[r];
+                    }
+                }
+                // U = tmp·Gᵀ: the same stencil along each row.
+                for r in 0..ALPHA_F4 {
+                    let row = f4_filter_stencil(tmp[r][0], tmp[r][1], tmp[r][2]);
+                    for (c, &value) in row.iter().enumerate() {
+                        u[(r * ALPHA_F4 + c) * point_seg + base] = value;
+                    }
+                }
+            } else {
                 // tmp = G·g, with G = [[1,0,0],[½,½,½],[½,−½,½],[0,0,1]].
                 let mut tmp = [[0.0f32; 3]; ALPHA];
                 for c in 0..3 {
@@ -156,60 +206,12 @@ impl WinogradFilter {
                     let (t0, t1, t2) = (tmp[r][0], tmp[r][1], tmp[r][2]);
                     let row = [t0, 0.5 * (t0 + t1 + t2), 0.5 * (t0 - t1 + t2), t2];
                     for (c, &value) in row.iter().enumerate() {
-                        u[(r * ALPHA + c) * point_seg + tile_base + ic * MR] = value;
+                        u[(r * ALPHA + c) * point_seg + base] = value;
                     }
                 }
             }
         }
-        Ok(WinogradFilter { u, point_seg, points: POINTS, out_channels: o, in_channels: i })
-    }
-
-    /// Computes the F(4×4, 3×3) filter transform: `U = G·g·Gᵀ` with the 6×3
-    /// `G` of [`f4_filter_stencil`], lifting every kernel to 36 transform
-    /// points in the same prepacked panel layout as [`Self::prepare`]. Memory
-    /// cost is `36/9 = 4×` the original weights (vs `1.78×` for F(2×2)), paid
-    /// once per layer.
-    ///
-    /// # Errors
-    /// Returns an error if the parameters are not Winograd-eligible
-    /// (kernel 3, stride 1, dense groups) or the weight shape does not match.
-    pub fn prepare_f4(weight: &Tensor, params: &Conv2dParams) -> Result<Self> {
-        if !crate::conv::ConvAlgo::WinogradF4.supports(params) {
-            return Err(TensorError::ShapeMismatch {
-                left: vec![params.kernel, params.stride, params.groups],
-                right: vec![3, 1, 1],
-                op: "winograd_f4 requires kernel=3 stride=1 groups=1",
-            });
-        }
-        crate::conv::validate_weight(params, weight)?;
-        let o = params.out_channels;
-        let i = params.in_channels;
-        let tiles = o.div_ceil(MR);
-        let point_seg = tiles * i * MR;
-        let mut u = vec![0.0f32; POINTS_F4 * point_seg];
-        let wdata = weight.as_slice();
-        for oc in 0..o {
-            let tile_base = (oc / MR) * (i * MR) + oc % MR;
-            for ic in 0..i {
-                let g = &wdata[(oc * i + ic) * 9..(oc * i + ic) * 9 + 9];
-                // tmp = G·g: the 6-point stencil down each of the 3 columns.
-                let mut tmp = [[0.0f32; 3]; ALPHA_F4];
-                for c in 0..3 {
-                    let col = f4_filter_stencil(g[c], g[3 + c], g[6 + c]);
-                    for r in 0..ALPHA_F4 {
-                        tmp[r][c] = col[r];
-                    }
-                }
-                // U = tmp·Gᵀ: the same stencil along each row.
-                for r in 0..ALPHA_F4 {
-                    let row = f4_filter_stencil(tmp[r][0], tmp[r][1], tmp[r][2]);
-                    for (c, &value) in row.iter().enumerate() {
-                        u[(r * ALPHA_F4 + c) * point_seg + tile_base + ic * MR] = value;
-                    }
-                }
-            }
-        }
-        Ok(WinogradFilter { u, point_seg, points: POINTS_F4, out_channels: o, in_channels: i })
+        Ok(WinogradFilter { u, point_seg, points, out_channels: o, in_channels: i })
     }
 
     /// Whether this bank holds the 36-point F(4×4, 3×3) transform (as opposed
@@ -640,6 +642,14 @@ fn winograd_fused_into_any(
     let out_plane = out_ch * oh * ow;
     let in_all = input.as_slice();
     let out_base = out.as_mut_slice().as_mut_ptr();
+    // Chunk scratch comes from the *calling* thread's arena, one slot per
+    // concurrently running task: which pool workers join a dispatch varies
+    // from call to call, so scratch drawn on the workers would keep landing in
+    // arenas that have never seen this layer's largest chunk.
+    let slot_len = chunk_workspace_len(f4, in_ch, out_ch, tiles_w, rows_per_chunk);
+    let width = parallel::dispatch_width(n_chunks, parallel);
+    let mut workspace = scratch::take_uninit(width.min(WorkspaceSlots::MAX) * slot_len);
+    let slots = WorkspaceSlots::new(&mut workspace, slot_len);
     for n in 0..ishape.n {
         let pass = WinogradPass {
             u: &filter.u,
@@ -662,17 +672,125 @@ fn winograd_fused_into_any(
             residual: residual.map(|s| &s[n * out_plane..(n + 1) * out_plane]),
             activation,
         };
-        parallel::for_each_task(n_chunks, parallel && n_chunks > 1, |chunk| {
+        parallel::for_each_task(n_chunks, parallel, |chunk| {
             let tr0 = chunk * rows_per_chunk;
             let tr1 = (tr0 + rows_per_chunk).min(tiles_h);
-            if f4 {
-                pass.run_chunk_f4(tr0, tr1);
-            } else {
-                pass.run_chunk_f2(tr0, tr1);
-            }
+            pass.run_chunk_f2_or_f4(f4, tr0, tr1, slots.acquire().get());
         });
     }
+    scratch::give(workspace);
     Ok(())
+}
+
+/// Lengths of the four scratch regions one chunk of `rows` tile rows carves
+/// out of its workspace, in order: packed `V`, the input-transform row stage,
+/// the per-point GEMM outputs `M`, the output-transform row stage.
+fn chunk_workspace_parts(
+    f4: bool,
+    in_ch: usize,
+    out_ch: usize,
+    tiles_w: usize,
+    rows: usize,
+) -> [usize; 4] {
+    let p = rows * tiles_w;
+    let vseg = p.div_ceil(NR) * in_ch * NR;
+    if f4 {
+        let wz = 4 * tiles_w + 2;
+        [POINTS_F4 * vseg, 2 * ALPHA_F4 * wz, POINTS_F4 * out_ch * p, 28 * tiles_w]
+    } else {
+        let half = tiles_w + 1;
+        [POINTS * vseg, 4 * (2 * half) + 8 * half, POINTS * out_ch * p, 12 * tiles_w]
+    }
+}
+
+/// Elements of scratch one chunk of `rows` tile rows needs.
+pub(crate) fn chunk_workspace_len(
+    f4: bool,
+    in_ch: usize,
+    out_ch: usize,
+    tiles_w: usize,
+    rows: usize,
+) -> usize {
+    chunk_workspace_parts(f4, in_ch, out_ch, tiles_w, rows).iter().sum()
+}
+
+/// Splits a chunk workspace into the regions of [`chunk_workspace_parts`].
+fn carve(ws: &mut [f32], parts: [usize; 4]) -> [&mut [f32]; 4] {
+    let (a, rest) = ws.split_at_mut(parts[0]);
+    let (b, rest) = rest.split_at_mut(parts[1]);
+    let (c, rest) = rest.split_at_mut(parts[2]);
+    [a, b, c, &mut rest[..parts[3]]]
+}
+
+/// One scratch buffer cut into equal slots, lent one at a time to the chunk
+/// tasks of a parallel dispatch. A free-slot bitmask hands them out; a task
+/// that finds none free (more participants than [`WorkspaceSlots::MAX`], or a
+/// thread budget raised mid-dispatch) yields until a running task returns its.
+struct WorkspaceSlots<'a> {
+    base: OutPtr,
+    slot_len: usize,
+    free: AtomicU64,
+    _buffer: std::marker::PhantomData<&'a mut [f32]>,
+}
+
+impl<'a> WorkspaceSlots<'a> {
+    /// Slots one bitmask word can track.
+    const MAX: usize = 64;
+
+    fn new(buffer: &'a mut [f32], slot_len: usize) -> Self {
+        let slots = (buffer.len() / slot_len.max(1)).min(Self::MAX);
+        assert!(slots > 0, "workspace smaller than one slot");
+        WorkspaceSlots {
+            base: OutPtr(buffer.as_mut_ptr()),
+            slot_len,
+            free: AtomicU64::new(u64::MAX >> (64 - slots)),
+            _buffer: std::marker::PhantomData,
+        }
+    }
+
+    fn acquire(&self) -> WorkspaceSlot<'_, 'a> {
+        loop {
+            // Acquire pairs with the Release in `drop`: the previous holder's
+            // writes to the slot happen-before this task's.
+            let free = self.free.load(Ordering::Acquire);
+            if free == 0 {
+                std::thread::yield_now();
+                continue;
+            }
+            let index = free.trailing_zeros() as usize;
+            let claimed = free & !(1 << index);
+            if self
+                .free
+                .compare_exchange_weak(free, claimed, Ordering::AcqRel, Ordering::Relaxed)
+                .is_ok()
+            {
+                return WorkspaceSlot { slots: self, index };
+            }
+        }
+    }
+}
+
+/// Exclusive use of one slot until dropped (unwinding included, so a
+/// panicking chunk cannot strand the tasks behind it).
+struct WorkspaceSlot<'s, 'a> {
+    slots: &'s WorkspaceSlots<'a>,
+    index: usize,
+}
+
+impl WorkspaceSlot<'_, '_> {
+    fn get(&mut self) -> &mut [f32] {
+        let WorkspaceSlots { base, slot_len, .. } = self.slots;
+        // SAFETY: `index < slots ≤ buffer.len() / slot_len`, so the range lies
+        // inside the buffer `WorkspaceSlots` borrows mutably for `'a`; its bit
+        // is cleared in `free` while `self` lives, so no other task holds it.
+        unsafe { std::slice::from_raw_parts_mut(base.get().add(self.index * slot_len), *slot_len) }
+    }
+}
+
+impl Drop for WorkspaceSlot<'_, '_> {
+    fn drop(&mut self) {
+        self.slots.free.fetch_or(1 << self.index, Ordering::Release);
+    }
 }
 
 /// One sample's Winograd execution context: the transform bank plus row views
@@ -715,18 +833,22 @@ impl WinogradPass<'_> {
     /// Dispatches to [`WinogradPass::run_chunk_f4`] or
     /// [`WinogradPass::run_chunk_f2`] — the chain executor drives both variants
     /// through one code path.
-    pub(crate) fn run_chunk_f2_or_f4(&self, f4: bool, tr0: usize, tr1: usize) {
+    ///
+    /// `ws` is the chunk's scratch — at least [`chunk_workspace_len`] of
+    /// `tr1 - tr0` rows, contents unspecified — owned by the caller so that it
+    /// comes from the dispatching thread's arena, never a pool worker's.
+    pub(crate) fn run_chunk_f2_or_f4(&self, f4: bool, tr0: usize, tr1: usize, ws: &mut [f32]) {
         if f4 {
-            self.run_chunk_f4(tr0, tr1);
+            self.run_chunk_f4(tr0, tr1, ws);
         } else {
-            self.run_chunk_f2(tr0, tr1);
+            self.run_chunk_f2(tr0, tr1, ws);
         }
     }
 
     /// Executes tile rows `[tr0, tr1)` of the F(2×2, 3×3) pipeline: input
     /// transform into packed-B segments, one GEMM per transform point, fused
     /// inverse transform into the output view.
-    pub(crate) fn run_chunk_f2(&self, tr0: usize, tr1: usize) {
+    fn run_chunk_f2(&self, tr0: usize, tr1: usize, ws: &mut [f32]) {
         debug_assert!(
             self.residual.is_none() || self.out_rows == self.oh,
             "residual fusion requires an unrung output view"
@@ -741,7 +863,8 @@ impl WinogradPass<'_> {
         let p = (tr1 - tr0) * tiles_w;
         let panels = p.div_ceil(NR);
         let vseg = panels * in_ch * NR;
-        let mut vpack = scratch::take_uninit(POINTS * vseg);
+        let parts = chunk_workspace_parts(false, in_ch, out_ch, tiles_w, tr1 - tr0);
+        let [vpack, stage, mbuf, obuf] = carve(ws, parts);
 
         // --- Input transform: V = Bᵀ·d·B, written straight into the 16
         // packed-B segments (tile j is column j of every point's GEMM). The
@@ -752,7 +875,6 @@ impl WinogradPass<'_> {
         // transform point is a two-term stencil over those arrays. ---
         let wz = 2 * (tiles_w + 1);
         let half = tiles_w + 1;
-        let mut stage = scratch::take_uninit(4 * wz + 8 * half);
         for ic in 0..in_ch {
             let plane =
                 &self.in_data[ic * self.in_rows * self.iw..(ic + 1) * self.in_rows * self.iw];
@@ -810,27 +932,15 @@ impl WinogradPass<'_> {
                 for r in 0..ALPHA {
                     let even = &eo[2 * r * half..2 * r * half + half];
                     let odd = &eo[(2 * r + 1) * half..(2 * r + 1) * half + half];
-                    scatter_stencil_rows(
-                        &mut vpack,
-                        vseg,
-                        in_ch,
-                        ic,
-                        r * ALPHA,
-                        j0,
-                        tiles_w,
-                        even,
-                        odd,
-                    );
+                    scatter_stencil_rows(vpack, vseg, in_ch, ic, r * ALPHA, j0, tiles_w, even, odd);
                 }
             }
         }
-        scratch::give(stage);
 
         // --- Per-point channel reduction: M(t) = U(t) · V(t), one packed GEMM
         // per transform point (serial within the task; parallelism lives at the
         // chunk level). U arrives prepacked in the filter bank, so the GEMMs
         // consume it directly — no per-chunk repacking of the weights. ---
-        let mut mbuf = scratch::take_uninit(POINTS * out_ch * p);
         for t in 0..POINTS {
             engine::packed_gemm_strided(
                 GemmLhs::Packed { panels: &u[t * point_seg..(t + 1) * point_seg], k: in_ch },
@@ -853,7 +963,6 @@ impl WinogradPass<'_> {
         // Safety: chunks own disjoint tile-row ranges, so all writes are
         // pairwise disjoint and in-bounds. ---
         let base_ptr = self.out.get();
-        let mut obuf = scratch::take_uninit(12 * tiles_w);
         for c_out in 0..out_ch {
             let bias_v = bias.map_or(0.0, |b| b[c_out]);
             let plane_base = c_out * self.out_rows * ow;
@@ -916,9 +1025,6 @@ impl WinogradPass<'_> {
                 }
             }
         }
-        scratch::give(obuf);
-        scratch::give(mbuf);
-        scratch::give(vpack);
     }
 
     /// Executes tile rows `[tr0, tr1)` of the F(4×4, 3×3) pipeline. Same
@@ -926,7 +1032,7 @@ impl WinogradPass<'_> {
     /// have six/four rows, tiles advance by four columns (no even/odd
     /// deinterleave — tile `t` reads staged columns `4t..4t+6` directly), and
     /// each tile row feeds 36 packed-B segments.
-    pub(crate) fn run_chunk_f4(&self, tr0: usize, tr1: usize) {
+    fn run_chunk_f4(&self, tr0: usize, tr1: usize, ws: &mut [f32]) {
         debug_assert!(
             self.residual.is_none() || self.out_rows == self.oh,
             "residual fusion requires an unrung output view"
@@ -941,13 +1047,13 @@ impl WinogradPass<'_> {
         let p = (tr1 - tr0) * tiles_w;
         let panels = p.div_ceil(NR);
         let vseg = panels * in_ch * NR;
-        let mut vpack = scratch::take_uninit(POINTS_F4 * vseg);
+        let parts = chunk_workspace_parts(true, in_ch, out_ch, tiles_w, tr1 - tr0);
+        let [vpack, stage, mbuf, obuf] = carve(ws, parts);
 
         // --- Input transform: V = Bᵀ·d·B into the 36 packed-B segments. Tile
         // t's column transform reads staged columns 4t..4t+6, so the staged
         // width covers 4·tiles_w + 2 columns. ---
         let wz = 4 * tiles_w + 2;
-        let mut stage = scratch::take_uninit(2 * ALPHA_F4 * wz);
         for ic in 0..in_ch {
             let plane =
                 &self.in_data[ic * self.in_rows * self.iw..(ic + 1) * self.in_rows * self.iw];
@@ -992,7 +1098,7 @@ impl WinogradPass<'_> {
                 let j0 = (tr - tr0) * tiles_w;
                 for r in 0..ALPHA_F4 {
                     scatter_stencil_rows_f4(
-                        &mut vpack,
+                        vpack,
                         vseg,
                         in_ch,
                         ic,
@@ -1004,11 +1110,9 @@ impl WinogradPass<'_> {
                 }
             }
         }
-        scratch::give(stage);
 
         // --- Per-point channel reduction: M(t) = U(t)·V(t), one packed GEMM
         // per transform point against the prepacked bank. ---
-        let mut mbuf = scratch::take_uninit(POINTS_F4 * out_ch * p);
         for t in 0..POINTS_F4 {
             engine::packed_gemm_strided(
                 GemmLhs::Packed { panels: &u[t * point_seg..(t + 1) * point_seg], k: in_ch },
@@ -1028,7 +1132,6 @@ impl WinogradPass<'_> {
         // Aᵀ = [[1,1,1,1,1,0],[0,1,−1,2,−2,0],[0,1,1,4,4,0],[0,1,−1,8,−8,1]].
         // Safety: chunks own disjoint tile-row ranges (see `OutPtr`). ---
         let base_ptr = self.out.get();
-        let mut obuf = scratch::take_uninit(28 * tiles_w);
         for c_out in 0..out_ch {
             let bias_v = bias.map_or(0.0, |b| b[c_out]);
             let plane_base = c_out * self.out_rows * ow;
@@ -1090,16 +1193,15 @@ impl WinogradPass<'_> {
                 }
             }
         }
-        scratch::give(obuf);
-        scratch::give(mbuf);
-        scratch::give(vpack);
     }
 }
 
 /// Winograd F(2×2, 3×3) convolution from raw weights: computes the filter
-/// transform and runs [`conv2d_winograd_prepared`]. The transform costs
-/// `O(O·I)` — negligible next to the convolution itself — but repeat callers
-/// should cache a [`WinogradFilter`] instead.
+/// transform into a scratch-arena bank (default dispatch reaches this from
+/// [`conv2d`](crate::conv2d), so it must stay allocation-free when warm) and
+/// runs [`conv2d_winograd_prepared`]. The transform costs `O(O·I)` —
+/// negligible next to the convolution itself — but repeat callers should cache
+/// a [`WinogradFilter`] instead.
 ///
 /// # Errors
 /// Returns an error if the parameters are not Winograd-eligible or the weight
@@ -1110,8 +1212,10 @@ pub fn conv2d_winograd(
     bias: Option<&[f32]>,
     params: &Conv2dParams,
 ) -> Result<Tensor> {
-    let filter = WinogradFilter::prepare(weight, params)?;
-    conv2d_winograd_prepared(input, &filter, bias, params, FusedActivation::None)
+    let filter = WinogradFilter::transform(weight, params, false, scratch::take)?;
+    let out = conv2d_winograd_prepared(input, &filter, bias, params, FusedActivation::None);
+    scratch::give(filter.u);
+    out
 }
 
 /// Winograd F(4×4, 3×3) convolution against a pre-transformed filter bank
@@ -1160,8 +1264,9 @@ pub fn conv2d_winograd_f4_fused_into(
 }
 
 /// Winograd F(4×4, 3×3) convolution from raw weights: computes the filter
-/// transform and runs [`conv2d_winograd_f4_prepared`]. Repeat callers should
-/// cache the [`WinogradFilter`].
+/// transform into a scratch-arena bank and runs
+/// [`conv2d_winograd_f4_prepared`]. Repeat callers should cache the
+/// [`WinogradFilter`].
 ///
 /// # Errors
 /// Returns an error if the parameters are not Winograd-eligible or the weight
@@ -1172,8 +1277,10 @@ pub fn conv2d_winograd_f4(
     bias: Option<&[f32]>,
     params: &Conv2dParams,
 ) -> Result<Tensor> {
-    let filter = WinogradFilter::prepare_f4(weight, params)?;
-    conv2d_winograd_f4_prepared(input, &filter, bias, params, FusedActivation::None)
+    let filter = WinogradFilter::transform(weight, params, true, scratch::take)?;
+    let out = conv2d_winograd_f4_prepared(input, &filter, bias, params, FusedActivation::None);
+    scratch::give(filter.u);
+    out
 }
 
 /// Measures the F(4×4, 3×3) numerical error for one layer shape: the maximum
@@ -1340,6 +1447,34 @@ mod tests {
         let b = winograd_f4_unit_error(&params, shape).unwrap();
         assert_eq!(a.to_bits(), b.to_bits(), "probe must be a pure function of the shape");
         assert!(a > 0.0 && a < WINOGRAD_F4_TOLERANCE, "unit error {a} vs pinned bound");
+    }
+
+    #[test]
+    fn workspace_slots_are_exclusive_and_return_on_drop_or_unwind() {
+        // Two slots of five elements; the three-element remainder is never lent.
+        let mut buffer = vec![0.0f32; 13];
+        let slots = WorkspaceSlots::new(&mut buffer, 5);
+        let mut a = slots.acquire();
+        let mut b = slots.acquire();
+        assert_ne!(a.index, b.index);
+        a.get().fill(1.0);
+        b.get().fill(2.0);
+        assert!(a.get().iter().all(|&x| x == 1.0) && a.get().len() == 5);
+        // Both are out: a third task spins until one comes back, and gets that one.
+        let freed = a.index;
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| slots.acquire().index);
+            drop(a);
+            assert_eq!(waiter.join().expect("waiter panicked"), freed);
+        });
+        // A chunk that panics while holding a slot returns it on the way out.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = slots.acquire();
+            panic!("chunk died");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(slots.acquire().index, freed);
+        drop(b);
     }
 
     #[test]

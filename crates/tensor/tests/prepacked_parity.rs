@@ -9,11 +9,15 @@
 //! * **Fused epilogues reassociate nothing** — executing the block tail
 //!   (residual add + activation) inside the kernel's output write is bitwise
 //!   identical to the separate `add_relu_in_place`-style passes.
+//! * **The panels are the weights** — a prepared layer keeps no second f32
+//!   copy, so `PreparedGemmA::unpack_into` must invert `prepare` bit for bit
+//!   and `PreparedLayer::weight()` must return the tensor the layer was built
+//!   from.
 
 use rescnn_tensor::{
     add_relu_in_place, conv2d_with_algo, linear, linear_prepared, relu6_in_place, relu_in_place,
-    ActivationArena, Conv2dParams, ConvAlgo, ConvEpilogue, FusedActivation, PreparedGemmB,
-    PreparedLayer, Shape, Tensor,
+    ActivationArena, Conv2dParams, ConvAlgo, ConvEpilogue, FusedActivation, PreparedGemmA,
+    PreparedGemmB, PreparedLayer, Shape, Tensor,
 };
 
 fn sample(params: &Conv2dParams, res: usize, seed: u64) -> (Tensor, Tensor, Vec<f32>) {
@@ -183,4 +187,62 @@ fn prepared_linear_matches_reference() {
     // Wrong feature count is rejected.
     let bad = Tensor::zeros(Shape::new(1, in_features + 1, 1, 1));
     assert!(linear_prepared(&bad, &packed, None).is_err());
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Unpack ∘ prepare is the identity on bit patterns: row counts on and off the
+/// `MR = 6` grid, shared dimensions of a 1×1, 3×3 and 7×7 kernel over odd
+/// channel counts, a leading dimension wider than `k`, and values (`-0.0`, a
+/// NaN payload, a subnormal) that any arithmetic on the way would disturb.
+#[test]
+fn unpacking_prepared_panels_restores_the_rows_bitwise() {
+    for rows in [1usize, 5, 6, 7, 12, 13, 64] {
+        for k in [1usize, 9, 3 * 49, 5 * 9 + 2] {
+            for lda in [k, k + 3] {
+                let mut a: Vec<f32> =
+                    (0..rows * lda).map(|i| ((i * 37) % 101) as f32 * 0.03 - 1.5).collect();
+                a[0] = -0.0;
+                a[(rows - 1) * lda + k - 1] = f32::from_bits(0x7fc0_1234);
+                a[(rows / 2) * lda] = f32::from_bits(1);
+                let prepared = PreparedGemmA::prepare(&a, lda, rows, k);
+                let mut restored = vec![7.0f32; rows * k];
+                prepared.unpack_into(&mut restored);
+                for r in 0..rows {
+                    assert_eq!(
+                        bits(&restored[r * k..(r + 1) * k]),
+                        bits(&a[r * lda..r * lda + k]),
+                        "row {r} of {rows}×{k} (lda {lda})"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `weight()` hands back the construction tensor: dense layers with output
+/// channels off the `MR` grid at kernels 1/3/7, grouped layers (every group
+/// has its own panels, each with a ragged tail tile) and a depthwise layer
+/// (which keeps the raw tensor and lends it out).
+#[test]
+fn prepared_layer_weight_equals_the_tensor_it_was_built_from() {
+    let cases = [
+        Conv2dParams::new(5, 7, 1, 1, 0),
+        Conv2dParams::new(13, 21, 3, 1, 1),
+        Conv2dParams::new(3, 64, 7, 2, 3),
+        Conv2dParams::new(12, 20, 3, 1, 1).with_groups(4),
+        Conv2dParams::new(8, 12, 1, 1, 0).with_groups(4),
+        Conv2dParams::new(6, 14, 7, 2, 3).with_groups(2),
+        Conv2dParams::depthwise(11, 3, 1, 1),
+    ];
+    for params in cases {
+        let (_, mut weight, bias) = sample(&params, 9, 5 + params.kernel as u64);
+        weight.as_mut_slice()[0] = -0.0;
+        let prepared = PreparedLayer::new(weight.clone(), Some(bias), params).unwrap();
+        let restored = prepared.weight();
+        assert_eq!(restored.shape(), weight.shape(), "{params:?}");
+        assert_eq!(bits(restored.as_slice()), bits(weight.as_slice()), "{params:?}");
+    }
 }

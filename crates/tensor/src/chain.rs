@@ -405,8 +405,7 @@ pub fn conv2d_chain_fused_into(
             None => {
                 let lhs = consumer.dense_gemm_lhs().expect("planned pointwise consumer");
                 let hw = oh * ow;
-                let stripe_cols_max =
-                    (engine::MAX_B_PANEL_ELEMS / mid_ch.max(1)).div_ceil(NR).max(1) * NR;
+                let stripe_cols_max = engine::b_stripe_cols(mid_ch);
                 // Safety: the pointwise consumer reads the band only after the
                 // producer's serial chunk finished writing it.
                 let out_region = unsafe {

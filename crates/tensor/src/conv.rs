@@ -1216,31 +1216,17 @@ fn im2col_pack_stripe(
                     let j0 = (oh - oh0) * oshape.w + ow_lo;
                     let mut within = j0 % NR;
                     let mut index = (j0 / NR) * panel_stride + row * NR + within;
-                    if stride == 1 {
-                        // Contiguous source: copy in panel-aligned runs instead of
-                        // scattering element by element.
-                        let mut iw = ow_lo + kw - pad;
-                        let mut remaining = ow_hi - ow_lo;
-                        while remaining > 0 {
-                            let run = (NR - within).min(remaining);
-                            dst[index..index + run].copy_from_slice(&src_row[iw..iw + run]);
-                            iw += run;
-                            remaining -= run;
-                            index += run + if within + run == NR { panel_stride - NR } else { 0 };
-                            within = (within + run) % NR;
-                        }
-                    } else {
-                        let mut iw = ow_lo * stride + kw - pad;
-                        for _ in ow_lo..ow_hi {
-                            dst[index] = src_row[iw];
-                            iw += stride;
-                            within += 1;
-                            index += 1;
-                            if within == NR {
-                                within = 0;
-                                index += panel_stride - NR;
-                            }
-                        }
+                    // Copy in panel-aligned runs: each run fills the rest of one
+                    // panel row, gathered from every `stride`-th source element.
+                    let mut iw = ow_lo * stride + kw - pad;
+                    let mut remaining = ow_hi - ow_lo;
+                    while remaining > 0 {
+                        let run = (NR - within).min(remaining);
+                        gather_strided(&mut dst[index..index + run], &src_row[iw..], stride);
+                        iw += run * stride;
+                        remaining -= run;
+                        index += run + if within + run == NR { panel_stride - NR } else { 0 };
+                        within = (within + run) % NR;
                     }
                 }
             }
@@ -1248,11 +1234,34 @@ fn im2col_pack_stripe(
     }
 }
 
-/// Output-row stripe height keeping one packed im2col stripe within the engine's
-/// scratch budget (resolution-aware: taller stripes at low resolution, shorter at
-/// high resolution).
+/// Fills `dst` with `src[0], src[stride], src[2·stride], …`. `src` must hold
+/// the last sample, `src[(dst.len() − 1) · stride]`, but need not extend past
+/// it. Stride 2 (the stem, the stride-2 3×3 and the 1×1 downsample layers)
+/// reads pairs, which the compiler turns into vector shuffles.
+#[inline]
+fn gather_strided(dst: &mut [f32], src: &[f32], stride: usize) {
+    match stride {
+        1 => dst.copy_from_slice(&src[..dst.len()]),
+        2 => {
+            let Some((last, head)) = dst.split_last_mut() else { return };
+            for (d, pair) in head.iter_mut().zip(src.chunks_exact(2)) {
+                *d = pair[0];
+            }
+            *last = src[head.len() * 2];
+        }
+        _ => {
+            for (d, &s) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                *d = s;
+            }
+        }
+    }
+}
+
+/// Output-row stripe height of one packed im2col stripe: the engine's B-stripe
+/// rule ([`engine::b_stripe_rows`]; taller stripes at low resolution, shorter
+/// at high resolution), capped at the output height.
 pub(crate) fn stripe_height(rows: usize, oshape: Shape) -> usize {
-    (engine::MAX_B_PANEL_ELEMS / (rows * oshape.w).max(1)).clamp(1, oshape.h)
+    engine::b_stripe_rows(rows, oshape.w).clamp(1, oshape.h)
 }
 
 /// The weight operand of an engine GEMM convolution: raw row-major weights
@@ -1473,8 +1482,7 @@ fn gemm_1x1_into(
     let in_per_group = params.in_channels / params.groups;
     let out_per_group = params.out_channels / params.groups;
     // Column stripes bound packed-B scratch for high-resolution feature maps.
-    let stripe_cols_max =
-        (engine::MAX_B_PANEL_ELEMS / in_per_group.max(1)).div_ceil(NR).max(1) * NR;
+    let stripe_cols_max = engine::b_stripe_cols(in_per_group);
     let parallel = params.macs(ishape).unwrap_or(0) >= engine::PARALLEL_MIN_MACS;
 
     let residual = epilogue.residual.map(Tensor::as_slice);
@@ -1641,6 +1649,7 @@ fn depthwise_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_input(shape: Shape, seed: u64) -> Tensor {
         Tensor::random_uniform(shape, 1.0, seed)
@@ -1967,6 +1976,82 @@ mod tests {
             let direct = conv2d_direct(&input, &weight, Some(&bias), &params).unwrap();
             let dedicated = conv2d_depthwise(&input, &weight, Some(&bias), &params).unwrap();
             assert_close(&direct, &dedicated, 1e-4);
+        }
+    }
+
+    /// The per-element packer `im2col_pack_stripe` used before its run-based
+    /// strided gather: one scatter, with its own panel arithmetic, per sampled
+    /// input element. Kept as the oracle the run-based packer must match
+    /// bitwise.
+    #[allow(clippy::too_many_arguments)]
+    fn im2col_pack_stripe_per_element(
+        input: &Tensor,
+        params: &Conv2dParams,
+        batch: usize,
+        group: usize,
+        oshape: Shape,
+        oh0: usize,
+        oh1: usize,
+        dst: &mut [f32],
+    ) {
+        let ishape = input.shape();
+        let (k, stride, pad) = (params.kernel, params.stride, params.padding);
+        let in_per_group = params.in_channels / params.groups;
+        let panel_stride = in_per_group * k * k * NR;
+        for icg in 0..in_per_group {
+            let plane = input.plane(batch, group * in_per_group + icg);
+            for kh in 0..k {
+                let (oh_lo, oh_hi) = valid_out_range(ishape.h, oshape.h, kh, stride, pad);
+                for kw in 0..k {
+                    let row = (icg * k + kh) * k + kw;
+                    let (ow_lo, ow_hi) = valid_out_range(ishape.w, oshape.w, kw, stride, pad);
+                    for oh in oh_lo.max(oh0)..oh_hi.min(oh1) {
+                        for ow in ow_lo..ow_hi {
+                            let j = (oh - oh0) * oshape.w + ow;
+                            let (ih, iw) = (oh * stride + kh - pad, ow * stride + kw - pad);
+                            dst[(j / NR) * panel_stride + row * NR + j % NR] =
+                                plane[ih * ishape.w + iw];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn run_based_packer_matches_per_element_oracle_bitwise(
+            (kernel, stride, pad_draw) in (
+                prop_oneof![Just(1usize), Just(3usize), Just(7usize)],
+                1usize..4,
+                0usize..4,
+            ),
+            (in_ch, groups, ih, iw, batch) in (1usize..6, 1usize..3, 1usize..40, 1usize..70, 1usize..3),
+            (stripe_draw, start_draw) in (0usize..64, 0usize..64),
+        ) {
+            let pad = pad_draw % (kernel / 2 + 1);
+            let params =
+                Conv2dParams::new(in_ch * groups, 2 * groups, kernel, stride, pad).with_groups(groups);
+            let shape = Shape::new(batch, in_ch * groups, ih, iw);
+            let Ok(oshape) = params.output_shape(shape) else {
+                return Err(TestCaseError::Reject);
+            };
+            let input = sample_input(shape, (ih * 97 + iw) as u64);
+            let oh0 = start_draw % oshape.h;
+            let oh1 = (oh0 + 1 + stripe_draw % oshape.h).min(oshape.h);
+            let len = ((oh1 - oh0) * oshape.w).div_ceil(NR) * in_ch * kernel * kernel * NR;
+            for (n, g) in (0..batch).flat_map(|n| (0..groups).map(move |g| (n, g))) {
+                let mut runs = vec![0.0f32; len];
+                let mut oracle = vec![0.0f32; len];
+                im2col_pack_stripe(&input, &params, n, g, oshape, oh0, oh1, &mut runs);
+                im2col_pack_stripe_per_element(&input, &params, n, g, oshape, oh0, oh1, &mut oracle);
+                prop_assert!(
+                    runs.iter().zip(&oracle).all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "packers differ for {params:?} at {shape}, stripe {oh0}..{oh1}"
+                );
+            }
         }
     }
 

@@ -11,12 +11,36 @@
 //! * **Packing** — A is repacked into `MR`-row column-major panels and B into
 //!   `NR`-column row-major panels, so the microkernel reads both operands at stride
 //!   1 regardless of the original layouts. Panels live in the thread-local
-//!   [`scratch`](crate::scratch) arena and are reused across layers.
-//! * **Parallelism** — output rows are split into panel-aligned chunks executed on
-//!   the persistent worker pool ([`parallel::for_each_chunk`]): per-call dispatch
-//!   cost is a worker wakeup, and long-lived workers keep their scratch arenas warm
-//!   across calls. Each output element is produced by exactly one task in one fixed
-//!   accumulation order, so results are bitwise identical for every thread count.
+//!   [`scratch`](crate::scratch) arena and are reused across layers. Callers pack
+//!   B in column stripes of at most [`MAX_B_PANEL_ELEMS`] elements (512 KiB), a
+//!   quarter of a 2 MiB per-core L2: a stripe is the operand every row tile of a
+//!   chunk re-reads, so it must survive in L2 between those reads while the A
+//!   tiles and the output and residual rows stream past it. A stripe as large
+//!   as the L2 is evicted by that traffic and re-streamed from L3 by every
+//!   chunk.
+//! * **Loop order** — [`packed_gemm_strided`] sweeps every column panel of one
+//!   `MR`-row tile before the next tile. A convolution's output rows are whole
+//!   feature-map planes apart, a page or more at high resolution, so sweeping
+//!   one panel over every tile of a chunk instead would keep `MC` rows × 2
+//!   tensors (output and residual) of page-strided streams live at once, more
+//!   than the hardware prefetcher tracks. Tile by tile, each output and
+//!   residual row is one sequential stream, and the L2-resident stripe is the
+//!   operand every tile re-reads. On small outputs (Winograd per-point GEMMs,
+//!   maps of 28² and below) the panel-outer order is a few per cent faster per
+//!   layer, but choosing it there did not move an end-to-end benchmark
+//!   (`docs/bench/BENCH_26.md`), so there is one order. Each output element
+//!   accumulates its KC slices in the same order either way, so the loop order
+//!   never changes a bit.
+//! * **Parallelism** — output rows are split into `MR`-aligned chunks ([`MC`]
+//!   rows when there are enough to feed every worker, single tiles otherwise)
+//!   executed on the persistent worker pool ([`parallel::for_each_chunk`]):
+//!   per-call dispatch cost is a worker wakeup, and long-lived workers keep their
+//!   scratch arenas warm across calls. Each chunk runs the loop order above over
+//!   its own rows; the stripe width follows from the shared dimension alone,
+//!   never from the chunking. Each output
+//!   element is therefore produced by exactly one task in one fixed
+//!   accumulation order, and results are bitwise identical for every thread
+//!   count.
 //!
 //! The convolution dispatch layer in [`conv`](crate::conv) lowers convolutions onto
 //! [`packed_gemm_strided`]; dense GEMM callers use the [`crate::gemm_packed`]
@@ -36,21 +60,43 @@ pub const MR: usize = 6;
 /// fixed at compile time because the packed-panel layouts depend on it.
 pub const NR: usize = if HAS_AVX512 { 32 } else { 16 };
 
-/// Shared-dimension block size: one `KC × NR` B block (16–32 KiB) stays L1-resident
-/// while it is reused across every row tile of a worker's chunk.
+/// Shared-dimension block size: one `KC × NR` B block is 16–32 KiB, and one
+/// `KC × MR` A tile stays L1-resident while it sweeps every panel of its stripe.
 pub const KC: usize = 256;
 
 /// Row-chunk height handed to one worker task: several microkernel tiles, so each
-/// L1-resident B block amortizes across [`MC`]` / `[`MR`] tiles.
+/// packed B stripe is re-read from L2 by [`MC`]` / `[`MR`] tiles.
 pub const MC: usize = 8 * MR;
 
 /// Work (in multiply–accumulates) below which spawning worker threads costs more
 /// than it saves.
 pub const PARALLEL_MIN_MACS: u64 = 1 << 20;
 
-/// Number of f32 elements a packed B stripe may occupy (4 MiB), bounding scratch
-/// memory for high-resolution layers.
-pub const MAX_B_PANEL_ELEMS: usize = 1 << 20;
+/// Number of f32 elements a packed B stripe may occupy (512 KiB): a quarter of a
+/// 2 MiB L2, so the stripe stays resident while the row tiles of a chunk re-read
+/// it. `b_stripe_cols` and `b_stripe_rows` floor it at `MIN_B_STRIPE_PANELS`
+/// panels so very deep layers still get panels to sweep.
+pub const MAX_B_PANEL_ELEMS: usize = 1 << 17;
+
+/// Fewest `NR` panels of columns a B stripe covers, whatever its shared
+/// dimension.
+const MIN_B_STRIPE_PANELS: usize = 4;
+
+/// Width of the column stripes a B operand of shared dimension `k` is packed
+/// in: as many whole `NR` panels as fit [`MAX_B_PANEL_ELEMS`], and never fewer
+/// than [`MIN_B_STRIPE_PANELS`].
+pub(crate) fn b_stripe_cols(k: usize) -> usize {
+    (MAX_B_PANEL_ELEMS / k.max(1)).div_ceil(NR).max(MIN_B_STRIPE_PANELS) * NR
+}
+
+/// Height, in whole output rows of `width` columns, of the stripes a B operand
+/// of shared dimension `k` is packed in when a stripe may not split an output
+/// row (the im2col packers): as many rows as fit [`MAX_B_PANEL_ELEMS`], and
+/// never fewer than cover [`MIN_B_STRIPE_PANELS`] panels.
+pub(crate) fn b_stripe_rows(k: usize, width: usize) -> usize {
+    let budget_rows = MAX_B_PANEL_ELEMS / (k * width).max(1);
+    budget_rows.max((MIN_B_STRIPE_PANELS * NR).div_ceil(width))
+}
 
 /// Pointwise activation fused into a kernel's output write (the GEMM epilogue or
 /// the Winograd output transform), saving the separate full-tensor pass a caller
@@ -353,10 +399,6 @@ fn microkernel(k: usize, apanel: &[f32], bpanel: &[f32]) -> [[f32; NR]; MR] {
 
 /// AVX-512 microkernel: 12 × `__m512` accumulators (6 rows × 32 columns), two B
 /// loads and six A broadcasts per k-step.
-///
-/// Safety: only compiled when AVX-512F is statically enabled, so the intrinsics are
-/// always executable; the `unsafe` blocks cover raw-pointer panel reads, whose
-/// bounds (`k * MR` / `k * NR` elements) are asserted on entry.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
 #[inline]
 fn microkernel_avx512(k: usize, apanel: &[f32], bpanel: &[f32]) -> [[f32; NR]; MR] {
@@ -364,7 +406,16 @@ fn microkernel_avx512(k: usize, apanel: &[f32], bpanel: &[f32]) -> [[f32; NR]; M
         __m512, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps,
         _mm512_storeu_ps,
     };
+    // Two 16-lane vectors per row: the loads at `bp`, `bp + 16` and the stores
+    // at `out[r]`, `out[r] + 16` below cover exactly one `NR`-wide row.
+    const _: () = assert!(NR == 32);
     assert!(apanel.len() >= k * MR && bpanel.len() >= k * NR);
+    // SAFETY: AVX-512F is enabled at compile time (this function only exists
+    // under that `cfg`), so every intrinsic is executable. Step `s` (0 ≤ s < k)
+    // reads `ap[s*MR .. s*MR + MR]` and `bp[s*NR .. s*NR + NR]`; the assert above
+    // bounds both by the panels' lengths, and the pointers advance by exactly
+    // `MR` / `NR` per step. The unaligned loads and stores have no alignment
+    // requirement, and each store writes 16 lanes of a 32-lane `out` row.
     unsafe {
         let mut acc: [[__m512; 2]; MR] = [[_mm512_setzero_ps(); 2]; MR];
         let mut ap = apanel.as_ptr();
@@ -422,10 +473,6 @@ fn microkernel_portable(k: usize, apanel: &[f32], bpanel: &[f32]) -> [[f32; NR];
 
 /// AVX2+FMA microkernel: 12 × `__m256` accumulators (6 rows × 16 columns), two B
 /// loads and six A broadcasts per k-step — FMA-port bound rather than load bound.
-///
-/// Safety: only compiled when AVX2 and FMA are statically enabled, so the intrinsics
-/// are always executable; the `unsafe` blocks cover raw-pointer panel reads, whose
-/// bounds (`k * MR` / `k * NR` elements) are asserted on entry.
 #[cfg(all(
     target_arch = "x86_64",
     target_feature = "avx2",
@@ -438,7 +485,17 @@ fn microkernel_avx2(k: usize, apanel: &[f32], bpanel: &[f32]) -> [[f32; NR]; MR]
         __m256, _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_setzero_ps,
         _mm256_storeu_ps,
     };
+    // Two 8-lane vectors per row: the loads at `bp`, `bp + 8` and the stores at
+    // `out[r]`, `out[r] + 8` below cover exactly one `NR`-wide row.
+    const _: () = assert!(NR == 16);
     assert!(apanel.len() >= k * MR && bpanel.len() >= k * NR);
+    // SAFETY: AVX2 and FMA are enabled at compile time (this function only
+    // exists under that `cfg`), so every intrinsic is executable. Step `s`
+    // (0 ≤ s < k) reads `ap[s*MR .. s*MR + MR]` and `bp[s*NR .. s*NR + NR]`; the
+    // assert above bounds both by the panels' lengths, and the pointers advance
+    // by exactly `MR` / `NR` per step. The unaligned loads and stores have no
+    // alignment requirement, and each store writes 8 lanes of a 16-lane `out`
+    // row.
     unsafe {
         let mut acc: [[__m256; 2]; MR] = [[_mm256_setzero_ps(); 2]; MR];
         let mut ap = apanel.as_ptr();
@@ -528,6 +585,9 @@ fn write_row_epilogue_with(
 /// Computes `rows` rows of `C = A · B` against pre-packed B panels, writing into a
 /// strided destination.
 ///
+/// Within each KC slice, every column panel of one `MR`-row tile is computed
+/// before the next tile (see the module docs for why).
+///
 /// * `lhs` — the left operand: row-major data packed per KC slice into scratch, or
 ///   panels prepacked once by [`PreparedGemmA`] (in which case `row0` must be
 ///   `MR`-aligned and the packed `k` must match). Rows `[row0, row0+rows)` are
@@ -601,23 +661,23 @@ pub fn packed_gemm_strided(
                 );
             }
         }
-        for panel in 0..col_panels {
-            let j0 = panel * NR;
-            let width = NR.min(cols - j0);
-            // The KC × NR slice of this B panel: L1-resident across all row tiles.
-            let bslice = &bpack[panel * k * NR + pc * NR..panel * k * NR + (pc + kc) * NR];
-            for tile in 0..tiles {
-                let tile_rows = MR.min(rows - tile * MR);
-                let atile: &[f32] = match (&lhs, &apack) {
-                    (GemmLhs::Rows { .. }, Some(apack)) => {
-                        &apack[tile * tile_stride..(tile + 1) * tile_stride]
-                    }
-                    (GemmLhs::Packed { panels, .. }, _) => {
-                        let t = row0 / MR + tile;
-                        &panels[t * k * MR + pc * MR..t * k * MR + (pc + kc) * MR]
-                    }
-                    _ => unreachable!("apack exists exactly for the Rows variant"),
-                };
+        // Every panel of one row tile before the next tile (module docs).
+        for tile in 0..tiles {
+            let tile_rows = MR.min(rows - tile * MR);
+            let atile: &[f32] = match (&lhs, &apack) {
+                (GemmLhs::Rows { .. }, Some(apack)) => {
+                    &apack[tile * tile_stride..(tile + 1) * tile_stride]
+                }
+                (GemmLhs::Packed { panels, .. }, _) => {
+                    let t = row0 / MR + tile;
+                    &panels[t * k * MR + pc * MR..t * k * MR + (pc + kc) * MR]
+                }
+                _ => unreachable!("apack exists exactly for the Rows variant"),
+            };
+            for panel in 0..col_panels {
+                let j0 = panel * NR;
+                let width = NR.min(cols - j0);
+                let bslice = &bpack[panel * k * NR + pc * NR..panel * k * NR + (pc + kc) * NR];
                 let acc = microkernel(kc, atile, bslice);
                 for r in 0..tile_rows {
                     let start = (tile * MR + r) * row_stride + col_offset + j0;
@@ -683,7 +743,7 @@ pub fn parallel_packed_gemm(
     accumulate: bool,
     parallel: bool,
 ) {
-    // Chunk height balances B-block reuse (taller chunks amortize each L1-resident
+    // Chunk height balances B-block reuse (taller chunks amortize each cached
     // KC × NR slice across more row tiles) against load balance (enough chunks to
     // feed every worker). Small or heavily-threaded products fall back to single
     // tiles.

@@ -144,7 +144,7 @@ pub fn gemm_packed(dims: MatDims, a: &[f32], b: &[f32], out: &mut [f32]) {
     }
     let parallel = dims.macs() >= engine::PARALLEL_MIN_MACS;
     // Column stripes bound packed-B scratch for very wide products.
-    let stripe_cols = (engine::MAX_B_PANEL_ELEMS / k).div_ceil(engine::NR).max(1) * engine::NR;
+    let stripe_cols = engine::b_stripe_cols(k);
     let out = &mut out[..m * n];
     let mut j0 = 0;
     while j0 < n {

@@ -47,9 +47,11 @@ const MIN_UTILIZATION: f32 = 0.25;
 /// smallest buffer makes way, and a buffer only serves requests down to
 /// [`MIN_UTILIZATION`] of its size, so the slots must cover every size class a
 /// steady-state workload cycles through or the largest crowd the smallest out
-/// and each pass re-allocates them: a ResNet-50 forward over the 112²–448²
-/// ladder needs ten (1.5 K-element A-panel slices up to 1.9 M-element Winograd
-/// chunk workspaces).
+/// and each pass re-allocates them. A one-thread ResNet-50 forward cycling the
+/// 112²–448² ladder keeps nine on the calling thread: a 1.5 K-element A-panel
+/// slice, packed-B stripes of at most a few hundred K elements (the engine's
+/// L2-sized stripe budget, or four panels of a deep layer), and Winograd chunk
+/// workspaces of up to 1.9 M elements.
 const POOL_SLOTS: usize = 16;
 
 thread_local! {

@@ -23,8 +23,8 @@
 //!
 //! # Execution
 //!
-//! Tiles are processed in chunks of whole tile rows sized from the engine's
-//! scratch budget ([`engine::MAX_B_PANEL_ELEMS`]); chunks run on the persistent
+//! Tiles are processed in chunks of whole tile rows sized to a target GEMM
+//! width and a cap on the packed-`V` footprint; chunks run on the persistent
 //! worker pool ([`parallel::for_each_task`]). All working buffers (packed `V`,
 //! the 16 `M` matrices) are slots of one workspace the *calling* thread takes
 //! from its [`scratch`](crate::scratch) arena per dispatch — one slot per
@@ -390,14 +390,20 @@ unsafe impl Sync for OutPtr {}
 /// gain in GEMM efficiency, smaller ones drown in per-call overhead.
 const TARGET_CHUNK_TILES: usize = 224;
 
+/// Cap on one chunk's packed-`V` footprint (2 Mi f32, 8 MiB) for very deep
+/// layers. It bounds all the point GEMMs' B operands of a chunk together, not
+/// one L2-sized stripe, so it is deliberately not tied to
+/// [`engine::MAX_B_PANEL_ELEMS`].
+const MAX_V_CHUNK_ELEMS: usize = 2 << 20;
+
 /// Tile rows per worker task: whole tile rows approximating
 /// [`TARGET_CHUNK_TILES`] GEMM columns, with the packed-`V` footprint capped at
-/// twice the engine's B-panel budget for very deep layers. A pure function of
-/// the layer shape (never of the thread count), which keeps the decomposition —
-/// and therefore the results — identical for every worker configuration.
+/// [`MAX_V_CHUNK_ELEMS`]. A pure function of the layer shape (never of the
+/// thread count), which keeps the decomposition — and therefore the results —
+/// identical for every worker configuration.
 pub(crate) fn chunk_tile_rows(in_channels: usize, tiles_w: usize, tiles_h: usize) -> usize {
     let tiles_w = tiles_w.max(1);
-    let rows_cap = (2 * engine::MAX_B_PANEL_ELEMS / (POINTS * in_channels * tiles_w)).max(1);
+    let rows_cap = (MAX_V_CHUNK_ELEMS / (POINTS * in_channels * tiles_w)).max(1);
     (TARGET_CHUNK_TILES / tiles_w).clamp(1, rows_cap).min(tiles_h)
 }
 
@@ -405,7 +411,7 @@ pub(crate) fn chunk_tile_rows(in_channels: usize, tiles_w: usize, tiles_h: usize
 /// target and packed-`V` cap, with the footprint scaled by `POINTS_F4`.
 pub(crate) fn chunk_tile_rows_f4(in_channels: usize, tiles_w: usize, tiles_h: usize) -> usize {
     let tiles_w = tiles_w.max(1);
-    let rows_cap = (2 * engine::MAX_B_PANEL_ELEMS / (POINTS_F4 * in_channels * tiles_w)).max(1);
+    let rows_cap = (MAX_V_CHUNK_ELEMS / (POINTS_F4 * in_channels * tiles_w)).max(1);
     (TARGET_CHUNK_TILES / tiles_w).clamp(1, rows_cap).min(tiles_h)
 }
 

@@ -6,9 +6,12 @@
 //! resolutions, and the multi-threaded paths are pinned to bitwise-identical results
 //! across thread counts.
 
+use proptest::prelude::*;
+use rescnn_tensor::engine::{pack_b, parallel_packed_gemm, KC, MR, NR};
 use rescnn_tensor::{
     conv2d_direct, conv2d_dispatch, conv2d_with_algo, gemm_packed, num_threads, select_algo,
-    set_num_threads, Conv2dParams, ConvAlgo, MatDims, Shape, Tensor, INT8_TOLERANCE,
+    set_num_threads, Conv2dParams, ConvAlgo, Epilogue, FusedActivation, GemmLhs, MatDims,
+    PreparedGemmA, Shape, Tensor, INT8_TOLERANCE,
 };
 
 const TOLERANCE: f32 = 1e-3;
@@ -254,4 +257,193 @@ fn repeated_runs_are_bitwise_identical() {
         assert_eq!(first.as_slice(), again.as_slice());
     }
     set_num_threads(original);
+}
+
+/// One logical GEMM `C = A · B` (plus an epilogue) written into a destination
+/// with the given row stride; returns the logical `m × cols` window.
+#[allow(clippy::too_many_arguments)]
+fn strided_gemm(
+    lhs: GemmLhs<'_>,
+    m: usize,
+    k: usize,
+    bpack: &[f32],
+    cols: usize,
+    row_stride: usize,
+    col_offset: usize,
+    bias: &[f32],
+    residual: Option<&[f32]>,
+    activation: FusedActivation,
+    accumulate: bool,
+) -> Vec<f32> {
+    let at = |r: usize, j: usize| r * row_stride + col_offset + j;
+    // Seed every element (the accumulate mode's starting values); positions
+    // outside the window carry a sentinel that must survive.
+    let mut region = vec![f32::NAN; m * row_stride];
+    for r in 0..m {
+        for j in 0..cols {
+            region[at(r, j)] = ((r * 7 + j * 3) % 11) as f32 * 0.25 - 1.0;
+        }
+    }
+    let skip = residual.map(|logical| {
+        let mut full = vec![0.0f32; region.len()];
+        for r in 0..m {
+            full[at(r, 0)..at(r, cols)].copy_from_slice(&logical[r * cols..(r + 1) * cols]);
+        }
+        full
+    });
+    let epilogue = Epilogue { bias: Some(bias), residual: skip.as_deref(), activation };
+    parallel_packed_gemm(
+        lhs,
+        m,
+        k,
+        bpack,
+        cols,
+        &mut region,
+        row_stride,
+        col_offset,
+        epilogue,
+        accumulate,
+        true,
+    );
+    for (index, value) in region.iter().enumerate() {
+        let (r, c) = (index / row_stride, index % row_stride);
+        if c < col_offset || c >= col_offset + cols || r >= m {
+            assert!(value.is_nan(), "element ({r}, {c}) outside the window was written");
+        }
+    }
+    (0..m).flat_map(|r| (0..cols).map(move |j| (r, j))).map(|(r, j)| region[at(r, j)]).collect()
+}
+
+/// One logical GEMM must give every element the same bits whatever the
+/// destination's row stride (a narrow window, and rows more than a page
+/// apart), the thread count and the kind of left operand, for every edge the
+/// write-back handles.
+#[test]
+fn strided_gemm_is_layout_and_thread_invariant() {
+    let original = num_threads();
+    let col_offset = 3;
+    for &(m, cols) in &[(4 * MR + 1, 3 * NR + 5), (9 * MR + 4, NR - 3)] {
+        for k in [1, 63, KC, KC + 1, 3 * KC + 5] {
+            let a: Vec<f32> = (0..m * k).map(|i| ((i * 37) % 29) as f32 * 0.07 - 1.0).collect();
+            let b: Vec<f32> = (0..k * cols).map(|i| ((i * 13) % 31) as f32 * 0.06 - 0.9).collect();
+            let mut bpack = vec![0.0f32; cols.div_ceil(NR) * k * NR];
+            pack_b(&b, k, cols, 0, cols, &mut bpack);
+            let prepared = PreparedGemmA::prepare(&a, k, m, k);
+            let bias: Vec<f32> = (0..m).map(|r| r as f32 * 0.1 - 0.4).collect();
+            let skip: Vec<f32> = (0..m * cols).map(|i| ((i * 5) % 17) as f32 * 0.3 - 2.5).collect();
+            let narrow = col_offset + cols + 5;
+            let wide = 1024 + 7;
+            let cases: [(Option<&[f32]>, FusedActivation, bool); 5] = [
+                (None, FusedActivation::None, false),
+                (Some(&skip), FusedActivation::None, false),
+                (Some(&skip), FusedActivation::Relu, false),
+                (Some(&skip), FusedActivation::Relu6, false),
+                (None, FusedActivation::None, true),
+            ];
+            for (residual, activation, accumulate) in cases {
+                let mut first: Option<Vec<f32>> = None;
+                for threads in [1, 2, 4] {
+                    set_num_threads(threads);
+                    for lhs in [GemmLhs::Rows { data: &a, lda: k }, prepared.as_lhs()] {
+                        for stride in [narrow, wide] {
+                            let got = strided_gemm(
+                                lhs, m, k, &bpack, cols, stride, col_offset, &bias, residual,
+                                activation, accumulate,
+                            );
+                            match &first {
+                                None => first = Some(got),
+                                Some(expect) => assert!(
+                                    got.iter().zip(expect).all(|(x, y)| x.to_bits() == y.to_bits()),
+                                    "m={m} cols={cols} k={k} stride={stride} threads={threads} \
+                                     residual={} {activation:?} accumulate={accumulate}",
+                                    residual.is_some()
+                                ),
+                            }
+                        }
+                    }
+                }
+                // And the shared result is the product it claims to be.
+                let got = first.expect("at least one run");
+                for r in 0..m {
+                    for j in 0..cols {
+                        let dot: f32 = (0..k).map(|p| a[r * k + p] * b[p * cols + j]).sum();
+                        let seed = ((r * 7 + j * 3) % 11) as f32 * 0.25 - 1.0;
+                        let value = if accumulate {
+                            seed + dot
+                        } else {
+                            activation
+                                .apply(dot + bias[r] + residual.map_or(0.0, |s| s[r * cols + j]))
+                        };
+                        let tol = 1e-4 * (k as f32).sqrt() * 8.0;
+                        assert!((got[r * cols + j] - value).abs() < tol, "({r},{j}) k={k}");
+                    }
+                }
+            }
+        }
+    }
+    set_num_threads(original);
+}
+
+/// Draws `(params, input shape)` for the two GEMM-lowered arms the packed
+/// engine and the strided packer serve: kernels 1/3/7, strides 1–3, padding
+/// up to `k/2`, odd extents, output widths near 32, channel counts off the
+/// `MR`/`NR` grid.
+fn gemm_conv_case(
+) -> impl Strategy<Value = (usize, usize, usize, usize, usize, usize, usize, usize)> {
+    (
+        prop_oneof![Just(1usize), Just(3usize), Just(7usize)],
+        1usize..4,
+        0usize..4,
+        1usize..10,
+        1usize..40,
+        29usize..36,
+        1usize..40,
+        1usize..3,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    #[test]
+    fn gemm_lowered_arms_match_direct_and_are_thread_invariant(
+        (kernel, stride, pad_draw, in_ch, out_ch, ow, oh, batch) in gemm_conv_case()
+    ) {
+        let pad = pad_draw % (kernel / 2 + 1);
+        // Input extents that produce exactly `oh × ow` outputs, using up a
+        // varying part of the stride's slack so both parities occur.
+        let extent = |out: usize| (out - 1) * stride + kernel - 2 * pad + out % stride;
+        let (ih, iw) = (extent(oh), extent(ow));
+        let params = Conv2dParams::new(in_ch, out_ch, kernel, stride, pad);
+        let shape = Shape::new(batch, in_ch, ih, iw);
+        prop_assume!(params.output_shape(shape).is_ok());
+        prop_assume!(params.macs(shape).unwrap_or(u64::MAX) <= 6_000_000);
+        let input = Tensor::random_uniform(shape, 1.0, (ih * 131 + iw) as u64);
+        let weight = Tensor::random_uniform(Shape::new(out_ch, in_ch, kernel, kernel), 0.5, out_ch as u64);
+        let bias: Vec<f32> = (0..out_ch).map(|o| o as f32 * 0.05 - 0.3).collect();
+        let reference = conv2d_direct(&input, &weight, Some(&bias), &params).unwrap();
+        let original = num_threads();
+        for algo in [ConvAlgo::Im2colPacked, ConvAlgo::Gemm1x1] {
+            if !algo.supports(&params) {
+                continue;
+            }
+            let mut first: Option<Tensor> = None;
+            for threads in [1, 2, 4] {
+                set_num_threads(threads);
+                let out = conv2d_with_algo(&input, &weight, Some(&bias), &params, algo).unwrap();
+                match &first {
+                    None => {
+                        let diff = reference.max_abs_diff(&out).unwrap();
+                        prop_assert!(diff < TOLERANCE, "{algo} diverged by {diff} on {params:?} at {shape}");
+                        first = Some(out);
+                    }
+                    Some(expect) => prop_assert!(
+                        expect.as_slice().iter().zip(out.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits()),
+                        "{algo} differs at {threads} threads on {params:?} at {shape}"
+                    ),
+                }
+            }
+        }
+        set_num_threads(original);
+    }
 }

@@ -1,7 +1,7 @@
 //! Real wall-clock micro-benchmarks of the executable convolution kernels: the
 //! measured counterpart of the analytic cost model.
 //!
-//! Seven groups:
+//! Six groups:
 //!
 //! * `conv2d` — the seed comparison (direct / im2col / tiled) at small resolutions,
 //!   demonstrating that the best tiling depends on the input resolution (§VI).
@@ -14,8 +14,6 @@
 //! * `forward_prepacked` — prepacked + fused + arena execution vs the PR-4-era
 //!   reference at 224² and 448², under three-way calibrated dispatch; writes
 //!   milestone latencies to `results/forward_latency.json`.
-//! * `chained_forward` — cache-resident conv→conv chaining vs layer-at-a-time
-//!   execution of the same dispatch (the PR 7 acceptance comparison).
 //! * `quantized` — the int8 u8×i8 arm vs the f32 packed engine on prepared
 //!   stage-shape layers, plus the calibrated ResNet-50 forward with the arm
 //!   admitted by its accuracy gate (the PR 9 acceptance comparison).
@@ -29,9 +27,9 @@ use rescnn_models::{ModelKind, Network};
 use rescnn_tensor::{
     conv2d_direct, conv2d_im2col, conv2d_tiled, conv2d_winograd_f4_prepared,
     conv2d_winograd_prepared, conv2d_with_algo, force_conv_algo, gemm_blocked, gemm_packed,
-    install_algo_calibration, num_threads, set_chain_mode, set_num_threads, tensor_range,
-    ChainMode, Conv2dParams, ConvAlgo, ConvEpilogue, ConvShapeKey, ConvTiling, FusedActivation,
-    GemmBlocking, MatDims, PreparedLayer, Shape, Tensor, WinogradFilter,
+    install_algo_calibration, num_threads, set_num_threads, tensor_range, Conv2dParams, ConvAlgo,
+    ConvEpilogue, ConvShapeKey, ConvTiling, FusedActivation, GemmBlocking, MatDims, PreparedLayer,
+    Shape, Tensor, WinogradFilter,
 };
 
 /// The paper's inference-resolution ladder (§IV).
@@ -391,37 +389,21 @@ fn forward_prepacked(c: &mut Criterion) {
             plan.arena_bytes() as f64 / (1024.0 * 1024.0),
             plan.peak_live_bytes as f64 / (1024.0 * 1024.0),
         );
-        // Under calibrated dispatch at one thread, ChainMode::Auto chains every
-        // eligible conv→conv pair; Off is the PR-5 execution of the same plan.
         group.bench_with_input(BenchmarkId::new("prepacked", res), &res, |b, _| {
             b.iter(|| net.forward(&input).unwrap())
         });
-        set_chain_mode(ChainMode::Off);
-        group.bench_with_input(BenchmarkId::new("prepacked_unchained", res), &res, |b, _| {
-            b.iter(|| net.forward(&input).unwrap())
-        });
-        set_chain_mode(ChainMode::Auto);
         group.bench_with_input(BenchmarkId::new("reference", res), &res, |b, _| {
             b.iter(|| net.forward_reference(&input).unwrap())
         });
 
         // Milestone records for results/forward_latency.json.
         records.push(LatencyRecord {
-            milestone: "pr7_calibrated_chained",
+            milestone: "calibrated_prepacked",
             resolution: res,
             min_ms: min_ms_of(3, || {
                 net.forward(&input).unwrap();
             }),
         });
-        set_chain_mode(ChainMode::Off);
-        records.push(LatencyRecord {
-            milestone: "pr5_calibrated_unchained",
-            resolution: res,
-            min_ms: min_ms_of(3, || {
-                net.forward(&input).unwrap();
-            }),
-        });
-        set_chain_mode(ChainMode::Auto);
         records.push(LatencyRecord {
             milestone: "pr4_reference",
             resolution: res,
@@ -552,37 +534,6 @@ fn quantized_benchmarks(c: &mut Criterion) {
     set_num_threads(original_threads);
 }
 
-/// The PR 7 chaining benchmark in isolation: every dense stride-1 3×3 layer
-/// forced through the cached Winograd path so both chain shapes engage
-/// (3×3→3×3 in basic blocks, 3×3→1×1 bottleneck drains), chained vs unchained
-/// on the same dispatch. The 448² point is the acceptance target: the chained
-/// staging keeps producer tiles cache-resident where the full 448² mid
-/// activation (≈25 MiB at 64 channels) cannot be.
-fn chained_forward(c: &mut Criterion) {
-    let original_threads = num_threads();
-    set_num_threads(1);
-    let mut group = c.benchmark_group("chained_forward");
-    group.sample_size(10);
-    let net = Network::new(ModelKind::ResNet50, 1000, 0);
-    force_conv_algo(Some(ConvAlgo::Winograd));
-    for &res in &[224usize, 448] {
-        let input = Tensor::random_uniform(Shape::chw(3, res, res), 1.0, res as u64);
-        net.warm_thread_arena(Shape::chw(3, res, res)).expect("arena plan");
-        set_chain_mode(ChainMode::Force);
-        group.bench_with_input(BenchmarkId::new("chained", res), &res, |b, _| {
-            b.iter(|| net.forward(&input).unwrap())
-        });
-        set_chain_mode(ChainMode::Off);
-        group.bench_with_input(BenchmarkId::new("unchained", res), &res, |b, _| {
-            b.iter(|| net.forward(&input).unwrap())
-        });
-        set_chain_mode(ChainMode::Auto);
-    }
-    force_conv_algo(None);
-    group.finish();
-    set_num_threads(original_threads);
-}
-
 criterion_group!(
     benches,
     conv_benchmarks,
@@ -590,7 +541,6 @@ criterion_group!(
     winograd_benchmarks,
     forward_prepacked,
     quantized_benchmarks,
-    chained_forward,
     resnet50_forward
 );
 criterion_main!(benches);

@@ -512,6 +512,8 @@ impl DynamicResolutionPipeline {
     /// Planned peak-live activation bytes of one backbone forward at
     /// `resolution`, from `Network::arena_plan`'s liveness simulation
     /// (computed once per resolution, cached across pipeline clones).
+    /// The figure depends only on the backbone and the resolution: not on
+    /// the thread budget, the dispatch state or which caller asks first.
     ///
     /// This is the per-request memory figure a memory-budgeted admission
     /// controller charges: the measured arena high-water mark of a real

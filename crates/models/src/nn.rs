@@ -36,12 +36,11 @@
 //! level (~1e-4) — logits are *not* bit-comparable with pre-PR recordings.
 
 use rescnn_tensor::{
-    add_relu_in_place, avg_pool2d, chain_plan, conv2d_chain_fused_into,
-    conv2d_winograd_f4_prepared, conv2d_winograd_prepared, conv2d_with_algo, global_avg_pool_into,
-    linear_prepared, linear_prepared_into, max_pool2d_into, num_threads, planned_conv_algo,
-    relu6_in_place, relu_in_place, softmax, with_thread_arena, ActivationArena, ChainPlan,
-    Conv2dParams, ConvAlgo, ConvEpilogue, FusedActivation, Pool2dParams, PreparedGemmB,
-    PreparedLayer, Shape, Tensor,
+    add_relu_in_place, avg_pool2d, conv2d_winograd_f4_prepared, conv2d_winograd_prepared,
+    conv2d_with_algo, global_avg_pool_into, linear_prepared, linear_prepared_into, max_pool2d_into,
+    num_threads, planned_conv_algo, relu6_in_place, relu_in_place, softmax, with_thread_arena,
+    ActivationArena, Conv2dParams, ConvAlgo, ConvEpilogue, FusedActivation, Pool2dParams,
+    PreparedGemmB, PreparedLayer, Shape, Tensor,
 };
 
 use crate::arch::{Activation, ArchSpec, BlockSpec, ModelKind};
@@ -203,41 +202,6 @@ impl ConvBn {
         }
         Ok(out)
     }
-}
-
-/// The arena shape of a chain's intermediate ring band (a flat scratch strip;
-/// the chain executor addresses it directly).
-fn band_shape(plan: &ChainPlan) -> Shape {
-    Shape::new(1, 1, 1, plan.band_elems)
-}
-
-/// Executes a planned producer→consumer chain ([`rescnn_tensor::chain_plan`])
-/// with the block-tail epilogue fused into the consumer, band and output from
-/// the arena. Bitwise identical to `producer.forward` + `consumer.forward_tail`.
-fn forward_chained(
-    producer: &ConvBn,
-    consumer: &ConvBn,
-    input: &Tensor,
-    residual: Option<&Tensor>,
-    activation: FusedActivation,
-    plan: &ChainPlan,
-    arena: &mut ActivationArena,
-) -> Result<Tensor> {
-    let mid = producer.output_shape(input.shape())?;
-    let mut band = arena.take(band_shape(plan));
-    let mut out = arena.take(consumer.output_shape(mid)?);
-    conv2d_chain_fused_into(
-        input,
-        &producer.prepared,
-        &consumer.prepared,
-        producer.fused_act(),
-        ConvEpilogue { activation, residual },
-        &mut band,
-        &mut out,
-        plan,
-    )?;
-    arena.give(band);
-    Ok(out)
 }
 
 /// One executable layer. (Variant sizes legitimately differ — a bottleneck
@@ -563,113 +527,45 @@ impl Network {
                 }
                 LayerImpl::Basic { conv1, conv2, downsample } => {
                     let x = cur.get();
-                    // Cache-resident chain: conv1's tiles feed conv2's input
-                    // transform through a ring band instead of materializing
-                    // the intermediate feature map (bitwise identical).
-                    if let Some(plan) = chain_plan(&conv1.prepared, &conv2.prepared, x.shape()) {
-                        match downsample {
-                            Some(d) => {
-                                let skip = d.forward(x, arena)?;
-                                let out = forward_chained(
-                                    conv1,
-                                    conv2,
-                                    x,
-                                    Some(&skip),
-                                    FusedActivation::Relu,
-                                    &plan,
-                                    arena,
-                                )?;
-                                arena.give(skip);
-                                out
-                            }
-                            None => forward_chained(
-                                conv1,
-                                conv2,
-                                x,
-                                Some(x),
+                    let a = conv1.forward(x, arena)?;
+                    let out = match downsample {
+                        Some(d) => {
+                            let skip = d.forward(x, arena)?;
+                            let out = conv2.forward_tail(
+                                &a,
+                                Some(&skip),
                                 FusedActivation::Relu,
-                                &plan,
                                 arena,
-                            )?,
+                            )?;
+                            arena.give(skip);
+                            out
                         }
-                    } else {
-                        let a = conv1.forward(x, arena)?;
-                        let out = match downsample {
-                            Some(d) => {
-                                let skip = d.forward(x, arena)?;
-                                let out = conv2.forward_tail(
-                                    &a,
-                                    Some(&skip),
-                                    FusedActivation::Relu,
-                                    arena,
-                                )?;
-                                arena.give(skip);
-                                out
-                            }
-                            None => {
-                                conv2.forward_tail(&a, Some(x), FusedActivation::Relu, arena)?
-                            }
-                        };
-                        arena.give(a);
-                        out
-                    }
+                        None => conv2.forward_tail(&a, Some(x), FusedActivation::Relu, arena)?,
+                    };
+                    arena.give(a);
+                    out
                 }
                 LayerImpl::Bottleneck { conv1, conv2, conv3, downsample } => {
                     let x = cur.get();
                     let a = conv1.forward(x, arena)?;
-                    // Chain the 3×3 producer into the 1×1 projection: each band
-                    // of conv2 output is consumed by conv3's GEMM while still
-                    // cache-resident.
-                    if let Some(plan) = chain_plan(&conv2.prepared, &conv3.prepared, a.shape()) {
-                        let out = match downsample {
-                            Some(d) => {
-                                let skip = d.forward(x, arena)?;
-                                let out = forward_chained(
-                                    conv2,
-                                    conv3,
-                                    &a,
-                                    Some(&skip),
-                                    FusedActivation::Relu,
-                                    &plan,
-                                    arena,
-                                )?;
-                                arena.give(skip);
-                                out
-                            }
-                            None => forward_chained(
-                                conv2,
-                                conv3,
-                                &a,
-                                Some(x),
+                    let b = conv2.forward(&a, arena)?;
+                    arena.give(a);
+                    let out = match downsample {
+                        Some(d) => {
+                            let skip = d.forward(x, arena)?;
+                            let out = conv3.forward_tail(
+                                &b,
+                                Some(&skip),
                                 FusedActivation::Relu,
-                                &plan,
                                 arena,
-                            )?,
-                        };
-                        arena.give(a);
-                        out
-                    } else {
-                        let b = conv2.forward(&a, arena)?;
-                        arena.give(a);
-                        let out = match downsample {
-                            Some(d) => {
-                                let skip = d.forward(x, arena)?;
-                                let out = conv3.forward_tail(
-                                    &b,
-                                    Some(&skip),
-                                    FusedActivation::Relu,
-                                    arena,
-                                )?;
-                                arena.give(skip);
-                                out
-                            }
-                            None => {
-                                conv3.forward_tail(&b, Some(x), FusedActivation::Relu, arena)?
-                            }
-                        };
-                        arena.give(b);
-                        out
-                    }
+                            )?;
+                            arena.give(skip);
+                            out
+                        }
+                        None => conv3.forward_tail(&b, Some(x), FusedActivation::Relu, arena)?,
+                    };
+                    arena.give(b);
+                    out
                 }
                 LayerImpl::Inverted { expand, depthwise, project, skip } => {
                     let x = cur.get();
@@ -873,6 +769,9 @@ impl Network {
     /// shape: simulates the exact take/retire sequence
     /// [`forward_with_arena`](Self::forward_with_arena) performs and returns
     /// the buffer sizes it allocates plus the peak live-activation bytes.
+    /// The plan depends only on the architecture and the input shape — not on
+    /// the thread budget or the dispatch state — because every block takes
+    /// and retires its activations in the same order whatever the kernels.
     ///
     /// # Errors
     /// Returns an error if the resolution is too small for the downsampling
@@ -894,81 +793,37 @@ impl Network {
                 LayerImpl::Basic { conv1, conv2, downsample } => {
                     let a_shape = conv1.output_shape(shape)?;
                     let os = conv2.output_shape(a_shape)?;
-                    // Mirror the forward's chain decision exactly (same
-                    // predicate, same take/give order), so warmed chained
-                    // forwards stay allocation-free.
-                    if let Some(plan) = chain_plan(&conv1.prepared, &conv2.prepared, shape) {
-                        let out = match downsample {
-                            Some(d) => {
-                                let skip = arena.take(d.output_shape(shape)?);
-                                let band = arena.take(band_shape(&plan));
-                                let out = arena.take(os);
-                                arena.give(band);
-                                arena.give(skip);
-                                out
-                            }
-                            None => {
-                                let band = arena.take(band_shape(&plan));
-                                let out = arena.take(os);
-                                arena.give(band);
-                                out
-                            }
-                        };
-                        (os, Some(out))
-                    } else {
-                        let a = arena.take(a_shape);
-                        let out = match downsample {
-                            Some(d) => {
-                                let skip = arena.take(d.output_shape(shape)?);
-                                let out = arena.take(os);
-                                arena.give(skip);
-                                out
-                            }
-                            None => arena.take(os),
-                        };
-                        arena.give(a);
-                        (os, Some(out))
-                    }
+                    let a = arena.take(a_shape);
+                    let out = match downsample {
+                        Some(d) => {
+                            let skip = arena.take(d.output_shape(shape)?);
+                            let out = arena.take(os);
+                            arena.give(skip);
+                            out
+                        }
+                        None => arena.take(os),
+                    };
+                    arena.give(a);
+                    (os, Some(out))
                 }
                 LayerImpl::Bottleneck { conv1, conv2, conv3, downsample } => {
                     let a_shape = conv1.output_shape(shape)?;
                     let a = arena.take(a_shape);
                     let b_shape = conv2.output_shape(a_shape)?;
                     let os = conv3.output_shape(b_shape)?;
-                    if let Some(plan) = chain_plan(&conv2.prepared, &conv3.prepared, a_shape) {
-                        let out = match downsample {
-                            Some(d) => {
-                                let skip = arena.take(d.output_shape(shape)?);
-                                let band = arena.take(band_shape(&plan));
-                                let out = arena.take(os);
-                                arena.give(band);
-                                arena.give(skip);
-                                out
-                            }
-                            None => {
-                                let band = arena.take(band_shape(&plan));
-                                let out = arena.take(os);
-                                arena.give(band);
-                                out
-                            }
-                        };
-                        arena.give(a);
-                        (os, Some(out))
-                    } else {
-                        let b = arena.take(b_shape);
-                        arena.give(a);
-                        let out = match downsample {
-                            Some(d) => {
-                                let skip = arena.take(d.output_shape(shape)?);
-                                let out = arena.take(os);
-                                arena.give(skip);
-                                out
-                            }
-                            None => arena.take(os),
-                        };
-                        arena.give(b);
-                        (os, Some(out))
-                    }
+                    let b = arena.take(b_shape);
+                    arena.give(a);
+                    let out = match downsample {
+                        Some(d) => {
+                            let skip = arena.take(d.output_shape(shape)?);
+                            let out = arena.take(os);
+                            arena.give(skip);
+                            out
+                        }
+                        None => arena.take(os),
+                    };
+                    arena.give(b);
+                    (os, Some(out))
                 }
                 LayerImpl::Inverted { expand, depthwise, project, .. } => {
                     let (t_shape, t) = match expand {

@@ -1,55 +1,30 @@
-//! Network-level acceptance suite for cache-resident layer chaining: chained
-//! conv→conv execution inside basic/bottleneck blocks must be bitwise
-//! identical to the unchained reference, stay bitwise stable while the chain
-//! decision itself flips with the thread count, and serve warm (and
-//! plan-reserved first) forwards without a single tracked heap allocation at
-//! the paper's 224² and 448² operating points.
+//! Network-level suite for back-to-back conv→conv pairs inside residual
+//! blocks: a basic block (3×3 → 3×3, both on Winograd) and a stride-1
+//! bottleneck (3×3 → 1×1) must run each pair bitwise identical to the
+//! layer-at-a-time reference, and serve warm (and plan-reserved first)
+//! forwards without a single tracked heap allocation at the paper's 224² and
+//! 448² operating points.
 //!
-//! Runs in CI's `RESCNN_THREADS={1,2,4}` determinism matrix alongside
-//! `prepacked_forward`.
+//! Each pair runs unfused, one layer after the other; see `docs/winograd.md`
+//! for why the forward does not fuse them.
 
 use std::sync::{Mutex, MutexGuard};
 
 use rescnn_models::{ArchSpec, BlockSpec, ModelKind, Network};
-use rescnn_tensor::{
-    scratch, set_chain_mode, set_num_threads, ActivationArena, ChainMode, ConvAlgo, EngineContext,
-    Shape, Tensor,
-};
+use rescnn_tensor::{scratch, ActivationArena, ConvAlgo, EngineContext, Shape, Tensor};
 
-/// Serializes tests in this binary: they flip the process-wide chain mode and
-/// thread count and observe the global allocation counter.
+/// Serializes tests in this binary: they observe the global allocation
+/// counter.
 static LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Restores [`ChainMode::Auto`] when dropped, so a failing assertion cannot
-/// leak a forced mode into later tests.
-struct ChainGuard;
-
-impl ChainGuard {
-    fn force() -> Self {
-        set_chain_mode(ChainMode::Force);
-        ChainGuard
-    }
-    fn off() -> Self {
-        set_chain_mode(ChainMode::Off);
-        ChainGuard
-    }
-}
-
-impl Drop for ChainGuard {
-    fn drop(&mut self) {
-        set_chain_mode(ChainMode::Auto);
-    }
-}
-
-/// A thin residual network exercising both chain shapes — a basic block
-/// (3×3 → 3×3, both Winograd-eligible) and a stride-1 bottleneck
-/// (3×3 → 1×1 pointwise drain) — with channel counts small enough for
-/// debug-mode runs at 448².
-fn chain_arch() -> ArchSpec {
+/// A thin residual network with both conv→conv pair shapes — a basic block
+/// (3×3 → 3×3) and a stride-1 bottleneck (3×3 → 1×1 pointwise) — with channel
+/// counts small enough for debug-mode runs at 448².
+fn pair_arch() -> ArchSpec {
     ArchSpec {
         kind: ModelKind::ResNet18,
         blocks: vec![
@@ -65,80 +40,34 @@ fn chain_arch() -> ArchSpec {
 #[test]
 fn chained_forward_matches_reference_bitwise() {
     let _guard = lock();
-    let net = Network::from_arch(&chain_arch(), 13);
+    let net = Network::from_arch(&pair_arch(), 13);
     let input = Tensor::random_uniform(Shape::chw(3, 56, 56), 1.0, 41);
     for algo in [ConvAlgo::Winograd, ConvAlgo::WinogradF4] {
-        let _chain = ChainGuard::force();
         let context = EngineContext::new().with_algo(algo);
-        let chained = context.scope(|| net.forward(&input).unwrap());
-        // The reference path never chains: layer-at-a-time, PR-4-era kernels.
+        let fast = context.scope(|| net.forward(&input).unwrap());
         let reference = context.scope(|| net.forward_reference(&input).unwrap());
         assert_eq!(
-            chained.as_slice(),
+            fast.as_slice(),
             reference.as_slice(),
-            "chained forward under {algo} diverged from the unchained reference"
+            "forward under {algo} diverged from the layer-at-a-time reference"
         );
     }
 }
 
-#[test]
-fn chain_decision_reaches_the_arena_planner() {
-    let _guard = lock();
-    let net = Network::from_arch(&chain_arch(), 13);
-    let shape = Shape::chw(3, 56, 56);
-    let context = EngineContext::new().with_algo(ConvAlgo::Winograd);
-    let forced = {
-        let _chain = ChainGuard::force();
-        context.scope(|| net.arena_plan(shape).unwrap())
-    };
-    let unchained = {
-        let _chain = ChainGuard::off();
-        context.scope(|| net.arena_plan(shape).unwrap())
-    };
-    // The chained plan stages ring bands instead of full mid activations; if
-    // the two plans were identical, chaining never engaged and every parity
-    // assertion in this suite would be vacuous.
-    assert_ne!(
-        forced.buffer_elems, unchained.buffer_elems,
-        "forcing the chain mode must change the planned buffer set"
-    );
-}
-
-/// The chain decision flips with the thread count under [`ChainMode::Auto`]
-/// (tile chaining is a single-core locality play), but the bits must not:
-/// chained and unchained execution share every FLOP and its order.
-#[test]
-fn auto_mode_is_bitwise_identical_across_thread_counts() {
-    let _guard = lock();
-    let net = Network::from_arch(&chain_arch(), 29);
-    let input = Tensor::random_uniform(Shape::chw(3, 48, 48), 1.0, 3);
-    let context = EngineContext::new().with_algo(ConvAlgo::Winograd);
-    let mut outputs = Vec::new();
-    for threads in [1usize, 2, 4] {
-        set_num_threads(threads);
-        outputs.push(context.scope(|| net.forward(&input).unwrap()));
-    }
-    set_num_threads(1);
-    assert_eq!(outputs[0].as_slice(), outputs[1].as_slice(), "1 vs 2 threads must agree bitwise");
-    assert_eq!(outputs[0].as_slice(), outputs[2].as_slice(), "1 vs 4 threads must agree bitwise");
-}
-
-/// The allocation-regression satellite: at both paper operating points the
-/// planner's reservation covers chained execution exactly — the first forward
-/// from a plan-reserved arena and every warm forward after it perform zero
-/// tracked heap allocations.
+/// At both paper operating points the planner's reservation covers the
+/// forward exactly: the first forward from a plan-reserved arena and every
+/// warm forward after it perform zero tracked heap allocations.
 #[test]
 fn chained_forwards_stay_allocation_free_at_224_and_448() {
     let _guard = lock();
-    let _chain = ChainGuard::force();
-    let net = Network::from_arch(&chain_arch(), 7);
+    let net = Network::from_arch(&pair_arch(), 7);
     let context = EngineContext::new().with_algo(ConvAlgo::Winograd);
     for res in [224usize, 448] {
         let shape = Shape::chw(3, res, res);
         let input = Tensor::random_uniform(shape, 1.0, res as u64);
 
         // Warm the kernel scratch pool and lazy per-layer caches with a
-        // throwaway arena, isolating the planned activation/band buffers.
+        // throwaway arena, isolating the planned activation buffers.
         let mut throwaway = ActivationArena::new();
         context.scope(|| net.forward_with_arena(&input, &mut throwaway).unwrap());
         drop(throwaway);
@@ -151,7 +80,7 @@ fn chained_forwards_stay_allocation_free_at_224_and_448() {
         assert_eq!(
             scratch::heap_allocations() - reserved,
             0,
-            "plan-reserved chained forward at {res}² must not allocate"
+            "plan-reserved forward at {res}² must not allocate"
         );
 
         let warm = scratch::heap_allocations();
@@ -159,7 +88,7 @@ fn chained_forwards_stay_allocation_free_at_224_and_448() {
         assert_eq!(
             scratch::heap_allocations() - warm,
             0,
-            "warm chained forward at {res}² must not allocate"
+            "warm forward at {res}² must not allocate"
         );
     }
 }

@@ -9,7 +9,7 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use rescnn_models::{ModelKind, Network};
+use rescnn_models::{ArchSpec, BlockSpec, ModelKind, Network};
 use rescnn_tensor::{
     scratch, select_algo, ActivationArena, ConvAlgo, EngineContext, Shape, Tensor,
 };
@@ -20,6 +20,23 @@ static LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// A thin residual network with one block of each ResNet family — a basic
+/// block (3×3 → 3×3, residual fused into the second) and a stride-1
+/// bottleneck (1×1 → 3×3 → 1×1) — with channel counts small enough for
+/// debug-mode runs at 448².
+fn thin_residual_arch() -> ArchSpec {
+    ArchSpec {
+        kind: ModelKind::ResNet18,
+        blocks: vec![
+            BlockSpec::BasicBlock { in_ch: 3, out_ch: 8, stride: 1 },
+            BlockSpec::Bottleneck { in_ch: 8, mid_ch: 4, out_ch: 8, stride: 1 },
+            BlockSpec::GlobalAvgPool,
+            BlockSpec::Classifier { in_features: 8, num_classes: 4 },
+        ],
+        num_classes: 4,
+    }
 }
 
 #[test]
@@ -43,16 +60,22 @@ fn prepared_forward_matches_reference_across_families() {
 #[test]
 fn prepared_forward_matches_reference_under_winograd_dispatch() {
     let _guard = lock();
-    // Forcing Winograd routes every dense stride-1 3×3 layer through the fused
-    // (bias + residual + activation) Winograd output transform in the prepared
-    // path, vs the PR-4 fused-bias-activation + separate add_relu composition
-    // in the reference. Both must agree bitwise.
-    let net = Network::new(ModelKind::ResNet18, 4, 17);
+    // Forcing a Winograd arm routes every dense stride-1 3×3 layer through the
+    // fused (bias + residual + activation) Winograd output transform in the
+    // prepared path, vs fused bias + activation and a separate add_relu in the
+    // reference. Both must agree bitwise, for both transform sizes and both
+    // residual block families.
     let input = Tensor::random_uniform(Shape::chw(3, 56, 56), 1.0, 23);
-    let context = EngineContext::new().with_algo(ConvAlgo::Winograd);
-    let fast = context.scope(|| net.forward(&input).unwrap());
-    let reference = context.scope(|| net.forward_reference(&input).unwrap());
-    assert_eq!(fast.as_slice(), reference.as_slice());
+    for net in
+        [Network::new(ModelKind::ResNet18, 4, 17), Network::from_arch(&thin_residual_arch(), 13)]
+    {
+        for algo in [ConvAlgo::Winograd, ConvAlgo::WinogradF4] {
+            let context = EngineContext::new().with_algo(algo);
+            let fast = context.scope(|| net.forward(&input).unwrap());
+            let reference = context.scope(|| net.forward_reference(&input).unwrap());
+            assert_eq!(fast.as_slice(), reference.as_slice(), "{algo} diverged from the reference");
+        }
+    }
 }
 
 /// The default rule inside a real forward, one rung per arm it can choose:
@@ -154,35 +177,77 @@ fn warm_batched_forwards_perform_zero_tracked_allocations() {
 }
 
 /// The arena planner's reservation covers a real forward exactly: after
-/// reserving from the plan, even the *first* forward at that resolution
-/// performs zero tracked allocations.
+/// reserving from the plan, even the *first* forward at that resolution — and
+/// every warm one after it — performs zero tracked allocations. Covered under
+/// default dispatch (ResNet-50) and at the paper's 448² operating point with
+/// every stride-1 3×3 layer forced onto Winograd (the thin basic + bottleneck
+/// network).
 #[test]
 fn arena_plan_reservation_makes_first_forward_allocation_free() {
     let _guard = lock();
-    let net = Network::new(ModelKind::ResNet50, 4, 11);
-    let shape = Shape::chw(3, 56, 56);
-    let input = Tensor::random_uniform(shape, 1.0, 31);
+    let cases = [
+        (Network::new(ModelKind::ResNet50, 4, 11), 56usize, EngineContext::new()),
+        (
+            Network::from_arch(&thin_residual_arch(), 7),
+            448,
+            EngineContext::new().with_algo(ConvAlgo::Winograd),
+        ),
+    ];
+    for (net, res, context) in &cases {
+        let shape = Shape::chw(3, *res, *res);
+        let input = Tensor::random_uniform(shape, 1.0, 31);
+        context.scope(|| {
+            // Warm the kernel scratch pool and the lazy per-layer caches with a
+            // throwaway arena, so the measurement isolates the *activation*
+            // buffers.
+            let mut throwaway = ActivationArena::new();
+            net.forward_with_arena(&input, &mut throwaway).unwrap();
+            drop(throwaway);
 
-    // Warm the kernel scratch pool and the lazy per-layer caches with a
-    // throwaway arena, so the measurement isolates the *activation* buffers.
-    let mut throwaway = ActivationArena::new();
-    net.forward_with_arena(&input, &mut throwaway).unwrap();
-    drop(throwaway);
+            let plan = net.arena_plan(shape).unwrap();
+            assert!(!plan.buffer_elems.is_empty());
+            let mut arena = ActivationArena::new();
+            plan.reserve(&mut arena);
+            let reserved = scratch::heap_allocations();
+            let out = net.forward_with_arena(&input, &mut arena).unwrap();
+            assert_eq!(
+                scratch::heap_allocations() - reserved,
+                0,
+                "a plan-reserved arena must serve the first forward at {res}² without allocating"
+            );
+            let warm = scratch::heap_allocations();
+            net.forward_with_arena(&input, &mut arena).unwrap();
+            assert_eq!(
+                scratch::heap_allocations() - warm,
+                0,
+                "a warm forward at {res}² must not allocate"
+            );
+            // And the planned execution is still the same bits.
+            let reference = net.forward_reference(&input).unwrap();
+            assert_eq!(out.as_slice(), reference.as_slice());
+        });
+    }
+}
 
-    let plan = net.arena_plan(shape).unwrap();
-    assert!(!plan.buffer_elems.is_empty());
-    let mut arena = ActivationArena::new();
-    plan.reserve(&mut arena);
-    let reserved = scratch::heap_allocations();
-    let out = net.forward_with_arena(&input, &mut arena).unwrap();
-    assert_eq!(
-        scratch::heap_allocations() - reserved,
-        0,
-        "a plan-reserved arena must serve the first forward without allocating"
-    );
-    // And the planned execution is still the same bits.
-    let reference = net.forward_reference(&input).unwrap();
-    assert_eq!(out.as_slice(), reference.as_slice());
+/// The arena plan is a function of the architecture and the input shape
+/// only: the thread budget a caller happens to run under must not change it,
+/// or memory-budget admission would charge whichever figure its first caller
+/// produced.
+#[test]
+fn arena_plan_is_identical_at_every_thread_budget() {
+    let _guard = lock();
+    let net = Network::new(ModelKind::ResNet50, 1000, 0);
+    for res in [112usize, 224, 448] {
+        let shape = Shape::chw(3, res, res);
+        let plans: Vec<_> = [1usize, 2, 4]
+            .iter()
+            .map(|&threads| {
+                EngineContext::new().with_threads(threads).scope(|| net.arena_plan(shape).unwrap())
+            })
+            .collect();
+        assert_eq!(plans[0], plans[1], "ResNet-50 arena plan at {res}²: 1 vs 2 threads");
+        assert_eq!(plans[0], plans[2], "ResNet-50 arena plan at {res}²: 1 vs 4 threads");
+    }
 }
 
 /// Mixed-resolution serving: one arena grows to the per-bucket maxima and then
@@ -213,7 +278,9 @@ fn mixed_resolution_buckets_reach_steady_state() {
 #[test]
 fn measured_peak_live_bytes_never_exceed_the_planned_peak() {
     let _guard = lock();
-    for (kind, hw) in [(ModelKind::ResNet18, 56usize), (ModelKind::MobileNetV2, 48)] {
+    for (kind, hw) in
+        [(ModelKind::ResNet18, 56usize), (ModelKind::ResNet50, 56), (ModelKind::MobileNetV2, 48)]
+    {
         let net = Network::new(kind, 4, 11);
         let shape = Shape::chw(3, hw, hw);
         let input = Tensor::random_uniform(shape, 1.0, 7);

@@ -684,7 +684,7 @@ fn winograd_default(params: &Conv2dParams, input: Shape) -> Option<ConvAlgo> {
 ///    tile count *is* the column count of the arm's per-point GEMMs: the 2.25–4×
 ///    cut in multiplies only pays once those GEMMs fill the microkernel, which is
 ///    a property of the layer's resolution, not of the host. Measured per shape
-///    in `docs/winograd-chaining.md` (wins of 1.7–2.6× above the threshold,
+///    in `docs/winograd.md` (wins of 1.7–2.6× above the threshold,
 ///    losses down to 0.2× below it).
 /// 5. Everything else runs packing-aware im2col stripes + packed GEMM, with stripe
 ///    heights sized from the output resolution so packed panels stay cache-resident.
@@ -918,17 +918,6 @@ impl PreparedLayer {
     /// The per-channel bias, if any.
     pub fn bias(&self) -> Option<&[f32]> {
         self.bias.as_deref()
-    }
-
-    /// The prepacked dense (single-group) GEMM left operand, if this layer
-    /// carries packed panels. Used by the chain executor's pointwise consumer.
-    pub(crate) fn dense_gemm_lhs(&self) -> Option<engine::GemmLhs<'_>> {
-        match &self.weights {
-            LayerWeights::Packed(groups) if self.params.groups == 1 => {
-                groups.first().map(engine::PreparedGemmA::as_lhs)
-            }
-            _ => None,
-        }
     }
 
     /// The cached Winograd filter transform, building it on first use.

@@ -73,7 +73,6 @@
 
 pub mod arena;
 pub mod cancel;
-pub mod chain;
 mod context;
 mod conv;
 pub mod engine;
@@ -89,10 +88,6 @@ pub mod winograd;
 
 pub use arena::{with_thread_arena, ActivationArena};
 pub use cancel::CancellationToken;
-pub use chain::{
-    chain_enabled, chain_mode, chain_plan, conv2d_chain_fused_into, set_chain_mode, ChainConsumer,
-    ChainMode, ChainPlan,
-};
 pub use context::EngineContext;
 pub use conv::{
     algo_calibration_generation, conv2d, conv2d_depthwise, conv2d_direct, conv2d_dispatch,

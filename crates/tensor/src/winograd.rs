@@ -59,14 +59,14 @@ const POINTS: usize = 16;
 /// Output tile extent.
 pub(crate) const TILE: usize = 2;
 /// Input tile extent (`TILE + kernel − 1`).
-pub(crate) const ALPHA: usize = 4;
+const ALPHA: usize = 4;
 
 /// Transform points of F(4×4, 3×3): a 6×6 grid.
 const POINTS_F4: usize = 36;
 /// Output tile extent of F(4×4, 3×3).
 pub(crate) const TILE_F4: usize = 4;
 /// Input tile extent of F(4×4, 3×3) (`TILE_F4 + kernel − 1`).
-pub(crate) const ALPHA_F4: usize = 6;
+const ALPHA_F4: usize = 6;
 
 /// Elementwise agreement bound for F(4×4, 3×3) against `Im2colPacked` at
 /// unit-scale activations and half-scale weights, pinned by the
@@ -234,17 +234,6 @@ impl WinogradFilter {
     pub fn resident_bytes(&self) -> usize {
         self.u.len() * std::mem::size_of::<f32>()
     }
-
-    /// The packed per-point panel buffer (for the crate-internal chain
-    /// executor, which drives [`WinogradPass`] directly).
-    pub(crate) fn u(&self) -> &[f32] {
-        &self.u
-    }
-
-    /// Elements per point segment of [`WinogradFilter::u`].
-    pub(crate) fn point_seg(&self) -> usize {
-        self.point_seg
-    }
 }
 
 /// Interleaves two stencil-output lanes into one output row, adding the bias,
@@ -367,20 +356,43 @@ fn emit_interleaved_f4(
     }
 }
 
-/// A raw output pointer that may cross thread boundaries; the tile-row chunk
-/// decomposition guarantees tasks write pairwise-disjoint elements.
-pub(crate) struct OutPtr(pub(crate) *mut f32);
-
-impl OutPtr {
-    /// Accessor (rather than direct field use) so closures capture the wrapper,
-    /// keeping them `Sync`.
-    pub(crate) fn get(&self) -> *mut f32 {
-        self.0
-    }
+/// A mutable buffer that the tasks of one parallel dispatch write through at
+/// once, each into its own pairwise-disjoint ranges (output tile rows, or
+/// workspace slots). It borrows nothing: whoever builds it keeps the buffer
+/// mutably borrowed, and unused, for as long as any task holds it.
+struct OutPtr {
+    ptr: *mut f32,
+    len: usize,
 }
 
+// SAFETY: `len` is plain data. `ptr` is only dereferenced through
+// `OutPtr::slice_mut`, whose contract makes callers guarantee that the buffer
+// outlives every use and that no two live slices overlap, so moving or sharing
+// the pointer between threads adds no aliasing beyond what that contract
+// already rules out (and `f32` itself is `Send + Sync`).
 unsafe impl Send for OutPtr {}
+// SAFETY: see the `Send` impl above.
 unsafe impl Sync for OutPtr {}
+
+impl OutPtr {
+    fn new(buffer: &mut [f32]) -> Self {
+        OutPtr { ptr: buffer.as_mut_ptr(), len: buffer.len() }
+    }
+
+    /// Elements `start..start + len` of the buffer.
+    ///
+    /// # Safety
+    /// The buffer [`OutPtr::new`] was given must still be alive and otherwise
+    /// unused, and no other slice obtained from this `OutPtr` that overlaps
+    /// the range may be live (on any thread).
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn slice_mut(&self, start: usize, len: usize) -> &mut [f32] {
+        assert!(start + len <= self.len, "{start}+{len} overruns {} elements", self.len);
+        // SAFETY: the range lies inside the buffer (asserted above), and the
+        // caller guarantees the buffer is live and the range exclusively ours.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), len) }
+    }
+}
 
 /// GEMM columns (tiles) one worker task aims to process per chunk. Swept
 /// empirically across layer shapes (32–512 channels, 14–448 px): ~224 columns is
@@ -401,7 +413,7 @@ const MAX_V_CHUNK_ELEMS: usize = 2 << 20;
 /// [`MAX_V_CHUNK_ELEMS`]. A pure function of the layer shape (never of the
 /// thread count), which keeps the decomposition — and therefore the results —
 /// identical for every worker configuration.
-pub(crate) fn chunk_tile_rows(in_channels: usize, tiles_w: usize, tiles_h: usize) -> usize {
+fn chunk_tile_rows(in_channels: usize, tiles_w: usize, tiles_h: usize) -> usize {
     let tiles_w = tiles_w.max(1);
     let rows_cap = (MAX_V_CHUNK_ELEMS / (POINTS * in_channels * tiles_w)).max(1);
     (TARGET_CHUNK_TILES / tiles_w).clamp(1, rows_cap).min(tiles_h)
@@ -409,7 +421,7 @@ pub(crate) fn chunk_tile_rows(in_channels: usize, tiles_w: usize, tiles_h: usize
 
 /// [`chunk_tile_rows`] for the 36-point F(4×4, 3×3) decomposition: same
 /// target and packed-`V` cap, with the footprint scaled by `POINTS_F4`.
-pub(crate) fn chunk_tile_rows_f4(in_channels: usize, tiles_w: usize, tiles_h: usize) -> usize {
+fn chunk_tile_rows_f4(in_channels: usize, tiles_w: usize, tiles_h: usize) -> usize {
     let tiles_w = tiles_w.max(1);
     let rows_cap = (MAX_V_CHUNK_ELEMS / (POINTS_F4 * in_channels * tiles_w)).max(1);
     (TARGET_CHUNK_TILES / tiles_w).clamp(1, rows_cap).min(tiles_h)
@@ -447,9 +459,11 @@ fn scatter_stencil_rows(
         let lane = j % NR;
         let run = (NR - lane).min(tiles_w - tw);
         let panel_off = (j / NR) * (in_ch * NR) + ic * NR + lane;
-        // Safety: the assertions above bound every `dst.add(i)` for i < run and
-        // every `e/o.add(tw + i + 1)`; the four destinations are disjoint
-        // (distinct `vseg` segments).
+        // SAFETY: `lane + run ≤ NR` and `j ≤ j0 + tiles_w − 1`, so every
+        // `dK.add(i)` (i < run) stays below the last-panel bound asserted on
+        // `vpack` above; `tw + i + 1 ≤ tiles_w < even.len(), odd.len()`, also
+        // asserted. The four destinations lie in distinct `vseg` segments, so
+        // the writes never alias each other or the `even`/`odd` reads.
         unsafe {
             let d0 = base.add(point_base * vseg + panel_off);
             let d1 = base.add((point_base + 1) * vseg + panel_off);
@@ -497,9 +511,11 @@ fn scatter_stencil_rows_f4(
         let lane = j % NR;
         let run = (NR - lane).min(tiles_w - tw);
         let panel_off = (j / NR) * (in_ch * NR) + ic * NR + lane;
-        // Safety: the assertions above bound every `dN.add(i)` for i < run and
-        // every `zp.add(4·(tw+i) + 5)`; the six destinations are disjoint
-        // (distinct `vseg` segments).
+        // SAFETY: `lane + run ≤ NR` and `j ≤ j0 + tiles_w − 1`, so every
+        // `dK.add(i)` (i < run) stays below the last-panel bound asserted on
+        // `vpack` above; `4·(tw + i) + 5 ≤ 4·tiles_w + 1 < z.len()`, also
+        // asserted. The six destinations lie in distinct `vseg` segments, so
+        // the writes never alias each other or the `z` reads.
         unsafe {
             let d0 = base.add(point_base * vseg + panel_off);
             let d1 = base.add((point_base + 1) * vseg + panel_off);
@@ -574,8 +590,8 @@ pub fn conv2d_winograd_fused_into(
 }
 
 /// Shared validated driver for both transform sizes: builds one
-/// [`WinogradPass`] per sample over the full (unrung) input/output tensors and
-/// fans its tile-row chunks out on the worker pool.
+/// [`WinogradPass`] per sample and fans its tile-row chunks out on the worker
+/// pool.
 #[allow(clippy::too_many_arguments)]
 fn winograd_fused_into_any(
     input: &Tensor,
@@ -630,8 +646,7 @@ fn winograd_fused_into_any(
     }
     let residual = residual.map(Tensor::as_slice);
 
-    let in_ch = params.in_channels;
-    let out_ch = params.out_channels;
+    let (in_ch, out_ch) = (filter.in_channels, filter.out_channels);
     let (oh, ow) = (oshape.h, oshape.w);
     let tile = if f4 { TILE_F4 } else { TILE };
     let tiles_h = oh.div_ceil(tile);
@@ -647,7 +662,7 @@ fn winograd_fused_into_any(
     let in_plane = in_ch * ishape.h * ishape.w;
     let out_plane = out_ch * oh * ow;
     let in_all = input.as_slice();
-    let out_base = out.as_mut_slice().as_mut_ptr();
+    let out_all = out.as_mut_slice();
     // Chunk scratch comes from the *calling* thread's arena, one slot per
     // concurrently running task: which pool workers join a dispatch varies
     // from call to call, so scratch drawn on the workers would keep landing in
@@ -658,19 +673,14 @@ fn winograd_fused_into_any(
     let slots = WorkspaceSlots::new(&mut workspace, slot_len);
     for n in 0..ishape.n {
         let pass = WinogradPass {
-            u: &filter.u,
-            point_seg: filter.point_seg,
-            in_ch,
-            out_ch,
+            filter,
             pad: params.padding,
             in_data: &in_all[n * in_plane..(n + 1) * in_plane],
-            in_rows: ishape.h,
             ih: ishape.h,
             iw: ishape.w,
-            // Safety: per-sample base pointer; chunks own disjoint tile-row
-            // ranges of it (see `OutPtr`).
-            out: OutPtr(unsafe { out_base.add(n * out_plane) }),
-            out_rows: oh,
+            // `out_all` is left untouched while the chunks below write this
+            // sample's planes through the pass.
+            out: OutPtr::new(&mut out_all[n * out_plane..(n + 1) * out_plane]),
             oh,
             ow,
             tiles_w,
@@ -681,7 +691,12 @@ fn winograd_fused_into_any(
         parallel::for_each_task(n_chunks, parallel, |chunk| {
             let tr0 = chunk * rows_per_chunk;
             let tr1 = (tr0 + rows_per_chunk).min(tiles_h);
-            pass.run_chunk_f2_or_f4(f4, tr0, tr1, slots.acquire().get());
+            let mut slot = slots.acquire();
+            if f4 {
+                pass.run_chunk_f4(tr0, tr1, slot.get());
+            } else {
+                pass.run_chunk_f2(tr0, tr1, slot.get());
+            }
         });
     }
     scratch::give(workspace);
@@ -710,7 +725,7 @@ fn chunk_workspace_parts(
 }
 
 /// Elements of scratch one chunk of `rows` tile rows needs.
-pub(crate) fn chunk_workspace_len(
+fn chunk_workspace_len(
     f4: bool,
     in_ch: usize,
     out_ch: usize,
@@ -747,7 +762,7 @@ impl<'a> WorkspaceSlots<'a> {
         let slots = (buffer.len() / slot_len.max(1)).min(Self::MAX);
         assert!(slots > 0, "workspace smaller than one slot");
         WorkspaceSlots {
-            base: OutPtr(buffer.as_mut_ptr()),
+            base: OutPtr::new(buffer),
             slot_len,
             free: AtomicU64::new(u64::MAX >> (64 - slots)),
             _buffer: std::marker::PhantomData,
@@ -789,7 +804,7 @@ impl WorkspaceSlot<'_, '_> {
         // SAFETY: `index < slots ≤ buffer.len() / slot_len`, so the range lies
         // inside the buffer `WorkspaceSlots` borrows mutably for `'a`; its bit
         // is cleared in `free` while `self` lives, so no other task holds it.
-        unsafe { std::slice::from_raw_parts_mut(base.get().add(self.index * slot_len), *slot_len) }
+        unsafe { base.slice_mut(self.index * slot_len, *slot_len) }
     }
 }
 
@@ -799,68 +814,40 @@ impl Drop for WorkspaceSlot<'_, '_> {
     }
 }
 
-/// One sample's Winograd execution context: the transform bank plus row views
-/// of the input and output planes. Logical row `r` of a channel plane lives at
-/// slot `r % in_rows` (respectively `r % out_rows`) — the identity mapping for
-/// full tensors, a ring for the layer-chain executor's halo bands
-/// ([`crate::chain`]). `run_chunk_f2`/`run_chunk_f4` execute one tile-row
-/// chunk; chunk decomposition and threading belong to the caller, and chunks
-/// write pairwise-disjoint output rows.
-pub(crate) struct WinogradPass<'a> {
-    /// Prepacked transform bank segments (`WinogradFilter::u`).
-    pub(crate) u: &'a [f32],
-    /// Elements per transform-point segment of `u`.
-    pub(crate) point_seg: usize,
-    pub(crate) in_ch: usize,
-    pub(crate) out_ch: usize,
-    pub(crate) pad: usize,
-    /// Input view: `in_ch` planes of `in_rows × iw`.
-    pub(crate) in_data: &'a [f32],
-    /// Ring capacity of the input view (== logical height when unrung).
-    pub(crate) in_rows: usize,
-    /// Logical input height (padding bounds).
-    pub(crate) ih: usize,
-    pub(crate) iw: usize,
-    /// Output view base: `out_ch` planes of `out_rows × ow`.
-    pub(crate) out: OutPtr,
-    /// Ring capacity of the output view (== `oh` when unrung).
-    pub(crate) out_rows: usize,
-    /// Logical output height.
-    pub(crate) oh: usize,
-    pub(crate) ow: usize,
-    pub(crate) tiles_w: usize,
-    pub(crate) bias: Option<&'a [f32]>,
-    /// Full-plane residual indexed by logical row; requires an unrung output.
-    pub(crate) residual: Option<&'a [f32]>,
-    pub(crate) activation: FusedActivation,
+/// One sample's Winograd execution context: the transform bank plus the
+/// sample's input and output planes. `run_chunk_f2`/`run_chunk_f4` execute one
+/// tile-row chunk; chunk decomposition and threading belong to the caller, and
+/// chunks write pairwise-disjoint output rows.
+struct WinogradPass<'a> {
+    filter: &'a WinogradFilter,
+    pad: usize,
+    /// `in_channels` planes of `ih × iw`.
+    in_data: &'a [f32],
+    ih: usize,
+    iw: usize,
+    /// `out_channels` planes of `oh × ow`.
+    out: OutPtr,
+    oh: usize,
+    ow: usize,
+    tiles_w: usize,
+    bias: Option<&'a [f32]>,
+    /// Laid out like `out`.
+    residual: Option<&'a [f32]>,
+    activation: FusedActivation,
 }
 
 impl WinogradPass<'_> {
-    /// Dispatches to [`WinogradPass::run_chunk_f4`] or
-    /// [`WinogradPass::run_chunk_f2`] — the chain executor drives both variants
-    /// through one code path.
+    /// Executes tile rows `[tr0, tr1)` of the F(2×2, 3×3) pipeline: input
+    /// transform into packed-B segments, one GEMM per transform point, fused
+    /// inverse transform into the output view.
     ///
     /// `ws` is the chunk's scratch — at least [`chunk_workspace_len`] of
     /// `tr1 - tr0` rows, contents unspecified — owned by the caller so that it
     /// comes from the dispatching thread's arena, never a pool worker's.
-    pub(crate) fn run_chunk_f2_or_f4(&self, f4: bool, tr0: usize, tr1: usize, ws: &mut [f32]) {
-        if f4 {
-            self.run_chunk_f4(tr0, tr1, ws);
-        } else {
-            self.run_chunk_f2(tr0, tr1, ws);
-        }
-    }
-
-    /// Executes tile rows `[tr0, tr1)` of the F(2×2, 3×3) pipeline: input
-    /// transform into packed-B segments, one GEMM per transform point, fused
-    /// inverse transform into the output view.
     fn run_chunk_f2(&self, tr0: usize, tr1: usize, ws: &mut [f32]) {
-        debug_assert!(
-            self.residual.is_none() || self.out_rows == self.oh,
-            "residual fusion requires an unrung output view"
-        );
-        let (in_ch, out_ch, tiles_w) = (self.in_ch, self.out_ch, self.tiles_w);
-        let (u, point_seg) = (self.u, self.point_seg);
+        let (in_ch, out_ch, tiles_w) =
+            (self.filter.in_channels, self.filter.out_channels, self.tiles_w);
+        let (u, point_seg) = (&self.filter.u[..], self.filter.point_seg);
         let (bias, residual, activation) = (self.bias, self.residual, self.activation);
         let pad = self.pad as isize;
         let pad_cols = self.pad;
@@ -882,8 +869,7 @@ impl WinogradPass<'_> {
         let wz = 2 * (tiles_w + 1);
         let half = tiles_w + 1;
         for ic in 0..in_ch {
-            let plane =
-                &self.in_data[ic * self.in_rows * self.iw..(ic + 1) * self.in_rows * self.iw];
+            let plane = &self.in_data[ic * self.ih * self.iw..(ic + 1) * self.ih * self.iw];
             for tr in tr0..tr1 {
                 let ih0 = (tr * TILE) as isize - pad;
                 let (rbuf, eo) = stage.split_at_mut(4 * wz);
@@ -895,8 +881,8 @@ impl WinogradPass<'_> {
                         row.fill(0.0);
                         continue;
                     }
-                    let slot = ih as usize % self.in_rows;
-                    let src = &plane[slot * self.iw..(slot + 1) * self.iw];
+                    let ih = ih as usize;
+                    let src = &plane[ih * self.iw..(ih + 1) * self.iw];
                     let x0 = pad_cols.min(wz);
                     let x1 = (pad_cols + self.iw).min(wz);
                     row[..x0].fill(0.0);
@@ -965,13 +951,9 @@ impl WinogradPass<'_> {
         // --- Output transform: Y = Aᵀ·M·A + bias, activation fused, written
         // into this chunk's output rows of every channel plane. Like the input
         // transform, the per-tile 2×4 / 2×2 products are restructured as
-        // whole-tile-row slice sweeps over the 16 contiguous `M` streams.
-        // Safety: chunks own disjoint tile-row ranges, so all writes are
-        // pairwise disjoint and in-bounds. ---
-        let base_ptr = self.out.get();
+        // whole-tile-row slice sweeps over the 16 contiguous `M` streams. ---
         for c_out in 0..out_ch {
             let bias_v = bias.map_or(0.0, |b| b[c_out]);
-            let plane_base = c_out * self.out_rows * ow;
             let mrows: [&[f32]; POINTS] = std::array::from_fn(|t| {
                 &mbuf[t * out_ch * p + c_out * p..t * out_ch * p + (c_out + 1) * p]
             });
@@ -1017,16 +999,16 @@ impl WinogradPass<'_> {
                     if oh0 + half_row >= oh {
                         break;
                     }
-                    let row = oh0 + half_row;
-                    let row_start = plane_base + (row % self.out_rows) * ow;
-                    // Safety: rows [tr0*2, tr1*2) of every plane belong
-                    // exclusively to this task (see above).
-                    let out_row =
-                        unsafe { std::slice::from_raw_parts_mut(base_ptr.add(row_start), ow) };
+                    let row_start = (c_out * oh + oh0 + half_row) * ow;
+                    // SAFETY: output row `oh0 + half_row < oh` of plane
+                    // `c_out < out_channels` lies inside the sample's planes
+                    // `out` was built over, and it belongs to tile row `tr`,
+                    // which only this chunk covers (chunks partition the tile
+                    // rows), so no other live slice overlaps it.
+                    let out_row = unsafe { self.out.slice_mut(row_start, ow) };
                     let ya = &y[2 * half_row * tiles_w..(2 * half_row + 1) * tiles_w];
                     let yb = &y[(2 * half_row + 1) * tiles_w..(2 * half_row + 2) * tiles_w];
-                    let skip_row =
-                        residual.map(|s| &s[(c_out * oh + row) * ow..(c_out * oh + row + 1) * ow]);
+                    let skip_row = residual.map(|s| &s[row_start..row_start + ow]);
                     emit_output_row(out_row, ya, yb, bias_v, skip_row, activation);
                 }
             }
@@ -1039,12 +1021,9 @@ impl WinogradPass<'_> {
     /// deinterleave — tile `t` reads staged columns `4t..4t+6` directly), and
     /// each tile row feeds 36 packed-B segments.
     fn run_chunk_f4(&self, tr0: usize, tr1: usize, ws: &mut [f32]) {
-        debug_assert!(
-            self.residual.is_none() || self.out_rows == self.oh,
-            "residual fusion requires an unrung output view"
-        );
-        let (in_ch, out_ch, tiles_w) = (self.in_ch, self.out_ch, self.tiles_w);
-        let (u, point_seg) = (self.u, self.point_seg);
+        let (in_ch, out_ch, tiles_w) =
+            (self.filter.in_channels, self.filter.out_channels, self.tiles_w);
+        let (u, point_seg) = (&self.filter.u[..], self.filter.point_seg);
         let (bias, residual, activation) = (self.bias, self.residual, self.activation);
         let pad = self.pad as isize;
         let pad_cols = self.pad;
@@ -1061,8 +1040,7 @@ impl WinogradPass<'_> {
         // width covers 4·tiles_w + 2 columns. ---
         let wz = 4 * tiles_w + 2;
         for ic in 0..in_ch {
-            let plane =
-                &self.in_data[ic * self.in_rows * self.iw..(ic + 1) * self.in_rows * self.iw];
+            let plane = &self.in_data[ic * self.ih * self.iw..(ic + 1) * self.ih * self.iw];
             for tr in tr0..tr1 {
                 let ih0 = (tr * TILE_F4) as isize - pad;
                 let (rbuf, zbuf) = stage.split_at_mut(ALPHA_F4 * wz);
@@ -1073,8 +1051,8 @@ impl WinogradPass<'_> {
                         row.fill(0.0);
                         continue;
                     }
-                    let slot = ih as usize % self.in_rows;
-                    let src = &plane[slot * self.iw..(slot + 1) * self.iw];
+                    let ih = ih as usize;
+                    let src = &plane[ih * self.iw..(ih + 1) * self.iw];
                     let x0 = pad_cols.min(wz);
                     let x1 = (pad_cols + self.iw).min(wz);
                     row[..x0].fill(0.0);
@@ -1135,12 +1113,9 @@ impl WinogradPass<'_> {
         }
 
         // --- Output transform: Y = Aᵀ·M·A + bias, activation fused, with
-        // Aᵀ = [[1,1,1,1,1,0],[0,1,−1,2,−2,0],[0,1,1,4,4,0],[0,1,−1,8,−8,1]].
-        // Safety: chunks own disjoint tile-row ranges (see `OutPtr`). ---
-        let base_ptr = self.out.get();
+        // Aᵀ = [[1,1,1,1,1,0],[0,1,−1,2,−2,0],[0,1,1,4,4,0],[0,1,−1,8,−8,1]]. ---
         for c_out in 0..out_ch {
             let bias_v = bias.map_or(0.0, |b| b[c_out]);
-            let plane_base = c_out * self.out_rows * ow;
             let mrows: [&[f32]; POINTS_F4] = std::array::from_fn(|t| {
                 &mbuf[t * out_ch * p + c_out * p..t * out_ch * p + (c_out + 1) * p]
             });
@@ -1187,14 +1162,12 @@ impl WinogradPass<'_> {
                         y[2 * tiles_w + j] = p12 + 4.0 * p34;
                         y[3 * tiles_w + j] = m12 + 8.0 * m34 + t5;
                     }
-                    let row = oh0 + q;
-                    let row_start = plane_base + (row % self.out_rows) * ow;
-                    // Safety: rows [tr0*4, tr1*4) of every plane belong
-                    // exclusively to this task (see above).
-                    let out_row =
-                        unsafe { std::slice::from_raw_parts_mut(base_ptr.add(row_start), ow) };
-                    let skip_row =
-                        residual.map(|s| &s[(c_out * oh + row) * ow..(c_out * oh + row + 1) * ow]);
+                    let row_start = (c_out * oh + oh0 + q) * ow;
+                    // SAFETY: as in `run_chunk_f2` — output row `oh0 + q < oh`
+                    // of plane `c_out` lies inside `out` and belongs to tile
+                    // row `tr`, which only this chunk covers.
+                    let out_row = unsafe { self.out.slice_mut(row_start, ow) };
+                    let skip_row = residual.map(|s| &s[row_start..row_start + ow]);
                     emit_output_row_f4(out_row, y, tiles_w, bias_v, skip_row, activation);
                 }
             }
@@ -1481,6 +1454,15 @@ mod tests {
         assert!(unwound.is_err());
         assert_eq!(slots.acquire().index, freed);
         drop(b);
+    }
+
+    #[test]
+    #[should_panic(expected = "overruns")]
+    fn out_ptr_rejects_a_range_past_its_buffer() {
+        let mut buffer = vec![0.0f32; 8];
+        let out = OutPtr::new(&mut buffer);
+        // SAFETY: `buffer` is live and nothing else borrows it.
+        let _ = unsafe { out.slice_mut(4, 5) };
     }
 
     #[test]

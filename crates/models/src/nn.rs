@@ -35,6 +35,9 @@
 //! vector reduction agrees with the old scalar `linear` only to reassociation
 //! level (~1e-4) — logits are *not* bit-comparable with pre-PR recordings.
 
+use std::ops::Range;
+
+use rescnn_tensor::parallel::parallel_map_indexed;
 use rescnn_tensor::{
     add_relu_in_place, avg_pool2d, conv2d_winograd_f4_prepared, conv2d_winograd_prepared,
     conv2d_with_algo, global_avg_pool_into, linear_prepared, linear_prepared_into, max_pool2d_into,
@@ -220,6 +223,43 @@ enum LayerImpl {
     Classifier { weight: PreparedGemmB, bias: Vec<f32>, in_features: usize, out_features: usize },
 }
 
+impl LayerImpl {
+    /// The layer's output shape for an input of shape `input`.
+    fn output_shape(&self, input: Shape) -> Result<Shape> {
+        Ok(match self {
+            LayerImpl::ConvBn(conv) => conv.output_shape(input)?,
+            LayerImpl::MaxPool(pool) => pool.output_shape(input)?,
+            LayerImpl::Basic { conv1, conv2, .. } => {
+                conv2.output_shape(conv1.output_shape(input)?)?
+            }
+            LayerImpl::Bottleneck { conv1, conv2, conv3, .. } => {
+                conv3.output_shape(conv2.output_shape(conv1.output_shape(input)?)?)?
+            }
+            LayerImpl::Inverted { expand, depthwise, project, .. } => {
+                let hidden = match expand {
+                    Some(e) => e.output_shape(input)?,
+                    None => input,
+                };
+                project.output_shape(depthwise.output_shape(hidden)?)?
+            }
+            LayerImpl::GlobalAvgPool => Shape::new(input.n, input.c, 1, 1),
+            LayerImpl::Classifier { out_features, .. } => Shape::new(input.n, *out_features, 1, 1),
+        })
+    }
+
+    /// Whether the layer opens a stage: a residual block whose shortcut
+    /// projects, or an inverted block without a skip.
+    fn is_stage_entry(&self) -> bool {
+        match self {
+            LayerImpl::Basic { downsample, .. } | LayerImpl::Bottleneck { downsample, .. } => {
+                downsample.is_some()
+            }
+            LayerImpl::Inverted { skip, .. } => !skip,
+            _ => false,
+        }
+    }
+}
+
 /// The current activation flowing through a forward pass: the caller's input is
 /// borrowed (no per-request clone), everything after the first layer is an
 /// arena-owned tensor retired as soon as it goes dead.
@@ -240,6 +280,14 @@ impl Cursor<'_> {
     fn retire(self, arena: &mut ActivationArena) {
         if let Cursor::Owned(t) = self {
             arena.give(t);
+        }
+    }
+
+    /// The activation as an owned tensor (a borrowed input is cloned).
+    fn into_tensor(self) -> Tensor {
+        match self {
+            Cursor::Borrowed(t) => t.clone(),
+            Cursor::Owned(t) => t,
         }
     }
 }
@@ -515,8 +563,17 @@ impl Network {
         arena: &mut ActivationArena,
     ) -> Result<Tensor> {
         self.check_input(input)?;
-        let mut cur = Cursor::Borrowed(input);
-        for layer in &self.layers {
+        Ok(Self::run_layers(&self.layers, Cursor::Borrowed(input), arena)?.into_tensor())
+    }
+
+    /// Runs `layers` over the activation `cur` (one image or a batch of them),
+    /// retiring each consumed activation to the arena.
+    fn run_layers<'a>(
+        layers: &[LayerImpl],
+        mut cur: Cursor<'a>,
+        arena: &mut ActivationArena,
+    ) -> Result<Cursor<'a>> {
+        for layer in layers {
             let next = match layer {
                 LayerImpl::ConvBn(conv) => conv.forward(cur.get(), arena)?,
                 LayerImpl::MaxPool(pool) => {
@@ -614,10 +671,7 @@ impl Network {
             cur.retire(arena);
             cur = Cursor::Owned(next);
         }
-        match cur {
-            Cursor::Owned(t) => Ok(t),
-            Cursor::Borrowed(t) => Ok(t.clone()),
-        }
+        Ok(cur)
     }
 
     /// The PR-4-era execution *strategy*, kept as the measured baseline (see
@@ -781,19 +835,13 @@ impl Network {
         let mut cur: Option<PlanHandle> = None; // handle of the owned cursor, if any
         let mut shape = input;
         for layer in &self.layers {
-            let (next_shape, next_handle) = match layer {
-                LayerImpl::ConvBn(conv) => {
-                    let os = conv.output_shape(shape)?;
-                    (os, Some(arena.take(os)))
+            let os = layer.output_shape(shape)?;
+            let next_handle = match layer {
+                LayerImpl::ConvBn(_) | LayerImpl::MaxPool(_) | LayerImpl::GlobalAvgPool => {
+                    Some(arena.take(os))
                 }
-                LayerImpl::MaxPool(pool) => {
-                    let os = pool.output_shape(shape)?;
-                    (os, Some(arena.take(os)))
-                }
-                LayerImpl::Basic { conv1, conv2, downsample } => {
-                    let a_shape = conv1.output_shape(shape)?;
-                    let os = conv2.output_shape(a_shape)?;
-                    let a = arena.take(a_shape);
+                LayerImpl::Basic { conv1, downsample, .. } => {
+                    let a = arena.take(conv1.output_shape(shape)?);
                     let out = match downsample {
                         Some(d) => {
                             let skip = arena.take(d.output_shape(shape)?);
@@ -804,14 +852,12 @@ impl Network {
                         None => arena.take(os),
                     };
                     arena.give(a);
-                    (os, Some(out))
+                    Some(out)
                 }
-                LayerImpl::Bottleneck { conv1, conv2, conv3, downsample } => {
+                LayerImpl::Bottleneck { conv1, conv2, downsample, .. } => {
                     let a_shape = conv1.output_shape(shape)?;
                     let a = arena.take(a_shape);
-                    let b_shape = conv2.output_shape(a_shape)?;
-                    let os = conv3.output_shape(b_shape)?;
-                    let b = arena.take(b_shape);
+                    let b = arena.take(conv2.output_shape(a_shape)?);
                     arena.give(a);
                     let out = match downsample {
                         Some(d) => {
@@ -823,42 +869,31 @@ impl Network {
                         None => arena.take(os),
                     };
                     arena.give(b);
-                    (os, Some(out))
+                    Some(out)
                 }
-                LayerImpl::Inverted { expand, depthwise, project, .. } => {
-                    let (t_shape, t) = match expand {
+                LayerImpl::Inverted { expand, depthwise, .. } => {
+                    let t = match expand {
                         Some(e) => {
                             let h_shape = e.output_shape(shape)?;
                             let h = arena.take(h_shape);
-                            let t_shape = depthwise.output_shape(h_shape)?;
-                            let t = arena.take(t_shape);
+                            let t = arena.take(depthwise.output_shape(h_shape)?);
                             arena.give(h);
-                            (t_shape, t)
+                            t
                         }
-                        None => {
-                            let t_shape = depthwise.output_shape(shape)?;
-                            (t_shape, arena.take(t_shape))
-                        }
+                        None => arena.take(depthwise.output_shape(shape)?),
                     };
-                    let os = project.output_shape(t_shape)?;
                     let out = arena.take(os);
                     arena.give(t);
-                    (os, Some(out))
+                    Some(out)
                 }
-                LayerImpl::GlobalAvgPool => {
-                    let os = Shape::new(shape.n, shape.c, 1, 1);
-                    (os, Some(arena.take(os)))
-                }
-                LayerImpl::Classifier { out_features, .. } => {
-                    // Fresh (non-arena) allocation; nothing to simulate.
-                    (Shape::new(shape.n, *out_features, 1, 1), None)
-                }
+                // Fresh (non-arena) allocation; nothing to simulate.
+                LayerImpl::Classifier { .. } => None,
             };
             if let Some(handle) = cur.take() {
                 arena.give(handle);
             }
             cur = next_handle;
-            shape = next_shape;
+            shape = os;
         }
         Ok(ArenaPlan {
             buffer_elems: arena.created,
@@ -902,29 +937,136 @@ impl Network {
         Ok(logits.argmax().unwrap_or(0))
     }
 
+    /// Largest per-image output map, in pixels, of a block that
+    /// [`forward_batch`](Self::forward_batch) folds a group at. Folding the
+    /// images into the GEMM columns pays where one image leaves them short:
+    /// ResNet-50's c4 and c5 at 112² and 168² (16–121 pixels per image) ran
+    /// faster folded, while its c2 and c3 (196–784 pixels) did not.
+    pub const FOLD_MAX_PIXELS: usize = 128;
+
     /// Runs forward passes for a batch of independent inputs (which may have
     /// heterogeneous resolutions), returning per-input logits in order.
     ///
-    /// The engine's thread budget is split between sample-level and kernel-level
-    /// parallelism with [`rescnn_tensor::split_parallelism`]: a batch with at
-    /// least as many inputs as threads runs one sample per pool worker (each
-    /// sample's kernels single-threaded), a smaller batch runs samples
-    /// sequentially with fully parallel kernels. Either way results are bitwise
-    /// identical to calling [`forward`](Self::forward) per input — the caller's
-    /// [`rescnn_tensor::EngineContext`] (e.g. an algorithm override) is carried
-    /// onto the worker threads. Inputs are borrowed straight into the first
-    /// layer (no per-request clone), and each executing thread's persistent
-    /// arena keeps warm batches allocation-free.
+    /// * **Groups.** The engine's thread budget is split between sample-level
+    ///   and kernel-level parallelism with [`rescnn_tensor::split_parallelism`].
+    ///   The batch is cut into one contiguous share per outer worker (all of
+    ///   it when the batch is smaller than the thread budget, which then runs
+    ///   with fully parallel kernels), and each share into runs of
+    ///   equal-shape inputs: the groups.
+    /// * **Fold block.** A group of two or more images folds at its
+    ///   [`fold_block`](Self::fold_block), a stage-entry block whose
+    ///   per-image output map is small (at most [`FOLD_MAX_PIXELS`](Self::FOLD_MAX_PIXELS)): c4 for
+    ///   groups of two to four at 112² and 168², c5 for a group of eight or
+    ///   at 224², no fold at 448². Each image of the group runs alone up to
+    ///   that block.
+    /// * **Tail.** The group's fold-block inputs are copied into one N-image
+    ///   tensor, and the rest of the network runs on it once: every
+    ///   GEMM-lowered convolution folds the images into its GEMM columns, so
+    ///   a layer's weights stream once per group instead of once per image.
+    /// * **Dispatch.** A group that folds is one pool task. Every image of a
+    ///   group that does not fold is its own task, so the pool balances them.
+    ///
+    /// Results are bitwise identical to calling [`forward`](Self::forward)
+    /// per input: arm choice reads only a layer's height and width, and the
+    /// packed GEMM accumulates every column independently, so no logit
+    /// depends on its neighbours in the batch. The caller's
+    /// [`rescnn_tensor::EngineContext`] (e.g. an algorithm override) is
+    /// carried onto the worker threads.
+    ///
+    /// Memory: a folded group holds its tail input while its heads run, and
+    /// its tail activations are N images wide, so a worker's arena and
+    /// scratch pool grow past the single-image
+    /// [`arena_plan`](Self::arena_plan); the fold rule does not bound that
+    /// growth (ResNet-50, groups of four at 112² and 168²: about 7 MiB of
+    /// arena and 6 MiB of scratch per worker). Each executing thread's
+    /// persistent arena keeps warm batches allocation-free.
     ///
     /// # Errors
     /// See [`Network::forward`]; the first failing input (in batch order) is
     /// reported.
     pub fn forward_batch(&self, inputs: &[Tensor]) -> Result<Vec<Tensor>> {
-        rescnn_tensor::parallel::parallel_map_indexed(inputs.len(), num_threads(), |index| {
-            self.forward(&inputs[index])
-        })
-        .into_iter()
-        .collect()
+        let threads = num_threads();
+        let mut tasks: Vec<(Range<usize>, Option<usize>)> = Vec::new();
+        for group in batch_groups(inputs, threads) {
+            match self.fold_block(inputs[group.start].shape(), group.len()) {
+                Some(fold) => tasks.push((group, Some(fold))),
+                None => tasks.extend(group.map(|index| (index..index + 1, None))),
+            }
+        }
+        let mut logits = Vec::with_capacity(inputs.len());
+        for outputs in parallel_map_indexed(tasks.len(), threads, |index| {
+            let (range, fold) = &tasks[index];
+            match *fold {
+                Some(fold) => self.forward_group(&inputs[range.clone()], fold),
+                None => Ok(vec![self.forward(&inputs[range.start])?]),
+            }
+        }) {
+            logits.extend(outputs?);
+        }
+        Ok(logits)
+    }
+
+    /// The layer a group of `images` single-image inputs of shape `input`
+    /// folds at in [`forward_batch`](Self::forward_batch), or `None` when it
+    /// runs every image alone (one image, a multi-image input, or no block
+    /// qualifies). The fold block is the first stage-entry block — a residual
+    /// block whose shortcut projects, or an inverted block without a skip —
+    /// such that
+    ///
+    /// * its per-image output map has at most [`FOLD_MAX_PIXELS`](Self::FOLD_MAX_PIXELS) pixels, and
+    /// * from it on, every layer's input summed over the group fits in the
+    ///   single-image forward's planned peak ([`ArenaPlan::peak_live_bytes`]).
+    ///
+    /// The second condition only stops large groups from folding early; it
+    /// does not bound the folded forward's arena (see
+    /// [`forward_batch`](Self::forward_batch)).
+    pub fn fold_block(&self, input: Shape, images: usize) -> Option<usize> {
+        if images < 2 || input.n != 1 {
+            return None;
+        }
+        let budget = self.arena_plan(input).ok()?.peak_live_bytes;
+        let mut shapes = Vec::with_capacity(self.layers.len() + 1);
+        shapes.push(input);
+        for layer in &self.layers {
+            shapes.push(layer.output_shape(*shapes.last()?).ok()?);
+        }
+        let mut fold = None;
+        for (index, layer) in self.layers.iter().enumerate().rev() {
+            if images * shapes[index].volume() * std::mem::size_of::<f32>() > budget {
+                break;
+            }
+            let out = shapes[index + 1];
+            if layer.is_stage_entry() && out.h * out.w <= Self::FOLD_MAX_PIXELS {
+                fold = Some(index);
+            }
+        }
+        fold
+    }
+
+    /// One group of equal-shape inputs folded at layer `fold`: each image
+    /// alone up to it, then the tail once over all of them (see
+    /// [`forward_batch`](Self::forward_batch)).
+    fn forward_group(&self, group: &[Tensor], fold: usize) -> Result<Vec<Tensor>> {
+        self.check_input(&group[0])?;
+        let image =
+            self.layers[..fold].iter().try_fold(group[0].shape(), |s, l| l.output_shape(s))?;
+        let logits = with_thread_arena(|arena| -> Result<Tensor> {
+            let mut folded = arena.take(Shape::new(group.len(), image.c, image.h, image.w));
+            let slots = folded.as_mut_slice().chunks_exact_mut(image.volume());
+            for (input, slot) in group.iter().zip(slots) {
+                let head = Self::run_layers(&self.layers[..fold], Cursor::Borrowed(input), arena)?;
+                slot.copy_from_slice(head.get().as_slice());
+                head.retire(arena);
+            }
+            Ok(Self::run_layers(&self.layers[fold..], Cursor::Owned(folded), arena)?.into_tensor())
+        })?;
+        let out = logits.shape();
+        let per_image = Shape::new(1, out.c, out.h, out.w);
+        logits
+            .as_slice()
+            .chunks_exact(per_image.volume())
+            .map(|row| Ok(Tensor::from_vec(per_image, row.to_vec())?))
+            .collect()
     }
 
     /// Runs [`forward_batch`](Self::forward_batch) and returns the arg-max class
@@ -936,6 +1078,26 @@ impl Network {
         let logits = self.forward_batch(inputs)?;
         Ok(logits.into_iter().map(|l| l.argmax().unwrap_or(0)).collect())
     }
+}
+
+/// Splits a batch into [`Network::forward_batch`]'s groups: one contiguous,
+/// near-equal share per outer worker of
+/// [`split_parallelism`](rescnn_tensor::split_parallelism), each cut further
+/// into runs of equal input shape.
+fn batch_groups(inputs: &[Tensor], threads: usize) -> Vec<Range<usize>> {
+    let (outer, _) = rescnn_tensor::split_parallelism(inputs.len(), threads);
+    let mut groups = Vec::new();
+    for worker in 0..outer {
+        let (lo, hi) = (worker * inputs.len() / outer, (worker + 1) * inputs.len() / outer);
+        let mut start = lo;
+        for index in lo + 1..=hi {
+            if index == hi || inputs[index].shape() != inputs[start].shape() {
+                groups.push(start..index);
+                start = index;
+            }
+        }
+    }
+    groups
 }
 
 /// A deliberately tiny CNN used in tests and examples where running a full ResNet would be
@@ -1126,19 +1288,25 @@ mod tests {
         // Regression: the outer (pool-worker) path used to rebuild the task
         // context from scratch, silently dropping a caller-installed algorithm
         // override for samples that landed on worker threads.
+        // Groups of two fold their tails, so the override must also reach the
+        // folded (N-image) layers, whichever arm it names — int8 included,
+        // whose uncalibrated activation range is scanned per image.
         let net = Network::new(ModelKind::ResNet18, 3, 5);
         let inputs: Vec<Tensor> =
             (0..6).map(|i| Tensor::random_uniform(Shape::chw(3, 24, 24), 1.0, i as u64)).collect();
-        let context = EngineContext::new().with_threads(3).with_algo(ConvAlgo::Direct);
-        let expected: Vec<Tensor> =
-            context.scope(|| inputs.iter().map(|x| net.forward(x).unwrap()).collect());
-        let batched = context.scope(|| net.forward_batch(&inputs).unwrap());
-        for (solo, batch) in expected.iter().zip(&batched) {
-            assert_eq!(
-                solo.as_slice(),
-                batch.as_slice(),
-                "caller context must apply identically on every batch slot"
-            );
+        assert!(net.fold_block(inputs[0].shape(), 2).is_some());
+        for algo in [ConvAlgo::Direct, ConvAlgo::Im2colPacked, ConvAlgo::Winograd, ConvAlgo::Int8] {
+            let context = EngineContext::new().with_threads(3).with_algo(algo);
+            let expected: Vec<Tensor> =
+                context.scope(|| inputs.iter().map(|x| net.forward(x).unwrap()).collect());
+            let batched = context.scope(|| net.forward_batch(&inputs).unwrap());
+            for (solo, batch) in expected.iter().zip(&batched) {
+                assert_eq!(
+                    solo.as_slice(),
+                    batch.as_slice(),
+                    "caller context ({algo}) must apply identically on every batch slot"
+                );
+            }
         }
     }
 

@@ -155,7 +155,9 @@ fn warm_forwards_perform_zero_tracked_allocations() {
 }
 
 /// Batched forwards reach the same steady state on pool workers (their
-/// thread-local arenas persist across dispatches).
+/// thread-local arenas persist across dispatches), and so does a folded
+/// ResNet-50 batch: eight 112² images in one group (one thread), whose tail
+/// from c5 on runs once over all eight out of the same arena.
 #[test]
 fn warm_batched_forwards_perform_zero_tracked_allocations() {
     let _guard = lock();
@@ -174,6 +176,101 @@ fn warm_batched_forwards_perform_zero_tracked_allocations() {
         0,
         "warm homogeneous batches must not allocate on any worker"
     );
+
+    let net = Network::new(ModelKind::ResNet50, 10, 5);
+    let inputs: Vec<Tensor> =
+        (0..8).map(|i| Tensor::random_uniform(Shape::chw(3, 112, 112), 1.0, i)).collect();
+    EngineContext::new().with_threads(1).scope(|| {
+        for _ in 0..2 {
+            net.forward_batch(&inputs).unwrap();
+        }
+        let warm = scratch::heap_allocations();
+        net.forward_batch(&inputs).unwrap();
+        assert_eq!(
+            scratch::heap_allocations() - warm,
+            0,
+            "a warm folded ResNet-50 batch at 112² must not allocate"
+        );
+    });
+}
+
+/// Eight ResNet-50 images per rung and their one-image logits, shared by the
+/// folded-batch pins below.
+fn resnet50_rungs(net: &Network) -> Vec<(usize, Vec<Tensor>, Vec<Tensor>)> {
+    [112usize, 168]
+        .iter()
+        .map(|&res| {
+            let images: Vec<Tensor> = (0..8)
+                .map(|i| Tensor::random_uniform(Shape::chw(3, res, res), 1.0, (res + i) as u64))
+                .collect();
+            let singles = images.iter().map(|x| net.forward(x).unwrap()).collect();
+            (res, images, singles)
+        })
+        .collect()
+}
+
+/// `forward_batch` folds each group's tail into one GEMM per layer, and its
+/// logits must still be the one-image `forward` bits. On one thread a batch
+/// is one group, so batches of 1/2/3/4/8 images pin every group size (and
+/// fold block: none, c4, c4, c4, c5) at both low rungs. A mixed-resolution
+/// batch then runs under the ambient thread budget (CI's 1/2/4 matrix),
+/// where the groups are runs of equal shape inside each worker's share.
+#[test]
+fn resnet50_folded_batches_match_single_forwards_bitwise() {
+    let _guard = lock();
+    let net = Network::new(ModelKind::ResNet50, 10, 3);
+    let rungs = resnet50_rungs(&net);
+    EngineContext::new().with_threads(1).scope(|| {
+        for (res, images, singles) in &rungs {
+            for group in [1usize, 2, 3, 4, 8] {
+                let batched = net.forward_batch(&images[..group]).unwrap();
+                for (index, (got, want)) in batched.iter().zip(singles).enumerate() {
+                    assert_eq!(
+                        got.as_slice(),
+                        want.as_slice(),
+                        "image {index} of a {group}-image group at {res}² differs from forward"
+                    );
+                }
+            }
+        }
+    });
+    let (low, high) = (&rungs[0], &rungs[1]);
+    let order =
+        [(low, 0usize), (low, 1), (low, 2), (high, 0), (high, 1), (high, 2), (high, 3), (low, 3)];
+    let mixed: Vec<Tensor> = order.iter().map(|((_, images, _), i)| images[*i].clone()).collect();
+    let batched = net.forward_batch(&mixed).unwrap();
+    for (slot, (((res, _, singles), i), got)) in order.iter().zip(&batched).enumerate() {
+        assert_eq!(
+            got.as_slice(),
+            singles[*i].as_slice(),
+            "slot {slot} ({res}²) of a mixed-resolution batch differs from forward"
+        );
+    }
+}
+
+/// The fold rule as a table, so a change to it shows: per rung and group
+/// size, the ResNet-50 layer a group folds at (9 = c4's first block, 15 =
+/// c5's; `None` runs every image alone). c4's maps are 7², 11², 14² and 28²
+/// at the four rungs, c5's 4², 6², 7² and 14², against the 128-pixel
+/// `Network::FOLD_MAX_PIXELS`; a group of eight folds no earlier than c5,
+/// where its summed input first fits in the single-image planned peak.
+#[test]
+fn resnet50_fold_block_table() {
+    let net = Network::new(ModelKind::ResNet50, 1000, 0);
+    let table: [(usize, [Option<usize>; 5]); 4] = [
+        (112, [None, Some(9), Some(9), Some(9), Some(15)]),
+        (168, [None, Some(9), Some(9), Some(9), Some(15)]),
+        (224, [None, Some(15), Some(15), Some(15), Some(15)]),
+        (448, [None, None, None, None, None]),
+    ];
+    for (res, folds) in table {
+        let shape = Shape::chw(3, res, res);
+        let got: Vec<Option<usize>> =
+            [1usize, 2, 3, 4, 8].iter().map(|&group| net.fold_block(shape, group)).collect();
+        assert_eq!(got, folds, "ResNet-50 fold blocks at {res}² for groups of 1/2/3/4/8");
+    }
+    // A multi-image input is never folded further.
+    assert_eq!(net.fold_block(Shape::new(2, 3, 112, 112), 4), None);
 }
 
 /// The arena planner's reservation covers a real forward exactly: after

@@ -49,7 +49,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 
 use serde::{Deserialize, Serialize};
 
-use crate::engine::{self, FusedActivation, NR};
+use crate::engine::{self, ColumnLayout, FusedActivation, NR};
 use crate::error::{Result, TensorError};
 use crate::gemm::{gemm_blocked, GemmBlocking, MatDims};
 use crate::shape::{Conv2dParams, Shape};
@@ -1167,9 +1167,11 @@ pub(crate) fn valid_out_range(
     (lo.min(hi), hi)
 }
 
-/// Packs an im2col stripe (output rows `[oh0, oh1)`) directly into the engine's
-/// `NR`-column panel layout, skipping the intermediate row-major column matrix
-/// entirely. `dst` must arrive zeroed (padding positions are never written).
+/// Packs an im2col stripe (output rows `[oh0, oh1)` of image `batch`) directly
+/// into the engine's `NR`-column panel layout, skipping the intermediate
+/// row-major column matrix entirely; the stripe's first column lands at panel
+/// column `col_base`, so the stripes of several images can share one packed
+/// operand. `dst` must arrive zeroed (padding positions are never written).
 #[allow(clippy::too_many_arguments)]
 fn im2col_pack_stripe(
     input: &Tensor,
@@ -1179,6 +1181,7 @@ fn im2col_pack_stripe(
     oshape: Shape,
     oh0: usize,
     oh1: usize,
+    col_base: usize,
     dst: &mut [f32],
 ) {
     let ishape = input.shape();
@@ -1202,7 +1205,7 @@ fn im2col_pack_stripe(
                 for oh in oh_lo.max(oh0)..oh_hi.min(oh1) {
                     let ih = oh * stride + kh - pad;
                     let src_row = &plane[ih * ishape.w..(ih + 1) * ishape.w];
-                    let j0 = (oh - oh0) * oshape.w + ow_lo;
+                    let j0 = col_base + (oh - oh0) * oshape.w + ow_lo;
                     let mut within = j0 % NR;
                     let mut index = (j0 / NR) * panel_stride + row * NR + within;
                     // Copy in panel-aligned runs: each run fills the rest of one
@@ -1360,6 +1363,12 @@ pub fn conv2d_im2col_packed(
 }
 
 /// Core of the packed-im2col path; every element of `out` is overwritten.
+///
+/// The images of a batch are folded into the GEMM's columns: stripes of whole
+/// output rows run over the batch's rows back to back, so one stripe (and one
+/// pass over the weights) may cover several small images, and the engine
+/// writes column `j` of a stripe to its image's plane. Every output element
+/// accumulates exactly as in a single-image call, so the fold changes no bit.
 fn im2col_packed_into(
     input: &Tensor,
     weights: ConvWeights<'_>,
@@ -1377,45 +1386,49 @@ fn im2col_packed_into(
     let out_per_group = params.out_channels / params.groups;
     let rows = in_per_group * k * k;
     let plane = oshape.h * oshape.w;
-    let region_len = out_per_group * plane;
-    let stripe_oh = stripe_height(rows, oshape);
+    let image_len = params.out_channels * plane;
+    // Output rows of every image, back to back.
+    let batch_rows = oshape.n * oshape.h;
+    let stripe_oh = engine::b_stripe_rows(rows, oshape.w).clamp(1, batch_rows.max(1));
     let parallel = params.macs(ishape).unwrap_or(0) >= engine::PARALLEL_MIN_MACS;
 
     let residual = epilogue.residual.map(Tensor::as_slice);
     let out_data = out.as_mut_slice();
-    for n in 0..ishape.n {
-        for g in 0..params.groups {
-            let lhs = weights.group_lhs(g, out_per_group, rows);
-            let group_bias = bias.map(|b| &b[g * out_per_group..(g + 1) * out_per_group]);
-            let region_start = (n * params.groups + g) * region_len;
-            let region = &mut out_data[region_start..region_start + region_len];
-            let group_skip = residual.map(|s| &s[region_start..region_start + region_len]);
-            let mut oh0 = 0;
-            while oh0 < oshape.h {
-                let oh1 = (oh0 + stripe_oh).min(oshape.h);
-                let stripe_cols = (oh1 - oh0) * oshape.w;
-                let mut bpack = scratch::take(stripe_cols.div_ceil(NR) * rows * NR);
-                im2col_pack_stripe(input, params, n, g, oshape, oh0, oh1, &mut bpack);
-                engine::parallel_packed_gemm(
-                    lhs,
-                    out_per_group,
-                    rows,
-                    &bpack,
-                    stripe_cols,
-                    region,
-                    plane,
-                    oh0 * oshape.w,
-                    engine::Epilogue {
-                        bias: group_bias,
-                        residual: group_skip,
-                        activation: epilogue.activation,
-                    },
-                    false,
-                    parallel,
-                );
-                scratch::give(bpack);
-                oh0 = oh1;
+    for g in 0..params.groups {
+        let lhs = weights.group_lhs(g, out_per_group, rows);
+        let group_bias = bias.map(|b| &b[g * out_per_group..(g + 1) * out_per_group]);
+        let region_start = g * out_per_group * plane;
+        let region = &mut out_data[region_start..];
+        let group_skip = residual.map(|s| &s[region_start..]);
+        let mut row0 = 0;
+        while row0 < batch_rows {
+            let row1 = (row0 + stripe_oh).min(batch_rows);
+            let stripe_cols = (row1 - row0) * oshape.w;
+            let mut bpack = scratch::take(stripe_cols.div_ceil(NR) * rows * NR);
+            for n in row0 / oshape.h..row1.div_ceil(oshape.h) {
+                let oh0 = row0.max(n * oshape.h) - n * oshape.h;
+                let oh1 = row1.min((n + 1) * oshape.h) - n * oshape.h;
+                let col_base = (n * oshape.h + oh0 - row0) * oshape.w;
+                im2col_pack_stripe(input, params, n, g, oshape, oh0, oh1, col_base, &mut bpack);
             }
+            engine::parallel_packed_gemm(
+                lhs,
+                out_per_group,
+                rows,
+                &bpack,
+                stripe_cols,
+                region,
+                ColumnLayout::images(oshape.n, plane, row0 * oshape.w, plane, image_len),
+                engine::Epilogue {
+                    bias: group_bias,
+                    residual: group_skip,
+                    activation: epilogue.activation,
+                },
+                false,
+                parallel,
+            );
+            scratch::give(bpack);
+            row0 = row1;
         }
     }
     Ok(())
@@ -1447,7 +1460,10 @@ pub fn conv2d_gemm_1x1(
     Ok(out)
 }
 
-/// Core of the 1×1 fast path; every element of `out` is overwritten.
+/// Core of the 1×1 fast path; every element of `out` is overwritten. The
+/// images of a batch are folded into the GEMM's columns (column `j` is pixel
+/// `j % (h·w)` of image `j / (h·w)`), so one column stripe may draw from
+/// several small images; as in [`im2col_packed_into`] no bit changes.
 fn gemm_1x1_into(
     input: &Tensor,
     weights: ConvWeights<'_>,
@@ -1468,6 +1484,7 @@ fn gemm_1x1_into(
     validate_into(params, input, &epilogue, out)?;
 
     let hw = ishape.h * ishape.w;
+    let batch_cols = ishape.n * hw;
     let in_per_group = params.in_channels / params.groups;
     let out_per_group = params.out_channels / params.groups;
     // Column stripes bound packed-B scratch for high-resolution feature maps.
@@ -1477,41 +1494,42 @@ fn gemm_1x1_into(
     let residual = epilogue.residual.map(Tensor::as_slice);
     let in_data = input.as_slice();
     let out_data = out.as_mut_slice();
-    for n in 0..ishape.n {
-        for g in 0..params.groups {
-            let lhs = weights.group_lhs(g, out_per_group, in_per_group);
-            let group_bias = bias.map(|b| &b[g * out_per_group..(g + 1) * out_per_group]);
-            let in_start = (n * params.groups + g) * in_per_group * hw;
-            let in_region = &in_data[in_start..in_start + in_per_group * hw];
-            let out_start = (n * params.groups + g) * out_per_group * hw;
-            let region_len = out_per_group * hw;
-            let out_region = &mut out_data[out_start..out_start + region_len];
-            let group_skip = residual.map(|s| &s[out_start..out_start + region_len]);
-            let mut j0 = 0;
-            while j0 < hw {
-                let width = stripe_cols_max.min(hw - j0);
-                let mut bpack = scratch::take_uninit(width.div_ceil(NR) * in_per_group * NR);
-                engine::pack_b(in_region, in_per_group, hw, j0, width, &mut bpack);
-                engine::parallel_packed_gemm(
-                    lhs,
-                    out_per_group,
-                    in_per_group,
-                    &bpack,
-                    width,
-                    out_region,
-                    hw,
-                    j0,
-                    engine::Epilogue {
-                        bias: group_bias,
-                        residual: group_skip,
-                        activation: epilogue.activation,
-                    },
-                    false,
-                    parallel,
-                );
-                scratch::give(bpack);
-                j0 += width;
-            }
+    for g in 0..params.groups {
+        let lhs = weights.group_lhs(g, out_per_group, in_per_group);
+        let group_bias = bias.map(|b| &b[g * out_per_group..(g + 1) * out_per_group]);
+        let in_region = &in_data[g * in_per_group * hw..];
+        let out_start = g * out_per_group * hw;
+        let out_region = &mut out_data[out_start..];
+        let group_skip = residual.map(|s| &s[out_start..]);
+        let mut j0 = 0;
+        while j0 < batch_cols {
+            let width = stripe_cols_max.min(batch_cols - j0);
+            let mut bpack = scratch::take_uninit(width.div_ceil(NR) * in_per_group * NR);
+            engine::pack_b_columns(
+                in_region,
+                in_per_group,
+                ColumnLayout::images(ishape.n, hw, j0, hw, params.in_channels * hw),
+                width,
+                &mut bpack,
+            );
+            engine::parallel_packed_gemm(
+                lhs,
+                out_per_group,
+                in_per_group,
+                &bpack,
+                width,
+                out_region,
+                ColumnLayout::images(ishape.n, hw, j0, hw, params.out_channels * hw),
+                engine::Epilogue {
+                    bias: group_bias,
+                    residual: group_skip,
+                    activation: epilogue.activation,
+                },
+                false,
+                parallel,
+            );
+            scratch::give(bpack);
+            j0 += width;
         }
     }
     Ok(())
@@ -2034,7 +2052,7 @@ mod tests {
             for (n, g) in (0..batch).flat_map(|n| (0..groups).map(move |g| (n, g))) {
                 let mut runs = vec![0.0f32; len];
                 let mut oracle = vec![0.0f32; len];
-                im2col_pack_stripe(&input, &params, n, g, oshape, oh0, oh1, &mut runs);
+                im2col_pack_stripe(&input, &params, n, g, oshape, oh0, oh1, 0, &mut runs);
                 im2col_pack_stripe_per_element(&input, &params, n, g, oshape, oh0, oh1, &mut oracle);
                 prop_assert!(
                     runs.iter().zip(&oracle).all(|(x, y)| x.to_bits() == y.to_bits()),

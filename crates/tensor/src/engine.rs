@@ -31,9 +31,17 @@
 //!   (`docs/bench/BENCH_26.md`), so there is one order. Each output element
 //!   accumulates its KC slices in the same order either way, so the loop order
 //!   never changes a bit.
+//! * **Folded columns** — a convolution over a batch of small maps runs one
+//!   GEMM whose columns are every image's pixels back to back
+//!   ([`ColumnLayout`]): the packer draws a stripe from as many images as it
+//!   spans, and the write-back sends column `j` to pixel `j % P` of image
+//!   `j / P` (`P` pixels per map), for the output and the residual alike. A
+//!   panel may span images when `P < NR`. Columns never interact, so the fold
+//!   changes no bit, and it streams each weight panel once per batch instead
+//!   of once per image.
 //! * **Parallelism** — output rows are split into `MR`-aligned chunks ([`MC`]
 //!   rows when there are enough to feed every worker, single tiles otherwise)
-//!   executed on the persistent worker pool ([`parallel::for_each_chunk`]):
+//!   executed on the persistent worker pool ([`parallel::for_each_task`]):
 //!   per-call dispatch cost is a worker wakeup, and long-lived workers keep their
 //!   scratch arenas warm across calls. Each chunk runs the loop order above over
 //!   its own rows; the stripe width follows from the shared dimension alone,
@@ -321,6 +329,76 @@ impl PreparedGemmB {
     }
 }
 
+/// How the logical columns of a GEMM operand or output map onto a buffer that
+/// may hold several feature maps. Column `c` (counted from `col_offset`) of row
+/// `r` sits at `(c / plane) * image_stride + r * row_stride + c % plane`: a
+/// batch of `plane`-pixel maps `image_stride` elements apart folded into one
+/// column range, so one GEMM serves every image and a panel may span images
+/// when `plane < NR`. [`ColumnLayout::rows`] is the single-map case,
+/// `r * row_stride + col_offset + j`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ColumnLayout {
+    /// Elements between consecutive rows of one map.
+    row_stride: usize,
+    /// Folded column index of the operand's first column.
+    col_offset: usize,
+    /// `(plane, image_stride)`: columns each map contributes and elements
+    /// between consecutive maps; `None` for a single map.
+    images: Option<(usize, usize)>,
+}
+
+impl ColumnLayout {
+    /// One row-major matrix: column `j` of row `r` at `r * row_stride +
+    /// col_offset + j`.
+    pub fn rows(row_stride: usize, col_offset: usize) -> Self {
+        ColumnLayout { row_stride, col_offset, images: None }
+    }
+
+    /// `images` maps of `plane` columns `image_stride` elements apart,
+    /// starting at folded column `col_offset`. One image is the
+    /// [`rows`](Self::rows) layout.
+    pub fn images(
+        images: usize,
+        row_stride: usize,
+        col_offset: usize,
+        plane: usize,
+        image_stride: usize,
+    ) -> Self {
+        let images = (images > 1).then_some((plane.max(1), image_stride));
+        ColumnLayout { row_stride, col_offset, images }
+    }
+
+    /// Splits columns `[j0, j0 + width)` (relative to `col_offset`, `width ≤
+    /// NR`) into runs that stay inside one map, returning how many of `runs`
+    /// it filled (one for a single map).
+    fn runs(&self, j0: usize, width: usize, runs: &mut [ColumnRun; NR]) -> usize {
+        let Some((plane, image_stride)) = self.images else {
+            runs[0] = ColumnRun { j: 0, offset: self.col_offset + j0, len: width };
+            return 1;
+        };
+        let mut count = 0;
+        let mut j = 0;
+        while j < width {
+            let c = self.col_offset + j0 + j;
+            let (image, pixel) = (c / plane, c % plane);
+            let len = (plane - pixel).min(width - j);
+            runs[count] = ColumnRun { j, offset: image * image_stride + pixel, len };
+            count += 1;
+            j += len;
+        }
+        count
+    }
+}
+
+/// `len` consecutive columns of one panel (starting at its column `j`) that
+/// live in one map, at `offset + r * row_stride` for row `r`.
+#[derive(Debug, Clone, Copy, Default)]
+struct ColumnRun {
+    j: usize,
+    offset: usize,
+    len: usize,
+}
+
 /// Packs `count` columns of row-major `src` (logical `rows × src_cols`, starting at
 /// column `col0`) into `NR`-wide panels: panel `p` holds columns
 /// `[p*NR, p*NR+NR)` as `rows` consecutive `NR`-element groups. Tail columns are
@@ -334,15 +412,32 @@ pub fn pack_b(
     count: usize,
     dst: &mut [f32],
 ) {
+    pack_b_columns(src, rows, ColumnLayout::rows(src_cols, col0), count, dst);
+}
+
+/// [`pack_b`] over any [`ColumnLayout`]: packs `count` columns of `rows` rows
+/// starting at the layout's `col_offset`, drawing each panel from as many
+/// maps as it spans — the B operand of a GEMM folded across a batch.
+pub(crate) fn pack_b_columns(
+    src: &[f32],
+    rows: usize,
+    layout: ColumnLayout,
+    count: usize,
+    dst: &mut [f32],
+) {
     let panels = count.div_ceil(NR);
     debug_assert!(dst.len() >= panels * rows * NR);
+    let mut runs = [ColumnRun::default(); NR];
     for panel in 0..panels {
         let j0 = panel * NR;
-        let width = NR.min(count - j0);
+        let n_runs = layout.runs(j0, NR.min(count - j0), &mut runs);
         let panel_dst = &mut dst[panel * rows * NR..(panel + 1) * rows * NR];
         for p in 0..rows {
-            let src_row = &src[p * src_cols + col0 + j0..p * src_cols + col0 + j0 + width];
-            panel_dst[p * NR..p * NR + width].copy_from_slice(src_row);
+            for run in &runs[..n_runs] {
+                let at = run.offset + p * layout.row_stride;
+                panel_dst[p * NR + run.j..p * NR + run.j + run.len]
+                    .copy_from_slice(&src[at..at + run.len]);
+            }
         }
     }
 }
@@ -529,6 +624,45 @@ fn microkernel_avx2(k: usize, apanel: &[f32], bpanel: &[f32]) -> [[f32; NR]; MR]
     }
 }
 
+/// A mutable buffer that the tasks of one parallel dispatch write through at
+/// once, each into its own pairwise-disjoint ranges (GEMM row chunks,
+/// Winograd output tile rows, or workspace slots). It borrows nothing:
+/// whoever builds it keeps the buffer mutably borrowed, and unused, for as
+/// long as any task holds it.
+pub(crate) struct OutPtr {
+    ptr: *mut f32,
+    len: usize,
+}
+
+// SAFETY: `len` is plain data. `ptr` is only dereferenced through
+// `OutPtr::slice_mut`, whose contract makes callers guarantee that the buffer
+// outlives every use and that no two live slices overlap, so moving or sharing
+// the pointer between threads adds no aliasing beyond what that contract
+// already rules out (and `f32` itself is `Send + Sync`).
+unsafe impl Send for OutPtr {}
+// SAFETY: see the `Send` impl above.
+unsafe impl Sync for OutPtr {}
+
+impl OutPtr {
+    pub(crate) fn new(buffer: &mut [f32]) -> Self {
+        OutPtr { ptr: buffer.as_mut_ptr(), len: buffer.len() }
+    }
+
+    /// Elements `start..start + len` of the buffer.
+    ///
+    /// # Safety
+    /// The buffer [`OutPtr::new`] was given must still be alive and otherwise
+    /// unused, and no other slice obtained from this `OutPtr` that overlaps
+    /// the range may be live (on any thread).
+    #[allow(clippy::mut_from_ref)]
+    pub(crate) unsafe fn slice_mut(&self, start: usize, len: usize) -> &mut [f32] {
+        assert!(start + len <= self.len, "{start}+{len} overruns {} elements", self.len);
+        // SAFETY: the range lies inside the buffer (asserted above), and the
+        // caller guarantees the buffer is live and the range exclusively ours.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), len) }
+    }
+}
+
 /// Writes one output row's epilogue slice: combine the accumulator with the
 /// partial sum (or bias on a single-slice reduction), add the optional residual,
 /// apply the activation. Monomorphized per activation so the inner loop is
@@ -617,6 +751,36 @@ pub fn packed_gemm_strided(
     col_offset: usize,
     mode: WriteMode<'_>,
 ) {
+    let out = OutPtr::new(dst);
+    let layout = ColumnLayout::rows(row_stride, col_offset);
+    // SAFETY: `dst` is exclusively borrowed for the whole call and only
+    // reached through `out`.
+    unsafe { gemm_rows(lhs, row0, rows, k, bpack, cols, &out, 0, layout, mode) };
+}
+
+/// The body of [`packed_gemm_strided`] over any [`ColumnLayout`]: element
+/// `(r, j)` (`r` relative to `row0`) of the product — and of the epilogue's
+/// residual, which mirrors the destination buffer — is at `base + r *
+/// row_stride` plus the layout's offset of column `j`. Each element
+/// accumulates its KC slices in the same order wherever its column lands, so
+/// the layout never changes a bit.
+///
+/// # Safety
+/// The buffer behind `out` must be alive and, at the positions rows `[0,
+/// rows)` map to, untouched by anyone else for the duration of the call.
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_rows(
+    lhs: GemmLhs<'_>,
+    row0: usize,
+    rows: usize,
+    k: usize,
+    bpack: &[f32],
+    cols: usize,
+    out: &OutPtr,
+    base: usize,
+    layout: ColumnLayout,
+    mode: WriteMode<'_>,
+) {
     let col_panels = cols.div_ceil(NR);
     let tiles = rows.div_ceil(MR);
     let kc_step = KC;
@@ -632,6 +796,7 @@ pub fn packed_gemm_strided(
             None
         }
     };
+    let mut runs = [ColumnRun::default(); NR];
     let mut pc = 0;
     while pc < k {
         let kc = kc_step.min(k - pc);
@@ -677,39 +842,48 @@ pub fn packed_gemm_strided(
             for panel in 0..col_panels {
                 let j0 = panel * NR;
                 let width = NR.min(cols - j0);
+                let n_runs = layout.runs(j0, width, &mut runs);
                 let bslice = &bpack[panel * k * NR + pc * NR..panel * k * NR + (pc + kc) * NR];
                 let acc = microkernel(kc, atile, bslice);
                 for r in 0..tile_rows {
-                    let start = (tile * MR + r) * row_stride + col_offset + j0;
-                    let out_row = &mut dst[start..start + width];
-                    match mode {
-                        WriteMode::Overwrite { epilogue } if last_slice => {
-                            let base = if first_slice {
-                                epilogue.bias.map_or(0.0, |b| b[tile * MR + r])
-                            } else {
-                                0.0
-                            };
-                            let skip_row = epilogue.residual.map(|s| &s[start..start + width]);
-                            write_row_epilogue(
-                                out_row,
-                                &acc[r][..width],
-                                first_slice,
-                                base,
-                                skip_row,
-                                epilogue.activation,
-                            );
-                        }
-                        WriteMode::Overwrite { epilogue } if first_slice => {
-                            let base = epilogue.bias.map_or(0.0, |b| b[tile * MR + r]);
-                            for (o, &v) in out_row.iter_mut().zip(&acc[r][..width]) {
-                                *o = v + base;
+                    let row_base = base + (tile * MR + r) * layout.row_stride;
+                    for run in &runs[..n_runs] {
+                        let start = row_base + run.offset;
+                        // SAFETY: row `tile * MR + r < rows` of the caller's
+                        // range; the caller guarantees nobody else touches it,
+                        // and the slice dies before the next one is made.
+                        let out_row = unsafe { out.slice_mut(start, run.len) };
+                        let acc_row = &acc[r][run.j..run.j + run.len];
+                        match mode {
+                            WriteMode::Overwrite { epilogue } if last_slice => {
+                                let base = if first_slice {
+                                    epilogue.bias.map_or(0.0, |b| b[tile * MR + r])
+                                } else {
+                                    0.0
+                                };
+                                let skip_row =
+                                    epilogue.residual.map(|s| &s[start..start + run.len]);
+                                write_row_epilogue(
+                                    out_row,
+                                    acc_row,
+                                    first_slice,
+                                    base,
+                                    skip_row,
+                                    epilogue.activation,
+                                );
                             }
-                        }
-                        // Middle KC slices accumulate onto the partial sums, as does
-                        // every slice in Accumulate mode.
-                        _ => {
-                            for (o, &v) in out_row.iter_mut().zip(&acc[r][..width]) {
-                                *o += v;
+                            WriteMode::Overwrite { epilogue } if first_slice => {
+                                let base = epilogue.bias.map_or(0.0, |b| b[tile * MR + r]);
+                                for (o, &v) in out_row.iter_mut().zip(acc_row) {
+                                    *o = v + base;
+                                }
+                            }
+                            // Middle KC slices accumulate onto the partial sums, as
+                            // does every slice in Accumulate mode.
+                            _ => {
+                                for (o, &v) in out_row.iter_mut().zip(acc_row) {
+                                    *o += v;
+                                }
                             }
                         }
                     }
@@ -724,11 +898,17 @@ pub fn packed_gemm_strided(
 }
 
 /// Splits the rows of a C region into `MR`-aligned chunks and runs
-/// [`packed_gemm_strided`] on worker threads. `region` must hold `m` rows of
-/// `row_stride` elements each; row `r` of the product lands at
-/// `region[r * row_stride + col_offset ..]`. The epilogue's `bias` is indexed by
-/// absolute row and its `residual` exactly like `region` (it must have the same
-/// length); both are sliced per chunk here.
+/// [`packed_gemm_strided`]'s kernel on worker threads. Element `(r, j)` of the
+/// product lands in `region` where `layout` puts column `j` of row `r`
+/// (`r * row_stride + col_offset + j` for [`ColumnLayout::rows`]; in its own
+/// image's map for a GEMM whose columns are folded across a batch). The
+/// epilogue's `bias` is indexed by absolute row and its `residual` exactly
+/// like `region` (it must have the same length).
+///
+/// # Panics
+/// Panics unless the layout keeps every row's columns apart: for a single map
+/// `col_offset + cols ≤ row_stride`, for several `plane ≤ row_stride` and
+/// `image_stride ≥ m · row_stride`.
 #[allow(clippy::too_many_arguments)]
 pub fn parallel_packed_gemm(
     lhs: GemmLhs<'_>,
@@ -737,39 +917,51 @@ pub fn parallel_packed_gemm(
     bpack: &[f32],
     cols: usize,
     region: &mut [f32],
-    row_stride: usize,
-    col_offset: usize,
+    layout: ColumnLayout,
     epilogue: Epilogue<'_>,
     accumulate: bool,
     parallel: bool,
 ) {
+    // Chunks write through one shared pointer, so the layout must send
+    // distinct rows to disjoint elements.
+    match layout.images {
+        None => {
+            assert!(layout.col_offset + cols <= layout.row_stride, "GEMM columns overrun a row")
+        }
+        Some((plane, image_stride)) => assert!(
+            plane <= layout.row_stride && image_stride >= m * layout.row_stride,
+            "folded maps overlap: {layout:?} for {m} rows"
+        ),
+    }
+    if let Some(residual) = epilogue.residual {
+        assert_eq!(residual.len(), region.len(), "residual must mirror the region");
+    }
     // Chunk height balances B-block reuse (taller chunks amortize each cached
     // KC × NR slice across more row tiles) against load balance (enough chunks to
     // feed every worker). Small or heavily-threaded products fall back to single
     // tiles.
     let threads = parallel::num_threads();
     let rows_per_chunk = if !parallel || m >= threads * MC { MC } else { MR };
-    let chunk_len = rows_per_chunk * row_stride;
     let want_parallel = parallel && (m as u64) * (k as u64) * (cols as u64) >= PARALLEL_MIN_MACS;
-    if let Some(residual) = epilogue.residual {
-        debug_assert_eq!(residual.len(), region.len(), "residual must mirror the region");
-    }
-    parallel::for_each_chunk(region, chunk_len, want_parallel, |chunk_index, chunk| {
+    let out = OutPtr::new(region);
+    parallel::for_each_task(m.div_ceil(rows_per_chunk), want_parallel, |chunk_index| {
         let row0 = chunk_index * rows_per_chunk;
         let rows = rows_per_chunk.min(m - row0);
         let mode = if accumulate {
             WriteMode::Accumulate
         } else {
-            let start = chunk_index * chunk_len;
             WriteMode::Overwrite {
                 epilogue: Epilogue {
                     bias: epilogue.bias.map(|b| &b[row0..row0 + rows]),
-                    residual: epilogue.residual.map(|s| &s[start..start + chunk.len()]),
-                    activation: epilogue.activation,
+                    ..epilogue
                 },
             }
         };
-        packed_gemm_strided(lhs, row0, rows, k, bpack, cols, chunk, row_stride, col_offset, mode);
+        let base = row0 * layout.row_stride;
+        // SAFETY: `region` stays exclusively borrowed through `out` until every
+        // task returns; the chunks partition the rows, and the asserts above
+        // keep distinct rows' elements apart.
+        unsafe { gemm_rows(lhs, row0, rows, k, bpack, cols, &out, base, layout, mode) };
     });
 }
 
@@ -1002,8 +1194,7 @@ mod tests {
                 &bpack,
                 n,
                 &mut out,
-                n,
-                0,
+                ColumnLayout::rows(n, 0),
                 Epilogue::default(),
                 false,
                 true,

@@ -158,8 +158,7 @@ pub fn gemm_packed(dims: MatDims, a: &[f32], b: &[f32], out: &mut [f32]) {
             &bpack,
             width,
             out,
-            n,
-            j0,
+            engine::ColumnLayout::rows(n, j0),
             engine::Epilogue::default(),
             true,
             parallel,

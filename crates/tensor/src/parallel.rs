@@ -117,8 +117,10 @@ pub fn split_parallelism(batch: usize, threads: usize) -> (usize, usize) {
 /// Runs `f(index)` for every index in `0..count` and returns the outcomes in
 /// index order, splitting `threads` between batch-level and kernel-level
 /// parallelism with [`split_parallelism`]. This is the one shared implementation
-/// of indexed batch dispatch (used by `Network::forward_batch` and the core
-/// `BatchScheduler`).
+/// of indexed batch dispatch: `Network::forward_batch` runs one task per
+/// folded group of equal-shape images and one per image otherwise (it splits
+/// the batch by the same `split_parallelism` first), the core
+/// `BatchScheduler` one per request.
 ///
 /// The caller's [`EngineContext`](crate::EngineContext) is snapshotted and
 /// re-installed around every task — also on pool worker threads, which have no

@@ -114,9 +114,14 @@ impl ActQuant {
 /// ranges. Pure elementwise reduction, so the result is independent of thread
 /// count by construction.
 pub fn tensor_range(t: &Tensor) -> (f32, f32) {
+    slice_range(t.as_slice())
+}
+
+/// [`tensor_range`] over a slice.
+fn slice_range(values: &[f32]) -> (f32, f32) {
     let mut lo = f32::INFINITY;
     let mut hi = f32::NEG_INFINITY;
-    for &x in t.as_slice() {
+    for &x in values {
         lo = lo.min(x);
         hi = hi.max(x);
     }
@@ -631,7 +636,9 @@ fn parallel_int8_gemm(
 
 /// Core of the int8 path; every element of `out` is overwritten. `range` is
 /// the calibration-recorded activation range; `None` falls back to a dynamic
-/// min/max scan of `input`.
+/// min/max scan of each image of `input` on its own, so an image's output
+/// never depends on the batch it arrives in (`Network::forward_batch` runs a
+/// group's tail as one N-image tensor and must match per-image forwards).
 pub(crate) fn int8_packed_into(
     input: &Tensor,
     qconv: &QuantizedConv,
@@ -647,9 +654,6 @@ pub(crate) fn int8_packed_into(
     debug_assert_eq!(qconv.rows, params.in_channels * params.kernel * params.kernel);
     debug_assert_eq!(qconv.out_channels, params.out_channels);
 
-    let (lo, hi) = range.unwrap_or_else(|| tensor_range(input));
-    let aq = ActQuant::from_range(lo, hi);
-
     let rows = qconv.rows;
     let plane = oshape.h * oshape.w;
     let region_len = params.out_channels * plane;
@@ -658,8 +662,12 @@ pub(crate) fn int8_packed_into(
 
     let residual = epilogue.residual.map(Tensor::as_slice);
     let out_data = out.as_mut_slice();
-    let mut qinput = scratch::take_bytes(ishape.c * ishape.h * ishape.w);
+    let image_len = ishape.c * ishape.h * ishape.w;
+    let mut qinput = scratch::take_bytes(image_len);
     for n in 0..ishape.n {
+        let image = &input.as_slice()[n * image_len..(n + 1) * image_len];
+        let (lo, hi) = range.unwrap_or_else(|| slice_range(image));
+        let aq = ActQuant::from_range(lo, hi);
         quantize_batch(input, n, aq, &mut qinput);
         let region_start = n * region_len;
         let region = &mut out_data[region_start..region_start + region_len];

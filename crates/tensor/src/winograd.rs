@@ -46,7 +46,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::engine::{self, Epilogue, GemmLhs, WriteMode, MR, NR};
+use crate::engine::{self, Epilogue, GemmLhs, OutPtr, WriteMode, MR, NR};
 use crate::error::{Result, TensorError};
 use crate::shape::Conv2dParams;
 use crate::tensor::Tensor;
@@ -356,44 +356,6 @@ fn emit_interleaved_f4(
     }
 }
 
-/// A mutable buffer that the tasks of one parallel dispatch write through at
-/// once, each into its own pairwise-disjoint ranges (output tile rows, or
-/// workspace slots). It borrows nothing: whoever builds it keeps the buffer
-/// mutably borrowed, and unused, for as long as any task holds it.
-struct OutPtr {
-    ptr: *mut f32,
-    len: usize,
-}
-
-// SAFETY: `len` is plain data. `ptr` is only dereferenced through
-// `OutPtr::slice_mut`, whose contract makes callers guarantee that the buffer
-// outlives every use and that no two live slices overlap, so moving or sharing
-// the pointer between threads adds no aliasing beyond what that contract
-// already rules out (and `f32` itself is `Send + Sync`).
-unsafe impl Send for OutPtr {}
-// SAFETY: see the `Send` impl above.
-unsafe impl Sync for OutPtr {}
-
-impl OutPtr {
-    fn new(buffer: &mut [f32]) -> Self {
-        OutPtr { ptr: buffer.as_mut_ptr(), len: buffer.len() }
-    }
-
-    /// Elements `start..start + len` of the buffer.
-    ///
-    /// # Safety
-    /// The buffer [`OutPtr::new`] was given must still be alive and otherwise
-    /// unused, and no other slice obtained from this `OutPtr` that overlaps
-    /// the range may be live (on any thread).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn slice_mut(&self, start: usize, len: usize) -> &mut [f32] {
-        assert!(start + len <= self.len, "{start}+{len} overruns {} elements", self.len);
-        // SAFETY: the range lies inside the buffer (asserted above), and the
-        // caller guarantees the buffer is live and the range exclusively ours.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(start), len) }
-    }
-}
-
 /// GEMM columns (tiles) one worker task aims to process per chunk. Swept
 /// empirically across layer shapes (32–512 channels, 14–448 px): ~224 columns is
 /// where the per-point GEMMs reach full throughput while the chunk's `V`/`M`
@@ -590,8 +552,8 @@ pub fn conv2d_winograd_fused_into(
 }
 
 /// Shared validated driver for both transform sizes: builds one
-/// [`WinogradPass`] per sample and fans its tile-row chunks out on the worker
-/// pool.
+/// [`WinogradPass`] over the whole batch and fans its tile-row chunks out on
+/// the worker pool.
 #[allow(clippy::too_many_arguments)]
 fn winograd_fused_into_any(
     input: &Tensor,
@@ -651,18 +613,17 @@ fn winograd_fused_into_any(
     let tile = if f4 { TILE_F4 } else { TILE };
     let tiles_h = oh.div_ceil(tile);
     let tiles_w = ow.div_ceil(tile);
+    // The images' tile rows back to back: a chunk may span images, so a batch
+    // of small maps fills the point GEMMs' columns like one larger map.
+    let batch_tile_rows = ishape.n * tiles_h;
     let rows_per_chunk = if f4 {
-        chunk_tile_rows_f4(in_ch, tiles_w, tiles_h)
+        chunk_tile_rows_f4(in_ch, tiles_w, batch_tile_rows)
     } else {
-        chunk_tile_rows(in_ch, tiles_w, tiles_h)
-    };
-    let n_chunks = tiles_h.div_ceil(rows_per_chunk);
+        chunk_tile_rows(in_ch, tiles_w, batch_tile_rows)
+    }
+    .max(1);
+    let n_chunks = batch_tile_rows.div_ceil(rows_per_chunk);
     let parallel = params.macs(ishape).unwrap_or(0) >= engine::PARALLEL_MIN_MACS;
-
-    let in_plane = in_ch * ishape.h * ishape.w;
-    let out_plane = out_ch * oh * ow;
-    let in_all = input.as_slice();
-    let out_all = out.as_mut_slice();
     // Chunk scratch comes from the *calling* thread's arena, one slot per
     // concurrently running task: which pool workers join a dispatch varies
     // from call to call, so scratch drawn on the workers would keep landing in
@@ -671,34 +632,33 @@ fn winograd_fused_into_any(
     let width = parallel::dispatch_width(n_chunks, parallel);
     let mut workspace = scratch::take_uninit(width.min(WorkspaceSlots::MAX) * slot_len);
     let slots = WorkspaceSlots::new(&mut workspace, slot_len);
-    for n in 0..ishape.n {
-        let pass = WinogradPass {
-            filter,
-            pad: params.padding,
-            in_data: &in_all[n * in_plane..(n + 1) * in_plane],
-            ih: ishape.h,
-            iw: ishape.w,
-            // `out_all` is left untouched while the chunks below write this
-            // sample's planes through the pass.
-            out: OutPtr::new(&mut out_all[n * out_plane..(n + 1) * out_plane]),
-            oh,
-            ow,
-            tiles_w,
-            bias,
-            residual: residual.map(|s| &s[n * out_plane..(n + 1) * out_plane]),
-            activation,
-        };
-        parallel::for_each_task(n_chunks, parallel, |chunk| {
-            let tr0 = chunk * rows_per_chunk;
-            let tr1 = (tr0 + rows_per_chunk).min(tiles_h);
-            let mut slot = slots.acquire();
-            if f4 {
-                pass.run_chunk_f4(tr0, tr1, slot.get());
-            } else {
-                pass.run_chunk_f2(tr0, tr1, slot.get());
-            }
-        });
-    }
+    let pass = WinogradPass {
+        filter,
+        pad: params.padding,
+        in_data: input.as_slice(),
+        ih: ishape.h,
+        iw: ishape.w,
+        // `out` is left untouched while the chunks below write its planes
+        // through the pass.
+        out: OutPtr::new(out.as_mut_slice()),
+        oh,
+        ow,
+        tiles_h,
+        tiles_w,
+        bias,
+        residual,
+        activation,
+    };
+    parallel::for_each_task(n_chunks, parallel, |chunk| {
+        let tr0 = chunk * rows_per_chunk;
+        let tr1 = (tr0 + rows_per_chunk).min(batch_tile_rows);
+        let mut slot = slots.acquire();
+        if f4 {
+            pass.run_chunk_f4(tr0, tr1, slot.get());
+        } else {
+            pass.run_chunk_f2(tr0, tr1, slot.get());
+        }
+    });
     scratch::give(workspace);
     Ok(())
 }
@@ -814,21 +774,26 @@ impl Drop for WorkspaceSlot<'_, '_> {
     }
 }
 
-/// One sample's Winograd execution context: the transform bank plus the
-/// sample's input and output planes. `run_chunk_f2`/`run_chunk_f4` execute one
-/// tile-row chunk; chunk decomposition and threading belong to the caller, and
-/// chunks write pairwise-disjoint output rows.
+/// One batch's Winograd execution context: the transform bank plus the
+/// batch's input and output planes. Tile rows are numbered across the batch
+/// (row `g` is tile row `g % tiles_h` of image `g / tiles_h`);
+/// `run_chunk_f2`/`run_chunk_f4` execute one chunk of them, which may span
+/// images — every tile is one GEMM column whose arithmetic does not depend on
+/// its neighbours, so a chunk's extent never changes a bit. Chunk
+/// decomposition and threading belong to the caller, and chunks write
+/// pairwise-disjoint output rows.
 struct WinogradPass<'a> {
     filter: &'a WinogradFilter,
     pad: usize,
-    /// `in_channels` planes of `ih × iw`.
+    /// Per image, `in_channels` planes of `ih × iw`.
     in_data: &'a [f32],
     ih: usize,
     iw: usize,
-    /// `out_channels` planes of `oh × ow`.
+    /// Per image, `out_channels` planes of `oh × ow`.
     out: OutPtr,
     oh: usize,
     ow: usize,
+    tiles_h: usize,
     tiles_w: usize,
     bias: Option<&'a [f32]>,
     /// Laid out like `out`.
@@ -837,6 +802,48 @@ struct WinogradPass<'a> {
 }
 
 impl WinogradPass<'_> {
+    /// Image and in-image tile row of batch tile row `g`.
+    fn locate(&self, g: usize) -> (usize, usize) {
+        (g / self.tiles_h, g % self.tiles_h)
+    }
+
+    /// Input plane `ic` of image `n`.
+    fn in_plane(&self, n: usize, ic: usize) -> &[f32] {
+        let len = self.ih * self.iw;
+        let at = (n * self.filter.in_channels + ic) * len;
+        &self.in_data[at..at + len]
+    }
+
+    /// Offset of output row `row` of plane `c_out` of image `n`.
+    fn out_row_start(&self, n: usize, c_out: usize, row: usize) -> usize {
+        ((n * self.filter.out_channels + c_out) * self.oh + row) * self.ow
+    }
+
+    /// Per-point channel reduction: `M(t) = U(t) · V(t)`, one packed GEMM per
+    /// transform point (serial within the task; parallelism lives at the
+    /// chunk level), block `t` of `mbuf` holding point `t`. U arrives
+    /// prepacked in the filter bank, so the GEMMs consume it directly — no
+    /// per-chunk repacking of the weights.
+    fn point_gemms(&self, points: usize, vpack: &[f32], vseg: usize, p: usize, mbuf: &mut [f32]) {
+        let (in_ch, u, point_seg) =
+            (self.filter.in_channels, &self.filter.u[..], self.filter.point_seg);
+        let rows = self.filter.out_channels;
+        for t in 0..points {
+            engine::packed_gemm_strided(
+                GemmLhs::Packed { panels: &u[t * point_seg..(t + 1) * point_seg], k: in_ch },
+                0,
+                rows,
+                in_ch,
+                &vpack[t * vseg..(t + 1) * vseg],
+                p,
+                &mut mbuf[t * rows * p..(t + 1) * rows * p],
+                p,
+                0,
+                WriteMode::Overwrite { epilogue: Epilogue::with_bias(None) },
+            );
+        }
+    }
+
     /// Executes tile rows `[tr0, tr1)` of the F(2×2, 3×3) pipeline: input
     /// transform into packed-B segments, one GEMM per transform point, fused
     /// inverse transform into the output view.
@@ -847,7 +854,6 @@ impl WinogradPass<'_> {
     fn run_chunk_f2(&self, tr0: usize, tr1: usize, ws: &mut [f32]) {
         let (in_ch, out_ch, tiles_w) =
             (self.filter.in_channels, self.filter.out_channels, self.tiles_w);
-        let (u, point_seg) = (&self.filter.u[..], self.filter.point_seg);
         let (bias, residual, activation) = (self.bias, self.residual, self.activation);
         let pad = self.pad as isize;
         let pad_cols = self.pad;
@@ -869,8 +875,9 @@ impl WinogradPass<'_> {
         let wz = 2 * (tiles_w + 1);
         let half = tiles_w + 1;
         for ic in 0..in_ch {
-            let plane = &self.in_data[ic * self.ih * self.iw..(ic + 1) * self.ih * self.iw];
-            for tr in tr0..tr1 {
+            for g in tr0..tr1 {
+                let (n, tr) = self.locate(g);
+                let plane = self.in_plane(n, ic);
                 let ih0 = (tr * TILE) as isize - pad;
                 let (rbuf, eo) = stage.split_at_mut(4 * wz);
                 // Padded input rows: rbuf[r][x] = input(ih0 + r, x − pad), 0 outside.
@@ -920,7 +927,7 @@ impl WinogradPass<'_> {
                     combine(r1, r3, false); // z₃ = d₁ − d₃
                 }
                 // V = z·B per row: two-term stencils into the packed segments.
-                let j0 = (tr - tr0) * tiles_w;
+                let j0 = (g - tr0) * tiles_w;
                 for r in 0..ALPHA {
                     let even = &eo[2 * r * half..2 * r * half + half];
                     let odd = &eo[(2 * r + 1) * half..(2 * r + 1) * half + half];
@@ -929,24 +936,7 @@ impl WinogradPass<'_> {
             }
         }
 
-        // --- Per-point channel reduction: M(t) = U(t) · V(t), one packed GEMM
-        // per transform point (serial within the task; parallelism lives at the
-        // chunk level). U arrives prepacked in the filter bank, so the GEMMs
-        // consume it directly — no per-chunk repacking of the weights. ---
-        for t in 0..POINTS {
-            engine::packed_gemm_strided(
-                GemmLhs::Packed { panels: &u[t * point_seg..(t + 1) * point_seg], k: in_ch },
-                0,
-                out_ch,
-                in_ch,
-                &vpack[t * vseg..(t + 1) * vseg],
-                p,
-                &mut mbuf[t * out_ch * p..(t + 1) * out_ch * p],
-                p,
-                0,
-                WriteMode::Overwrite { epilogue: Epilogue::with_bias(None) },
-            );
-        }
+        self.point_gemms(POINTS, vpack, vseg, p, mbuf);
 
         // --- Output transform: Y = Aᵀ·M·A + bias, activation fused, written
         // into this chunk's output rows of every channel plane. Like the input
@@ -954,11 +944,11 @@ impl WinogradPass<'_> {
         // whole-tile-row slice sweeps over the 16 contiguous `M` streams. ---
         for c_out in 0..out_ch {
             let bias_v = bias.map_or(0.0, |b| b[c_out]);
-            let mrows: [&[f32]; POINTS] = std::array::from_fn(|t| {
-                &mbuf[t * out_ch * p + c_out * p..t * out_ch * p + (c_out + 1) * p]
-            });
-            for tr in tr0..tr1 {
-                let jr = (tr - tr0) * tiles_w..(tr - tr0 + 1) * tiles_w;
+            let mrows: [&[f32]; POINTS] =
+                std::array::from_fn(|t| &mbuf[(t * out_ch + c_out) * p..][..p]);
+            for g in tr0..tr1 {
+                let (n, tr) = self.locate(g);
+                let jr = (g - tr0) * tiles_w..(g - tr0 + 1) * tiles_w;
                 let (tt, y) = obuf.split_at_mut(8 * tiles_w);
                 // tt = Aᵀ·M, with Aᵀ = [[1,1,1,0],[0,1,−1,−1]]: per transform
                 // column c, two three-term elementwise combinations.
@@ -999,12 +989,13 @@ impl WinogradPass<'_> {
                     if oh0 + half_row >= oh {
                         break;
                     }
-                    let row_start = (c_out * oh + oh0 + half_row) * ow;
+                    let row_start = self.out_row_start(n, c_out, oh0 + half_row);
                     // SAFETY: output row `oh0 + half_row < oh` of plane
-                    // `c_out < out_channels` lies inside the sample's planes
-                    // `out` was built over, and it belongs to tile row `tr`,
-                    // which only this chunk covers (chunks partition the tile
-                    // rows), so no other live slice overlaps it.
+                    // `c_out < out_channels` of image `n` lies inside the
+                    // batch's planes `out` was built over, and it belongs to
+                    // batch tile row `g`, which only this chunk covers (chunks
+                    // partition the tile rows), so no other live slice
+                    // overlaps it.
                     let out_row = unsafe { self.out.slice_mut(row_start, ow) };
                     let ya = &y[2 * half_row * tiles_w..(2 * half_row + 1) * tiles_w];
                     let yb = &y[(2 * half_row + 1) * tiles_w..(2 * half_row + 2) * tiles_w];
@@ -1023,7 +1014,6 @@ impl WinogradPass<'_> {
     fn run_chunk_f4(&self, tr0: usize, tr1: usize, ws: &mut [f32]) {
         let (in_ch, out_ch, tiles_w) =
             (self.filter.in_channels, self.filter.out_channels, self.tiles_w);
-        let (u, point_seg) = (&self.filter.u[..], self.filter.point_seg);
         let (bias, residual, activation) = (self.bias, self.residual, self.activation);
         let pad = self.pad as isize;
         let pad_cols = self.pad;
@@ -1040,8 +1030,9 @@ impl WinogradPass<'_> {
         // width covers 4·tiles_w + 2 columns. ---
         let wz = 4 * tiles_w + 2;
         for ic in 0..in_ch {
-            let plane = &self.in_data[ic * self.ih * self.iw..(ic + 1) * self.ih * self.iw];
-            for tr in tr0..tr1 {
+            for g in tr0..tr1 {
+                let (n, tr) = self.locate(g);
+                let plane = self.in_plane(n, ic);
                 let ih0 = (tr * TILE_F4) as isize - pad;
                 let (rbuf, zbuf) = stage.split_at_mut(ALPHA_F4 * wz);
                 for r in 0..ALPHA_F4 {
@@ -1079,7 +1070,7 @@ impl WinogradPass<'_> {
                     zbuf[5 * wz + x] = 4.0 * d1 - 5.0 * d3 + d5;
                 }
                 // V = z·B per row: the same six-lane stencil along the columns.
-                let j0 = (tr - tr0) * tiles_w;
+                let j0 = (g - tr0) * tiles_w;
                 for r in 0..ALPHA_F4 {
                     scatter_stencil_rows_f4(
                         vpack,
@@ -1095,32 +1086,17 @@ impl WinogradPass<'_> {
             }
         }
 
-        // --- Per-point channel reduction: M(t) = U(t)·V(t), one packed GEMM
-        // per transform point against the prepacked bank. ---
-        for t in 0..POINTS_F4 {
-            engine::packed_gemm_strided(
-                GemmLhs::Packed { panels: &u[t * point_seg..(t + 1) * point_seg], k: in_ch },
-                0,
-                out_ch,
-                in_ch,
-                &vpack[t * vseg..(t + 1) * vseg],
-                p,
-                &mut mbuf[t * out_ch * p..(t + 1) * out_ch * p],
-                p,
-                0,
-                WriteMode::Overwrite { epilogue: Epilogue::with_bias(None) },
-            );
-        }
+        self.point_gemms(POINTS_F4, vpack, vseg, p, mbuf);
 
         // --- Output transform: Y = Aᵀ·M·A + bias, activation fused, with
         // Aᵀ = [[1,1,1,1,1,0],[0,1,−1,2,−2,0],[0,1,1,4,4,0],[0,1,−1,8,−8,1]]. ---
         for c_out in 0..out_ch {
             let bias_v = bias.map_or(0.0, |b| b[c_out]);
-            let mrows: [&[f32]; POINTS_F4] = std::array::from_fn(|t| {
-                &mbuf[t * out_ch * p + c_out * p..t * out_ch * p + (c_out + 1) * p]
-            });
-            for tr in tr0..tr1 {
-                let jr = (tr - tr0) * tiles_w..(tr - tr0 + 1) * tiles_w;
+            let mrows: [&[f32]; POINTS_F4] =
+                std::array::from_fn(|t| &mbuf[(t * out_ch + c_out) * p..][..p]);
+            for g in tr0..tr1 {
+                let (n, tr) = self.locate(g);
+                let jr = (g - tr0) * tiles_w..(g - tr0 + 1) * tiles_w;
                 let (tt, y) = obuf.split_at_mut(24 * tiles_w);
                 // tt = Aᵀ·M per transform column c: four stencil combinations
                 // of the six row streams.
@@ -1162,10 +1138,11 @@ impl WinogradPass<'_> {
                         y[2 * tiles_w + j] = p12 + 4.0 * p34;
                         y[3 * tiles_w + j] = m12 + 8.0 * m34 + t5;
                     }
-                    let row_start = (c_out * oh + oh0 + q) * ow;
+                    let row_start = self.out_row_start(n, c_out, oh0 + q);
                     // SAFETY: as in `run_chunk_f2` — output row `oh0 + q < oh`
-                    // of plane `c_out` lies inside `out` and belongs to tile
-                    // row `tr`, which only this chunk covers.
+                    // of plane `c_out` of image `n` lies inside `out` and
+                    // belongs to batch tile row `g`, which only this chunk
+                    // covers.
                     let out_row = unsafe { self.out.slice_mut(row_start, ow) };
                     let skip_row = residual.map(|s| &s[row_start..row_start + ow]);
                     emit_output_row_f4(out_row, y, tiles_w, bias_v, skip_row, activation);

@@ -7,7 +7,7 @@
 //! across thread counts.
 
 use proptest::prelude::*;
-use rescnn_tensor::engine::{pack_b, parallel_packed_gemm, KC, MR, NR};
+use rescnn_tensor::engine::{pack_b, parallel_packed_gemm, ColumnLayout, KC, MR, NR};
 use rescnn_tensor::{
     conv2d_direct, conv2d_dispatch, conv2d_with_algo, gemm_packed, num_threads, select_algo,
     set_num_threads, Conv2dParams, ConvAlgo, Epilogue, FusedActivation, GemmLhs, MatDims,
@@ -299,8 +299,7 @@ fn strided_gemm(
         bpack,
         cols,
         &mut region,
-        row_stride,
-        col_offset,
+        ColumnLayout::rows(row_stride, col_offset),
         epilogue,
         accumulate,
         true,

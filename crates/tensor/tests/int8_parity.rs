@@ -283,3 +283,35 @@ fn gate_off_leaves_f32_forwards_bitwise_identical() {
     assert_ne!(algo, ConvAlgo::Int8, "int8 prepack must not change dispatch");
     assert_eq!(f32_out, out.as_slice(), "int8 prepack must not perturb the f32 forward");
 }
+
+/// Without a recorded activation range the int8 path scans each image's own
+/// range, so an N-image call equals the N one-image calls bitwise: a batch
+/// folded by `Network::forward_batch` must not move any image's quantization
+/// grid.
+#[test]
+fn dynamic_range_is_scanned_per_image() {
+    let _guard = lock();
+    let params = Conv2dParams::new(6, 10, 3, 1, 1);
+    let (input, weight) = sample(&params, 3, 9, 11, 23);
+    // Give every image a different range, so a batch-wide scan would differ.
+    let mut input = input;
+    let image_len = 6 * 9 * 11;
+    for (n, image) in input.as_mut_slice().chunks_exact_mut(image_len).enumerate() {
+        image.iter_mut().for_each(|x| *x *= 1.0 + n as f32);
+    }
+    let batched = conv2d_int8(&input, &weight, None, &params).unwrap();
+    let out_len = batched.as_slice().len() / 3;
+    for n in 0..3 {
+        let image = Tensor::from_vec(
+            Shape::new(1, 6, 9, 11),
+            input.as_slice()[n * image_len..(n + 1) * image_len].to_vec(),
+        )
+        .unwrap();
+        let single = conv2d_int8(&image, &weight, None, &params).unwrap();
+        assert_eq!(
+            &batched.as_slice()[n * out_len..(n + 1) * out_len],
+            single.as_slice(),
+            "image {n} of a 3-image int8 call differs from its own call"
+        );
+    }
+}

@@ -246,3 +246,86 @@ fn prepared_layer_weight_equals_the_tensor_it_was_built_from() {
         assert_eq!(bits(restored.as_slice()), bits(weight.as_slice()), "{params:?}");
     }
 }
+
+/// A residual + ReLU block tail.
+fn relu_tail(skip: &Tensor) -> ConvEpilogue<'_> {
+    ConvEpilogue::activation(FusedActivation::Relu).with_residual(skip)
+}
+
+/// Image `n` of a batch tensor, as a one-image tensor.
+fn image(batch: &Tensor, n: usize) -> Tensor {
+    let s = batch.shape();
+    let len = s.c * s.h * s.w;
+    Tensor::from_vec(
+        Shape::new(1, s.c, s.h, s.w),
+        batch.as_slice()[n * len..(n + 1) * len].to_vec(),
+    )
+    .unwrap()
+}
+
+/// The GEMM-lowered arms fold a batch's images into their GEMM columns: a
+/// panel (1×1, im2col) or a Winograd chunk may span several images. Each
+/// column still accumulates alone, so an N-image call with a residual + ReLU
+/// epilogue must equal the N one-image calls bitwise. The shapes cover maps
+/// whose pixels fill less than one panel (4×4, 5×5 and 7×7 outputs, so one
+/// panel spans several images), pixel counts that are not a multiple of the
+/// panel width, a shared dimension longer than one KC slice (the residual
+/// lands on the last slice), grouped 1×1, the strided im2col shapes (7×7/2
+/// stem, 3×3/2, 1×1/2), and Winograd chunks whose tile rows cross an image
+/// boundary mid-chunk (F(2×2): 20 tiles per row → 11-row chunks over 5-row
+/// images; F(4×4): 28 tiles per row → 8-row chunks over 5-row images). CI
+/// runs it at 1, 2 and 4 threads.
+#[test]
+fn batch_folded_gemm_arms_match_per_image_outputs_bitwise() {
+    let cases = [
+        (Conv2dParams::new(40, 24, 1, 1, 0), ConvAlgo::Gemm1x1, (4usize, 4usize)),
+        (Conv2dParams::new(12, 18, 1, 1, 0), ConvAlgo::Gemm1x1, (7, 7)),
+        (Conv2dParams::new(8, 12, 1, 1, 0).with_groups(2), ConvAlgo::Gemm1x1, (5, 5)),
+        (Conv2dParams::new(3, 16, 7, 2, 3), ConvAlgo::Im2colPacked, (14, 14)),
+        (Conv2dParams::new(10, 16, 3, 2, 1), ConvAlgo::Im2colPacked, (8, 8)),
+        (Conv2dParams::new(12, 20, 1, 2, 0), ConvAlgo::Im2colPacked, (14, 14)),
+        (Conv2dParams::new(32, 12, 3, 1, 1), ConvAlgo::Im2colPacked, (4, 4)),
+        (Conv2dParams::new(6, 10, 3, 1, 1), ConvAlgo::Im2colPacked, (5, 7)),
+        (Conv2dParams::new(6, 10, 3, 1, 1), ConvAlgo::Winograd, (10, 40)),
+        (Conv2dParams::new(6, 10, 3, 1, 1), ConvAlgo::Winograd, (7, 7)),
+        (Conv2dParams::new(5, 9, 3, 1, 1), ConvAlgo::WinogradF4, (20, 112)),
+        (Conv2dParams::new(5, 9, 3, 1, 1), ConvAlgo::WinogradF4, (4, 4)),
+        // Over a million MACs per image: under more than one thread these
+        // split their rows (Winograd: their chunks) across the pool.
+        (Conv2dParams::new(128, 96, 1, 1, 0), ConvAlgo::Gemm1x1, (7, 7)),
+        (Conv2dParams::new(64, 48, 3, 1, 1), ConvAlgo::Im2colPacked, (7, 7)),
+        (Conv2dParams::new(16, 24, 3, 1, 1), ConvAlgo::Winograd, (10, 40)),
+    ];
+    for (params, algo, (h, w)) in cases {
+        let (_, weight, bias) = sample(&params, h, 3 + (h * w) as u64);
+        let prepared = PreparedLayer::new(weight, Some(bias), params).unwrap();
+        for images in [2usize, 3, 5] {
+            let input = Tensor::random_uniform(
+                Shape::new(images, params.in_channels, h, w),
+                1.0,
+                (images * h * w) as u64,
+            );
+            let oshape = params.output_shape(input.shape()).unwrap();
+            let skip = Tensor::random_uniform(oshape, 1.0, 77 + images as u64);
+            let mut batched = Tensor::zeros(oshape);
+            prepared.forward_with_algo_into(&input, algo, relu_tail(&skip), &mut batched).unwrap();
+            for n in 0..images {
+                let skip_n = image(&skip, n);
+                let mut single = Tensor::zeros(skip_n.shape());
+                prepared
+                    .forward_with_algo_into(
+                        &image(&input, n),
+                        algo,
+                        relu_tail(&skip_n),
+                        &mut single,
+                    )
+                    .unwrap();
+                assert_eq!(
+                    bits(image(&batched, n).as_slice()),
+                    bits(single.as_slice()),
+                    "{algo} {params:?} at {h}×{w}: image {n} of {images} differs from its own call"
+                );
+            }
+        }
+    }
+}

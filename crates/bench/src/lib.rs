@@ -1,8 +1,8 @@
 //! # rescnn-bench
 //!
-//! Experiment harnesses reproducing every table and figure of the paper, plus Criterion
-//! micro-benchmarks of the executable kernels. Each `bin/` target regenerates one
-//! table/figure; sample counts are controlled by `RESCNN_*` environment variables (see
+//! Experiment harnesses reproducing every table and figure of the paper, plus the
+//! pass/fail serving harnesses CI gates on. Each `bin/` target regenerates one
+//! table/figure or runs one harness; sample counts are controlled by `RESCNN_*` environment variables (see
 //! [`HarnessConfig`]).
 //!
 //! | Target | Paper artefact |

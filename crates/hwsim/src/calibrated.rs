@@ -422,15 +422,17 @@ mod tests {
     fn load_skips_unknown_algorithms_and_records_them() {
         let path = std::env::temp_dir()
             .join(format!("rescnn-calibration-future-{}.txt", std::process::id()));
-        // A file written by a hypothetical future build: one arm this build
-        // knows, two entries for arms it does not.
+        // One arm this build knows, two entries for an arm of a hypothetical
+        // future build, and one for the `im2col` arm that older builds swept
+        // and this one no longer has.
         std::fs::write(
             &path,
             format!(
                 "{FORMAT_HEADER}\n\
                  measure 8 8 3 1 1 1 16 16 im2col_packed 2e-3\n\
                  measure 8 8 3 1 1 1 16 16 int4_packed 1e-3\n\
-                 measure 8 8 3 1 1 1 32 32 int4_packed 4e-3\n"
+                 measure 8 8 3 1 1 1 32 32 int4_packed 4e-3\n\
+                 measure 8 8 3 1 1 1 16 16 im2col 9e-3\n"
             ),
         )
         .unwrap();
@@ -445,6 +447,7 @@ mod tests {
             &[
                 SkippedCalibration { algo: "int4_packed".into(), line: 3 },
                 SkippedCalibration { algo: "int4_packed".into(), line: 4 },
+                SkippedCalibration { algo: "im2col".into(), line: 5 },
             ]
         );
         // Malformed lines (wrong arity, bad numbers) are still hard errors:

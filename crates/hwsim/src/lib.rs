@@ -9,7 +9,7 @@
 //! * an [`AutoTuner`] that searches the space per layer (the stand-in for AutoTVM),
 //! * a [`LibraryKernels`] baseline modelling a shape-overfitted vendor library (MKLDNN), and
 //! * a [`MeasuredTuner`] that sweeps the *executable* engine kernels from
-//!   `rescnn-tensor` (algorithm × tiling × threads, the Winograd arm included)
+//!   `rescnn-tensor` (algorithm × threads, the Winograd arms included)
 //!   with host wall-clock time, and
 //! * a [`CalibratedCostModel`] that folds those measurements back into the
 //!   analytic model and exports the measured-fastest algorithm per shape as the

@@ -3,9 +3,9 @@
 //! The analytic [`CostModel`](crate::CostModel) predicts how schedules behave; this
 //! module closes the loop by *running* the real kernels from `rescnn-tensor` and
 //! timing them. For every convolution layer shape it sweeps implementation
-//! algorithms ([`ConvAlgo`]) — and, for the tiled kernel, tiling configurations —
-//! exactly the algorithm × tiling × resolution landscape the paper's §VI autotunes
-//! over, but with host wall-clock time instead of a model.
+//! algorithms ([`ConvAlgo`]) at each thread count — the algorithm × resolution
+//! landscape the paper's §VI autotunes over, but with host wall-clock time instead
+//! of a model.
 
 use std::time::Instant;
 
@@ -13,9 +13,8 @@ use serde::{Deserialize, Serialize};
 
 use rescnn_models::ConvLayerShape;
 use rescnn_tensor::{
-    conv2d_tiled, conv2d_with_algo, int8_unit_error, select_algo, winograd_f4_unit_error, ConvAlgo,
-    ConvEpilogue, ConvTiling, EngineContext, PreparedLayer, Shape, Tensor, INT8_TOLERANCE,
-    WINOGRAD_F4_TOLERANCE,
+    conv2d_with_algo, int8_unit_error, select_algo, winograd_f4_unit_error, ConvAlgo, ConvEpilogue,
+    EngineContext, PreparedLayer, Shape, Tensor, INT8_TOLERANCE, WINOGRAD_F4_TOLERANCE,
 };
 
 /// One wall-clock measurement of a kernel implementation on a layer shape.
@@ -134,9 +133,8 @@ impl MeasuredTuner {
     /// zoo prepares every layer at construction, so per-call packing (or the
     /// filter transform) is a one-time cost, and folding it into every timed
     /// run would systematically bias calibrated dispatch. The reference
-    /// algorithms ([`ConvAlgo::Direct`], [`ConvAlgo::Im2col`]) always run their
-    /// historical entry points (the prepared wrapper would add a copy they
-    /// never pay in practice).
+    /// algorithm ([`ConvAlgo::Direct`]) always runs its own entry point (the
+    /// prepared wrapper would add a copy it never pays in practice).
     pub fn measure_algo(
         &self,
         layer: &ConvLayerShape,
@@ -146,16 +144,7 @@ impl MeasuredTuner {
         let algo = if algo.supports(&layer.params) { algo } else { ConvAlgo::Im2colPacked };
         let (input, weight) = self.instantiate(layer);
         let params = layer.params;
-        let prepacked = self.config.prepack
-            && matches!(
-                algo,
-                ConvAlgo::Im2colPacked
-                    | ConvAlgo::Gemm1x1
-                    | ConvAlgo::Depthwise
-                    | ConvAlgo::Winograd
-                    | ConvAlgo::WinogradF4
-                    | ConvAlgo::Int8
-            );
+        let prepacked = self.config.prepack && algo != ConvAlgo::Direct;
         // Scoped override: the sweep's thread count never leaks into (or races
         // with) the process-wide engine configuration.
         let seconds = EngineContext::new().with_threads(threads).scope(|| {
@@ -241,27 +230,6 @@ impl MeasuredTuner {
         int8_unit_error(&layer.params, layer.input)
             .map(|err| err <= self.config.int8_tolerance)
             .unwrap_or(false)
-    }
-
-    /// Times the output-tiled kernel across tiling configurations (dense layers
-    /// only): the measured version of the paper's tiling sweep.
-    pub fn sweep_tilings(
-        &self,
-        layer: &ConvLayerShape,
-        tilings: &[ConvTiling],
-    ) -> Vec<(ConvTiling, f64)> {
-        let (input, weight) = self.instantiate(layer);
-        let params = layer.params;
-        tilings
-            .iter()
-            .map(|&tiling| {
-                let seconds = self.time_runs(|| {
-                    conv2d_tiled(&input, &weight, None, &params, tiling)
-                        .expect("valid layer shape");
-                });
-                (tiling, seconds)
-            })
-            .collect()
     }
 
     /// The fastest measured kernel for a layer, comparing the engine's automatic
@@ -368,20 +336,5 @@ mod tests {
         assert!(!strict.admits_int8(&layer), "a zero tolerance must reject every real shape");
         let swept = strict.sweep_layer(&layer, &ConvAlgo::ALL);
         assert!(swept.iter().all(|r| r.algo != ConvAlgo::Int8));
-    }
-
-    #[test]
-    fn tiling_sweep_reports_every_configuration() {
-        let tuner = MeasuredTuner::new(MeasuredSweepConfig {
-            reps: 1,
-            max_threads: 1,
-            seed: 2,
-            ..Default::default()
-        });
-        let layer = small_layer();
-        let tilings = [ConvTiling::new(8, 4, 16), ConvTiling::new(32, 8, 64)];
-        let swept = tuner.sweep_tilings(&layer, &tilings);
-        assert_eq!(swept.len(), 2);
-        assert!(swept.iter().all(|(_, s)| *s > 0.0));
     }
 }

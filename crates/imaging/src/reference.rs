@@ -1,12 +1,10 @@
-//! Reference implementations of the imaging hot paths, kept as measured baselines.
+//! Reference implementations of the imaging hot paths, kept as parity oracles.
 //!
 //! PR 3 rewrote [`ssim_with`](crate::ssim_with) on integral images and
 //! [`resize`](crate::resize) as a separable two-pass transform with cached axis plans.
-//! The pre-rewrite implementations live here verbatim so that
-//!
-//! * the parity tests can pin the fast paths against them (`resize` bitwise;
-//!   `ssim_with` to ≤ 1e-12, see the tolerance note on [`ssim_with`]), and
-//! * the `imaging_ops` benchmark group can keep reporting the measured speedup.
+//! The pre-rewrite implementations live here verbatim so that the parity tests can
+//! pin the fast paths against them (`resize` bitwise; `ssim_with` to ≤ 1e-12, see
+//! the tolerance note on [`ssim_with`]).
 //!
 //! Production code must not call these; they are deliberately the slow versions.
 

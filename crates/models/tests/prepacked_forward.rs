@@ -11,7 +11,8 @@ use std::sync::{Mutex, MutexGuard};
 
 use rescnn_models::{ArchSpec, BlockSpec, ModelKind, Network};
 use rescnn_tensor::{
-    scratch, select_algo, ActivationArena, ConvAlgo, EngineContext, Shape, Tensor,
+    install_algo_calibration, scratch, select_algo, ActivationArena, AlgoCalibration, ConvAlgo,
+    ConvShapeKey, EngineContext, Shape, Tensor,
 };
 
 /// Serializes tests in this binary: they observe the process-wide allocation
@@ -64,16 +65,28 @@ fn prepared_forward_matches_reference_under_winograd_dispatch() {
     // fused (bias + residual + activation) Winograd output transform in the
     // prepared path, vs fused bias + activation and a separate add_relu in the
     // reference. Both must agree bitwise, for both transform sizes and both
-    // residual block families.
+    // residual block families. An installed calibration table naming the same
+    // arm for every eligible shape — what a measured sweep installs — must
+    // steer the forward to the same bits as the pin.
     let input = Tensor::random_uniform(Shape::chw(3, 56, 56), 1.0, 23);
-    for net in
-        [Network::new(ModelKind::ResNet18, 4, 17), Network::from_arch(&thin_residual_arch(), 13)]
-    {
+    for (arch, seed) in [(ModelKind::ResNet18.arch(4), 17), (thin_residual_arch(), 13)] {
+        let net = Network::from_arch(&arch, seed);
         for algo in [ConvAlgo::Winograd, ConvAlgo::WinogradF4] {
             let context = EngineContext::new().with_algo(algo);
             let fast = context.scope(|| net.forward(&input).unwrap());
             let reference = context.scope(|| net.forward_reference(&input).unwrap());
             assert_eq!(fast.as_slice(), reference.as_slice(), "{algo} diverged from the reference");
+
+            let mut table = AlgoCalibration::new();
+            for layer in arch.conv_layers(56).unwrap() {
+                if algo.supports(&layer.params) {
+                    table.set(ConvShapeKey::new(layer.params, layer.input), algo);
+                }
+            }
+            install_algo_calibration(Some(table));
+            let calibrated = net.forward(&input);
+            install_algo_calibration(None);
+            assert_eq!(calibrated.unwrap().as_slice(), fast.as_slice(), "{algo} table != pin");
         }
     }
 }

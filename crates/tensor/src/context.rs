@@ -1,10 +1,9 @@
 //! Per-call engine configuration, replacing mutation of process-global state.
 //!
-//! Historically, bounding kernel parallelism or pinning a convolution algorithm
-//! meant calling [`set_num_threads`](crate::set_num_threads) /
-//! [`force_conv_algo`](crate::force_conv_algo), which mutate process-wide state:
-//! two pipelines configured differently would race, with the last constructor
-//! winning for both. An [`EngineContext`] instead carries the overrides as a value
+//! Bounding kernel parallelism with [`set_num_threads`](crate::set_num_threads)
+//! mutates process-wide state: two pipelines configured differently would race,
+//! with the last constructor winning for both. An [`EngineContext`] instead
+//! carries the thread budget and the convolution-algorithm pin as a value
 //! and installs them only for the dynamic extent of a [`scope`](EngineContext::scope)
 //! call on the current thread. The engine consults the innermost scope first
 //! ([`num_threads`](crate::num_threads) and the dispatch layer in
@@ -35,8 +34,8 @@ pub struct EngineContext {
     /// Worker-thread budget for kernels in this scope (`None` inherits).
     pub threads: Option<usize>,
     /// Convolution algorithm pinned for this scope (`None` inherits). Takes
-    /// precedence over the process-wide [`force_conv_algo`](crate::force_conv_algo)
-    /// override; shapes the algorithm cannot execute still fall back as usual.
+    /// precedence over calibrated and heuristic dispatch; shapes the algorithm
+    /// cannot execute still fall back as usual.
     pub algo: Option<ConvAlgo>,
 }
 

@@ -1,14 +1,9 @@
 //! 2-D convolution kernels and the resolution-aware dispatch layer.
 //!
-//! Executable implementations, from slowest to fastest:
+//! Executable implementations:
 //!
-//! * [`conv2d_direct`] — a reference seven-loop implementation, used to validate the others.
-//! * [`conv2d_tiled`] — an output-tiled direct implementation parameterized by
-//!   [`ConvTiling`], used by the benchmark harness to demonstrate (with real wall-clock
-//!   measurements) that the best tiling depends on the input resolution, the mechanism
-//!   behind the paper's §VI.
-//! * [`conv2d_im2col`] — the seed's allocation-heavy im2col + blocked-GEMM lowering, kept
-//!   as the measured baseline the engine is compared against.
+//! * [`conv2d_direct`] — a reference seven-loop implementation, the single oracle the
+//!   other paths are validated against.
 //! * The **packed engine** ([`conv2d_with_algo`]) — packed, multi-threaded kernels built
 //!   on [`engine`](crate::engine): a direct-GEMM fast path for 1×1 stride-1 convolutions
 //!   ([`ConvAlgo::Gemm1x1`]), a dedicated shift-and-accumulate depthwise kernel
@@ -27,16 +22,15 @@
 //! default exactly where their tiles fill the microkernel — see [`select_algo`].
 //!
 //! [`conv2d`] — the entry point the model zoo uses — routes through [`select_algo`],
-//! and [`conv2d_dispatch`] additionally reports which algorithm ran so autotuners and
-//! benchmarks can sweep algorithm × tiling per resolution. [`force_conv_algo`] pins the
-//! choice globally (benchmarks use it to time the legacy path through a whole network).
+//! and [`conv2d_dispatch`] additionally reports which algorithm ran so autotuners can
+//! sweep algorithms per resolution.
 //!
 //! Default selection is **measurement-aware**: an [`AlgoCalibration`] table — built by
 //! `rescnn-hwsim`'s measured tuner from wall-clock sweeps and installed process-wide
 //! via [`install_algo_calibration`] — maps exact layer shapes to their measured-fastest
 //! algorithm, and [`select_algo`] consults it before falling back to the static
-//! rule. Scoped ([`EngineContext::with_algo`](crate::EngineContext::with_algo))
-//! and global ([`force_conv_algo`]) overrides take precedence over calibration.
+//! rule. A scoped [`EngineContext::with_algo`](crate::EngineContext::with_algo)
+//! override takes precedence over calibration.
 //!
 //! Weights are stored as `O × I/g × K × K` tensors (encoded in the NCHW [`Shape`] as
 //! `n = O`, `c = I/g`, `h = w = K`).
@@ -44,14 +38,13 @@
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 use serde::{Deserialize, Serialize};
 
 use crate::engine::{self, ColumnLayout, FusedActivation, NR};
 use crate::error::{Result, TensorError};
-use crate::gemm::{gemm_blocked, GemmBlocking, MatDims};
 use crate::shape::{Conv2dParams, Shape};
 use crate::tensor::Tensor;
 use crate::winograd::{conv2d_winograd_fused_into, WinogradFilter, TILE, TILE_F4};
@@ -144,221 +137,14 @@ pub fn conv2d_direct(
     Ok(out)
 }
 
-/// Lowers one image (batch element) and channel group of the input into a column matrix of
-/// shape `(in_per_group * k * k) × (out_h * out_w)`, row-major.
-///
-/// This is the seed's materializing lowering, kept for the baseline path; the engine
-/// uses the packing-aware stripe variant internally instead.
-///
-/// # Errors
-/// Returns an error if the parameters are inconsistent with the input shape.
-pub fn im2col(
-    input: &Tensor,
-    params: &Conv2dParams,
-    batch: usize,
-    group: usize,
-) -> Result<Vec<f32>> {
-    let ishape = input.shape();
-    let oshape = params.output_shape(ishape)?;
-    let k = params.kernel;
-    let in_per_group = params.in_channels / params.groups;
-    let cols = oshape.h * oshape.w;
-    let rows = in_per_group * k * k;
-    let mut out = vec![0.0_f32; rows * cols];
-    let pad = params.padding as isize;
-
-    for icg in 0..in_per_group {
-        let ic = group * in_per_group + icg;
-        let plane = input.plane(batch, ic);
-        for kh in 0..k {
-            for kw in 0..k {
-                let row = (icg * k + kh) * k + kw;
-                let dst = &mut out[row * cols..(row + 1) * cols];
-                let mut col = 0;
-                for oh in 0..oshape.h {
-                    let ih = (oh * params.stride + kh) as isize - pad;
-                    if ih < 0 || ih >= ishape.h as isize {
-                        col += oshape.w;
-                        continue;
-                    }
-                    let src_row = &plane[ih as usize * ishape.w..(ih as usize + 1) * ishape.w];
-                    for ow in 0..oshape.w {
-                        let iw = (ow * params.stride + kw) as isize - pad;
-                        if iw >= 0 && iw < ishape.w as isize {
-                            dst[col] = src_row[iw as usize];
-                        }
-                        col += 1;
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// im2col + blocked GEMM convolution: the seed's default execution path, preserved as
-/// the baseline that the packed engine's speedups are measured against.
-///
-/// # Errors
-/// Returns an error if the parameters, weight shape, or bias length are inconsistent with
-/// the input shape.
-pub fn conv2d_im2col(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&[f32]>,
-    params: &Conv2dParams,
-) -> Result<Tensor> {
-    validate_weight(params, weight)?;
-    validate_bias(params, bias)?;
-    let ishape = input.shape();
-    let oshape = params.output_shape(ishape)?;
-    let mut out = Tensor::zeros(oshape);
-
-    let k = params.kernel;
-    let in_per_group = params.in_channels / params.groups;
-    let out_per_group = params.out_channels / params.groups;
-    let cols = oshape.h * oshape.w;
-    let rows = in_per_group * k * k;
-    let dims = MatDims::new(out_per_group, cols, rows);
-
-    for n in 0..ishape.n {
-        for g in 0..params.groups {
-            let col_matrix = im2col(input, params, n, g)?;
-            // Weight slice for this group, already contiguous: rows of length `rows`.
-            let wstart = g * out_per_group * rows;
-            let wslice = &weight.as_slice()[wstart..wstart + out_per_group * rows];
-            let mut gemm_out = vec![0.0_f32; out_per_group * cols];
-            gemm_blocked(dims, GemmBlocking::default(), wslice, &col_matrix, &mut gemm_out);
-            for ocg in 0..out_per_group {
-                let oc = g * out_per_group + ocg;
-                let base = bias.map_or(0.0, |b| b[oc]);
-                let dst = out.plane_mut(n, oc);
-                let src = &gemm_out[ocg * cols..(ocg + 1) * cols];
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    *d = s + base;
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Loop tiling configuration for [`conv2d_tiled`].
-///
-/// The tiled implementation iterates output channels in blocks of `oc_tile` and output rows
-/// in blocks of `oh_tile`, keeping the corresponding weight slice and input rows hot in
-/// cache. Different resolutions favour different tile shapes — the effect the paper's
-/// autotuning exploits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ConvTiling {
-    /// Output-channel block size.
-    pub oc_tile: usize,
-    /// Output-row block size.
-    pub oh_tile: usize,
-    /// Output-column block size.
-    pub ow_tile: usize,
-}
-
-impl Default for ConvTiling {
-    fn default() -> Self {
-        ConvTiling { oc_tile: 16, oh_tile: 8, ow_tile: 64 }
-    }
-}
-
-impl ConvTiling {
-    /// Creates a tiling configuration, clamping zero extents to one.
-    pub fn new(oc_tile: usize, oh_tile: usize, ow_tile: usize) -> Self {
-        ConvTiling { oc_tile: oc_tile.max(1), oh_tile: oh_tile.max(1), ow_tile: ow_tile.max(1) }
-    }
-}
-
-/// Output-tiled direct convolution (dense groups only; grouped inputs fall back to the
-/// reference path).
-///
-/// # Errors
-/// Returns an error if the parameters, weight shape, or bias length are inconsistent with
-/// the input shape.
-pub fn conv2d_tiled(
-    input: &Tensor,
-    weight: &Tensor,
-    bias: Option<&[f32]>,
-    params: &Conv2dParams,
-    tiling: ConvTiling,
-) -> Result<Tensor> {
-    if params.groups != 1 {
-        return conv2d_direct(input, weight, bias, params);
-    }
-    validate_weight(params, weight)?;
-    validate_bias(params, bias)?;
-    let ishape = input.shape();
-    let oshape = params.output_shape(ishape)?;
-    let mut out = Tensor::zeros(oshape);
-    let k = params.kernel;
-    let stride = params.stride;
-    let pad = params.padding as isize;
-    let wdata = weight.as_slice();
-    let ksq = k * k;
-    let wrow = params.in_channels * ksq;
-
-    for n in 0..ishape.n {
-        let mut oc0 = 0;
-        while oc0 < params.out_channels {
-            let oc1 = (oc0 + tiling.oc_tile).min(params.out_channels);
-            let mut oh0 = 0;
-            while oh0 < oshape.h {
-                let oh1 = (oh0 + tiling.oh_tile).min(oshape.h);
-                let mut ow0 = 0;
-                while ow0 < oshape.w {
-                    let ow1 = (ow0 + tiling.ow_tile).min(oshape.w);
-                    for oc in oc0..oc1 {
-                        let base = bias.map_or(0.0, |b| b[oc]);
-                        let wslice = &wdata[oc * wrow..(oc + 1) * wrow];
-                        for oh in oh0..oh1 {
-                            for ow in ow0..ow1 {
-                                let mut acc = base;
-                                for ic in 0..params.in_channels {
-                                    let plane = input.plane(n, ic);
-                                    let wk = &wslice[ic * ksq..(ic + 1) * ksq];
-                                    for kh in 0..k {
-                                        let ih = (oh * stride + kh) as isize - pad;
-                                        if ih < 0 || ih >= ishape.h as isize {
-                                            continue;
-                                        }
-                                        let irow = &plane
-                                            [ih as usize * ishape.w..(ih as usize + 1) * ishape.w];
-                                        let wkr = &wk[kh * k..(kh + 1) * k];
-                                        for (kw, &wv) in wkr.iter().enumerate() {
-                                            let iw = (ow * stride + kw) as isize - pad;
-                                            if iw >= 0 && iw < ishape.w as isize {
-                                                acc += irow[iw as usize] * wv;
-                                            }
-                                        }
-                                    }
-                                }
-                                out.set(n, oc, oh, ow, acc);
-                            }
-                        }
-                    }
-                    ow0 = ow1;
-                }
-                oh0 = oh1;
-            }
-            oc0 = oc1;
-        }
-    }
-    Ok(out)
-}
-
 /// Identifies one executable convolution algorithm.
 ///
-/// [`select_algo`] picks among the engine paths; the legacy paths stay addressable so
-/// autotuners and benchmarks can sweep every implementation at every resolution.
+/// [`select_algo`] picks among the engine paths; the reference kernel stays
+/// addressable so autotuners can sweep every implementation at every resolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ConvAlgo {
     /// Reference seven-loop kernel.
     Direct,
-    /// Seed baseline: materializing im2col + cache-blocked GEMM, one allocation per call.
-    Im2col,
     /// Engine: packing-aware im2col stripes + packed parallel GEMM.
     Im2colPacked,
     /// Engine: direct GEMM over the input planes for 1×1 stride-1 pad-0 convolutions
@@ -399,9 +185,8 @@ pub enum ConvAlgo {
 
 impl ConvAlgo {
     /// Every algorithm, in sweep order.
-    pub const ALL: [ConvAlgo; 8] = [
+    pub const ALL: [ConvAlgo; 7] = [
         ConvAlgo::Direct,
-        ConvAlgo::Im2col,
         ConvAlgo::Im2colPacked,
         ConvAlgo::Gemm1x1,
         ConvAlgo::Depthwise,
@@ -413,7 +198,7 @@ impl ConvAlgo {
     /// Whether this algorithm can execute the given convolution shape.
     pub fn supports(self, params: &Conv2dParams) -> bool {
         match self {
-            ConvAlgo::Direct | ConvAlgo::Im2col | ConvAlgo::Im2colPacked => true,
+            ConvAlgo::Direct | ConvAlgo::Im2colPacked => true,
             ConvAlgo::Gemm1x1 => params.kernel == 1 && params.stride == 1 && params.padding == 0,
             ConvAlgo::Depthwise => {
                 params.groups == params.in_channels && params.in_channels == params.out_channels
@@ -436,7 +221,6 @@ impl std::fmt::Display for ConvAlgo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let name = match self {
             ConvAlgo::Direct => "direct",
-            ConvAlgo::Im2col => "im2col",
             ConvAlgo::Im2colPacked => "im2col_packed",
             ConvAlgo::Gemm1x1 => "gemm_1x1",
             ConvAlgo::Depthwise => "depthwise",
@@ -550,9 +334,9 @@ thread_local! {
 ///
 /// Intended for tables *derived from* the current dispatch state (e.g. one
 /// [`planned_conv_algo`] resolution per shape of a serving bucket): installing
-/// such a table changes no decisions, it only removes the per-call lock. Scoped
-/// ([`EngineContext`](crate::EngineContext)) and global ([`force_conv_algo`])
-/// algorithm overrides still take precedence.
+/// such a table changes no decisions, it only removes the per-call lock. A
+/// scoped [`EngineContext`](crate::EngineContext) algorithm override still
+/// takes precedence.
 pub fn with_algo_calibration_scope<R>(table: Arc<AlgoCalibration>, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<Arc<AlgoCalibration>>);
     impl Drop for Restore {
@@ -570,7 +354,7 @@ pub fn with_algo_calibration_scope<R>(table: Arc<AlgoCalibration>, f: impl FnOnc
 /// table consulted by [`select_algo`]. Returns the previously installed table.
 ///
 /// Calibration supplies *default choices* only — it never overrides an explicit
-/// [`EngineContext`](crate::EngineContext) or [`force_conv_algo`] pin, and shapes
+/// [`EngineContext`](crate::EngineContext) pin, and shapes
 /// absent from the table fall back to the static rule — so installing one
 /// is safe for every concurrent caller and is intentionally process-wide: a table
 /// measured on this host is equally valid for every pipeline in the process.
@@ -667,7 +451,9 @@ fn winograd_default(params: &Conv2dParams, input: Shape) -> Option<ConvAlgo> {
 
 /// Chooses the engine algorithm for a convolution shape.
 ///
-/// Dispatch rules, in priority order:
+/// This is the default beneath the one override: a scoped
+/// [`EngineContext::with_algo`](crate::EngineContext::with_algo) pin, which
+/// [`planned_conv_algo`] applies first. Dispatch rules, in priority order:
 /// 1. An installed [`AlgoCalibration`] entry for this exact shape — the algorithm
 ///    wall-clock sweeps measured fastest on this host — wins (when it can execute
 ///    the shape).
@@ -707,34 +493,6 @@ pub fn select_algo(params: &Conv2dParams, input: Shape) -> ConvAlgo {
     }
 }
 
-/// `0` = no override; otherwise `ConvAlgo::ALL[value - 1]`.
-static FORCED_ALGO: AtomicU8 = AtomicU8::new(0);
-
-/// Globally overrides [`conv2d`]'s algorithm choice (`None` restores auto-dispatch).
-///
-/// Shapes the forced algorithm cannot execute fall back to [`select_algo`]. Benchmarks
-/// use this to drive an entire network through the legacy path for before/after
-/// comparisons.
-pub fn force_conv_algo(algo: Option<ConvAlgo>) {
-    let encoded = match algo {
-        None => 0,
-        Some(a) => 1 + ConvAlgo::ALL.iter().position(|x| *x == a).expect("algo in ALL") as u8,
-    };
-    FORCED_ALGO.store(encoded, Ordering::Relaxed);
-}
-
-fn forced_algo() -> Option<ConvAlgo> {
-    // A thread-scoped context override is more specific than the process-wide
-    // benchmark pin, so it wins.
-    if let Some(algo) = crate::context::EngineContext::current().algo {
-        return Some(algo);
-    }
-    match FORCED_ALGO.load(Ordering::Relaxed) {
-        0 => None,
-        encoded => Some(ConvAlgo::ALL[encoded as usize - 1]),
-    }
-}
-
 /// Runs a convolution with an explicit algorithm. Shapes the algorithm does not
 /// support fall back to [`ConvAlgo::Im2colPacked`] (which handles every shape), so
 /// sweeps never have to special-case eligibility.
@@ -752,7 +510,6 @@ pub fn conv2d_with_algo(
     let algo = if algo.supports(params) { algo } else { ConvAlgo::Im2colPacked };
     match algo {
         ConvAlgo::Direct => conv2d_direct(input, weight, bias, params),
-        ConvAlgo::Im2col => conv2d_im2col(input, weight, bias, params),
         ConvAlgo::Im2colPacked => conv2d_im2col_packed(input, weight, bias, params),
         ConvAlgo::Gemm1x1 => conv2d_gemm_1x1(input, weight, bias, params),
         ConvAlgo::Depthwise => conv2d_depthwise(input, weight, bias, params),
@@ -763,15 +520,14 @@ pub fn conv2d_with_algo(
 }
 
 /// The algorithm [`conv2d_dispatch`] would run for `(params, input)` right now:
-/// the innermost override (scoped [`EngineContext`](crate::EngineContext), then
-/// the process-wide [`force_conv_algo`] pin) when it supports the shape, else the
-/// calibrated/heuristic [`select_algo`] choice.
+/// the innermost [`EngineContext`](crate::EngineContext) algorithm pin when it
+/// supports the shape, else the calibrated/heuristic [`select_algo`] choice.
 ///
 /// Exposed so callers that keep per-algorithm cached state (e.g. the model zoo's
 /// cached Winograd filter transforms) can see the decision without running the
 /// convolution.
 pub fn planned_conv_algo(params: &Conv2dParams, input: Shape) -> ConvAlgo {
-    match forced_algo() {
+    match crate::context::EngineContext::current().algo {
         Some(forced) if forced.supports(params) => forced,
         _ => select_algo(params, input),
     }
@@ -820,9 +576,8 @@ pub fn conv2d(
 ///
 /// The f32 weights are stored **once**: as packed panels, or — for
 /// depthwise-dispatched layers, which carry no panels — as the raw tensor.
-/// Everything off the hot path that wants row-major weights (the fallback
-/// algorithms [`ConvAlgo::Direct`] / [`ConvAlgo::Im2col`], the lazy Winograd and
-/// int8 builders, [`PreparedLayer::weight`]) reads an exact unpack of the
+/// Everything off the hot path that wants row-major weights (the reference
+/// algorithm [`ConvAlgo::Direct`], the lazy Winograd and int8 builders, [`PreparedLayer::weight`]) reads an exact unpack of the
 /// panels. Memory cost is therefore ~1× the weights (rounded up to `MR`-row
 /// tiles) plus whichever lazily-built banks dispatch has asked for.
 #[derive(Debug, Clone)]
@@ -1027,9 +782,9 @@ impl PreparedLayer {
     /// [`conv2d_with_algo`]), writing into `out` with the fused epilogue.
     ///
     /// The engine algorithms run fully prepacked and fused; the reference
-    /// algorithms ([`ConvAlgo::Direct`], [`ConvAlgo::Im2col`]) execute their
-    /// historical allocating path followed by separate epilogue passes —
-    /// semantically (and bitwise) the same composition.
+    /// algorithm ([`ConvAlgo::Direct`]) runs its allocating path followed by
+    /// separate epilogue passes — semantically (and bitwise) the same
+    /// composition.
     ///
     /// # Errors
     /// Returns an error if the input, output, or residual shapes are
@@ -1094,14 +849,9 @@ impl PreparedLayer {
                     out,
                 )
             }
-            ConvAlgo::Direct | ConvAlgo::Im2col => {
+            ConvAlgo::Direct => {
                 let oshape = validate_into(&self.params, input, &epilogue, out)?;
-                let weight = self.weight();
-                let tmp = if algo == ConvAlgo::Direct {
-                    conv2d_direct(input, &weight, bias, &self.params)?
-                } else {
-                    conv2d_im2col(input, &weight, bias, &self.params)?
-                };
+                let tmp = conv2d_direct(input, &self.weight(), bias, &self.params)?;
                 debug_assert_eq!(tmp.shape(), oshape);
                 out.as_mut_slice().copy_from_slice(tmp.as_slice());
                 apply_epilogue_separately(out, &epilogue);
@@ -1714,8 +1464,6 @@ mod tests {
             let weight = sample_weight(&params, 7 + k as u64);
             let bias: Vec<f32> = (0..6).map(|i| i as f32 * 0.1).collect();
             let direct = conv2d_direct(&input, &weight, Some(&bias), &params).unwrap();
-            let lowered = conv2d_im2col(&input, &weight, Some(&bias), &params).unwrap();
-            assert_close(&direct, &lowered, 1e-3);
             let packed = conv2d_im2col_packed(&input, &weight, Some(&bias), &params).unwrap();
             assert_close(&direct, &packed, 1e-3);
         }
@@ -1727,8 +1475,6 @@ mod tests {
         let input = sample_input(Shape::chw(8, 10, 10), 5);
         let weight = sample_weight(&params, 6);
         let direct = conv2d_direct(&input, &weight, None, &params).unwrap();
-        let lowered = conv2d_im2col(&input, &weight, None, &params).unwrap();
-        assert_close(&direct, &lowered, 1e-3);
         let packed = conv2d_im2col_packed(&input, &weight, None, &params).unwrap();
         assert_close(&direct, &packed, 1e-3);
 
@@ -1736,39 +1482,8 @@ mod tests {
         let input = sample_input(Shape::chw(6, 15, 15), 9);
         let weight = sample_weight(&dw, 10);
         let direct = conv2d_direct(&input, &weight, None, &dw).unwrap();
-        let lowered = conv2d_im2col(&input, &weight, None, &dw).unwrap();
-        assert_close(&direct, &lowered, 1e-3);
         let dedicated = conv2d_depthwise(&input, &weight, None, &dw).unwrap();
         assert_close(&direct, &dedicated, 1e-3);
-    }
-
-    #[test]
-    fn tiled_matches_direct_for_various_tilings() {
-        let params = Conv2dParams::new(3, 5, 3, 1, 1);
-        let input = sample_input(Shape::chw(3, 12, 12), 3);
-        let weight = sample_weight(&params, 4);
-        let bias = vec![0.5; 5];
-        let direct = conv2d_direct(&input, &weight, Some(&bias), &params).unwrap();
-        for tiling in [
-            ConvTiling::default(),
-            ConvTiling::new(1, 1, 1),
-            ConvTiling::new(2, 5, 3),
-            ConvTiling::new(100, 100, 100),
-            ConvTiling::new(0, 0, 0),
-        ] {
-            let tiled = conv2d_tiled(&input, &weight, Some(&bias), &params, tiling).unwrap();
-            assert_close(&direct, &tiled, 1e-4);
-        }
-    }
-
-    #[test]
-    fn tiled_falls_back_for_grouped() {
-        let params = Conv2dParams::depthwise(4, 3, 1, 1);
-        let input = sample_input(Shape::chw(4, 8, 8), 11);
-        let weight = sample_weight(&params, 12);
-        let direct = conv2d_direct(&input, &weight, None, &params).unwrap();
-        let tiled = conv2d_tiled(&input, &weight, None, &params, ConvTiling::default()).unwrap();
-        assert_close(&direct, &tiled, 1e-5);
     }
 
     #[test]
@@ -1777,7 +1492,6 @@ mod tests {
         let input = sample_input(Shape::chw(3, 8, 8), 1);
         let bad_weight = Tensor::zeros(Shape::new(4, 3, 5, 5));
         assert!(conv2d_direct(&input, &bad_weight, None, &params).is_err());
-        assert!(conv2d_im2col(&input, &bad_weight, None, &params).is_err());
         assert!(conv2d_im2col_packed(&input, &bad_weight, None, &params).is_err());
         let good_weight = sample_weight(&params, 2);
         assert!(conv2d_direct(&input, &good_weight, Some(&[0.0; 3]), &params).is_err());
@@ -1834,14 +1548,13 @@ mod tests {
         let params = Conv2dParams::new(4, 4, 3, 1, 1);
         let input = sample_input(Shape::chw(4, 10, 10), 1);
         let weight = sample_weight(&params, 2);
-        force_conv_algo(Some(ConvAlgo::Direct));
-        let (_, algo) = conv2d_dispatch(&input, &weight, None, &params).unwrap();
-        assert_eq!(algo, ConvAlgo::Direct);
-        // A forced algo that cannot run this shape falls back to auto-dispatch.
-        force_conv_algo(Some(ConvAlgo::Gemm1x1));
-        let (_, algo) = conv2d_dispatch(&input, &weight, None, &params).unwrap();
-        assert_eq!(algo, ConvAlgo::Im2colPacked);
-        force_conv_algo(None);
+        let dispatched = |algo| {
+            let context = crate::context::EngineContext::new().with_algo(algo);
+            context.scope(|| conv2d_dispatch(&input, &weight, None, &params)).unwrap().1
+        };
+        assert_eq!(dispatched(ConvAlgo::Direct), ConvAlgo::Direct);
+        // A pinned algo that cannot run this shape falls back to auto-dispatch.
+        assert_eq!(dispatched(ConvAlgo::Gemm1x1), ConvAlgo::Im2colPacked);
         let (_, algo) = conv2d_dispatch(&input, &weight, None, &params).unwrap();
         assert_eq!(algo, ConvAlgo::Im2colPacked);
     }
@@ -1903,10 +1616,7 @@ mod tests {
         // Unsupported calibrated entry: ignored, heuristics apply.
         assert_eq!(select_algo(&pointwise, input_shape), ConvAlgo::Gemm1x1);
 
-        // Explicit overrides still beat calibration.
-        force_conv_algo(Some(ConvAlgo::Direct));
-        assert_eq!(planned_conv_algo(&params, input_shape), ConvAlgo::Direct);
-        force_conv_algo(None);
+        // An explicit override still beats calibration.
         let scoped = crate::context::EngineContext::new()
             .with_algo(ConvAlgo::Im2colPacked)
             .scope(|| planned_conv_algo(&params, input_shape));

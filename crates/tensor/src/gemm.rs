@@ -1,11 +1,9 @@
 //! Dense matrix multiplication kernels.
 //!
-//! Three implementations are provided: a straightforward triple loop used as a
-//! reference, the seed's cache-blocked variant kept as the measured baseline, and
-//! [`gemm_packed`] — the packed, register-tiled, multi-threaded kernel built on
-//! [`engine`](crate::engine) that the convolution paths and [`matmul`] use. The
-//! Criterion benchmarks sweep all three to demonstrate the utilization gap the
-//! paper's autotuning section (§VI) builds on.
+//! Two implementations are provided: [`gemm_naive`], a straightforward triple loop
+//! the GEMM tests compare against, and [`gemm_packed`] — the packed, register-tiled,
+//! multi-threaded kernel built on [`engine`](crate::engine) that the convolution
+//! paths and [`matmul`] use.
 //!
 //! Note on zero handling: earlier revisions skipped `a[i][p] == 0.0` entries in the
 //! inner loops. On dense data that "optimization" is a mispredicted branch per
@@ -60,66 +58,6 @@ pub fn gemm_naive(dims: MatDims, a: &[f32], b: &[f32], out: &mut [f32]) {
                 *o += av * bv;
             }
         }
-    }
-}
-
-/// Blocking parameters for the tiled GEMM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GemmBlocking {
-    /// Tile extent along `m`.
-    pub mb: usize,
-    /// Tile extent along `n`.
-    pub nb: usize,
-    /// Tile extent along `k`.
-    pub kb: usize,
-}
-
-impl Default for GemmBlocking {
-    fn default() -> Self {
-        // Sized for a 32 KiB L1 data cache: one MB×KB panel of A (64×64 f32 = 16 KiB)
-        // plus streaming rows of B.
-        GemmBlocking { mb: 64, nb: 256, kb: 64 }
-    }
-}
-
-/// Cache-blocked GEMM with the same contract as [`gemm_naive`].
-///
-/// # Panics
-/// Panics if any slice is shorter than its required length.
-pub fn gemm_blocked(dims: MatDims, blocking: GemmBlocking, a: &[f32], b: &[f32], out: &mut [f32]) {
-    assert!(a.len() >= dims.m * dims.k, "lhs too short");
-    assert!(b.len() >= dims.k * dims.n, "rhs too short");
-    assert!(out.len() >= dims.m * dims.n, "out too short");
-    let MatDims { m, n, k } = dims;
-    let mb = blocking.mb.max(1);
-    let nb = blocking.nb.max(1);
-    let kb = blocking.kb.max(1);
-
-    let mut i0 = 0;
-    while i0 < m {
-        let i1 = (i0 + mb).min(m);
-        let mut p0 = 0;
-        while p0 < k {
-            let p1 = (p0 + kb).min(k);
-            let mut j0 = 0;
-            while j0 < n {
-                let j1 = (j0 + nb).min(n);
-                for i in i0..i1 {
-                    let arow = &a[i * k..i * k + k];
-                    let orow = &mut out[i * n + j0..i * n + j1];
-                    for p in p0..p1 {
-                        let av = arow[p];
-                        let brow = &b[p * n + j0..p * n + j1];
-                        for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                            *o += av * bv;
-                        }
-                    }
-                }
-                j0 = j1;
-            }
-            p0 = p1;
-        }
-        i0 = i1;
     }
 }
 
@@ -218,34 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_matches_naive_across_blockings() {
-        let dims = MatDims::new(33, 29, 47);
-        let a: Vec<f32> = (0..dims.m * dims.k).map(|i| ((i * 7) % 13) as f32 - 6.0).collect();
-        let b: Vec<f32> = (0..dims.k * dims.n).map(|i| ((i * 5) % 11) as f32 - 5.0).collect();
-        let expect = reference(dims, &a, &b);
-        for blocking in [
-            GemmBlocking::default(),
-            GemmBlocking { mb: 1, nb: 1, kb: 1 },
-            GemmBlocking { mb: 8, nb: 7, kb: 100 },
-            GemmBlocking { mb: 100, nb: 3, kb: 2 },
-        ] {
-            let mut out = vec![0.0; dims.m * dims.n];
-            gemm_blocked(dims, blocking, &a, &b, &mut out);
-            assert!(approx_eq(&out, &expect), "blocking {blocking:?} diverged");
-        }
-    }
-
-    #[test]
-    fn zero_blocking_is_clamped() {
-        let dims = MatDims::new(4, 4, 4);
-        let a = vec![1.0; 16];
-        let b = vec![2.0; 16];
-        let mut out = vec![0.0; 16];
-        gemm_blocked(dims, GemmBlocking { mb: 0, nb: 0, kb: 0 }, &a, &b, &mut out);
-        assert!(out.iter().all(|&x| (x - 8.0).abs() < 1e-6));
-    }
-
-    #[test]
     fn macs_accounting() {
         assert_eq!(MatDims::new(2, 3, 4).macs(), 24);
     }
@@ -282,11 +192,7 @@ mod tests {
         let dims = MatDims::new(1, 2, 1);
         let a = vec![0.0];
         let b = vec![f32::NAN, f32::INFINITY];
-        for kernel in [
-            gemm_naive as fn(MatDims, &[f32], &[f32], &mut [f32]),
-            |d, a, b, out: &mut [f32]| gemm_blocked(d, GemmBlocking::default(), a, b, out),
-            gemm_packed,
-        ] {
+        for kernel in [gemm_naive as fn(MatDims, &[f32], &[f32], &mut [f32]), gemm_packed] {
             let mut out = vec![0.0; 2];
             kernel(dims, &a, &b, &mut out);
             assert!(out[0].is_nan(), "0 * NaN must be NaN");

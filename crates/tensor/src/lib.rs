@@ -4,10 +4,10 @@
 //! pooling, normalization, and linear-algebra kernels that the rest of the
 //! resolution-characterization workspace is built on.
 //!
-//! The crate intentionally offers *multiple executable implementations* of convolution
-//! ([`conv2d_direct`], [`conv2d_im2col`], [`conv2d_tiled`], and the packed engine
-//! paths behind [`conv2d_with_algo`]) so the benchmark harness can measure, with real
-//! wall-clock time, how kernel implementation choices interact with the input
+//! The crate offers *multiple executable implementations* of convolution — the
+//! reference [`conv2d_direct`], which every other path is validated against, and the
+//! packed engine arms behind [`conv2d_with_algo`] — so the measured tuner can time,
+//! with real wall-clock time, how the choice of arm interacts with the input
 //! resolution — the phenomenon the paper's §VI (operator autotuning) is about.
 //!
 //! # Engine architecture
@@ -49,8 +49,8 @@
 //!    [`install_algo_calibration`]) overrides it per exact shape. The chosen
 //!    algorithm is observable via [`conv2d_dispatch`] and can be pinned per scope
 //!    with [`EngineContext::with_algo`] (`ConvAlgo::Im2colPacked` restores the
-//!    pre-rule behaviour for an A/B) or process-wide with [`force_conv_algo`] so
-//!    autotuners and benchmarks can sweep algorithm × tiling per resolution.
+//!    pre-rule behaviour for an A/B), so autotuners can sweep algorithms per
+//!    resolution.
 //! 6. **Per-call configuration** ([`EngineContext`]) — thread budgets and
 //!    algorithm overrides are scoped values rather than global mutations, so
 //!    concurrent pipelines with different settings never race.
@@ -91,15 +91,14 @@ pub use cancel::CancellationToken;
 pub use context::EngineContext;
 pub use conv::{
     algo_calibration_generation, conv2d, conv2d_depthwise, conv2d_direct, conv2d_dispatch,
-    conv2d_gemm_1x1, conv2d_im2col, conv2d_im2col_packed, conv2d_tiled, conv2d_with_algo,
-    force_conv_algo, im2col, install_algo_calibration, installed_algo_calibration,
-    merge_algo_calibration, planned_conv_algo, select_algo, with_algo_calibration_scope,
-    AlgoCalibration, ConvAlgo, ConvEpilogue, ConvShapeKey, ConvTiling, PreparedLayer,
-    WINOGRAD_F4_MAX_IN_CHANNELS, WINOGRAD_MIN_TILES,
+    conv2d_gemm_1x1, conv2d_im2col_packed, conv2d_with_algo, install_algo_calibration,
+    installed_algo_calibration, merge_algo_calibration, planned_conv_algo, select_algo,
+    with_algo_calibration_scope, AlgoCalibration, ConvAlgo, ConvEpilogue, ConvShapeKey,
+    PreparedLayer, WINOGRAD_F4_MAX_IN_CHANNELS, WINOGRAD_MIN_TILES,
 };
 pub use engine::{Epilogue, FusedActivation, GemmLhs, PreparedGemmA, PreparedGemmB};
 pub use error::{Result, TensorError};
-pub use gemm::{gemm_blocked, gemm_naive, gemm_packed, matmul, GemmBlocking, MatDims};
+pub use gemm::{gemm_naive, gemm_packed, matmul, MatDims};
 pub use ops::{
     add_relu_in_place, avg_pool2d, avg_pool2d_into, batch_norm, global_avg_pool,
     global_avg_pool_into, linear, linear_prepared, linear_prepared_into, max_pool2d,
@@ -126,8 +125,8 @@ pub use winograd::{
 #[cfg(test)]
 pub(crate) mod test_sync {
     //! Serialization of tests that mutate process-global engine state (the worker
-    //! thread count, the forced conv algorithm): without it, concurrent tests in
-    //! this binary race and fail intermittently.
+    //! thread count, the installed calibration table): without it, concurrent tests
+    //! in this binary race and fail intermittently.
 
     use std::sync::{Mutex, MutexGuard};
 
@@ -141,8 +140,7 @@ pub(crate) mod test_sync {
 /// Commonly used items, intended for glob import.
 pub mod prelude {
     pub use crate::{
-        conv2d, Conv2dParams, ConvAlgo, ConvTiling, EngineContext, Pool2dParams, Shape, Tensor,
-        TensorError,
+        conv2d, Conv2dParams, ConvAlgo, EngineContext, Pool2dParams, Shape, Tensor, TensorError,
     };
 }
 
@@ -198,35 +196,8 @@ mod proptests {
             let wshape = Shape::new(oc, ic, k, k);
             let weight = Tensor::random_uniform(wshape, 0.7, (oc * 17 + k) as u64);
             let direct = conv2d_direct(&input, &weight, None, &params).unwrap();
-            let lowered = conv2d_im2col(&input, &weight, None, &params).unwrap();
+            let lowered = conv2d_im2col_packed(&input, &weight, None, &params).unwrap();
             prop_assert!(direct.max_abs_diff(&lowered).unwrap() < 1e-3);
-        }
-
-        #[test]
-        fn tiled_conv_matches_direct((ic, oc, k, s, p, hw) in small_conv_case(),
-                                      (t0, t1, t2) in (1usize..8, 1usize..8, 1usize..8)) {
-            prop_assume!(hw + 2 * p >= k);
-            let params = Conv2dParams::new(ic, oc, k, s, p);
-            let input = Tensor::random_uniform(Shape::chw(ic, hw, hw), 1.0, (ic + oc) as u64);
-            let weight = Tensor::random_uniform(Shape::new(oc, ic, k, k), 0.7, k as u64);
-            let direct = conv2d_direct(&input, &weight, None, &params).unwrap();
-            let tiled = conv2d_tiled(&input, &weight, None, &params, ConvTiling::new(t0, t1, t2)).unwrap();
-            prop_assert!(direct.max_abs_diff(&tiled).unwrap() < 1e-3);
-        }
-
-        #[test]
-        fn gemm_blocked_matches_naive((m, n, k) in (1usize..20, 1usize..20, 1usize..20),
-                                       (mb, nb, kb) in (1usize..8, 1usize..8, 1usize..8)) {
-            let dims = MatDims::new(m, n, k);
-            let a: Vec<f32> = (0..m * k).map(|i| ((i * 13 % 17) as f32) - 8.0).collect();
-            let b: Vec<f32> = (0..k * n).map(|i| ((i * 7 % 19) as f32) - 9.0).collect();
-            let mut naive = vec![0.0; m * n];
-            gemm_naive(dims, &a, &b, &mut naive);
-            let mut blocked = vec![0.0; m * n];
-            gemm_blocked(dims, GemmBlocking { mb, nb, kb }, &a, &b, &mut blocked);
-            for (x, y) in naive.iter().zip(&blocked) {
-                prop_assert!((x - y).abs() < 1e-3);
-            }
         }
 
         #[test]

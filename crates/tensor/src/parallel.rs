@@ -592,8 +592,8 @@ where
 }
 
 /// Legacy dispatch: spawns scoped threads per call instead of using the persistent
-/// pool. Kept as the measured baseline for the pool's dispatch-overhead benchmarks
-/// (`pipeline_throughput`); kernels must not use it.
+/// pool. Kept as the pool's parity baseline (`scoped_baseline_matches_pool_dispatch`);
+/// kernels must not use it.
 pub fn for_each_chunk_scoped<T, F>(data: &mut [T], chunk_len: usize, parallel: bool, f: F)
 where
     T: Send,

@@ -1,13 +1,12 @@
 //! Resolution-specialized kernel tuning (§VI): compare autotuned convolution schedules
-//! against an MKLDNN-like library baseline on the paper's two CPUs, and measure a real
-//! tiled convolution kernel on the host to show the same effect with wall-clock time.
+//! against an MKLDNN-like library baseline on the paper's two CPUs, and sweep the real
+//! engine's convolution arms on the host to show the same effect with wall-clock time.
 //!
 //! Run with: `cargo run --release --example kernel_tuning`
 
 use std::time::Instant;
 
 use rescnn::prelude::*;
-use rescnn::tensor::{conv2d_tiled, ConvTiling};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Analytic model: tuned vs. library latency for ResNet-50 on both paper platforms.
@@ -34,34 +33,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!();
     }
 
-    // 2. Real kernels on this machine: the best tiling depends on the input resolution.
-    println!("Host CPU: measured conv2d time for two tilings at two resolutions");
-    let params = Conv2dParams::new(16, 32, 3, 1, 1);
-    let weight = Tensor::kaiming(Shape::new(32, 16, 3, 3), 16 * 9, 1);
-    let tilings =
-        [("small tiles", ConvTiling::new(8, 4, 16)), ("large tiles", ConvTiling::new(32, 8, 64))];
-    for res in [28usize, 56] {
-        let input = Tensor::random_uniform(Shape::chw(16, res, res), 1.0, res as u64);
-        for (name, tiling) in tilings {
-            let start = Instant::now();
-            let mut runs = 0u32;
-            while start.elapsed().as_millis() < 200 {
-                let _ = conv2d_tiled(&input, &weight, None, &params, tiling)?;
-                runs += 1;
-            }
-            let per_run = start.elapsed().as_secs_f64() * 1e3 / runs as f64;
-            println!("  {res:>3}x{res:<3} {name:<12} {per_run:>7.2} ms/run");
-        }
-    }
-    println!("\nNo single implementation wins at every resolution — the reason the paper\nautotunes kernels per resolution instead of relying on a fixed library.");
-
-    // 3. The packed engine, measured: sweep real algorithms over one ResNet-50 layer
+    // 2. The packed engine, measured: sweep real algorithms over one ResNet-50 layer
     //    at two resolutions and compare with what the dispatch layer picks.
     use rescnn::hwsim::{
         CalibratedCostModel, CpuProfile as HwCpuProfile, MeasuredSweepConfig, MeasuredTuner,
     };
     use rescnn::tensor::ConvAlgo;
-    println!("\nMeasured engine sweep (wall-clock, this host):");
+    println!("Measured engine sweep (wall-clock, this host):");
     let tuner = MeasuredTuner::new(MeasuredSweepConfig { int8: true, ..Default::default() });
     for res in [112usize, 224] {
         let layer = arch.conv_layers(res)?[10];
@@ -77,13 +55,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         println!("    dispatch picks: {}", tuner.dispatched_algo(&layer));
     }
+    println!("\nNo single implementation wins at every resolution — the reason the paper\nautotunes kernels per resolution instead of relying on a fixed library.");
 
-    // 4. Winograd F(2x2,3x3) and F(4x4,3x3) vs the packed im2col engine on
-    //    stride-1 3x3 layers across the full resolution ladder (the PR 4/PR 7
-    //    speedup table; the `winograd` group of `cargo bench --bench
-    //    conv_kernels` reproduces the same numbers with criterion timing). The
-    //    alpha=6 arm only competes where its characterized numerical gate
-    //    admits the shape (`MeasuredTuner::admits_f4`).
+    // 3. Winograd F(2x2,3x3) and F(4x4,3x3) vs the packed im2col engine on
+    //    stride-1 3x3 layers across the full resolution ladder. The alpha=6 arm
+    //    only competes where its characterized numerical gate admits the shape
+    //    (`MeasuredTuner::admits_f4`).
     use rescnn::models::ConvLayerShape;
     use rescnn::tensor::{
         conv2d_winograd_f4_prepared, conv2d_winograd_prepared, conv2d_with_algo, FusedActivation,
@@ -130,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // 5. Int8 quantized GEMM vs the f32 packed engine on the ResNet stage
+    // 4. Int8 quantized GEMM vs the f32 packed engine on the ResNet stage
     //    shapes (prepared layers, static activation range — the serving
     //    configuration). The accuracy gate is the shape-pure unit-error probe
     //    `int8_unit_error` checked against `INT8_TOLERANCE`; dispatch offers
@@ -190,7 +167,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // 6. Close the loop: feed the measured sweeps into a calibrated cost model,
+    // 5. Close the loop: feed the measured sweeps into a calibrated cost model,
     //    export the measured-fastest dispatch table, and persist it — the file a
     //    serving deployment points `PipelineConfig::with_conv_calibration` at.
     let mut calibrated = CalibratedCostModel::new(HwCpuProfile::host());

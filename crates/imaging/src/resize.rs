@@ -104,9 +104,9 @@ impl RowCache {
         RowCache { rows: [(usize::MAX, vec![0.0; width]), (usize::MAX, vec![0.0; width])] }
     }
 
-    /// Returns the slot holding the interpolation of source row `sy`, computing it into
-    /// the least-recently-useful slot on a miss.
-    fn fetch(&mut self, sy: usize, src_plane: &[f32], src_w: usize, plan: &AxisPlan) -> usize {
+    /// Returns the slot holding the interpolation of source row `sy` (whose samples are
+    /// `src_row`), computing it into the least-recently-useful slot on a miss.
+    fn fetch(&mut self, sy: usize, src_row: &[f32], plan: &AxisPlan) -> usize {
         if self.rows[0].0 == sy {
             return 0;
         }
@@ -125,24 +125,44 @@ impl RowCache {
             1
         };
         self.rows[slot].0 = sy;
-        interpolate_row(&src_plane[sy * src_w..(sy + 1) * src_w], plan, &mut self.rows[slot].1);
+        interpolate_row(src_row, plan, &mut self.rows[slot].1);
         slot
     }
 }
 
-fn resize_bilinear(image: &Image, target_width: usize, target_height: usize) -> Result<Image> {
-    let x_plan = axis_plan(image.width(), target_width);
-    let y_plan = axis_plan(image.height(), target_height);
+/// The `width × height` region of an image whose top-left pixel is `(x0, y0)`.
+#[derive(Clone, Copy)]
+struct Window {
+    x0: usize,
+    y0: usize,
+    width: usize,
+    height: usize,
+}
+
+/// Bilinear resize of the `window` of `image`, read in place: the axis plans span the
+/// window's extent and every source row is read at the window's offset, so each output
+/// sample takes the same source values through the same expressions as a resize of the
+/// window copied out first.
+fn resize_bilinear(
+    image: &Image,
+    window: Window,
+    target_width: usize,
+    target_height: usize,
+) -> Result<Image> {
+    let x_plan = axis_plan(window.width, target_width);
+    let y_plan = axis_plan(window.height, target_height);
     let mut out = Image::zeros(target_width, target_height)?;
-    let src_w = image.width();
+    let stride = image.width();
     for c in 0..Image::CHANNELS {
-        let src_plane = image.plane(c);
+        let src_plane = &image.plane(c)[window.y0 * stride + window.x0..];
+        let src_row = |sy: usize| &src_plane[sy * stride..sy * stride + window.width];
         let mut cache = RowCache::new(target_width);
         let dst_plane = out.plane_mut(c);
         for y in 0..target_height {
             let wy = y_plan.weight[y];
-            let top = cache.fetch(y_plan.lo[y], src_plane, src_w, &x_plan);
-            let bottom = cache.fetch(y_plan.hi[y], src_plane, src_w, &x_plan);
+            let (lo, hi) = (y_plan.lo[y], y_plan.hi[y]);
+            let top = cache.fetch(lo, src_row(lo), &x_plan);
+            let bottom = cache.fetch(hi, src_row(hi), &x_plan);
             let dst_row = &mut dst_plane[y * target_width..(y + 1) * target_width];
             let (top_row, bottom_row) = (&cache.rows[top].1, &cache.rows[bottom].1);
             for x in 0..target_width {
@@ -204,7 +224,10 @@ pub fn resize_cow(
     }
     let resized = match filter {
         Filter::Nearest => resize_nearest(image, target_width, target_height)?,
-        Filter::Bilinear => resize_bilinear(image, target_width, target_height)?,
+        Filter::Bilinear => {
+            let whole = Window { x0: 0, y0: 0, width: image.width(), height: image.height() };
+            resize_bilinear(image, whole, target_width, target_height)?
+        }
     };
     Ok(Cow::Owned(resized))
 }
@@ -247,7 +270,15 @@ pub fn crop(image: &Image, x0: usize, y0: usize, width: usize, height: usize) ->
             crop_height: height,
         });
     }
-    Image::from_fn(width, height, |x, y| image.pixel(x0 + x, y0 + y))
+    let stride = image.width();
+    let mut data = Vec::with_capacity(width * height * Image::CHANNELS);
+    for c in 0..Image::CHANNELS {
+        let plane = image.plane(c);
+        for y in y0..y0 + height {
+            data.extend_from_slice(&plane[y * stride + x0..y * stride + x0 + width]);
+        }
+    }
+    Image::from_planar(width, height, data)
 }
 
 /// A centre-crop policy expressed as the *fraction of image area* retained, following the
@@ -330,6 +361,12 @@ pub fn center_crop(image: &Image, ratio: CropRatio) -> Result<Image> {
 /// already has the target extent skips the resize — the planning hot loop calls this for
 /// every scan prefix at every resolution, where the avoided clones add up.
 ///
+/// The crop is never materialised on the way to a resize: the centre window is resized
+/// straight from the input's planes, with axis plans built for the window's extent and
+/// source rows read at its offset. Each output sample reads the same source values
+/// through the same expressions as `resize(&center_crop(..))`, so the two are bitwise
+/// equal, and the output image is the only allocation.
+///
 /// # Errors
 /// Propagates crop and resize errors.
 pub fn crop_and_resize_cow(
@@ -342,11 +379,14 @@ pub fn crop_and_resize_cow(
         // Identity crop: resize straight from the input (borrowed if it already fits).
         return resize_cow(image, resolution, resolution, Filter::Bilinear);
     }
-    let cropped = crop(image, x0, y0, side, side)?;
-    if cropped.dimensions() == (resolution, resolution) {
-        return Ok(Cow::Owned(cropped));
+    if side == resolution {
+        return Ok(Cow::Owned(crop(image, x0, y0, side, side)?));
     }
-    Ok(Cow::Owned(resize(&cropped, resolution, resolution, Filter::Bilinear)?))
+    if resolution == 0 {
+        return Err(ImagingError::InvalidResize { width: resolution, height: resolution });
+    }
+    let window = Window { x0, y0, width: side, height: side };
+    Ok(Cow::Owned(resize_bilinear(image, window, resolution, resolution)?))
 }
 
 /// Centre-crops to the given ratio and resizes the crop to `resolution × resolution`,
@@ -543,5 +583,68 @@ mod tests {
         // Zero resolution still errors through every path.
         assert!(crop_and_resize_cow(&img, CropRatio::full(), 0).is_err());
         assert!(crop_and_resize_cow(&rect, CropRatio::new(0.25).unwrap(), 0).is_err());
+    }
+
+    #[test]
+    fn crop_copies_the_same_samples_as_per_pixel_reads() {
+        let img = Image::from_fn(23, 17, |x, y| [x as f32, y as f32, (x * y) as f32]).unwrap();
+        for (x0, y0, w, h) in [(0usize, 0usize, 23usize, 17usize), (5, 3, 11, 9), (22, 16, 1, 1)] {
+            let fast = crop(&img, x0, y0, w, h).unwrap();
+            let slow = Image::from_fn(w, h, |x, y| img.pixel(x0 + x, y0 + y)).unwrap();
+            assert_images_bitwise_equal(&fast, &slow, &format!("crop {x0},{y0} {w}x{h}"));
+        }
+    }
+
+    #[test]
+    fn in_place_crop_resize_matches_resizing_the_copied_crop() {
+        // Odd, non-square sources in both orientations; each paper crop ratio; targets that
+        // upscale, downscale and equal the crop's side (the crop-only path).
+        let pattern = |width: usize, height: usize| {
+            Image::from_fn(width, height, |x, y| {
+                let v = ((x * 37 + y * 11) % 29) as f32 / 29.0;
+                [v, x as f32 / width as f32, (v + y as f32 / height as f32) * 0.5]
+            })
+            .unwrap()
+        };
+        for (width, height) in [(97usize, 61usize), (61, 97), (45, 44)] {
+            let img = pattern(width, height);
+            for area in CropRatio::PAPER_SET {
+                let ratio = CropRatio::new(area).unwrap();
+                let cropped = center_crop(&img, ratio).unwrap();
+                let side = cropped.width();
+                for resolution in [7usize, side / 2 + 1, side - 1, side, side + 1, 2 * side + 3] {
+                    let fast = crop_and_resize_cow(&img, ratio, resolution).unwrap();
+                    let slow = crate::reference::resize(
+                        &cropped,
+                        resolution,
+                        resolution,
+                        Filter::Bilinear,
+                    )
+                    .unwrap();
+                    assert_images_bitwise_equal(
+                        &fast,
+                        &slow,
+                        &format!("{width}x{height}, crop {area}, side {side} -> {resolution}"),
+                    );
+                }
+            }
+        }
+        // Two windows of the same extent at different offsets share one cached axis plan;
+        // each must still read its own source rows and columns.
+        let ratio = CropRatio::new(0.56).unwrap();
+        let (wide, tall) = (pattern(120, 61), pattern(61, 150));
+        assert_eq!(center_crop_rect(&wide, ratio).2, center_crop_rect(&tall, ratio).2);
+        assert_ne!(center_crop_rect(&wide, ratio).0, center_crop_rect(&tall, ratio).0);
+        for img in [&wide, &tall, &wide] {
+            let fast = crop_and_resize_cow(img, ratio, 96).unwrap();
+            let slow = crate::reference::resize(
+                &center_crop(img, ratio).unwrap(),
+                96,
+                96,
+                Filter::Bilinear,
+            )
+            .unwrap();
+            assert_images_bitwise_equal(&fast, &slow, &format!("{:?} window", img.dimensions()));
+        }
     }
 }

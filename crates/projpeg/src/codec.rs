@@ -14,7 +14,9 @@ use rescnn_imaging::Image;
 
 use crate::bits::{BitReader, BitWriter};
 use crate::color::{rgb_to_ycbcr, ycbcr_to_rgb};
-use crate::dct::{forward_dct, inverse_dct, BLOCK, BLOCK_AREA, ZIGZAG};
+use crate::dct::{
+    forward_dct, inverse_dct, inverse_dct_corner, inverse_dct_dc, BLOCK, BLOCK_AREA, ZIGZAG,
+};
 use crate::error::{CodecError, Result};
 use crate::huffman::HuffmanCode;
 use crate::quant::QuantTable;
@@ -635,6 +637,35 @@ pub(crate) fn decode_scan(
     Ok(())
 }
 
+/// Raster positions in the top-left 4×4 corner of a block, as a bit mask.
+const CORNER_4: u64 = 0x0F0F_0F0F;
+
+/// The one sample all 64 positions of a component block reconstruct to when it has no
+/// non-zero AC level — bitwise every sample of `inverse_dct(&table.dequantize(levels))`
+/// (see `inverse_dct_dc`) — or `None` when it has one.
+fn flat_sample(levels: &[i16; BLOCK_AREA], table: &QuantTable) -> Option<f32> {
+    levels[1..]
+        .iter()
+        .all(|&level| level == 0)
+        .then(|| inverse_dct_dc(f32::from(levels[0]) * table.step(0)))
+}
+
+/// `inverse_dct(&table.dequantize(levels))`, bitwise, at a cost bound by the levels'
+/// support: the 4×4-bounded transform when every non-zero level lies in the top-left 4×4
+/// corner, the full 8×8 one otherwise (`inverse_dct_corner` states why no bit differs).
+fn block_samples(levels: &[i16; BLOCK_AREA], table: &QuantTable) -> [f32; BLOCK_AREA] {
+    let support = levels
+        .iter()
+        .enumerate()
+        .fold(0u64, |mask, (i, &level)| mask | (u64::from(level != 0) << i));
+    let coeffs = table.dequantize(levels);
+    if support & !CORNER_4 == 0 {
+        inverse_dct_corner::<4>(&coeffs)
+    } else {
+        inverse_dct(&coeffs)
+    }
+}
+
 /// Dequantizes and inverse-transforms the three components of block `block` and writes the
 /// block's visible pixels into `frame` (edge blocks may extend past the image).
 ///
@@ -643,6 +674,21 @@ pub(crate) fn decode_scan(
 /// long as the conversion needs them; nothing image-sized is kept. Shared by the
 /// from-scratch reconstruction and the incremental decoder, so both produce bit-identical
 /// pixels from identical coefficients.
+///
+/// The work follows what the block carries. A component with no non-zero AC level costs
+/// one sample (`flat_sample`), any other a transform bounded by its support
+/// (`block_samples`). When all three components are flat, the 64 pixels are one colour:
+/// `pixel_from_samples` runs once and each plane's row runs are filled with it. Otherwise
+/// the colour conversion runs lane by lane over the block and each plane's row runs are
+/// copied out.
+///
+/// Exactness: each path performs the operations of the full 8×8 transform and of
+/// `pixel_from_samples`, minus terms that are a product with a zero coefficient (or with
+/// a first-pass value such terms left at `+0.0`). No coefficient or basis value is NaN or
+/// infinite, so each such term is an exact `±0.0`. Under round-to-nearest a sum is `-0.0`
+/// only when both operands are, so the accumulators, which start at `+0.0`, never hold
+/// `-0.0`, and adding `±0.0` to them returns them unchanged. The pixels are therefore
+/// bitwise those of the full transform and a per-pixel conversion.
 pub(crate) fn refresh_block(
     planes: &CoefficientPlanes,
     block: usize,
@@ -650,18 +696,44 @@ pub(crate) fn refresh_block(
     chroma_table: &QuantTable,
     frame: &mut Image,
 ) {
-    let spatial: [[f32; BLOCK_AREA]; COMPONENTS] = std::array::from_fn(|c| {
-        let table = if c == 0 { luma_table } else { chroma_table };
-        inverse_dct(&table.dequantize(&planes.blocks[c][block]))
+    let table = |c: usize| if c == 0 { luma_table } else { chroma_table };
+    let levels = |c: usize| &planes.blocks[c][block];
+    let origin = ((block % planes.blocks_x) * BLOCK, (block / planes.blocks_x) * BLOCK);
+    let flat: [Option<f32>; COMPONENTS] = std::array::from_fn(|c| flat_sample(levels(c), table(c)));
+    if let [Some(y), Some(cb), Some(cr)] = flat {
+        let pixel = pixel_from_samples([y, cb, cr]);
+        write_block(frame, origin, |c, _, run| run.fill(pixel[c]));
+        return;
+    }
+    let spatial: [[f32; BLOCK_AREA]; COMPONENTS] = std::array::from_fn(|c| match flat[c] {
+        Some(sample) => [sample; BLOCK_AREA],
+        None => block_samples(levels(c), table(c)),
     });
-    let (x0, y0) = ((block % planes.blocks_x) * BLOCK, (block / planes.blocks_x) * BLOCK);
-    let xs = x0..(x0 + BLOCK).min(frame.width());
-    for y in y0..(y0 + BLOCK).min(frame.height()) {
-        let row = (y - y0) * BLOCK;
-        frame.set_row_with(y, xs.clone(), |x| {
-            let i = row + x - x0;
-            pixel_from_samples([spatial[0][i], spatial[1][i], spatial[2][i]])
-        });
+    let mut rgb = [[0.0f32; BLOCK_AREA]; 3];
+    for i in 0..BLOCK_AREA {
+        [rgb[0][i], rgb[1][i], rgb[2][i]] =
+            pixel_from_samples([spatial[0][i], spatial[1][i], spatial[2][i]]);
+    }
+    write_block(frame, origin, |c, dy, run| {
+        run.copy_from_slice(&rgb[c][dy * BLOCK..dy * BLOCK + run.len()]);
+    });
+}
+
+/// Calls `write(channel, dy, run)` for each of the block's visible row runs in each of
+/// the frame's planes, where `(x0, y0)` is the block's top-left pixel and `dy` the run's
+/// row within the block.
+fn write_block(
+    frame: &mut Image,
+    (x0, y0): (usize, usize),
+    mut write: impl FnMut(usize, usize, &mut [f32]),
+) {
+    let width = frame.width();
+    let run = (x0 + BLOCK).min(width) - x0;
+    for c in 0..Image::CHANNELS {
+        let rows = frame.plane_mut(c)[y0 * width..].chunks_mut(width).take(BLOCK);
+        for (dy, row) in rows.enumerate() {
+            write(c, dy, &mut row[x0..x0 + run]);
+        }
     }
 }
 
@@ -690,6 +762,7 @@ fn reconstruct_image(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dct::inverse_dct_reference;
     use rescnn_imaging::{psnr, render_scene, ssim, SceneSpec};
 
     fn test_image(detail: f64) -> Image {
@@ -940,5 +1013,136 @@ mod tests {
         assert_eq!(encoded.num_scans(), 2);
         let full = encoded.decode(2).unwrap();
         assert!(ssim(&img, &full).unwrap() > 0.85);
+    }
+
+    /// The luma and chroma tables at the qualities the exactness tests sweep.
+    fn tables_under_test() -> Vec<(String, QuantTable)> {
+        [1u8, 50, 90, 100]
+            .into_iter()
+            .flat_map(|quality| {
+                [
+                    (format!("luma q{quality}"), QuantTable::luma(quality).unwrap()),
+                    (format!("chroma q{quality}"), QuantTable::chroma(quality).unwrap()),
+                ]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dc_only_blocks_match_the_full_transform_for_every_level() {
+        for (name, table) in tables_under_test() {
+            for level in i16::MIN..=i16::MAX {
+                let mut levels = [0i16; BLOCK_AREA];
+                levels[0] = level;
+                let Some(sample) = flat_sample(&levels, &table) else {
+                    panic!("{name}, DC {level}: a DC-only block must reconstruct flat");
+                };
+                let full = inverse_dct(&table.dequantize(&levels));
+                for (i, value) in full.iter().enumerate() {
+                    assert_eq!(
+                        sample.to_bits(),
+                        value.to_bits(),
+                        "{name}, DC {level}: sample {i} ({sample} vs {value})"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn sparse_blocks_match_the_full_transform(
+            corner in 1usize..9,
+            quality in 1u8..=100,
+            chroma in 0u8..2,
+            seed in 1u64..u64::MAX,
+        ) {
+            let table =
+                if chroma == 1 { QuantTable::chroma(quality) } else { QuantTable::luma(quality) }
+                    .unwrap();
+            // Levels inside the `corner × corner` top-left square: a quarter zero, a quarter
+            // small, half anywhere in ±32767.
+            let mut rng = crate::Xorshift(seed);
+            let mut levels = [0i16; BLOCK_AREA];
+            for v in 0..corner {
+                for u in 0..corner {
+                    let draw = rng.next();
+                    let magnitude = draw >> 8;
+                    levels[v * BLOCK + u] = match draw % 4 {
+                        0 => 0,
+                        1 => (magnitude % 17) as i16 - 8,
+                        _ => ((magnitude % 65535) as i32 - 32767) as i16,
+                    };
+                }
+            }
+            let coeffs = table.dequantize(&levels);
+            let full = inverse_dct_reference(&coeffs);
+            let mut paths = vec![inverse_dct(&coeffs), block_samples(&levels, &table)];
+            if let Some(sample) = flat_sample(&levels, &table) {
+                paths.push([sample; BLOCK_AREA]);
+            }
+            if corner <= 4 {
+                paths.push(inverse_dct_corner::<4>(&coeffs));
+            }
+            for samples in paths {
+                for i in 0..BLOCK_AREA {
+                    proptest::prop_assert_eq!(samples[i].to_bits(), full[i].to_bits());
+                }
+            }
+        }
+    }
+
+    /// Every block through the plain per-pixel path: the scalar 8×8 reference transform of
+    /// each component, then `pixel_from_samples` pixel by pixel.
+    fn reconstruct_per_pixel(planes: &CoefficientPlanes, frame: &mut Image, quality: u8) {
+        let luma_table = QuantTable::luma(quality).unwrap();
+        let chroma_table = QuantTable::chroma(quality).unwrap();
+        for block in 0..planes.blocks_x * planes.blocks_y {
+            let spatial: [[f32; BLOCK_AREA]; COMPONENTS] = std::array::from_fn(|c| {
+                let table = if c == 0 { &luma_table } else { &chroma_table };
+                inverse_dct_reference(&table.dequantize(&planes.blocks[c][block]))
+            });
+            let (x0, y0) = ((block % planes.blocks_x) * BLOCK, (block / planes.blocks_x) * BLOCK);
+            for y in y0..(y0 + BLOCK).min(frame.height()) {
+                for x in x0..(x0 + BLOCK).min(frame.width()) {
+                    let i = (y - y0) * BLOCK + x - x0;
+                    let pixel = pixel_from_samples([spatial[0][i], spatial[1][i], spatial[2][i]]);
+                    frame.set_pixel(x, y, pixel);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decode_matches_the_per_pixel_full_transform_for_every_prefix() {
+        for (width, height, quality, detail) in
+            [(61usize, 45usize, 90u8, 0.9), (45, 61, 40, 0.5), (16, 9, 100, 1.0)]
+        {
+            let img = render_scene(
+                &SceneSpec::new(width, height, 5).with_detail(detail).with_seed(quality.into()),
+            )
+            .unwrap();
+            let encoded = ProgressiveImage::encode(&img, quality, ScanPlan::standard()).unwrap();
+            let mut planes =
+                CoefficientPlanes::zeroed(width.div_ceil(BLOCK), height.div_ceil(BLOCK));
+            for scans in 0..=encoded.num_scans() {
+                if scans > 0 {
+                    decode_scan(&encoded.scans()[scans - 1], scans - 1, &mut planes, None).unwrap();
+                }
+                let mut expected = Image::zeros(width, height).unwrap();
+                reconstruct_per_pixel(&planes, &mut expected, quality);
+                let decoded = encoded.decode(scans).unwrap();
+                for (i, (a, b)) in decoded.as_planar().iter().zip(expected.as_planar()).enumerate()
+                {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{width}x{height} q{quality}, {scans} scans: sample {i} ({a} vs {b})"
+                    );
+                }
+            }
+        }
     }
 }

@@ -102,34 +102,87 @@ pub fn forward_dct(block: &[f32; BLOCK_AREA]) -> [f32; BLOCK_AREA] {
 /// Table-driven and lane-parallel like [`forward_dct`], with per-output accumulation
 /// order (and rounding) identical to the original scalar implementation.
 pub fn inverse_dct(coeffs: &[f32; BLOCK_AREA]) -> [f32; BLOCK_AREA] {
+    inverse_dct_corner::<BLOCK>(coeffs)
+}
+
+/// [`inverse_dct`] of a block whose non-zero coefficients all lie in the top-left `K × K`
+/// corner (raster rows and columns `< K`), bitwise equal to the full transform.
+///
+/// Both passes leave out the terms the full transform adds for coefficients outside the
+/// corner. Each is a product of finite values with a zero factor — the coefficient in the
+/// first pass, the first-pass column it left at exactly `+0.0` in the second — so it is
+/// an exact `±0.0`. Under round-to-nearest a sum is `-0.0` only when both operands are
+/// `-0.0`, so an accumulator that starts at `+0.0` never holds `-0.0`, and adding `±0.0`
+/// to any other value returns it unchanged: dropping those terms moves no bit. The
+/// coefficients outside the corner are not read.
+pub(crate) fn inverse_dct_corner<const K: usize>(coeffs: &[f32; BLOCK_AREA]) -> [f32; BLOCK_AREA] {
     let t = tables();
     let mut out = [0.0f32; BLOCK_AREA];
-    let mut tmp = [0.0f32; BLOCK_AREA];
-    for y in 0..BLOCK {
+    // `tmp[y][u]` for `u < K`; the columns past the corner are exactly +0.0.
+    let mut tmp = [[0.0f32; K]; BLOCK];
+    for (y, tmp_row) in tmp.iter_mut().enumerate() {
         // Lanes: acc[u] accumulates over v; `(alpha * coeff) * basis` preserves the
         // original left-to-right product order.
-        let mut acc = [0.0f32; BLOCK];
-        for v in 0..BLOCK {
+        let mut acc = [0.0f32; K];
+        for v in 0..K {
             let a = t.alpha[v];
             let b = t.basis[v * BLOCK + y];
-            let row = &coeffs[v * BLOCK..(v + 1) * BLOCK];
-            for u in 0..BLOCK {
+            let row = &coeffs[v * BLOCK..v * BLOCK + K];
+            for u in 0..K {
                 acc[u] += a * row[u] * b;
             }
         }
-        tmp[y * BLOCK..(y + 1) * BLOCK].copy_from_slice(&acc);
+        *tmp_row = acc;
     }
-    for y in 0..BLOCK {
+    for (y, tmp_row) in tmp.iter().enumerate() {
         // Lanes: acc[x] accumulates over u.
         let mut acc = [0.0f32; BLOCK];
-        for u in 0..BLOCK {
-            let s = t.alpha[u] * tmp[y * BLOCK + u];
+        for (u, &sample) in tmp_row.iter().enumerate() {
+            let s = t.alpha[u] * sample;
             let row = &t.basis[u * BLOCK..(u + 1) * BLOCK];
             for x in 0..BLOCK {
                 acc[x] += s * row[x];
             }
         }
         out[y * BLOCK..(y + 1) * BLOCK].copy_from_slice(&acc);
+    }
+    out
+}
+
+/// The one sample [`inverse_dct`] produces, at all 64 positions, for a block whose only
+/// non-zero coefficient is the DC term `dc`.
+///
+/// The DC basis row is exactly `1.0`, so the first pass leaves `alpha0 * dc` in column 0
+/// of every row and the second pass scales it by `alpha0` again. Every other term the
+/// 8×8 loops add is an exact `±0.0` that moves no bit (see [`inverse_dct_corner`]).
+pub(crate) fn inverse_dct_dc(dc: f32) -> f32 {
+    let alpha0 = tables().alpha[0];
+    alpha0 * (alpha0 * dc)
+}
+
+/// The pre-table scalar inverse DCT, kept verbatim as the rounding reference: every
+/// 8×8 product and sum, with the transcendental basis evaluated inline.
+#[cfg(test)]
+pub(crate) fn inverse_dct_reference(coeffs: &[f32; BLOCK_AREA]) -> [f32; BLOCK_AREA] {
+    let mut out = [0.0f32; BLOCK_AREA];
+    let mut tmp = [0.0f32; BLOCK_AREA];
+    for u in 0..BLOCK {
+        for y in 0..BLOCK {
+            let mut acc = 0.0;
+            for v in 0..BLOCK {
+                acc += alpha(v) * coeffs[v * BLOCK + u] * basis(v, y);
+            }
+            tmp[y * BLOCK + u] = acc;
+        }
+    }
+    for y in 0..BLOCK {
+        for x in 0..BLOCK {
+            let mut acc = 0.0;
+            for u in 0..BLOCK {
+                acc += alpha(u) * tmp[y * BLOCK + u] * basis(u, x);
+            }
+            out[y * BLOCK + x] = acc;
+        }
     }
     out
 }
@@ -215,29 +268,6 @@ mod tests {
             }
             out
         }
-        fn inverse_scalar(coeffs: &[f32; BLOCK_AREA]) -> [f32; BLOCK_AREA] {
-            let mut out = [0.0f32; BLOCK_AREA];
-            let mut tmp = [0.0f32; BLOCK_AREA];
-            for u in 0..BLOCK {
-                for y in 0..BLOCK {
-                    let mut acc = 0.0;
-                    for v in 0..BLOCK {
-                        acc += alpha(v) * coeffs[v * BLOCK + u] * basis(v, y);
-                    }
-                    tmp[y * BLOCK + u] = acc;
-                }
-            }
-            for y in 0..BLOCK {
-                for x in 0..BLOCK {
-                    let mut acc = 0.0;
-                    for u in 0..BLOCK {
-                        acc += alpha(u) * tmp[y * BLOCK + u] * basis(u, x);
-                    }
-                    out[y * BLOCK + x] = acc;
-                }
-            }
-            out
-        }
 
         for seed in 0u32..8 {
             let mut block = [0.0f32; BLOCK_AREA];
@@ -252,7 +282,7 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "forward coefficient {i} differs");
             }
             let fast = inverse_dct(&slow);
-            let slow = inverse_scalar(&slow.clone());
+            let slow = inverse_dct_reference(&slow.clone());
             for (i, (a, b)) in fast.iter().zip(&slow).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "inverse sample {i} differs");
             }

@@ -15,6 +15,15 @@
 //! frame (`refresh_block`), so a decoder costs the coefficient planes, one dirty flag per
 //! block and the frame — nothing else image-sized is allocated or zero-filled.
 //!
+//! A refreshed block costs what its coefficients carry. A component with no non-zero AC
+//! level — every block after the DC scan — is one sample, two multiplies from its DC
+//! level, and a block whose three components are all like that is one colour conversion
+//! and a fill of its row runs. A component whose levels all lie in the top-left 4×4
+//! corner (the standard plan's second scan reaches no further) runs a 4×4-bounded
+//! inverse DCT, 384 multiply-adds against the full transform's 1 024. Only a component
+//! with a level outside that corner pays the full 8×8 transform. Every path is bitwise
+//! equal to the full transform (the argument is on `refresh_block`).
+//!
 //! A reader that knows its depth needs no intermediate frames:
 //! [`advance_to`](ProgressiveDecoder::advance_to) entropy-decodes every pending scan
 //! first, OR-ing their dirty flags, and reconstructs each touched block **once** — from

@@ -104,6 +104,25 @@ fn awkward_dimensions_match_for_every_prefix() {
     }
 }
 
+/// Storage-sized streams, whose edge blocks are partial on both axes: a Cars-like image at
+/// the dataset's mean natural size (699×482), encoded at the pipeline's quality, and an
+/// odd-sized one. Their early prefixes are mostly blocks with no AC level or with all
+/// levels in the top-left 4×4 corner, so both reduced reconstructions run at the edges.
+#[test]
+fn storage_sized_streams_match_for_every_prefix() {
+    let cars = render_scene(
+        &SceneSpec::new(699, 482, 11)
+            .with_detail(0.4)
+            .with_object_scale(0.55)
+            .with_background(0.3)
+            .with_seed(21),
+    )
+    .unwrap();
+    check_all_prefixes(&cars, 90, ScanPlan::standard(), "cars 699x482");
+    let odd = scene(661, 497, 0.8, 13);
+    check_all_prefixes(&odd, 75, ScanPlan::standard(), "661x497");
+}
+
 #[test]
 fn advance_to_matches_and_rejects_rewind() {
     let img = scene(48, 40, 0.5, 5);

@@ -26,9 +26,7 @@ use rescnn_imaging::{crop_and_resize_cow, CropRatio, Image, SsimConfig, SsimRefe
 use rescnn_models::ModelKind;
 use rescnn_oracle::{AccuracyOracle, EvalContext};
 use rescnn_projpeg::{ProgressiveImage, ScanPlan};
-use rescnn_tensor::{
-    algo_calibration_generation, AlgoCalibration, ConvAlgo, ConvShapeKey, EngineContext,
-};
+use rescnn_tensor::EngineContext;
 
 use crate::calibration::{PrefixWalk, ScanPoint, StoragePolicy};
 use crate::error::{CoreError, Result};
@@ -355,11 +353,6 @@ pub fn install_conv_calibration(path: &str) -> Result<CalibrationInstall> {
     Ok(CalibrationInstall { shapes, skipped: model.skipped_entries().to_vec() })
 }
 
-/// Cached per-resolution bucket dispatch tables — keyed by `(resolution,
-/// int8)`, each tagged with the process-wide calibration generation it was
-/// resolved under.
-type BucketDispatchCache = BTreeMap<(usize, bool), (u64, Arc<AlgoCalibration>)>;
-
 /// A non-fatal condition recorded during pipeline construction: the pipeline
 /// is fully usable, but degraded from what the configuration asked for.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -413,14 +406,6 @@ pub struct DynamicResolutionPipeline {
     oracle: AccuracyOracle,
     backbone_gflops: BTreeMap<usize, f64>,
     scale_gflops: f64,
-    /// Per-resolution-bucket conv-dispatch tables, resolved lazily and tagged
-    /// with the calibration generation they were derived from (shared across
-    /// pipeline clones; see [`DynamicResolutionPipeline::bucket_dispatch`]).
-    bucket_dispatch: Arc<Mutex<BucketDispatchCache>>,
-    /// Planned peak-live activation bytes per resolution, computed lazily from
-    /// `Network::arena_plan` (shared across clones; see
-    /// [`DynamicResolutionPipeline::arena_peak_bytes`]).
-    arena_peaks: Arc<Mutex<BTreeMap<usize, usize>>>,
     /// Scan indexes of the stored streams this pipeline has ingested or planned, by
     /// content address (shared across clones; see
     /// [`DynamicResolutionPipeline::ingest`]).
@@ -488,8 +473,6 @@ impl DynamicResolutionPipeline {
             oracle,
             backbone_gflops,
             scale_gflops,
-            bucket_dispatch: Arc::new(Mutex::new(BucketDispatchCache::new())),
-            arena_peaks: Arc::new(Mutex::new(BTreeMap::new())),
             scan_index: Arc::new(Mutex::new(ScanIndexStore::new(SCAN_INDEX_CAPACITY))),
             warnings,
         })
@@ -510,10 +493,10 @@ impl DynamicResolutionPipeline {
     }
 
     /// Planned peak-live activation bytes of one backbone forward at
-    /// `resolution`, from `Network::arena_plan`'s liveness simulation
-    /// (computed once per resolution, cached across pipeline clones).
-    /// The figure depends only on the backbone and the resolution: not on
-    /// the thread budget, the dispatch state or which caller asks first.
+    /// `resolution`, from the backbone architecture's arena plan
+    /// ([`rescnn_models::ArchSpec::arena_plan`]; no weights are built). The
+    /// figure depends only on the backbone and the resolution: not on the
+    /// thread budget, the dispatch state or which caller asks first.
     ///
     /// This is the per-request memory figure a memory-budgeted admission
     /// controller charges: the measured arena high-water mark of a real
@@ -524,76 +507,12 @@ impl DynamicResolutionPipeline {
     /// Returns an error if the resolution is too small for the backbone's
     /// downsampling schedule.
     pub fn arena_peak_bytes(&self, resolution: usize) -> Result<usize> {
-        let mut cache = self.arena_peaks.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(&bytes) = cache.get(&resolution) {
-            return Ok(bytes);
-        }
-        let network = rescnn_models::Network::new(
-            self.config.backbone,
-            self.config.dataset.num_classes(),
-            0, // weights do not affect the arena plan
-        );
-        let plan =
-            network.arena_plan(rescnn_tensor::Shape::chw(3, resolution, resolution)).map_err(
-                |e| CoreError::InvalidConfig { reason: format!("arena plan at {resolution}: {e}") },
-            )?;
-        cache.insert(resolution, plan.peak_live_bytes);
-        Ok(plan.peak_live_bytes)
-    }
-
-    /// The per-shape convolution dispatch table for one resolution bucket:
-    /// every conv layer of the backbone at `resolution`, resolved through
-    /// [`rescnn_tensor::select_algo`] **once** and cached — instead of per
-    /// layer per request inside the bucket. The cache is shared across
-    /// pipeline clones and invalidated automatically when a new process-wide
-    /// calibration table is installed (e.g. by a sweep-once-on-boot run
-    /// finishing).
-    ///
-    /// The batch scheduler installs the returned table as a scoped calibration
-    /// ([`rescnn_tensor::with_algo_calibration_scope`]) around each bucket's
-    /// execution. Because the entries are exactly what dispatch would have
-    /// resolved anyway, this never changes results — it removes the per-call
-    /// calibration lock from the bucket's hot path.
-    pub fn bucket_dispatch(&self, resolution: usize) -> Arc<AlgoCalibration> {
-        self.bucket_dispatch_impl(resolution, false)
-    }
-
-    /// The quantized variant of [`bucket_dispatch`](Self::bucket_dispatch):
-    /// the same per-shape table with every int8-eligible convolution
-    /// overridden onto [`ConvAlgo::Int8`] (grouped/depthwise shapes keep
-    /// their f32 kernels — the arm cannot run them). The SLO scheduler scopes
-    /// this table around a precision-demoted bucket's execution; it never
-    /// leaks into f32 buckets or process-wide state.
-    pub fn bucket_dispatch_int8(&self, resolution: usize) -> Arc<AlgoCalibration> {
-        self.bucket_dispatch_impl(resolution, true)
-    }
-
-    fn bucket_dispatch_impl(&self, resolution: usize, int8: bool) -> Arc<AlgoCalibration> {
-        let generation = algo_calibration_generation();
-        let mut cache = self.bucket_dispatch.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some((cached_generation, table)) = cache.get(&(resolution, int8)) {
-            if *cached_generation == generation {
-                return Arc::clone(table);
-            }
-        }
-        let mut table = AlgoCalibration::new();
         let arch = self.config.backbone.arch(self.config.dataset.num_classes());
-        if let Ok(layers) = arch.conv_layers(resolution) {
-            for layer in layers {
-                // `select_algo` (not `planned_conv_algo`): explicit overrides
-                // must stay dynamic — baking a caller's scoped override into
-                // the cached table would outlive its scope.
-                let algo = if int8 && ConvAlgo::Int8.supports(&layer.params) {
-                    ConvAlgo::Int8
-                } else {
-                    rescnn_tensor::select_algo(&layer.params, layer.input)
-                };
-                table.set(ConvShapeKey::new(layer.params, layer.input), algo);
-            }
-        }
-        let table = Arc::new(table);
-        cache.insert((resolution, int8), (generation, Arc::clone(&table)));
-        table
+        let plan =
+            arch.arena_plan(rescnn_tensor::Shape::chw(3, resolution, resolution)).map_err(|e| {
+                CoreError::InvalidConfig { reason: format!("arena plan at {resolution}: {e}") }
+            })?;
+        Ok(plan.peak_live_bytes)
     }
 
     /// The configuration in use.

@@ -6,7 +6,8 @@
 //! quantized change its answers?** For each candidate resolution the gate runs
 //! seeded synthetic forwards twice — once on the f32 engine, once with every
 //! eligible convolution forced onto [`ConvAlgo::Int8`](rescnn_tensor::ConvAlgo)
-//! via a scoped dispatch table — and compares the outputs on two axes:
+//! under an int8 [`EngineContext`](rescnn_tensor::EngineContext) pin — and
+//! compares the outputs on two axes:
 //!
 //! * **top-1 agreement** — the fraction of probe inputs whose argmax class is
 //!   unchanged, the quantity the paper's accuracy tables are built from; and
@@ -30,10 +31,7 @@ use std::collections::BTreeMap;
 use serde::Serialize;
 
 use rescnn_models::{ModelKind, Network};
-use rescnn_tensor::{
-    with_algo_calibration_scope, AlgoCalibration, ConvAlgo, ConvShapeKey, Shape, Tensor,
-};
-use std::sync::Arc;
+use rescnn_tensor::{ConvAlgo, EngineContext, Shape, Tensor};
 
 use crate::error::{CoreError, Result};
 
@@ -151,27 +149,6 @@ impl PrecisionGate {
         &self.config
     }
 
-    /// The dispatch table that forces every int8-eligible convolution of
-    /// `backbone` at `resolution` onto the quantized arm (ineligible shapes —
-    /// grouped/depthwise convolutions — keep their f32 kernels). This is the
-    /// same table the SLO scheduler scopes around a demoted bucket, so the
-    /// gate measures exactly what demoted execution runs.
-    pub fn int8_dispatch(
-        backbone: ModelKind,
-        num_classes: usize,
-        resolution: usize,
-    ) -> Arc<AlgoCalibration> {
-        let mut table = AlgoCalibration::new();
-        if let Ok(layers) = backbone.arch(num_classes).conv_layers(resolution) {
-            for layer in layers {
-                if ConvAlgo::Int8.supports(&layer.params) {
-                    table.set(ConvShapeKey::new(layer.params, layer.input), ConvAlgo::Int8);
-                }
-            }
-        }
-        Arc::new(table)
-    }
-
     fn measure(
         backbone: ModelKind,
         num_classes: usize,
@@ -194,16 +171,19 @@ impl PrecisionGate {
         for input in &inputs {
             network.calibrate_int8_ranges(input).map_err(forward_error(resolution))?;
         }
-        let table = Self::int8_dispatch(backbone, num_classes, resolution);
+        // The int8 pin runs every convolution the quantized arm supports on
+        // it; grouped and depthwise ones keep default dispatch. Demoted SLO
+        // buckets run under the same pin, so the gate measures exactly what
+        // demoted execution runs.
+        let int8 = EngineContext::new().with_algo(ConvAlgo::Int8);
         let mut agreements = 0usize;
         let mut similarity_sum = 0.0f64;
         for input in &inputs {
             let f32_probs =
                 network.predict_probabilities(input).map_err(forward_error(resolution))?;
-            let int8_probs = with_algo_calibration_scope(Arc::clone(&table), || {
-                network.predict_probabilities(input)
-            })
-            .map_err(forward_error(resolution))?;
+            let int8_probs = int8
+                .scope(|| network.predict_probabilities(input))
+                .map_err(forward_error(resolution))?;
             let f32_probs = f32_probs.as_slice();
             let int8_probs = int8_probs.as_slice();
             if argmax(f32_probs) == argmax(int8_probs) {
@@ -325,23 +305,5 @@ mod tests {
             PrecisionGateConfig { samples: 0, ..Default::default() }
         )
         .is_err());
-    }
-
-    #[test]
-    fn int8_dispatch_covers_eligible_shapes_only() {
-        let classes = DatasetKind::CarsLike.num_classes();
-        let table = PrecisionGate::int8_dispatch(ModelKind::MobileNetV2, classes, 64);
-        // MobileNetV2 is full of depthwise convolutions the int8 arm cannot
-        // run; the table must cover the pointwise layers and skip those.
-        let layers = ModelKind::MobileNetV2.arch(classes).conv_layers(64).unwrap();
-        assert!(layers.iter().any(|l| !ConvAlgo::Int8.supports(&l.params)));
-        for layer in &layers {
-            let entry = table.get(&ConvShapeKey::new(layer.params, layer.input));
-            if ConvAlgo::Int8.supports(&layer.params) {
-                assert_eq!(entry, Some(ConvAlgo::Int8));
-            } else {
-                assert_eq!(entry, None);
-            }
-        }
     }
 }

@@ -34,11 +34,8 @@
 //! stages therefore run under [`parallel_map_isolated`]: a failure — including
 //! a caught panic, surfaced as [`CoreError::Panicked`] — becomes a
 //! [`RequestError`] in [`ServeReport::errors`] while every other request
-//! completes and is folded into the partial report. Set
-//! [`BatchOptions::strict`] to restore fail-fast semantics (the error with the
-//! lowest submission index is returned).
+//! completes and is folded into the partial report.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
@@ -58,16 +55,11 @@ pub struct BatchOptions {
     /// Total worker-thread budget for the scheduler (`None` uses the pipeline's
     /// engine context, falling back to the engine default).
     pub threads: Option<usize>,
-    /// When `true`, the first per-request failure (in submission order) aborts
-    /// the run and is returned as the run's error. When `false` (the default),
-    /// failures are isolated into [`ServeReport::errors`] and every healthy
-    /// request still completes.
-    pub strict: bool,
 }
 
 impl Default for BatchOptions {
     fn default() -> Self {
-        BatchOptions { max_batch: 8, threads: None, strict: false }
+        BatchOptions { max_batch: 8, threads: None }
     }
 }
 
@@ -81,13 +73,6 @@ impl BatchOptions {
     /// Bounds the scheduler's total thread budget.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Selects fail-fast (`true`) or isolate-and-continue (`false`) handling of
-    /// per-request failures.
-    pub fn with_strict(mut self, strict: bool) -> Self {
-        self.strict = strict;
         self
     }
 }
@@ -113,10 +98,6 @@ pub struct BucketStats {
     pub requests: usize,
     /// Batches the bucket was executed in.
     pub batches: usize,
-    /// Conv layer shapes whose dispatch algorithm was resolved once for the
-    /// whole bucket (instead of per layer per request) and installed as a
-    /// scoped calibration around the bucket's execution.
-    pub dispatch_shapes: usize,
     /// Sample-level (outer) parallelism used for the bucket's full batches.
     pub outer_parallelism: usize,
     /// Kernel-level (inner) parallelism paired with `outer_parallelism`.
@@ -225,12 +206,10 @@ impl<'a> BatchScheduler<'a> {
     ///
     /// Per-request failures — codec errors from corrupt streams, stage panics
     /// (contained as [`CoreError::Panicked`]) — are isolated into
-    /// [`ServeReport::errors`] while every other request completes, unless
-    /// [`BatchOptions::strict`] asks for fail-fast.
+    /// [`ServeReport::errors`] while every other request completes.
     ///
     /// # Errors
-    /// Returns an error if the queue is empty, or — in strict mode only — the
-    /// per-request failure with the lowest submission index.
+    /// Returns an error if the queue is empty.
     pub fn run(&mut self) -> Result<ServeReport> {
         if self.queue.is_empty() {
             return Err(CoreError::EmptyDataset);
@@ -273,30 +252,18 @@ impl<'a> BatchScheduler<'a> {
             }
         }
 
-        // Stage 3: execute each bucket in homogeneous batches. The bucket's
-        // conv-dispatch table is resolved once per (resolution, calibration
-        // generation) — not per request — and installed as a scoped calibration
-        // around *each task body* (the scope is thread-local, so it must be
-        // entered on whichever thread — scheduler or pool worker — actually
-        // executes the request): every backbone kernel dispatched inside pays a
-        // thread-local lookup instead of the process-wide calibration lock, and
-        // all of a bucket's requests see one consistent table even if a boot
-        // sweep installs a new process-wide table mid-bucket.
+        // Stage 3: execute each bucket in homogeneous batches.
         let mut records: Vec<Option<InferenceRecord>> = vec![None; queue.len()];
         let mut bucket_stats = Vec::with_capacity(buckets.len());
         for (&resolution, members) in &buckets {
             let (outer, inner) = split_parallelism(max_batch.min(members.len()), threads);
-            let dispatch = self.pipeline.bucket_dispatch(resolution);
-            let dispatch_shapes = dispatch.len();
             let bucket_start = Instant::now();
             let mut batches = 0usize;
             for batch in members.chunks(max_batch) {
                 let outcomes = run_batch_isolated(self.pipeline, threads, batch.len(), |slot| {
                     let index = batch[slot];
                     let plan = plan_slots[index].as_ref().expect("bucketed requests have plans");
-                    rescnn_tensor::with_algo_calibration_scope(Arc::clone(&dispatch), || {
-                        self.pipeline.execute_unscoped(queue[index].sample, plan)
-                    })
+                    self.pipeline.execute_unscoped(queue[index].sample, plan)
                 });
                 for (slot, outcome) in outcomes.into_iter().enumerate() {
                     let index = batch[slot];
@@ -316,7 +283,6 @@ impl<'a> BatchScheduler<'a> {
                 resolution,
                 requests: members.len(),
                 batches,
-                dispatch_shapes,
                 outer_parallelism: outer,
                 inner_parallelism: inner,
                 total_seconds,
@@ -329,13 +295,8 @@ impl<'a> BatchScheduler<'a> {
         drop(plan_slots);
 
         // Failures arrive plan-stage-first then bucket-by-bucket; report them in
-        // submission order. In strict mode the earliest one aborts the run.
+        // submission order.
         errors.sort_by_key(|e| e.index);
-        if self.options.strict {
-            if let Some(first) = errors.first() {
-                return Err(first.error.clone());
-            }
-        }
 
         // Stage 4: fold the completed records in submission order through the
         // same `PipelineReport::from_records` the sequential evaluate path uses,
@@ -354,8 +315,8 @@ impl<'a> BatchScheduler<'a> {
 /// is installed first so [`parallel_map_isolated`] carries it (algorithm
 /// overrides included) onto pool workers; the inner thread budget replaces the
 /// pipeline's own setting for the duration of the batch. A task that panics
-/// yields [`CoreError::Panicked`] in its own slot — the pool, the other tasks,
-/// and any scoped calibration state are unaffected.
+/// yields [`CoreError::Panicked`] in its own slot — the pool and the other
+/// tasks are unaffected.
 pub(crate) fn run_batch_isolated<T, F>(
     pipeline: &DynamicResolutionPipeline,
     threads: usize,
@@ -392,8 +353,7 @@ impl DynamicResolutionPipeline {
     /// latency/throughput the serving layer is measured by.
     ///
     /// # Errors
-    /// Returns an error if the dataset is empty, or — in strict mode — the
-    /// earliest per-sample failure.
+    /// Returns an error if the dataset is empty.
     pub fn evaluate_batched(
         &self,
         dataset: &Dataset,
@@ -467,45 +427,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn buckets_resolve_their_dispatch_tables_once() {
-        let pipeline = build_pipeline(vec![112, 224]);
-        let data = DatasetSpec::cars_like().with_len(8).with_max_dimension(72).build(11);
-        let served = pipeline.evaluate_batched(&data, BatchOptions::default()).unwrap();
-        for bucket in &served.buckets {
-            // Every bucket resolved the backbone's full per-shape algo table.
-            let layers = pipeline
-                .config()
-                .backbone
-                .arch(rescnn_data::DatasetKind::CarsLike.num_classes())
-                .conv_layers(bucket.resolution)
-                .unwrap();
-            let unique: std::collections::HashSet<_> = layers
-                .iter()
-                .map(|l| rescnn_tensor::ConvShapeKey::new(l.params, l.input))
-                .collect();
-            assert_eq!(bucket.dispatch_shapes, unique.len());
-            // The cached table is reused (same Arc) while the calibration
-            // generation is unchanged.
-            let first = pipeline.bucket_dispatch(bucket.resolution);
-            let second = pipeline.bucket_dispatch(bucket.resolution);
-            assert!(std::sync::Arc::ptr_eq(&first, &second));
-        }
-    }
-
-    #[test]
-    fn bucket_dispatch_cache_invalidates_on_new_calibration() {
-        let _guard = crate::test_sync::calibration_lock();
-        let pipeline = build_pipeline(vec![112]);
-        let before = pipeline.bucket_dispatch(112);
-        // Installing a calibration bumps the generation; the cache re-resolves.
-        let previous =
-            rescnn_tensor::install_algo_calibration(Some(rescnn_tensor::AlgoCalibration::new()));
-        let after = pipeline.bucket_dispatch(112);
-        assert!(!std::sync::Arc::ptr_eq(&before, &after), "stale bucket table survived");
-        rescnn_tensor::install_algo_calibration(previous.map(|t| (*t).clone()));
-    }
-
     /// The execution stage's zero-allocation property must hold across warm
     /// scheduler runs: a drained queue re-submitted and re-run advances the
     /// engine's tracked allocation counter (kernel scratch + activation arena)
@@ -548,10 +469,8 @@ mod tests {
         let options = BatchOptions::default();
         assert_eq!(options.max_batch, 8);
         assert_eq!(options.threads, None);
-        assert!(!options.strict);
         assert_eq!(BatchOptions::default().with_max_batch(0).max_batch, 1);
         assert_eq!(BatchOptions::default().with_threads(0).threads, Some(1));
-        assert!(BatchOptions::default().with_strict(true).strict);
     }
 
     #[test]
@@ -592,29 +511,6 @@ mod tests {
         let healthy = healthy.run().unwrap();
         assert!(healthy.errors.is_empty());
         assert_eq!(served.report, healthy.report);
-    }
-
-    #[test]
-    fn strict_mode_reports_the_earliest_failure_in_submission_order() {
-        let pipeline = build_pipeline(vec![112, 224]);
-        let data = DatasetSpec::cars_like().with_len(4).with_max_dimension(64).build(5);
-        let quality = pipeline.config().encode_quality;
-        let mut scheduler =
-            BatchScheduler::new(&pipeline, BatchOptions::default().with_strict(true));
-        scheduler.submit(&data[0]);
-        scheduler.submit_with_storage(
-            &data[1],
-            data[1].encode_progressive(quality).unwrap().with_truncated_scan(0, 1),
-        );
-        scheduler.submit(&data[2]);
-        scheduler.submit_with_storage(
-            &data[3],
-            data[3].encode_progressive(quality).unwrap().with_truncated_scan(0, 1),
-        );
-        match scheduler.run() {
-            Err(CoreError::Codec(_)) => {}
-            other => panic!("strict mode must fail fast with the codec error, got {other:?}"),
-        }
     }
 
     #[test]

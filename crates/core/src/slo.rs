@@ -76,6 +76,7 @@ use serde::Serialize;
 use rescnn_data::Sample;
 use rescnn_hwsim::{CalibratedCostModel, CpuProfile};
 use rescnn_projpeg::ProgressiveImage;
+use rescnn_tensor::{ConvAlgo, EngineContext};
 
 use crate::error::{CoreError, Result};
 use crate::lifecycle::{
@@ -1307,38 +1308,44 @@ impl<'a> AdmissionCore<'a> {
             }
         }
         // Buckets are keyed by (resolution, precision): a demoted request
-        // executes under the int8 dispatch table, a nominal one under the
-        // f32 table — never mixed in one scoped batch.
+        // executes under an int8 pin, a nominal one under default dispatch —
+        // never mixed in one batch. A pin in the pipeline's own engine
+        // context still outranks the int8 one.
         let mut buckets: BTreeMap<(usize, bool), Vec<usize>> = BTreeMap::new();
         for (pos, entry) in normal.iter().enumerate() {
             buckets.entry((entry.plan.chosen_resolution, entry.int8)).or_default().push(pos);
         }
         let mut normal_results: Vec<Option<Result<InferenceRecord>>> = Vec::new();
         normal_results.resize_with(normal.len(), || None);
-        for (&(resolution, int8), members) in &buckets {
-            let dispatch = if int8 {
-                pipeline.bucket_dispatch_int8(resolution)
+        for (&(_, int8), members) in &buckets {
+            let precision = if int8 {
+                EngineContext::new().with_algo(ConvAlgo::Int8)
             } else {
-                pipeline.bucket_dispatch(resolution)
+                EngineContext::new()
             };
             for batch in members.chunks(max_batch) {
-                let results = run_batch_isolated(pipeline, threads, batch.len(), |slot| {
-                    let entry = &normal[batch[slot]];
-                    let attempt = &round[entry.slot];
-                    // Chaos panics model transient faults and fire on
-                    // first attempts only — a retry of a chaos-panicked
-                    // request genuinely recovers.
-                    if attempt.attempt == 0 {
-                        if let Some(every) = self.options.chaos_panic_every {
-                            if (attempt.index + 1).is_multiple_of(every) {
+                let results = precision.scope(|| {
+                    run_batch_isolated(pipeline, threads, batch.len(), |slot| {
+                        let entry = &normal[batch[slot]];
+                        let attempt = &round[entry.slot];
+                        // Chaos panics model transient faults and fire on
+                        // first attempts only — a retry of a chaos-panicked
+                        // request genuinely recovers.
+                        if attempt.attempt == 0 {
+                            if let Some(every) = self.options.chaos_panic_every {
+                                if (attempt.index + 1).is_multiple_of(every) {
+                                    panic!("chaos: injected panic in request {}", attempt.index);
+                                }
+                            }
+                            if self
+                                .options
+                                .chaos_panic_requests
+                                .binary_search(&attempt.index)
+                                .is_ok()
+                            {
                                 panic!("chaos: injected panic in request {}", attempt.index);
                             }
                         }
-                        if self.options.chaos_panic_requests.binary_search(&attempt.index).is_ok() {
-                            panic!("chaos: injected panic in request {}", attempt.index);
-                        }
-                    }
-                    rescnn_tensor::with_algo_calibration_scope(Arc::clone(&dispatch), || {
                         pipeline
                             .execute_unscoped(self.queue[attempt.index].sample.get(), &entry.plan)
                     })

@@ -5,10 +5,18 @@
 //! to feed the kernel cost model and autotuner (Figure 7, Table II), and parameter counts.
 //! [`ArchSpec`] provides exactly that; the executable counterpart lives in
 //! [`crate::nn`].
+//!
+//! [`ArchSpec::lower`] is the one place a block family expands into
+//! convolutions. Its shape-free [`Lowering`] holds the convolutions in
+//! construction order, a flat op list in execution order over [`SLOTS`]
+//! activation slots, and each block's first op. Every consumer interprets
+//! that list: the shape walk behind `conv_layers`, `flops` and
+//! `final_spatial`, the weight-free [`ArchSpec::arena_plan`], and, in
+//! [`crate::nn`], construction, both forwards and batch folding.
 
 use serde::{Deserialize, Serialize};
 
-use rescnn_tensor::{Conv2dParams, Pool2dParams, Shape};
+use rescnn_tensor::{ActivationArena, Conv2dParams, Pool2dParams, Shape, TensorError};
 
 use crate::error::{ModelError, Result};
 
@@ -153,16 +161,22 @@ pub struct ArchSpec {
 }
 
 impl ArchSpec {
-    /// Walks the architecture at a given square input resolution, returning every
-    /// convolution layer with its concrete input shape.
+    /// Every convolution layer at a square input resolution with its concrete input
+    /// shape, in construction order: per residual block `conv1, conv2, [conv3],
+    /// downsample`, per inverted block `expand, depthwise, project`.
     ///
     /// # Errors
     /// Returns [`ModelError::ResolutionTooSmall`] if the resolution collapses to zero
     /// spatial extent anywhere in the network.
     pub fn conv_layers(&self, resolution: usize) -> Result<Vec<ConvLayerShape>> {
-        let mut layers = Vec::new();
-        self.walk(resolution, |layer, _| layers.push(layer))?;
-        Ok(layers)
+        let lowering = self.lower();
+        let mut layers = vec![None; lowering.convs.len()];
+        self.walk_at(&lowering, resolution, |op, input, _| {
+            if let OpKind::Conv { conv, .. } = op.kind {
+                layers[conv] = Some(ConvLayerShape { params: lowering.convs[conv].params, input });
+            }
+        })?;
+        Ok(layers.into_iter().flatten().collect())
     }
 
     /// Total FLOPs of convolution and linear layers at a resolution, using the paper's
@@ -171,9 +185,9 @@ impl ArchSpec {
     /// # Errors
     /// Returns an error if the resolution is too small for the architecture.
     pub fn flops(&self, resolution: usize) -> Result<u64> {
-        let mut total = 0u64;
-        let linear = self.walk(resolution, |layer, _| total += layer.flops())?;
-        Ok(total + linear)
+        let conv: u64 = self.conv_layers(resolution)?.iter().map(ConvLayerShape::flops).sum();
+        // A linear layer at batch 1 performs one MAC per weight.
+        Ok(conv + self.lower().linears.iter().map(LoweredLinear::weight_count).sum::<u64>())
     }
 
     /// Total FLOPs expressed in GFLOPs.
@@ -187,13 +201,9 @@ impl ArchSpec {
     /// Number of learnable parameters in convolution and linear layers (batch-norm
     /// parameters excluded; they are a rounding error at this scale).
     pub fn param_count(&self) -> u64 {
-        let mut total = 0u64;
-        // Parameters do not depend on resolution; walk at a generous resolution so the
-        // shape propagation cannot fail.
-        let linear =
-            self.walk(256, |layer, _| total += layer.params.weight_count() as u64).unwrap_or(0);
-        // Linear-layer parameter count equals its MAC count at batch 1 (one MAC per weight).
-        total + linear
+        let lowering = self.lower();
+        let conv: u64 = lowering.convs.iter().map(|c| c.params.weight_count() as u64).sum();
+        conv + lowering.linears.iter().map(LoweredLinear::weight_count).sum::<u64>()
     }
 
     /// Spatial extent of the feature map entering global average pooling at a resolution.
@@ -201,134 +211,445 @@ impl ArchSpec {
     /// # Errors
     /// Returns an error if the resolution is too small for the architecture.
     pub fn final_spatial(&self, resolution: usize) -> Result<usize> {
-        let mut spatial = resolution;
-        self.walk(resolution, |_, spatial_after| spatial = spatial_after)?;
-        Ok(spatial)
+        let mut pooled = None;
+        let output = self.walk_at(&self.lower(), resolution, |op, input, _| {
+            if op.kind == OpKind::GlobalAvgPool {
+                pooled.get_or_insert(input.h);
+            }
+        })?;
+        Ok(pooled.unwrap_or(output.h))
     }
 
-    /// Internal shape-propagation walker. Calls `visit(conv_layer, spatial_after)` for
-    /// every convolution and returns the total linear-layer FLOPs.
-    fn walk<F: FnMut(ConvLayerShape, usize)>(
+    /// The activation-arena plan of a forward pass at `input`, from the
+    /// architecture alone: [`Network::arena_plan`](crate::Network::arena_plan)
+    /// returns the same plan without reading a weight.
+    ///
+    /// # Errors
+    /// Returns [`ModelError::ResolutionTooSmall`] if the input collapses to zero
+    /// spatial extent anywhere in the network.
+    pub fn arena_plan(&self, input: Shape) -> Result<ArenaPlan> {
+        self.lower().arena_plan(input).map_err(|_| self.too_small(input.h))
+    }
+
+    fn too_small(&self, resolution: usize) -> ModelError {
+        ModelError::ResolutionTooSmall { resolution, model: self.kind.name() }
+    }
+
+    /// [`Lowering::walk`] over a square batch-1 input at `resolution`.
+    fn walk_at(
         &self,
+        lowering: &Lowering,
         resolution: usize,
-        mut visit: F,
-    ) -> Result<u64> {
+        visit: impl FnMut(&Op, Shape, Shape),
+    ) -> Result<Shape> {
         if resolution == 0 {
-            return Err(ModelError::ResolutionTooSmall { resolution, model: self.kind.name() });
+            return Err(self.too_small(resolution));
         }
-        let mut spatial = resolution;
-        let mut channels = 3usize;
-        let mut linear_flops = 0u64;
+        lowering
+            .walk(Shape::chw(3, resolution, resolution), visit)
+            .map_err(|_| self.too_small(resolution))
+    }
 
-        let emit = |params: Conv2dParams,
-                    channels: &mut usize,
-                    spatial: &mut usize,
-                    visit: &mut F|
-         -> Result<()> {
-            let input = Shape::chw(*channels, *spatial, *spatial);
-            let out = params.output_shape(input).map_err(|_| ModelError::ResolutionTooSmall {
-                resolution,
-                model: self.kind.name(),
-            })?;
-            visit(ConvLayerShape { params, input }, out.h);
-            *channels = out.c;
-            *spatial = out.h;
-            Ok(())
-        };
-
+    /// Lowers the architecture to its op list: the one place that says which
+    /// convolutions each block family holds, in what order they are built and
+    /// in what order they run, and when each activation dies.
+    pub(crate) fn lower(&self) -> Lowering {
+        let mut l = Lowerer { out: Lowering::default(), live: [true, false, false, false] };
+        let mut channels = 3;
         for block in &self.blocks {
-            match *block {
-                BlockSpec::ConvBnAct { params, .. } => {
-                    emit(params, &mut channels, &mut spatial, &mut visit)?;
+            let (start, x) = (l.out.ops.len(), l.out.output);
+            let mut stage_entry = false;
+            let out = match *block {
+                BlockSpec::ConvBnAct { params, act } => {
+                    channels = params.out_channels;
+                    let conv = l.declare(params, act);
+                    l.conv(conv, x)
                 }
-                BlockSpec::MaxPool(pool) => {
-                    let out = pool.output_shape(Shape::chw(channels, spatial, spatial)).map_err(
-                        |_| ModelError::ResolutionTooSmall { resolution, model: self.kind.name() },
-                    )?;
-                    spatial = out.h;
-                }
+                BlockSpec::MaxPool(pool) => l.op(OpKind::MaxPool(pool), x),
                 BlockSpec::BasicBlock { in_ch, out_ch, stride } => {
                     debug_assert_eq!(in_ch, channels, "block wiring mismatch");
-                    let mut ch = channels;
-                    let mut sp = spatial;
-                    emit(
-                        Conv2dParams::new(in_ch, out_ch, 3, stride, 1),
-                        &mut ch,
-                        &mut sp,
-                        &mut visit,
-                    )?;
-                    emit(Conv2dParams::new(out_ch, out_ch, 3, 1, 1), &mut ch, &mut sp, &mut visit)?;
-                    if stride != 1 || in_ch != out_ch {
-                        let mut dc = channels;
-                        let mut ds = spatial;
-                        emit(
-                            Conv2dParams::new(in_ch, out_ch, 1, stride, 0),
-                            &mut dc,
-                            &mut ds,
-                            &mut visit,
-                        )?;
-                    }
-                    channels = ch;
-                    spatial = sp;
+                    channels = out_ch;
+                    let conv1 = l.dense(in_ch, out_ch, 3, stride, Activation::Relu);
+                    let conv2 = l.dense(out_ch, out_ch, 3, 1, Activation::None);
+                    let downsample = l.projection(in_ch, out_ch, stride);
+                    stage_entry = downsample.is_some();
+                    let a = l.conv(conv1, x);
+                    let out = l.residual_tail(conv2, a, x, downsample);
+                    l.retire(a);
+                    out
                 }
                 BlockSpec::Bottleneck { in_ch, mid_ch, out_ch, stride } => {
                     debug_assert_eq!(in_ch, channels, "block wiring mismatch");
-                    let mut ch = channels;
-                    let mut sp = spatial;
-                    emit(Conv2dParams::new(in_ch, mid_ch, 1, 1, 0), &mut ch, &mut sp, &mut visit)?;
-                    emit(
-                        Conv2dParams::new(mid_ch, mid_ch, 3, stride, 1),
-                        &mut ch,
-                        &mut sp,
-                        &mut visit,
-                    )?;
-                    emit(Conv2dParams::new(mid_ch, out_ch, 1, 1, 0), &mut ch, &mut sp, &mut visit)?;
-                    if stride != 1 || in_ch != out_ch {
-                        let mut dc = channels;
-                        let mut ds = spatial;
-                        emit(
-                            Conv2dParams::new(in_ch, out_ch, 1, stride, 0),
-                            &mut dc,
-                            &mut ds,
-                            &mut visit,
-                        )?;
-                    }
-                    channels = ch;
-                    spatial = sp;
+                    channels = out_ch;
+                    let conv1 = l.dense(in_ch, mid_ch, 1, 1, Activation::Relu);
+                    let conv2 = l.dense(mid_ch, mid_ch, 3, stride, Activation::Relu);
+                    let conv3 = l.dense(mid_ch, out_ch, 1, 1, Activation::None);
+                    let downsample = l.projection(in_ch, out_ch, stride);
+                    stage_entry = downsample.is_some();
+                    let a = l.conv(conv1, x);
+                    let b = l.conv(conv2, a);
+                    l.retire(a);
+                    let out = l.residual_tail(conv3, b, x, downsample);
+                    l.retire(b);
+                    out
                 }
                 BlockSpec::InvertedResidual { in_ch, out_ch, stride, expand } => {
                     debug_assert_eq!(in_ch, channels, "block wiring mismatch");
+                    channels = out_ch;
                     let hidden = in_ch * expand;
-                    let mut ch = channels;
-                    let mut sp = spatial;
-                    if expand != 1 {
-                        emit(
-                            Conv2dParams::new(in_ch, hidden, 1, 1, 0),
-                            &mut ch,
-                            &mut sp,
-                            &mut visit,
-                        )?;
-                    }
-                    emit(
-                        Conv2dParams::depthwise(hidden, 3, stride, 1),
-                        &mut ch,
-                        &mut sp,
-                        &mut visit,
-                    )?;
-                    emit(Conv2dParams::new(hidden, out_ch, 1, 1, 0), &mut ch, &mut sp, &mut visit)?;
-                    channels = ch;
-                    spatial = sp;
+                    let expand =
+                        (expand != 1).then(|| l.dense(in_ch, hidden, 1, 1, Activation::Relu6));
+                    let depthwise =
+                        l.declare(Conv2dParams::depthwise(hidden, 3, stride, 1), Activation::Relu6);
+                    let project = l.dense(hidden, out_ch, 1, 1, Activation::None);
+                    let t = match expand {
+                        Some(expand) => {
+                            let h = l.conv(expand, x);
+                            let t = l.conv(depthwise, h);
+                            l.retire(h);
+                            t
+                        }
+                        None => l.conv(depthwise, x),
+                    };
+                    stage_entry = stride != 1 || in_ch != out_ch;
+                    let out = if stage_entry {
+                        l.conv(project, t)
+                    } else {
+                        l.tail(project, t, x, Activation::None)
+                    };
+                    l.retire(t);
+                    out
                 }
-                BlockSpec::GlobalAvgPool => {
-                    spatial = 1;
-                }
+                BlockSpec::GlobalAvgPool => l.op(OpKind::GlobalAvgPool, x),
                 BlockSpec::Classifier { in_features, num_classes } => {
                     debug_assert_eq!(in_features, channels, "classifier wiring mismatch");
-                    linear_flops += (in_features as u64) * (num_classes as u64);
+                    channels = num_classes;
+                    l.out.linears.push(LoweredLinear { in_features, num_classes });
+                    l.op(OpKind::Classifier(l.out.linears.len() - 1), x)
+                }
+            };
+            l.retire(x);
+            l.out.output = out;
+            l.out.blocks.push(LoweredBlock { start, input: x, stage_entry });
+        }
+        l.out
+    }
+}
+
+/// Activation slots a lowered network uses: a block's input plus at most
+/// three activations it holds at once (a bottleneck's `b`, `skip` and `out`).
+pub(crate) const SLOTS: usize = 4;
+
+/// One convolution of a lowered network.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LoweredConv {
+    pub(crate) params: Conv2dParams,
+    /// The layer's own activation: `None` on a block tail, whose op fuses the
+    /// post-residual activation instead.
+    pub(crate) act: Activation,
+}
+
+/// One linear classifier of a lowered network.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LoweredLinear {
+    pub(crate) in_features: usize,
+    pub(crate) num_classes: usize,
+}
+
+impl LoweredLinear {
+    fn weight_count(&self) -> u64 {
+        (self.in_features * self.num_classes) as u64
+    }
+}
+
+/// What one op does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum OpKind {
+    /// Convolution `conv` of [`Lowering::convs`]: `act(conv(x) + residual)`
+    /// with a residual slot, `act(conv(x))` without.
+    Conv { conv: usize, residual: Option<usize>, act: Activation },
+    /// Max pooling.
+    MaxPool(Pool2dParams),
+    /// Global average pooling.
+    GlobalAvgPool,
+    /// Classifier `linear` of [`Lowering::linears`]; its logits are not an
+    /// arena buffer.
+    Classifier(usize),
+    /// The slot's activation is dead: an owned one goes back to the arena.
+    Retire,
+}
+
+/// One step of a lowered network: `kind` reads slot `input` and writes slot
+/// `output`; a retire names its slot twice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Op {
+    pub(crate) kind: OpKind,
+    pub(crate) input: usize,
+    pub(crate) output: usize,
+}
+
+/// Where one [`BlockSpec`] starts in [`Lowering::ops`]; its first op reads
+/// its input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LoweredBlock {
+    pub(crate) start: usize,
+    /// Slot holding the block's input.
+    pub(crate) input: usize,
+    /// A residual block whose shortcut projects, or an inverted block
+    /// without a skip: the block opens a stage.
+    pub(crate) stage_entry: bool,
+}
+
+/// An architecture lowered to a shape-free op list ([`ArchSpec::lower`]):
+/// convolutions in construction order, ops in execution order, and the op
+/// index each block starts at. The network input starts in slot 0 and the
+/// output ends in slot `output`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct Lowering {
+    pub(crate) convs: Vec<LoweredConv>,
+    pub(crate) linears: Vec<LoweredLinear>,
+    pub(crate) ops: Vec<Op>,
+    pub(crate) blocks: Vec<LoweredBlock>,
+    pub(crate) output: usize,
+}
+
+impl Lowering {
+    /// The shape interpreter: propagates `input` through the ops, calling
+    /// `visit(op, op_input, op_output)` on each, and returns the output shape.
+    pub(crate) fn walk(
+        &self,
+        input: Shape,
+        mut visit: impl FnMut(&Op, Shape, Shape),
+    ) -> std::result::Result<Shape, TensorError> {
+        let mut slots = [input; SLOTS];
+        for op in &self.ops {
+            let x = slots[op.input];
+            let out = match op.kind {
+                OpKind::Conv { conv, .. } => self.convs[conv].params.output_shape(x)?,
+                OpKind::MaxPool(pool) => pool.output_shape(x)?,
+                OpKind::GlobalAvgPool => Shape::new(x.n, x.c, 1, 1),
+                OpKind::Classifier(linear) => {
+                    Shape::new(x.n, self.linears[linear].num_classes, 1, 1)
+                }
+                OpKind::Retire => x,
+            };
+            visit(op, x, out);
+            slots[op.output] = out;
+        }
+        Ok(slots[self.output])
+    }
+
+    /// Each block's input shape at `input`, then the network's output shape.
+    pub(crate) fn block_shapes(
+        &self,
+        input: Shape,
+    ) -> std::result::Result<Vec<Shape>, TensorError> {
+        let mut shapes = Vec::with_capacity(self.blocks.len() + 1);
+        let mut starts = self.blocks.iter().map(|block| block.start).peekable();
+        let mut index = 0;
+        let output = self.walk(input, |_, x, _| {
+            if starts.next_if_eq(&index).is_some() {
+                shapes.push(x);
+            }
+            index += 1;
+        })?;
+        shapes.push(output);
+        Ok(shapes)
+    }
+
+    /// The size-only interpreter: the arena forward's takes and gives at
+    /// `input`, replayed on a [`PlanArena`].
+    ///
+    /// The plan holds the buffers a forward allocates from an empty arena,
+    /// then any a forward from an arena reserved with them would still miss:
+    /// a reserve makes every planned buffer free from the start, so best fit
+    /// can hand an early take one the plan created for a later one.
+    pub(crate) fn arena_plan(&self, input: Shape) -> std::result::Result<ArenaPlan, TensorError> {
+        let (mut buffer_elems, peak_live_elems) = self.replay(input, Vec::new())?;
+        // Each round adds at least one buffer; the shipped families need no
+        // round, and the op count only guards against a policy that never
+        // settles.
+        for _ in 0..self.ops.len() {
+            let (missed, _) = self.replay(input, buffer_elems.clone())?;
+            if missed.is_empty() {
+                break;
+            }
+            buffer_elems.extend(missed);
+        }
+        Ok(ArenaPlan {
+            buffer_elems,
+            peak_live_bytes: peak_live_elems * std::mem::size_of::<f32>(),
+        })
+    }
+
+    /// Replays the forward on a [`PlanArena`] whose free buffers are
+    /// `reserved`: every op but a classifier takes its output, a retire gives
+    /// its slot back (the borrowed network input has nothing to give).
+    /// Returns the buffers it had to create and the peak live elements.
+    fn replay(
+        &self,
+        input: Shape,
+        reserved: Vec<usize>,
+    ) -> std::result::Result<(Vec<usize>, usize), TensorError> {
+        let mut arena = PlanArena { free: reserved, ..PlanArena::default() };
+        let mut slots: [Option<PlanHandle>; SLOTS] = [None; SLOTS];
+        self.walk(input, |op, _, out| match op.kind {
+            OpKind::Retire => {
+                if let Some(handle) = slots[op.input].take() {
+                    arena.give(handle);
                 }
             }
+            OpKind::Classifier(_) => slots[op.output] = None,
+            _ => slots[op.output] = Some(arena.take(out)),
+        })?;
+        Ok((arena.created, arena.peak_live_elems))
+    }
+}
+
+/// Builds a [`Lowering`]: declares convolutions in construction order and
+/// emits ops in execution order, each new activation in the lowest free slot.
+/// `out.output` is the current activation's slot while blocks are added.
+struct Lowerer {
+    out: Lowering,
+    live: [bool; SLOTS],
+}
+
+impl Lowerer {
+    fn declare(&mut self, params: Conv2dParams, act: Activation) -> usize {
+        self.out.convs.push(LoweredConv { params, act });
+        self.out.convs.len() - 1
+    }
+
+    /// A dense `k`×`k` convolution, padded to keep the extent at stride 1.
+    fn dense(
+        &mut self,
+        cin: usize,
+        cout: usize,
+        k: usize,
+        stride: usize,
+        act: Activation,
+    ) -> usize {
+        self.declare(Conv2dParams::new(cin, cout, k, stride, k / 2), act)
+    }
+
+    /// The 1×1 projection shortcut a residual block needs when it changes
+    /// shape.
+    fn projection(&mut self, in_ch: usize, out_ch: usize, stride: usize) -> Option<usize> {
+        (stride != 1 || in_ch != out_ch)
+            .then(|| self.dense(in_ch, out_ch, 1, stride, Activation::None))
+    }
+
+    /// A residual block's tail: `conv` over `input`, plus the block input
+    /// `x` or its projection, then ReLU; the projection dies with the tail.
+    fn residual_tail(&mut self, conv: usize, input: usize, x: usize, proj: Option<usize>) -> usize {
+        let skip = proj.map(|d| self.conv(d, x));
+        let out = self.tail(conv, input, skip.unwrap_or(x), Activation::Relu);
+        if let Some(skip) = skip {
+            self.retire(skip);
         }
-        Ok(linear_flops)
+        out
+    }
+
+    fn op(&mut self, kind: OpKind, input: usize) -> usize {
+        let output = self.live.iter().position(|live| !live).expect("a block outgrew SLOTS");
+        self.live[output] = true;
+        self.out.ops.push(Op { kind, input, output });
+        output
+    }
+
+    fn conv(&mut self, conv: usize, input: usize) -> usize {
+        let act = self.out.convs[conv].act;
+        self.op(OpKind::Conv { conv, residual: None, act }, input)
+    }
+
+    fn tail(&mut self, conv: usize, input: usize, residual: usize, act: Activation) -> usize {
+        self.op(OpKind::Conv { conv, residual: Some(residual), act }, input)
+    }
+
+    fn retire(&mut self, slot: usize) {
+        self.live[slot] = false;
+        self.out.ops.push(Op { kind: OpKind::Retire, input: slot, output: slot });
+    }
+}
+
+/// The planned activation-arena footprint of one `(model, resolution)` pair:
+/// the exact buffer sizes a forward pass at that input shape takes from its
+/// arena (in first-allocation order, then any a plan-reserved forward would
+/// still miss), derived by simulating the forward's take/retire sequence
+/// against the arena's best-fit policy — ping-pong chains reuse one another's
+/// buffers, residual branches extend liveness across their block.
+///
+/// [`ArenaPlan::reserve`] pre-populates an arena so the *first* forward at the
+/// planned resolution already allocates nothing; mixed-resolution serving keys
+/// one plan per resolution bucket and the shared arena grows to the per-bucket
+/// maxima.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ArenaPlan {
+    /// Element counts of the arena buffers the forward allocates, in order.
+    pub buffer_elems: Vec<usize>,
+    /// Peak bytes of simultaneously-live activations during the forward.
+    pub peak_live_bytes: usize,
+}
+
+impl ArenaPlan {
+    /// Total bytes the arena holds once warmed with this plan.
+    pub fn arena_bytes(&self) -> usize {
+        self.buffer_elems.iter().sum::<usize>() * std::mem::size_of::<f32>()
+    }
+
+    /// Pre-populates an arena with this plan's buffers.
+    pub fn reserve(&self, arena: &mut ActivationArena) {
+        arena.reserve(&self.buffer_elems);
+    }
+}
+
+/// Size-only twin of [`ActivationArena`] used by the planner: same best-fit
+/// reuse policy over buffer capacities, recording every allocation it cannot
+/// serve from retired buffers. It runs the same op list as the arena forward,
+/// so planner and executor take and give in the same order by construction;
+/// `tests/prepacked_forward.rs` pins that a reserve-from-plan really makes the
+/// first forward allocation-free.
+#[derive(Default)]
+struct PlanArena {
+    free: Vec<usize>,
+    created: Vec<usize>,
+    live_elems: usize,
+    peak_live_elems: usize,
+}
+
+/// A simulated taken buffer: the capacity it occupies and the logical length it
+/// was taken for.
+#[derive(Clone, Copy)]
+struct PlanHandle {
+    cap: usize,
+    len: usize,
+}
+
+impl PlanArena {
+    fn take(&mut self, shape: Shape) -> PlanHandle {
+        let len = shape.volume();
+        let position = self
+            .free
+            .iter()
+            .enumerate()
+            .filter(|(_, &cap)| cap >= len)
+            .min_by_key(|(_, &cap)| cap)
+            .map(|(index, _)| index);
+        let cap = match position {
+            Some(index) => self.free.swap_remove(index),
+            None => {
+                self.created.push(len);
+                len
+            }
+        };
+        self.live_elems += len;
+        self.peak_live_elems = self.peak_live_elems.max(self.live_elems);
+        PlanHandle { cap, len }
+    }
+
+    fn give(&mut self, handle: PlanHandle) {
+        self.free.push(handle.cap);
+        self.live_elems -= handle.len;
     }
 }
 

@@ -30,11 +30,11 @@ mod error;
 mod nn;
 
 pub use arch::{
-    mobilenet_v2_arch, resnet18_arch, resnet50_arch, Activation, ArchSpec, BlockSpec,
+    mobilenet_v2_arch, resnet18_arch, resnet50_arch, Activation, ArchSpec, ArenaPlan, BlockSpec,
     ConvLayerShape, ModelKind,
 };
 pub use error::{ModelError, Result};
-pub use nn::{ArenaPlan, Network, TinyCnn};
+pub use nn::{Network, TinyCnn};
 
 /// The seven inference resolutions evaluated throughout the paper.
 pub const PAPER_RESOLUTIONS: [usize; 7] = [112, 168, 224, 280, 336, 392, 448];

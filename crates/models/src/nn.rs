@@ -34,6 +34,12 @@
 //! ([`rescnn_tensor::linear_prepared`], shared by both paths), whose KC-blocked
 //! vector reduction agrees with the old scalar `linear` only to reassociation
 //! level (~1e-4) — logits are *not* bit-comparable with pre-PR recordings.
+//!
+//! A [`Network`] keeps its architecture's [`Lowering`] next to one prepared
+//! convolution per lowered one. The arena forward (and both halves of a
+//! folded batch) and the reference forward (int8 calibration is its hook)
+//! interpret that op list, taking and retiring activations exactly where
+//! the size-only planner does.
 
 use std::ops::Range;
 
@@ -46,7 +52,7 @@ use rescnn_tensor::{
     PreparedGemmB, PreparedLayer, Shape, Tensor,
 };
 
-use crate::arch::{Activation, ArchSpec, BlockSpec, ModelKind};
+use crate::arch::{Activation, ArchSpec, ArenaPlan, Lowering, ModelKind, Op, OpKind, SLOTS};
 use crate::error::{ModelError, Result};
 
 /// A convolution + batch-norm + activation unit with instantiated weights.
@@ -62,6 +68,17 @@ use crate::error::{ModelError, Result};
 struct ConvBn {
     prepared: PreparedLayer,
     act: Activation,
+}
+
+impl Activation {
+    /// The activation as a kernel epilogue.
+    fn fused(self) -> FusedActivation {
+        match self {
+            Activation::None => FusedActivation::None,
+            Activation::Relu => FusedActivation::Relu,
+            Activation::Relu6 => FusedActivation::Relu6,
+        }
+    }
 }
 
 impl ConvBn {
@@ -100,22 +117,10 @@ impl ConvBn {
         ConvBn { prepared, act }
     }
 
-    fn fused_act(&self) -> FusedActivation {
-        match self.act {
-            Activation::None => FusedActivation::None,
-            Activation::Relu => FusedActivation::Relu,
-            Activation::Relu6 => FusedActivation::Relu6,
-        }
-    }
-
-    fn output_shape(&self, input: Shape) -> Result<Shape> {
-        Ok(self.prepared.params().output_shape(input)?)
-    }
-
     /// Prepared forward with the layer's own activation fused, output from the
     /// arena.
     fn forward(&self, input: &Tensor, arena: &mut ActivationArena) -> Result<Tensor> {
-        self.forward_tail(input, None, self.fused_act(), arena)
+        self.forward_tail(input, None, self.act.fused(), arena)
     }
 
     /// Prepared forward with an explicit fused tail (block tails pass the
@@ -132,10 +137,10 @@ impl ConvBn {
         // every shipped block family is) — otherwise the reference path would
         // apply the layer activation before the residual add and diverge.
         debug_assert!(
-            activation == self.fused_act() || matches!(self.act, Activation::None),
+            activation == self.act.fused() || matches!(self.act, Activation::None),
             "fused tail would drop this layer's own activation"
         );
-        let mut out = arena.take(self.output_shape(input.shape())?);
+        let mut out = arena.take(self.prepared.params().output_shape(input.shape())?);
         let epilogue = ConvEpilogue { activation, residual };
         self.prepared.forward_fused_into(input, epilogue, &mut out)?;
         Ok(out)
@@ -168,7 +173,7 @@ impl ConvBn {
                 filter,
                 self.prepared.bias(),
                 params,
-                self.fused_act(),
+                self.act.fused(),
             )?;
             return Ok(out);
         }
@@ -179,7 +184,7 @@ impl ConvBn {
                 filter,
                 self.prepared.bias(),
                 params,
-                self.fused_act(),
+                self.act.fused(),
             )?;
             return Ok(out);
         }
@@ -191,7 +196,7 @@ impl ConvBn {
             self.prepared.forward_with_algo_into(
                 input,
                 ConvAlgo::Int8,
-                ConvEpilogue::activation(self.fused_act()),
+                ConvEpilogue::activation(self.act.fused()),
                 &mut out,
             )?;
             return Ok(out);
@@ -207,62 +212,49 @@ impl ConvBn {
     }
 }
 
-/// One executable layer. (Variant sizes legitimately differ — a bottleneck
-/// carries four prepared convolutions, a pooling layer none — and the enum
-/// lives in a per-network `Vec`, so boxing variants would only add indirection
-/// to the forward hot loop.)
+/// A linear classifier on the packed GEMM, shared by both forward paths.
 #[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)]
-enum LayerImpl {
-    ConvBn(ConvBn),
-    MaxPool(Pool2dParams),
-    Basic { conv1: ConvBn, conv2: ConvBn, downsample: Option<ConvBn> },
-    Bottleneck { conv1: ConvBn, conv2: ConvBn, conv3: ConvBn, downsample: Option<ConvBn> },
-    Inverted { expand: Option<ConvBn>, depthwise: ConvBn, project: ConvBn, skip: bool },
-    GlobalAvgPool,
-    Classifier { weight: PreparedGemmB, bias: Vec<f32>, in_features: usize, out_features: usize },
+struct Linear {
+    weight: PreparedGemmB,
+    bias: Vec<f32>,
+    in_features: usize,
+    out_features: usize,
 }
 
-impl LayerImpl {
-    /// The layer's output shape for an input of shape `input`.
-    fn output_shape(&self, input: Shape) -> Result<Shape> {
-        Ok(match self {
-            LayerImpl::ConvBn(conv) => conv.output_shape(input)?,
-            LayerImpl::MaxPool(pool) => pool.output_shape(input)?,
-            LayerImpl::Basic { conv1, conv2, .. } => {
-                conv2.output_shape(conv1.output_shape(input)?)?
-            }
-            LayerImpl::Bottleneck { conv1, conv2, conv3, .. } => {
-                conv3.output_shape(conv2.output_shape(conv1.output_shape(input)?)?)?
-            }
-            LayerImpl::Inverted { expand, depthwise, project, .. } => {
-                let hidden = match expand {
-                    Some(e) => e.output_shape(input)?,
-                    None => input,
-                };
-                project.output_shape(depthwise.output_shape(hidden)?)?
-            }
-            LayerImpl::GlobalAvgPool => Shape::new(input.n, input.c, 1, 1),
-            LayerImpl::Classifier { out_features, .. } => Shape::new(input.n, *out_features, 1, 1),
-        })
-    }
-
-    /// Whether the layer opens a stage: a residual block whose shortcut
-    /// projects, or an inverted block without a skip.
-    fn is_stage_entry(&self) -> bool {
-        match self {
-            LayerImpl::Basic { downsample, .. } | LayerImpl::Bottleneck { downsample, .. } => {
-                downsample.is_some()
-            }
-            LayerImpl::Inverted { skip, .. } => !skip,
-            _ => false,
+impl Linear {
+    fn new(in_features: usize, out_features: usize, seed: u64) -> Self {
+        let w = Tensor::random_uniform(
+            Shape::new(1, 1, out_features, in_features),
+            (1.0 / in_features as f32).sqrt(),
+            seed,
+        );
+        Linear {
+            weight: PreparedGemmB::prepare_transposed(w.as_slice(), out_features, in_features),
+            bias: vec![0.0; out_features],
+            in_features,
+            out_features,
         }
     }
+
+    /// The logits' shape for `x`, after checking `x` is a pooled feature
+    /// vector of the right width.
+    fn output_shape(&self, x: &Tensor) -> Result<Shape> {
+        let shape = x.shape();
+        if shape.c != self.in_features || shape.h != 1 || shape.w != 1 {
+            return Err(ModelError::BadInput {
+                reason: format!(
+                    "classifier expected {}x1x1 features, got {}",
+                    self.in_features, shape
+                ),
+            });
+        }
+        Ok(Shape::new(shape.n, self.out_features, 1, 1))
+    }
 }
 
-/// The current activation flowing through a forward pass: the caller's input is
-/// borrowed (no per-request clone), everything after the first layer is an
-/// arena-owned tensor retired as soon as it goes dead.
+/// One live activation of a forward pass: the caller's input is borrowed (no
+/// per-request clone), everything a network op writes is owned and retired
+/// as soon as the op list says it is dead.
 enum Cursor<'a> {
     Borrowed(&'a Tensor),
     Owned(Tensor),
@@ -292,87 +284,24 @@ impl Cursor<'_> {
     }
 }
 
-/// The planned activation-arena footprint of one `(model, resolution)` pair:
-/// the exact buffer sizes a forward pass at that input shape takes from its
-/// arena (in first-allocation order), derived by simulating the forward's
-/// take/retire sequence against the arena's best-fit policy — ping-pong chains
-/// reuse one another's buffers, residual branches extend liveness across their
-/// block.
-///
-/// [`ArenaPlan::reserve`] pre-populates an arena so the *first* forward at the
-/// planned resolution already allocates nothing; mixed-resolution serving keys
-/// one plan per resolution bucket and the shared arena grows to the per-bucket
-/// maxima.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArenaPlan {
-    /// Element counts of the arena buffers the forward allocates, in order.
-    pub buffer_elems: Vec<usize>,
-    /// Peak bytes of simultaneously-live activations during the forward.
-    pub peak_live_bytes: usize,
+/// The interpreters' slot table ([`SLOTS`] activations; see [`Lowering`]).
+type Slots<'a> = [Option<Cursor<'a>>; SLOTS];
+
+/// A slot table holding `input` in slot `slot`.
+fn slots_with(slot: usize, input: Cursor<'_>) -> Slots<'_> {
+    let mut slots: Slots<'_> = Default::default();
+    slots[slot] = Some(input);
+    slots
 }
 
-impl ArenaPlan {
-    /// Total bytes the arena holds once warmed with this plan.
-    pub fn arena_bytes(&self) -> usize {
-        self.buffer_elems.iter().sum::<usize>() * std::mem::size_of::<f32>()
-    }
-
-    /// Pre-populates an arena with this plan's buffers.
-    pub fn reserve(&self, arena: &mut ActivationArena) {
-        arena.reserve(&self.buffer_elems);
-    }
+/// The activation in a slot the op list reads.
+fn live<'s>(slots: &'s Slots<'_>, slot: usize) -> &'s Tensor {
+    slots[slot].as_ref().expect("the op list reads a live slot").get()
 }
 
-/// Size-only twin of [`ActivationArena`] used by the planner: same best-fit
-/// reuse policy over buffer capacities, recording every allocation it cannot
-/// serve from retired buffers. `tests/prepacked_forward.rs` pins that a
-/// reserve-from-plan really makes the first forward allocation-free, which
-/// keeps this simulation and the executor in lockstep.
-struct PlanArena {
-    free: Vec<usize>,
-    created: Vec<usize>,
-    live_elems: usize,
-    peak_live_elems: usize,
-}
-
-/// A simulated taken buffer: the capacity it occupies and the logical length it
-/// was taken for.
-#[derive(Clone, Copy)]
-struct PlanHandle {
-    cap: usize,
-    len: usize,
-}
-
-impl PlanArena {
-    fn new() -> Self {
-        PlanArena { free: Vec::new(), created: Vec::new(), live_elems: 0, peak_live_elems: 0 }
-    }
-
-    fn take(&mut self, shape: Shape) -> PlanHandle {
-        let len = shape.volume();
-        let position = self
-            .free
-            .iter()
-            .enumerate()
-            .filter(|(_, &cap)| cap >= len)
-            .min_by_key(|(_, &cap)| cap)
-            .map(|(index, _)| index);
-        let cap = match position {
-            Some(index) => self.free.swap_remove(index),
-            None => {
-                self.created.push(len);
-                len
-            }
-        };
-        self.live_elems += len;
-        self.peak_live_elems = self.peak_live_elems.max(self.live_elems);
-        PlanHandle { cap, len }
-    }
-
-    fn give(&mut self, handle: PlanHandle) {
-        self.free.push(handle.cap);
-        self.live_elems -= handle.len;
-    }
+/// The activation the op list leaves in `slot`.
+fn take_live(slots: &mut Slots<'_>, slot: usize) -> Tensor {
+    slots[slot].take().expect("the op list leaves its output live").into_tensor()
 }
 
 /// An executable convolutional network.
@@ -393,7 +322,9 @@ impl PlanArena {
 #[derive(Debug, Clone)]
 pub struct Network {
     kind: ModelKind,
-    layers: Vec<LayerImpl>,
+    lowering: Lowering,
+    convs: Vec<ConvBn>,
+    linears: Vec<Linear>,
     num_classes: usize,
 }
 
@@ -403,114 +334,25 @@ impl Network {
         Self::from_arch(&kind.arch(num_classes), seed)
     }
 
-    /// Builds an executable network from a symbolic architecture.
+    /// Builds an executable network from a symbolic architecture: one
+    /// prepared convolution per lowered convolution in construction order,
+    /// then the classifiers (which close every architecture), each seeded
+    /// from one step of a shared LCG.
     pub fn from_arch(arch: &ArchSpec, seed: u64) -> Self {
-        let mut layers = Vec::with_capacity(arch.blocks.len());
+        let lowering = arch.lower();
         let mut next_seed = seed;
         let mut bump = || {
             next_seed =
                 next_seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             next_seed
         };
-        for block in &arch.blocks {
-            let layer = match *block {
-                BlockSpec::ConvBnAct { params, act } => {
-                    LayerImpl::ConvBn(ConvBn::new(params, act, bump()))
-                }
-                BlockSpec::MaxPool(pool) => LayerImpl::MaxPool(pool),
-                BlockSpec::BasicBlock { in_ch, out_ch, stride } => {
-                    let conv1 = ConvBn::new(
-                        Conv2dParams::new(in_ch, out_ch, 3, stride, 1),
-                        Activation::Relu,
-                        bump(),
-                    );
-                    let conv2 = ConvBn::new(
-                        Conv2dParams::new(out_ch, out_ch, 3, 1, 1),
-                        Activation::None,
-                        bump(),
-                    );
-                    let downsample = (stride != 1 || in_ch != out_ch).then(|| {
-                        ConvBn::new(
-                            Conv2dParams::new(in_ch, out_ch, 1, stride, 0),
-                            Activation::None,
-                            bump(),
-                        )
-                    });
-                    LayerImpl::Basic { conv1, conv2, downsample }
-                }
-                BlockSpec::Bottleneck { in_ch, mid_ch, out_ch, stride } => {
-                    let conv1 = ConvBn::new(
-                        Conv2dParams::new(in_ch, mid_ch, 1, 1, 0),
-                        Activation::Relu,
-                        bump(),
-                    );
-                    let conv2 = ConvBn::new(
-                        Conv2dParams::new(mid_ch, mid_ch, 3, stride, 1),
-                        Activation::Relu,
-                        bump(),
-                    );
-                    let conv3 = ConvBn::new(
-                        Conv2dParams::new(mid_ch, out_ch, 1, 1, 0),
-                        Activation::None,
-                        bump(),
-                    );
-                    let downsample = (stride != 1 || in_ch != out_ch).then(|| {
-                        ConvBn::new(
-                            Conv2dParams::new(in_ch, out_ch, 1, stride, 0),
-                            Activation::None,
-                            bump(),
-                        )
-                    });
-                    LayerImpl::Bottleneck { conv1, conv2, conv3, downsample }
-                }
-                BlockSpec::InvertedResidual { in_ch, out_ch, stride, expand } => {
-                    let hidden = in_ch * expand;
-                    let expand_conv = (expand != 1).then(|| {
-                        ConvBn::new(
-                            Conv2dParams::new(in_ch, hidden, 1, 1, 0),
-                            Activation::Relu6,
-                            bump(),
-                        )
-                    });
-                    let depthwise = ConvBn::new(
-                        Conv2dParams::depthwise(hidden, 3, stride, 1),
-                        Activation::Relu6,
-                        bump(),
-                    );
-                    let project = ConvBn::new(
-                        Conv2dParams::new(hidden, out_ch, 1, 1, 0),
-                        Activation::None,
-                        bump(),
-                    );
-                    LayerImpl::Inverted {
-                        expand: expand_conv,
-                        depthwise,
-                        project,
-                        skip: stride == 1 && in_ch == out_ch,
-                    }
-                }
-                BlockSpec::GlobalAvgPool => LayerImpl::GlobalAvgPool,
-                BlockSpec::Classifier { in_features, num_classes } => {
-                    let w = Tensor::random_uniform(
-                        Shape::new(1, 1, num_classes, in_features),
-                        (1.0 / in_features as f32).sqrt(),
-                        bump(),
-                    );
-                    LayerImpl::Classifier {
-                        weight: PreparedGemmB::prepare_transposed(
-                            w.as_slice(),
-                            num_classes,
-                            in_features,
-                        ),
-                        bias: vec![0.0; num_classes],
-                        in_features,
-                        out_features: num_classes,
-                    }
-                }
-            };
-            layers.push(layer);
-        }
-        Network { kind: arch.kind, layers, num_classes: arch.num_classes }
+        let convs = lowering.convs.iter().map(|c| ConvBn::new(c.params, c.act, bump())).collect();
+        let linears = lowering
+            .linears
+            .iter()
+            .map(|l| Linear::new(l.in_features, l.num_classes, bump()))
+            .collect();
+        Network { kind: arch.kind, lowering, convs, linears, num_classes: arch.num_classes }
     }
 
     /// The model family this network was built from.
@@ -525,7 +367,7 @@ impl Network {
 
     /// Number of layers (at block granularity).
     pub fn num_layers(&self) -> usize {
-        self.layers.len()
+        self.lowering.blocks.len()
     }
 
     fn check_input(&self, input: &Tensor) -> Result<()> {
@@ -563,185 +405,73 @@ impl Network {
         arena: &mut ActivationArena,
     ) -> Result<Tensor> {
         self.check_input(input)?;
-        Ok(Self::run_layers(&self.layers, Cursor::Borrowed(input), arena)?.into_tensor())
+        let mut slots = slots_with(0, Cursor::Borrowed(input));
+        self.run_ops(&self.lowering.ops, &mut slots, arena)?;
+        Ok(take_live(&mut slots, self.lowering.output))
     }
 
-    /// Runs `layers` over the activation `cur` (one image or a batch of them),
-    /// retiring each consumed activation to the arena.
-    fn run_layers<'a>(
-        layers: &[LayerImpl],
-        mut cur: Cursor<'a>,
+    /// The arena interpreter: runs `ops` over the activations in `slots` (one
+    /// image or a batch of them), taking each op's output from the arena and
+    /// giving every retired activation back.
+    fn run_ops(
+        &self,
+        ops: &[Op],
+        slots: &mut Slots<'_>,
         arena: &mut ActivationArena,
-    ) -> Result<Cursor<'a>> {
-        for layer in layers {
-            let next = match layer {
-                LayerImpl::ConvBn(conv) => conv.forward(cur.get(), arena)?,
-                LayerImpl::MaxPool(pool) => {
-                    let x = cur.get();
+    ) -> Result<()> {
+        for op in ops {
+            let x = live(slots, op.input);
+            let out = match op.kind {
+                OpKind::Conv { conv, residual, act } => {
+                    let residual = residual.map(|slot| live(slots, slot));
+                    self.convs[conv].forward_tail(x, residual, act.fused(), arena)?
+                }
+                OpKind::MaxPool(pool) => {
                     let mut out = arena.take(pool.output_shape(x.shape())?);
-                    max_pool2d_into(x, pool, &mut out)?;
+                    max_pool2d_into(x, &pool, &mut out)?;
                     out
                 }
-                LayerImpl::Basic { conv1, conv2, downsample } => {
-                    let x = cur.get();
-                    let a = conv1.forward(x, arena)?;
-                    let out = match downsample {
-                        Some(d) => {
-                            let skip = d.forward(x, arena)?;
-                            let out = conv2.forward_tail(
-                                &a,
-                                Some(&skip),
-                                FusedActivation::Relu,
-                                arena,
-                            )?;
-                            arena.give(skip);
-                            out
-                        }
-                        None => conv2.forward_tail(&a, Some(x), FusedActivation::Relu, arena)?,
-                    };
-                    arena.give(a);
-                    out
-                }
-                LayerImpl::Bottleneck { conv1, conv2, conv3, downsample } => {
-                    let x = cur.get();
-                    let a = conv1.forward(x, arena)?;
-                    let b = conv2.forward(&a, arena)?;
-                    arena.give(a);
-                    let out = match downsample {
-                        Some(d) => {
-                            let skip = d.forward(x, arena)?;
-                            let out = conv3.forward_tail(
-                                &b,
-                                Some(&skip),
-                                FusedActivation::Relu,
-                                arena,
-                            )?;
-                            arena.give(skip);
-                            out
-                        }
-                        None => conv3.forward_tail(&b, Some(x), FusedActivation::Relu, arena)?,
-                    };
-                    arena.give(b);
-                    out
-                }
-                LayerImpl::Inverted { expand, depthwise, project, skip } => {
-                    let x = cur.get();
-                    let t = match expand {
-                        Some(e) => {
-                            let hidden = e.forward(x, arena)?;
-                            let t = depthwise.forward(&hidden, arena)?;
-                            arena.give(hidden);
-                            t
-                        }
-                        None => depthwise.forward(x, arena)?,
-                    };
-                    let out = if *skip {
-                        project.forward_tail(&t, Some(x), FusedActivation::None, arena)?
-                    } else {
-                        project.forward(&t, arena)?
-                    };
-                    arena.give(t);
-                    out
-                }
-                LayerImpl::GlobalAvgPool => {
-                    let x = cur.get();
-                    let shape = Shape::new(x.shape().n, x.shape().c, 1, 1);
-                    let mut out = arena.take(shape);
+                OpKind::GlobalAvgPool => {
+                    let mut out = arena.take(Shape::new(x.shape().n, x.shape().c, 1, 1));
                     global_avg_pool_into(x, &mut out)?;
                     out
                 }
-                LayerImpl::Classifier { weight, bias, in_features, out_features } => {
-                    let x = cur.get();
-                    if x.shape().c != *in_features || x.shape().h != 1 || x.shape().w != 1 {
-                        return Err(ModelError::BadInput {
-                            reason: format!(
-                                "classifier expected {}x1x1 features, got {}",
-                                in_features,
-                                x.shape()
-                            ),
-                        });
-                    }
+                OpKind::Classifier(index) => {
+                    let linear = &self.linears[index];
                     // The logits leave the forward (caller owns them), so they are
                     // a fresh — tiny — allocation rather than an arena buffer.
-                    let mut out = Tensor::zeros(Shape::new(x.shape().n, *out_features, 1, 1));
-                    linear_prepared_into(x, weight, Some(bias), &mut out)?;
+                    let mut out = Tensor::zeros(linear.output_shape(x)?);
+                    linear_prepared_into(x, &linear.weight, Some(&linear.bias), &mut out)?;
                     out
                 }
+                OpKind::Retire => {
+                    if let Some(dead) = slots[op.input].take() {
+                        dead.retire(arena);
+                    }
+                    continue;
+                }
             };
-            cur.retire(arena);
-            cur = Cursor::Owned(next);
+            slots[op.output] = Some(Cursor::Owned(out));
         }
-        Ok(cur)
+        Ok(())
     }
 
-    /// The PR-4-era execution *strategy*, kept as the measured baseline (see
-    /// the `forward_prepacked` bench group) and the parity target: per-call
-    /// weight packing, separate activation / residual-add passes, a fresh
-    /// tensor per layer. Bitwise identical to [`forward`](Self::forward) —
-    /// pinned by `tests/prepacked_forward.rs` across thread counts.
-    ///
-    /// It is not a bit-exact historical replay: it shares this PR's
-    /// kernel-level improvements (the prepacked Winograd `U` bank, non-zeroing
-    /// kernel scratch, the GEMM classifier), so A/B against `forward` isolates
-    /// exactly the prepack + fuse + arena contribution; the full delta against
-    /// the PR 4 build is the recorded ROADMAP table.
+    /// The reference execution, kept as the measured baseline and the
+    /// parity target: the same op list with per-call weight packing,
+    /// separate activation and residual-add passes, and a fresh tensor per op
+    /// dropped at its retire op. Bitwise identical to
+    /// [`forward`](Self::forward) — pinned by `tests/prepacked_forward.rs`
+    /// across thread counts. It shares the cached Winograd banks and the GEMM
+    /// classifier, so an A/B against `forward` isolates exactly the prepack +
+    /// fuse + arena contribution.
     ///
     /// # Errors
     /// See [`Network::forward`].
     pub fn forward_reference(&self, input: &Tensor) -> Result<Tensor> {
         self.check_input(input)?;
-        let mut x = input.clone();
-        for layer in &self.layers {
-            x = match layer {
-                LayerImpl::ConvBn(conv) => conv.forward_reference(&x)?,
-                LayerImpl::MaxPool(pool) => rescnn_tensor::max_pool2d(&x, pool)?,
-                LayerImpl::Basic { conv1, conv2, downsample } => {
-                    let mut out = conv2.forward_reference(&conv1.forward_reference(&x)?)?;
-                    match downsample {
-                        Some(d) => add_relu_in_place(&mut out, &d.forward_reference(&x)?)?,
-                        None => add_relu_in_place(&mut out, &x)?,
-                    }
-                    out
-                }
-                LayerImpl::Bottleneck { conv1, conv2, conv3, downsample } => {
-                    let mut out = conv3.forward_reference(
-                        &conv2.forward_reference(&conv1.forward_reference(&x)?)?,
-                    )?;
-                    match downsample {
-                        Some(d) => add_relu_in_place(&mut out, &d.forward_reference(&x)?)?,
-                        None => add_relu_in_place(&mut out, &x)?,
-                    }
-                    out
-                }
-                LayerImpl::Inverted { expand, depthwise, project, skip } => {
-                    let mut out = match expand {
-                        Some(e) => project.forward_reference(
-                            &depthwise.forward_reference(&e.forward_reference(&x)?)?,
-                        )?,
-                        None => project.forward_reference(&depthwise.forward_reference(&x)?)?,
-                    };
-                    if *skip {
-                        out.add_assign(&x)?;
-                    }
-                    out
-                }
-                LayerImpl::GlobalAvgPool => rescnn_tensor::global_avg_pool(&x),
-                LayerImpl::Classifier { weight, bias, in_features, out_features } => {
-                    if x.shape().c != *in_features || x.shape().h != 1 || x.shape().w != 1 {
-                        return Err(ModelError::BadInput {
-                            reason: format!(
-                                "classifier expected {}x1x1 features, got {}",
-                                in_features,
-                                x.shape()
-                            ),
-                        });
-                    }
-                    let _ = out_features;
-                    linear_prepared(&x, weight, Some(bias))?
-                }
-            };
-        }
-        Ok(x)
+        run_reference(&self.lowering, &self.linears, input, |conv, x| {
+            self.convs[conv].forward_reference(x)
+        })
     }
 
     /// Records per-convolution activation ranges for the int8 arm: feeds
@@ -756,149 +486,27 @@ impl Network {
     /// See [`Network::forward`].
     pub fn calibrate_int8_ranges(&mut self, input: &Tensor) -> Result<()> {
         self.check_input(input)?;
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = match layer {
-                LayerImpl::ConvBn(conv) => {
-                    conv.observe_int8_range(&x);
-                    conv.forward_reference(&x)?
-                }
-                LayerImpl::MaxPool(pool) => rescnn_tensor::max_pool2d(&x, pool)?,
-                LayerImpl::Basic { conv1, conv2, downsample } => {
-                    conv1.observe_int8_range(&x);
-                    let mid = conv1.forward_reference(&x)?;
-                    conv2.observe_int8_range(&mid);
-                    let mut out = conv2.forward_reference(&mid)?;
-                    match downsample {
-                        Some(d) => {
-                            d.observe_int8_range(&x);
-                            add_relu_in_place(&mut out, &d.forward_reference(&x)?)?;
-                        }
-                        None => add_relu_in_place(&mut out, &x)?,
-                    }
-                    out
-                }
-                LayerImpl::Bottleneck { conv1, conv2, conv3, downsample } => {
-                    conv1.observe_int8_range(&x);
-                    let mid1 = conv1.forward_reference(&x)?;
-                    conv2.observe_int8_range(&mid1);
-                    let mid2 = conv2.forward_reference(&mid1)?;
-                    conv3.observe_int8_range(&mid2);
-                    let mut out = conv3.forward_reference(&mid2)?;
-                    match downsample {
-                        Some(d) => {
-                            d.observe_int8_range(&x);
-                            add_relu_in_place(&mut out, &d.forward_reference(&x)?)?;
-                        }
-                        None => add_relu_in_place(&mut out, &x)?,
-                    }
-                    out
-                }
-                LayerImpl::Inverted { expand, depthwise, project, skip } => {
-                    let mid1 = match expand {
-                        Some(e) => {
-                            e.observe_int8_range(&x);
-                            e.forward_reference(&x)?
-                        }
-                        None => x.clone(),
-                    };
-                    depthwise.observe_int8_range(&mid1);
-                    let mid2 = depthwise.forward_reference(&mid1)?;
-                    project.observe_int8_range(&mid2);
-                    let mut out = project.forward_reference(&mid2)?;
-                    if *skip {
-                        out.add_assign(&x)?;
-                    }
-                    out
-                }
-                LayerImpl::GlobalAvgPool => rescnn_tensor::global_avg_pool(&x),
-                // Nothing after the classifier consumes a convolution input.
-                LayerImpl::Classifier { .. } => break,
-            };
-        }
+        let convs = &mut self.convs;
+        run_reference(&self.lowering, &self.linears, input, |conv, x| {
+            convs[conv].observe_int8_range(x);
+            convs[conv].forward_reference(x)
+        })?;
         Ok(())
     }
 
     /// Plans the activation-arena footprint of a forward pass at one input
-    /// shape: simulates the exact take/retire sequence
-    /// [`forward_with_arena`](Self::forward_with_arena) performs and returns
-    /// the buffer sizes it allocates plus the peak live-activation bytes.
-    /// The plan depends only on the architecture and the input shape — not on
-    /// the thread budget or the dispatch state — because every block takes
-    /// and retires its activations in the same order whatever the kernels.
+    /// shape: the buffer sizes [`forward_with_arena`](Self::forward_with_arena)
+    /// allocates plus the peak live-activation bytes, from the same op list
+    /// (see [`ArchSpec::arena_plan`]). The plan depends only on the
+    /// architecture and the input shape — not on the thread budget or the
+    /// dispatch state — because the op list fixes every take and retire
+    /// whatever the kernels.
     ///
     /// # Errors
     /// Returns an error if the resolution is too small for the downsampling
     /// schedule.
     pub fn arena_plan(&self, input: Shape) -> Result<ArenaPlan> {
-        let mut arena = PlanArena::new();
-        let mut cur: Option<PlanHandle> = None; // handle of the owned cursor, if any
-        let mut shape = input;
-        for layer in &self.layers {
-            let os = layer.output_shape(shape)?;
-            let next_handle = match layer {
-                LayerImpl::ConvBn(_) | LayerImpl::MaxPool(_) | LayerImpl::GlobalAvgPool => {
-                    Some(arena.take(os))
-                }
-                LayerImpl::Basic { conv1, downsample, .. } => {
-                    let a = arena.take(conv1.output_shape(shape)?);
-                    let out = match downsample {
-                        Some(d) => {
-                            let skip = arena.take(d.output_shape(shape)?);
-                            let out = arena.take(os);
-                            arena.give(skip);
-                            out
-                        }
-                        None => arena.take(os),
-                    };
-                    arena.give(a);
-                    Some(out)
-                }
-                LayerImpl::Bottleneck { conv1, conv2, downsample, .. } => {
-                    let a_shape = conv1.output_shape(shape)?;
-                    let a = arena.take(a_shape);
-                    let b = arena.take(conv2.output_shape(a_shape)?);
-                    arena.give(a);
-                    let out = match downsample {
-                        Some(d) => {
-                            let skip = arena.take(d.output_shape(shape)?);
-                            let out = arena.take(os);
-                            arena.give(skip);
-                            out
-                        }
-                        None => arena.take(os),
-                    };
-                    arena.give(b);
-                    Some(out)
-                }
-                LayerImpl::Inverted { expand, depthwise, .. } => {
-                    let t = match expand {
-                        Some(e) => {
-                            let h_shape = e.output_shape(shape)?;
-                            let h = arena.take(h_shape);
-                            let t = arena.take(depthwise.output_shape(h_shape)?);
-                            arena.give(h);
-                            t
-                        }
-                        None => arena.take(depthwise.output_shape(shape)?),
-                    };
-                    let out = arena.take(os);
-                    arena.give(t);
-                    Some(out)
-                }
-                // Fresh (non-arena) allocation; nothing to simulate.
-                LayerImpl::Classifier { .. } => None,
-            };
-            if let Some(handle) = cur.take() {
-                arena.give(handle);
-            }
-            cur = next_handle;
-            shape = os;
-        }
-        Ok(ArenaPlan {
-            buffer_elems: arena.created,
-            peak_live_bytes: arena.peak_live_elems * std::mem::size_of::<f32>(),
-        })
+        Ok(self.lowering.arena_plan(input)?)
     }
 
     /// Plans and pre-populates the **calling thread's** arena for a resolution,
@@ -1025,40 +633,41 @@ impl Network {
             return None;
         }
         let budget = self.arena_plan(input).ok()?.peak_live_bytes;
-        let mut shapes = Vec::with_capacity(self.layers.len() + 1);
-        shapes.push(input);
-        for layer in &self.layers {
-            shapes.push(layer.output_shape(*shapes.last()?).ok()?);
-        }
+        let shapes = self.lowering.block_shapes(input).ok()?;
         let mut fold = None;
-        for (index, layer) in self.layers.iter().enumerate().rev() {
+        for (index, block) in self.lowering.blocks.iter().enumerate().rev() {
             if images * shapes[index].volume() * std::mem::size_of::<f32>() > budget {
                 break;
             }
             let out = shapes[index + 1];
-            if layer.is_stage_entry() && out.h * out.w <= Self::FOLD_MAX_PIXELS {
+            if block.stage_entry && out.h * out.w <= Self::FOLD_MAX_PIXELS {
                 fold = Some(index);
             }
         }
         fold
     }
 
-    /// One group of equal-shape inputs folded at layer `fold`: each image
+    /// One group of equal-shape inputs folded at block `fold`: each image
     /// alone up to it, then the tail once over all of them (see
     /// [`forward_batch`](Self::forward_batch)).
     fn forward_group(&self, group: &[Tensor], fold: usize) -> Result<Vec<Tensor>> {
         self.check_input(&group[0])?;
-        let image =
-            self.layers[..fold].iter().try_fold(group[0].shape(), |s, l| l.output_shape(s))?;
+        let image = self.lowering.block_shapes(group[0].shape())?[fold];
+        let block = self.lowering.blocks[fold];
+        let (head, tail) = self.lowering.ops.split_at(block.start);
         let logits = with_thread_arena(|arena| -> Result<Tensor> {
             let mut folded = arena.take(Shape::new(group.len(), image.c, image.h, image.w));
-            let slots = folded.as_mut_slice().chunks_exact_mut(image.volume());
-            for (input, slot) in group.iter().zip(slots) {
-                let head = Self::run_layers(&self.layers[..fold], Cursor::Borrowed(input), arena)?;
-                slot.copy_from_slice(head.get().as_slice());
-                head.retire(arena);
+            let chunks = folded.as_mut_slice().chunks_exact_mut(image.volume());
+            for (input, chunk) in group.iter().zip(chunks) {
+                let mut slots = slots_with(0, Cursor::Borrowed(input));
+                self.run_ops(head, &mut slots, arena)?;
+                let x = slots[block.input].take().expect("a block's input is live");
+                chunk.copy_from_slice(x.get().as_slice());
+                x.retire(arena);
             }
-            Ok(Self::run_layers(&self.layers[fold..], Cursor::Owned(folded), arena)?.into_tensor())
+            let mut slots = slots_with(block.input, Cursor::Owned(folded));
+            self.run_ops(tail, &mut slots, arena)?;
+            Ok(take_live(&mut slots, self.lowering.output))
         })?;
         let out = logits.shape();
         let per_image = Shape::new(1, out.c, out.h, out.w);
@@ -1078,6 +687,51 @@ impl Network {
         let logits = self.forward_batch(inputs)?;
         Ok(logits.into_iter().map(|l| l.argmax().unwrap_or(0)).collect())
     }
+}
+
+/// The reference interpreter: runs the op list with fresh tensors, `conv(i,
+/// x)` standing in for convolution `i` (the hook int8 calibration observes
+/// each input through), each residual added in a separate pass, and every
+/// activation dropped at its retire op.
+fn run_reference(
+    lowering: &Lowering,
+    linears: &[Linear],
+    input: &Tensor,
+    mut conv: impl FnMut(usize, &Tensor) -> Result<Tensor>,
+) -> Result<Tensor> {
+    let mut slots = slots_with(0, Cursor::Borrowed(input));
+    for op in &lowering.ops {
+        let x = live(&slots, op.input);
+        let out = match op.kind {
+            OpKind::Conv { conv: index, residual, act } => {
+                let mut out = conv(index, x)?;
+                if let Some(slot) = residual {
+                    let residual = live(&slots, slot);
+                    match act {
+                        Activation::Relu => add_relu_in_place(&mut out, residual)?,
+                        _ => {
+                            debug_assert_eq!(act, Activation::None, "no block fuses ReLU6");
+                            out.add_assign(residual)?;
+                        }
+                    }
+                }
+                out
+            }
+            OpKind::MaxPool(pool) => rescnn_tensor::max_pool2d(x, &pool)?,
+            OpKind::GlobalAvgPool => rescnn_tensor::global_avg_pool(x),
+            OpKind::Classifier(index) => {
+                let linear = &linears[index];
+                linear.output_shape(x)?;
+                linear_prepared(x, &linear.weight, Some(&linear.bias))?
+            }
+            OpKind::Retire => {
+                slots[op.input] = None;
+                continue;
+            }
+        };
+        slots[op.output] = Some(Cursor::Owned(out));
+    }
+    Ok(take_live(&mut slots, lowering.output))
 }
 
 /// Splits a batch into [`Network::forward_batch`]'s groups: one contiguous,

@@ -36,9 +36,8 @@
 //! `n = O`, `c = I/g`, `h = w = K`).
 
 use std::borrow::Cow;
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
 use serde::{Deserialize, Serialize};
@@ -259,8 +258,8 @@ impl ConvShapeKey {
 /// Built by `rescnn-hwsim`'s calibrated cost model from `MeasuredTuner` sweeps
 /// (and persistable to disk there, so serving starts warm), then installed
 /// process-wide with [`install_algo_calibration`]. [`select_algo`] consults the
-/// installed table before its static rule; scoped and global algorithm
-/// overrides still win, and entries whose algorithm cannot execute the shape are
+/// installed table before its static rule; an [`EngineContext`](crate::EngineContext)
+/// pin still wins, and entries whose algorithm cannot execute the shape are
 /// ignored defensively.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AlgoCalibration {
@@ -308,48 +307,6 @@ static CALIBRATION_ACTIVE: AtomicBool = AtomicBool::new(false);
 /// The installed calibration table (`None` by default).
 static CALIBRATION: RwLock<Option<Arc<AlgoCalibration>>> = RwLock::new(None);
 
-/// Bumped on every [`install_algo_calibration`] call, so caches derived from
-/// the installed table (e.g. the serving layer's per-resolution-bucket tables)
-/// can detect staleness without holding the lock.
-static CALIBRATION_GENERATION: AtomicU64 = AtomicU64::new(0);
-
-/// Monotonic generation of the installed calibration table: changes every time
-/// [`install_algo_calibration`] runs. Derived caches compare generations to
-/// decide whether their resolved tables are still current.
-pub fn algo_calibration_generation() -> u64 {
-    CALIBRATION_GENERATION.load(Ordering::Acquire)
-}
-
-thread_local! {
-    /// A per-thread scoped calibration table consulted before the process-wide
-    /// one — the batch scheduler resolves each resolution bucket's shapes once
-    /// and installs the result here for the bucket's whole execution, so the
-    /// hot path pays a thread-local read instead of an `RwLock` read per layer
-    /// per request.
-    static SCOPED_CALIBRATION: RefCell<Option<Arc<AlgoCalibration>>> = const { RefCell::new(None) };
-}
-
-/// Runs `f` with a calibration table installed for the current thread's dynamic
-/// extent, consulted by [`select_algo`] before the process-wide table.
-///
-/// Intended for tables *derived from* the current dispatch state (e.g. one
-/// [`planned_conv_algo`] resolution per shape of a serving bucket): installing
-/// such a table changes no decisions, it only removes the per-call lock. A
-/// scoped [`EngineContext`](crate::EngineContext) algorithm override still
-/// takes precedence.
-pub fn with_algo_calibration_scope<R>(table: Arc<AlgoCalibration>, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<Arc<AlgoCalibration>>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let previous = self.0.take();
-            SCOPED_CALIBRATION.with(|cell| *cell.borrow_mut() = previous);
-        }
-    }
-    let previous = SCOPED_CALIBRATION.with(|cell| cell.borrow_mut().replace(table));
-    let _restore = Restore(previous);
-    f()
-}
-
 /// Installs (or, with `None`, removes) the process-wide dispatch calibration
 /// table consulted by [`select_algo`]. Returns the previously installed table.
 ///
@@ -366,7 +323,6 @@ pub fn install_algo_calibration(
     // The fast-path flag is updated while holding the write lock, so it can
     // never disagree with the stored table under concurrent install/uninstall.
     CALIBRATION_ACTIVE.store(calibration.is_some(), Ordering::Release);
-    CALIBRATION_GENERATION.fetch_add(1, Ordering::AcqRel);
     std::mem::replace(&mut *slot, calibration)
 }
 
@@ -383,7 +339,6 @@ pub fn merge_algo_calibration(additions: &AlgoCalibration) -> usize {
     }
     let len = merged.len();
     CALIBRATION_ACTIVE.store(true, Ordering::Release);
-    CALIBRATION_GENERATION.fetch_add(1, Ordering::AcqRel);
     *slot = Some(Arc::new(merged));
     len
 }
@@ -397,20 +352,10 @@ pub fn installed_algo_calibration() -> Option<Arc<AlgoCalibration>> {
 }
 
 /// The calibrated algorithm for `(params, input)` when a table is installed, the
-/// entry exists, and its algorithm can actually execute the shape. A scoped
-/// table ([`with_algo_calibration_scope`]) is consulted first; shapes it misses
-/// fall through to the process-wide table.
+/// entry exists, and its algorithm can actually execute the shape.
 fn calibrated_algo(params: &Conv2dParams, input: Shape) -> Option<ConvAlgo> {
-    let key = ConvShapeKey::new(*params, input);
-    let scoped =
-        SCOPED_CALIBRATION.with(|cell| cell.borrow().as_ref().and_then(|table| table.get(&key)));
-    if let Some(algo) = scoped {
-        if algo.supports(params) {
-            return Some(algo);
-        }
-    }
     let table = installed_algo_calibration()?;
-    let algo = table.get(&key)?;
+    let algo = table.get(&ConvShapeKey::new(*params, input))?;
     algo.supports(params).then_some(algo)
 }
 
@@ -1626,50 +1571,6 @@ mod tests {
         assert_eq!(removed.map(|t| t.len()), Some(2));
         assert!(installed_algo_calibration().is_none());
         assert_eq!(select_algo(&params, input_shape), ConvAlgo::Im2colPacked);
-    }
-
-    #[test]
-    fn calibration_scope_is_unwind_safe() {
-        let _guard = crate::test_sync::global_state_lock();
-        let params = Conv2dParams::new(4, 4, 3, 1, 1);
-        let shape = Shape::chw(4, 12, 12);
-        let key = ConvShapeKey::new(params, shape);
-        let mut table = AlgoCalibration::new();
-        table.set(key, ConvAlgo::Winograd);
-        let inner = Arc::new(table);
-
-        // A panic inside the scope must restore the previous scoped table (here:
-        // none), exactly like a normal return — a serving request that dies
-        // mid-bucket cannot leave its bucket's dispatch table installed on the
-        // worker that ran it.
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            with_algo_calibration_scope(Arc::clone(&inner), || {
-                assert_eq!(select_algo(&params, shape), ConvAlgo::Winograd);
-                panic!("request died inside the scope");
-            })
-        }));
-        assert!(caught.is_err());
-        assert_eq!(
-            select_algo(&params, shape),
-            ConvAlgo::Im2colPacked,
-            "scoped table survived a panic"
-        );
-
-        // Nested scopes unwind layer by layer: the outer scope stays installed
-        // after the inner one panics.
-        let outer = Arc::new({
-            let mut t = AlgoCalibration::new();
-            t.set(key, ConvAlgo::Direct);
-            t
-        });
-        with_algo_calibration_scope(Arc::clone(&outer), || {
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                with_algo_calibration_scope(Arc::clone(&inner), || panic!("inner died"))
-            }));
-            assert!(caught.is_err());
-            assert_eq!(select_algo(&params, shape), ConvAlgo::Direct, "outer scope lost");
-        });
-        assert_eq!(select_algo(&params, shape), ConvAlgo::Im2colPacked);
     }
 
     #[test]

@@ -90,11 +90,10 @@ pub use arena::{with_thread_arena, ActivationArena};
 pub use cancel::CancellationToken;
 pub use context::EngineContext;
 pub use conv::{
-    algo_calibration_generation, conv2d, conv2d_depthwise, conv2d_direct, conv2d_dispatch,
-    conv2d_gemm_1x1, conv2d_im2col_packed, conv2d_with_algo, install_algo_calibration,
-    installed_algo_calibration, merge_algo_calibration, planned_conv_algo, select_algo,
-    with_algo_calibration_scope, AlgoCalibration, ConvAlgo, ConvEpilogue, ConvShapeKey,
-    PreparedLayer, WINOGRAD_F4_MAX_IN_CHANNELS, WINOGRAD_MIN_TILES,
+    conv2d, conv2d_depthwise, conv2d_direct, conv2d_dispatch, conv2d_gemm_1x1,
+    conv2d_im2col_packed, conv2d_with_algo, install_algo_calibration, installed_algo_calibration,
+    merge_algo_calibration, planned_conv_algo, select_algo, AlgoCalibration, ConvAlgo,
+    ConvEpilogue, ConvShapeKey, PreparedLayer, WINOGRAD_F4_MAX_IN_CHANNELS, WINOGRAD_MIN_TILES,
 };
 pub use engine::{Epilogue, FusedActivation, GemmLhs, PreparedGemmA, PreparedGemmB};
 pub use error::{Result, TensorError};

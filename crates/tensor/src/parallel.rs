@@ -177,8 +177,8 @@ pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
 /// its result.
 ///
 /// The catch wraps only the caller's `f` — the surrounding
-/// [`EngineContext`](crate::EngineContext) scope (and any scoped calibration
-/// installed inside `f`) unwinds through its drop guards as usual, so a caught
+/// [`EngineContext`](crate::EngineContext) scope (and any context installed
+/// inside `f`) unwinds through its drop guards as usual, so a caught
 /// panic cannot leak thread-scoped state onto a pool worker. Because the pool's
 /// job never observes the panic, the job is never poisoned: the chunk
 /// decomposition, scheduling, and surviving tasks' results are identical to a
@@ -591,37 +591,6 @@ where
     });
 }
 
-/// Legacy dispatch: spawns scoped threads per call instead of using the persistent
-/// pool. Kept as the pool's parity baseline (`scoped_baseline_matches_pool_dispatch`);
-/// kernels must not use it.
-pub fn for_each_chunk_scoped<T, F>(data: &mut [T], chunk_len: usize, parallel: bool, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let chunk_len = chunk_len.max(1);
-    let n_chunks = data.len().div_ceil(chunk_len);
-    let workers = if parallel { num_threads().min(n_chunks) } else { 1 };
-    if workers <= 1 {
-        for (index, chunk) in data.chunks_mut(chunk_len).enumerate() {
-            f(index, chunk);
-        }
-        return;
-    }
-    let queue = Mutex::new(data.chunks_mut(chunk_len).enumerate());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let next = queue.lock().expect("worker panicked holding queue").next();
-                match next {
-                    Some((index, chunk)) => f(index, chunk),
-                    None => break,
-                }
-            });
-        }
-    });
-}
-
 /// A raw pointer that may cross thread boundaries (the chunk decomposition above
 /// guarantees disjoint access).
 struct SendPtr<T>(*mut T);
@@ -685,10 +654,10 @@ mod tests {
         let original = num_threads();
         set_num_threads(4);
         let mut pooled = vec![0u32; 257];
-        let mut scoped = vec![0u32; 257];
         for_each_chunk(&mut pooled, 16, true, |i, c| c.fill(i as u32 + 1));
-        for_each_chunk_scoped(&mut scoped, 16, true, |i, c| c.fill(i as u32 + 1));
-        assert_eq!(pooled, scoped);
+        // Chunk i covers elements 16i..16i+16 (the last one short) and holds i + 1.
+        let expected: Vec<u32> = (0..257).map(|e| e / 16 + 1).collect();
+        assert_eq!(pooled, expected);
         set_num_threads(original);
     }
 

@@ -7,15 +7,13 @@
 //! constant enters it), so this table holds on every ISA tier and every thread
 //! count; CI re-runs it under `RESCNN_THREADS=1,2,4` with the parity suites.
 //!
-//! Only thread-local dispatch state (scoped calibration, `EngineContext`) is
-//! touched here, so the tests need no cross-test lock.
-
-use std::sync::Arc;
+//! Only thread-local dispatch state (an `EngineContext` pin) is touched here,
+//! so the tests need no cross-test lock. The process-wide calibration table's
+//! precedence is pinned by `conv::tests::calibration_steers_default_dispatch_but_not_overrides`.
 
 use rescnn_tensor::{
-    planned_conv_algo, select_algo, winograd_f4_unit_error, with_algo_calibration_scope,
-    AlgoCalibration, Conv2dParams, ConvAlgo, ConvShapeKey, EngineContext, Shape,
-    WINOGRAD_F4_MAX_IN_CHANNELS, WINOGRAD_F4_TOLERANCE, WINOGRAD_MIN_TILES,
+    planned_conv_algo, select_algo, winograd_f4_unit_error, Conv2dParams, ConvAlgo, EngineContext,
+    Shape, WINOGRAD_F4_MAX_IN_CHANNELS, WINOGRAD_F4_TOLERANCE, WINOGRAD_MIN_TILES,
 };
 
 use ConvAlgo::{Im2colPacked as Packed, Winograd as F2, WinogradF4 as F4};
@@ -125,18 +123,6 @@ fn rule_counts_output_tiles_of_the_chosen_arm() {
 fn calibration_and_overrides_outrank_the_rule() {
     let (params, input) = stage_layer(64, 56);
     assert_eq!(select_algo(&params, input), F4);
-    // A calibrated entry for the shape wins over the rule ...
-    let mut table = AlgoCalibration::new();
-    table.set(ConvShapeKey::new(params, input), F2);
-    with_algo_calibration_scope(Arc::new(table), || {
-        assert_eq!(select_algo(&params, input), F2);
-        // ... a shape the table has not seen still follows it ...
-        let (unseen, unseen_input) = stage_layer(64, 28);
-        assert_eq!(select_algo(&unseen, unseen_input), F4);
-        // ... and a scoped override outranks both.
-        let pinned = EngineContext::new().with_algo(Packed);
-        assert_eq!(pinned.scope(|| planned_conv_algo(&params, input)), Packed);
-    });
     // The documented A/B pin: the pre-rule behaviour for a whole scope.
     let pinned = EngineContext::new().with_algo(Packed);
     assert_eq!(pinned.scope(|| planned_conv_algo(&params, input)), Packed);

@@ -15,8 +15,7 @@ use serde::{Deserialize, Serialize};
 
 use rescnn_data::{Dataset, DatasetKind, Sample};
 use rescnn_imaging::{
-    center_crop, crop_and_resize_cow, resize_cow, CropRatio, Filter, Image, SsimConfig,
-    SsimReference,
+    crop_and_resize_cow, resize_cow, CropRatio, Filter, Image, SsimConfig, SsimReference,
 };
 use rescnn_models::ModelKind;
 use rescnn_oracle::{AccuracyOracle, EvalContext};
@@ -133,13 +132,15 @@ impl CalibrationCurves {
     ///
     /// Scan prefixes are decoded incrementally through one [`ProgressiveDecoder`] — O(S)
     /// total decode work for S scans instead of the O(S²) of from-scratch decoding every
-    /// prefix — with frames bitwise identical to `encoded.decode(scans)` (the decoder's
-    /// pinned invariant). Each resolution's ground-truth reference is lifted into a
-    /// persistent [`SsimReference`], so the reference-side SSIM state (luma plane and
-    /// `Σx`/`Σx²` integral rows) is built once per reference frame and amortized across
-    /// all scan prefixes instead of being rebuilt per prefix; `SsimReference::score` is
-    /// bitwise identical to plain `ssim`, so the curves still match the from-scratch
-    /// computation exactly.
+    /// prefix — opened at the crop's window, so each frame is bitwise
+    /// `center_crop(encoded.decode(scans), crop)` (the decoder's pinned invariant) and
+    /// resizing it is bitwise `crop_and_resize_cow` of the whole frame. Each
+    /// resolution's ground-truth reference is lifted into a persistent
+    /// [`SsimReference`], so the reference-side SSIM state (luma plane and `Σx`/`Σx²`
+    /// integral rows) is built once per reference frame and amortized across all scan
+    /// prefixes instead of being rebuilt per prefix; `SsimReference::score` is bitwise
+    /// identical to plain `ssim`, so the curves still match the from-scratch computation
+    /// exactly.
     ///
     /// # Errors
     /// Returns an error if decoding or resizing fails.
@@ -159,12 +160,12 @@ impl CalibrationCurves {
             .collect::<Result<_>>()?;
         let mut out: Vec<SampleCurve> =
             resolutions.iter().map(|_| SampleCurve { points: Vec::new() }).collect();
-        let mut decoder = encoded.progressive_decoder()?;
+        let mut decoder = crop_decoder(encoded, crop)?;
         for scans in 1..=encoded.num_scans() {
-            let decoded = decoder.advance()?;
+            let window = decoder.advance()?;
             let read_fraction = encoded.read_fraction(scans);
             for (res_idx, &res) in resolutions.iter().enumerate() {
-                let presented = crop_and_resize_cow(decoded, crop, res)?;
+                let presented = present(window, res)?;
                 let quality = references[res_idx].score(&presented)?;
                 out[res_idx].points.push(ScanPoint { scans, read_fraction, ssim: quality });
             }
@@ -253,6 +254,23 @@ impl CalibrationCurves {
     }
 }
 
+/// A decoder of the centre window `crop` keeps of `encoded`: it reconstructs only the
+/// blocks that window touches, and after `k` scans its frame is bitwise
+/// `center_crop(encoded.decode(k), crop)`.
+pub(crate) fn crop_decoder(
+    encoded: &ProgressiveImage,
+    crop: CropRatio,
+) -> Result<ProgressiveDecoder<'_>> {
+    Ok(encoded.window_decoder(crop.window(encoded.width(), encoded.height()))?)
+}
+
+/// A crop window as the backbone is given it at `res × res`: bitwise
+/// `crop_and_resize_cow` of the frame the window was cut from, which resizes the same
+/// window in place (borrowed when it already has the extent).
+pub(crate) fn present(window: &Image, res: usize) -> Result<Cow<'_, Image>> {
+    Ok(resize_cow(window, res, res, Filter::Bilinear)?)
+}
+
 /// One forward pass over the scan prefixes of a stored image, presenting each prefix
 /// (centre-cropped and resized) at whatever resolutions the storage decisions ask for and
 /// scoring it against the original.
@@ -265,14 +283,17 @@ impl CalibrationCurves {
 /// rung into a stream's scan index; in `plan` / `evaluate`, which have just rendered the
 /// sample; and in the first read of a stream not yet indexed. Indexed reads never walk.
 ///
-/// A *retaining* walk keeps the crop window of every prefix it decodes, so a second
-/// decision (the chosen resolution's, after the preview's) scores the early prefixes from
-/// those windows and only then advances the same decoder. A non-retaining walk holds no
-/// copies and can only move forward, which is all a single decision needs. Either way a
-/// presented prefix is bitwise `crop_and_resize_cow(encoded.decode(scans), crop, res)`:
-/// the decoder's frames are bitwise `decode(scans)`, and cropping then resizing the copy
-/// is what `crop_and_resize_cow` does.
+/// The decoder is opened at the crop's window, so it reconstructs only the blocks the
+/// crop keeps and every frame it yields is already the window. A *retaining* walk keeps
+/// the window of every prefix it decodes, so a second decision (the chosen resolution's,
+/// after the preview's) scores the early prefixes from those windows and only then
+/// advances the same decoder. A non-retaining walk holds no copies and can only move
+/// forward, which is all a single decision needs. Either way a presented prefix is
+/// bitwise `crop_and_resize_cow(encoded.decode(scans), crop, res)`: the decoder's frames
+/// are bitwise `center_crop(decode(scans), crop)`, and resizing that copy is what
+/// `crop_and_resize_cow` computes in place.
 pub(crate) struct PrefixWalk<'a> {
+    /// Decodes the crop's window only.
     decoder: ProgressiveDecoder<'a>,
     crop: CropRatio,
     /// `windows[k - 1]` is the crop window of the `k`-scan prefix, for every prefix the
@@ -290,7 +311,7 @@ impl<'a> PrefixWalk<'a> {
         crop: CropRatio,
         retain: bool,
     ) -> Result<Self> {
-        let decoder = encoded.progressive_decoder()?;
+        let decoder = crop_decoder(encoded, crop)?;
         Ok(PrefixWalk { decoder, crop, windows: retain.then(Vec::new) })
     }
 
@@ -298,14 +319,13 @@ impl<'a> PrefixWalk<'a> {
     /// forward as far as needed.
     fn present(&mut self, scans: usize, res: usize) -> Result<Cow<'_, Image>> {
         let Some(windows) = &mut self.windows else {
-            let frame = self.decoder.advance_to(scans)?;
-            return Ok(crop_and_resize_cow(frame, self.crop, res)?);
+            let window = self.decoder.advance_to(scans)?;
+            return present(window, res);
         };
         while windows.len() < scans {
-            let frame = self.decoder.advance()?;
-            windows.push(center_crop(frame, self.crop)?);
+            windows.push(self.decoder.advance()?.clone());
         }
-        Ok(resize_cow(&windows[scans - 1], res, res, Filter::Bilinear)?)
+        present(&windows[scans - 1], res)
     }
 
     /// The cheapest [`ScanPoint`] whose SSIM at `res` reaches `threshold` — or the final

@@ -28,7 +28,7 @@ use rescnn_oracle::{AccuracyOracle, EvalContext};
 use rescnn_projpeg::{ProgressiveImage, ScanPlan};
 use rescnn_tensor::EngineContext;
 
-use crate::calibration::{PrefixWalk, ScanPoint, StoragePolicy};
+use crate::calibration::{crop_decoder, present, PrefixWalk, ScanPoint, StoragePolicy};
 use crate::error::{CoreError, Result};
 use crate::features::extract_features;
 use crate::scale_model::ScaleModel;
@@ -778,9 +778,8 @@ impl DynamicResolutionPipeline {
         let crop = self.config.crop;
         let preview_res = self.scale_model.preview_resolution();
         let Some(preview) = index.rung(preview_res) else { return Ok(None) };
-        let mut decoder = encoded.progressive_decoder()?;
-        let preview_frame = decoder.advance_to(preview.point.scans)?;
-        let preview_image = crop_and_resize_cow(preview_frame, crop, preview_res)?;
+        let mut decoder = crop_decoder(encoded, crop)?;
+        let preview_image = present(decoder.advance_to(preview.point.scans)?, preview_res)?;
         let features = extract_features(&preview_image)?;
         let chosen_resolution = self.scale_model.choose_resolution(&features);
         let Some(read) = index
@@ -793,8 +792,7 @@ impl DynamicResolutionPipeline {
             preview_image.into_owned()
         } else {
             drop(preview_image);
-            let frame = decoder.advance_to(read.scans_read)?;
-            crop_and_resize_cow(frame, crop, chosen_resolution)?.into_owned()
+            present(decoder.advance_to(read.scans_read)?, chosen_resolution)?.into_owned()
         };
         Ok(Some((read, presented)))
     }
@@ -832,8 +830,8 @@ impl DynamicResolutionPipeline {
             Some(read) => {
                 // The read itself — the frame this rung's execution consumes — which the
                 // walk below makes as a by-product of scoring it.
-                let mut decoder = plan.encoded.progressive_decoder()?;
-                crop_and_resize_cow(decoder.advance_to(read.scans_read)?, crop, resolution)?;
+                let mut decoder = crop_decoder(&plan.encoded, crop)?;
+                present(decoder.advance_to(read.scans_read)?, resolution)?;
                 read
             }
             None => {

@@ -115,16 +115,6 @@ impl AutoTuner {
         AutoTuner { config, cost: CostModel::new() }
     }
 
-    /// Creates a tuner with an explicit cost model (used by ablations).
-    pub fn with_cost_model(config: TunerConfig, cost: CostModel) -> Self {
-        AutoTuner { config, cost }
-    }
-
-    /// The cost model in use.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// Tunes a single layer, returning the best schedule found.
     pub fn tune_layer(&self, layer: &ConvLayerShape, profile: &CpuProfile) -> TunedKernel {
         let space = ScheduleSpace::for_layer(layer, profile);

@@ -73,11 +73,16 @@ impl Image {
     /// # Errors
     /// Returns [`ImagingError::EmptyImage`] if either dimension is zero.
     pub fn filled(width: usize, height: usize, rgb: [f32; 3]) -> Result<Self> {
-        let mut img = Image::zeros(width, height)?;
-        for (c, &value) in rgb.iter().enumerate() {
-            img.plane_mut(c).fill(value);
+        if width == 0 || height == 0 {
+            return Err(ImagingError::EmptyImage);
         }
-        Ok(img)
+        // Each sample is written once: no zero-fill ahead of the colour.
+        let plane = width * height;
+        let mut data = Vec::with_capacity(plane * Self::CHANNELS);
+        for value in rgb {
+            data.resize(data.len() + plane, value);
+        }
+        Ok(Image { width, height, data })
     }
 
     /// Creates an image from a planar buffer (`3 * width * height` samples).

@@ -35,7 +35,7 @@ pub use image::{Image, Normalization};
 pub use metrics::{psnr, ssim, ssim_with, QualityMetric, SsimConfig, SsimReference};
 pub use resize::{
     center_crop, crop, crop_and_resize, crop_and_resize_cow, resize, resize_cow, resize_square,
-    CropRatio, Filter,
+    CropRatio, CropWindow, Filter,
 };
 pub use synth::{render_scene, ObjectShape, SceneSpec};
 

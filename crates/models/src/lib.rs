@@ -34,7 +34,7 @@ pub use arch::{
     ConvLayerShape, ModelKind,
 };
 pub use error::{ModelError, Result};
-pub use nn::{Network, TinyCnn};
+pub use nn::Network;
 
 /// The seven inference resolutions evaluated throughout the paper.
 pub const PAPER_RESOLUTIONS: [usize; 7] = [112, 168, 224, 280, 336, 392, 448];

@@ -45,11 +45,11 @@ use std::ops::Range;
 
 use rescnn_tensor::parallel::parallel_map_indexed;
 use rescnn_tensor::{
-    add_relu_in_place, avg_pool2d, conv2d_winograd_f4_prepared, conv2d_winograd_prepared,
-    conv2d_with_algo, global_avg_pool_into, linear_prepared, linear_prepared_into, max_pool2d_into,
-    num_threads, planned_conv_algo, relu6_in_place, relu_in_place, softmax, with_thread_arena,
-    ActivationArena, Conv2dParams, ConvAlgo, ConvEpilogue, FusedActivation, Pool2dParams,
-    PreparedGemmB, PreparedLayer, Shape, Tensor,
+    add_relu_in_place, conv2d_winograd_f4_prepared, conv2d_winograd_prepared, conv2d_with_algo,
+    global_avg_pool_into, linear_prepared, linear_prepared_into, max_pool2d_into, num_threads,
+    planned_conv_algo, relu6_in_place, relu_in_place, softmax, with_thread_arena, ActivationArena,
+    Conv2dParams, ConvAlgo, ConvEpilogue, FusedActivation, PreparedGemmB, PreparedLayer, Shape,
+    Tensor,
 };
 
 use crate::arch::{Activation, ArchSpec, ArenaPlan, Lowering, ModelKind, Op, OpKind, SLOTS};
@@ -117,12 +117,6 @@ impl ConvBn {
         ConvBn { prepared, act }
     }
 
-    /// Prepared forward with the layer's own activation fused, output from the
-    /// arena.
-    fn forward(&self, input: &Tensor, arena: &mut ActivationArena) -> Result<Tensor> {
-        self.forward_tail(input, None, self.act.fused(), arena)
-    }
-
     /// Prepared forward with an explicit fused tail (block tails pass the
     /// post-residual activation; the layer's own activation is `None` there).
     fn forward_tail(
@@ -162,7 +156,7 @@ impl ConvBn {
     /// Winograd transform, which PR 4 already cached) from an exact unpack of
     /// the prepared panels, separate activation passes, fresh allocations. Kept
     /// as the measured baseline and the parity target — bitwise identical to
-    /// [`ConvBn::forward`].
+    /// [`ConvBn::forward_tail`] with the layer's own activation.
     fn forward_reference(&self, input: &Tensor) -> Result<Tensor> {
         let params = self.prepared.params();
         let algo = planned_conv_algo(params, input.shape());
@@ -754,80 +748,9 @@ fn batch_groups(inputs: &[Tensor], threads: usize) -> Vec<Range<usize>> {
     groups
 }
 
-/// A deliberately tiny CNN used in tests and examples where running a full ResNet would be
-/// wastefully slow. It follows the same structural conventions (stem, stride-2 stages,
-/// global pooling, linear head) and is resolution-agnostic.
-#[derive(Debug, Clone)]
-pub struct TinyCnn {
-    stem: ConvBn,
-    stage1: ConvBn,
-    stage2: ConvBn,
-    head_weight: Vec<f32>,
-    head_bias: Vec<f32>,
-    num_classes: usize,
-}
-
-impl TinyCnn {
-    /// Builds a tiny CNN with deterministic random weights.
-    pub fn new(num_classes: usize, seed: u64) -> Self {
-        TinyCnn {
-            stem: ConvBn::new(Conv2dParams::new(3, 8, 3, 2, 1), Activation::Relu, seed ^ 1),
-            stage1: ConvBn::new(Conv2dParams::new(8, 16, 3, 2, 1), Activation::Relu, seed ^ 2),
-            stage2: ConvBn::new(Conv2dParams::new(16, 32, 3, 2, 1), Activation::Relu, seed ^ 3),
-            head_weight: Tensor::random_uniform(Shape::new(1, 1, num_classes, 32), 0.2, seed ^ 4)
-                .into_vec(),
-            head_bias: vec![0.0; num_classes],
-            num_classes,
-        }
-    }
-
-    /// Number of output classes.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
-    /// Forward pass returning logits.
-    ///
-    /// # Errors
-    /// Returns a kernel error if the input is smaller than the downsampling schedule allows.
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        with_thread_arena(|arena| {
-            let x = self.stem.forward(input, arena)?;
-            let y = self.stage1.forward(&x, arena)?;
-            arena.give(x);
-            let z = self.stage2.forward(&y, arena)?;
-            arena.give(y);
-            let pooled = avg_pool2d(
-                &z,
-                &Pool2dParams::new(z.shape().h.min(z.shape().w), z.shape().h.min(z.shape().w), 0),
-            )?;
-            arena.give(z);
-            let pooled = rescnn_tensor::global_avg_pool(&pooled);
-            Ok(rescnn_tensor::linear(
-                &pooled,
-                &self.head_weight,
-                Some(&self.head_bias),
-                self.num_classes,
-            )?)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tiny_cnn_forward_shapes() {
-        let net = TinyCnn::new(7, 3);
-        assert_eq!(net.num_classes(), 7);
-        for res in [16usize, 24, 32, 48] {
-            let input = Tensor::random_uniform(Shape::chw(3, res, res), 1.0, res as u64);
-            let out = net.forward(&input).unwrap();
-            assert_eq!(out.shape(), Shape::new(1, 7, 1, 1));
-            assert!(!out.has_non_finite());
-        }
-    }
 
     #[test]
     fn resnet18_forward_is_resolution_agnostic() {

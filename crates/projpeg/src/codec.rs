@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use rescnn_imaging::Image;
+use rescnn_imaging::{CropWindow, Image};
 
 use crate::bits::{BitReader, BitWriter};
 use crate::color::{rgb_to_ycbcr, ycbcr_to_rgb};
@@ -167,8 +167,10 @@ impl CoefficientPlanes {
     /// All-zero planes for a `blocks_x × blocks_y` block grid — the coefficient state of
     /// an image of which no scan has been read yet.
     pub(crate) fn zeroed(blocks_x: usize, blocks_y: usize) -> Self {
-        let empty = vec![[0i16; BLOCK_AREA]; blocks_x * blocks_y];
-        CoefficientPlanes { blocks: [empty.clone(), empty.clone(), empty], blocks_x, blocks_y }
+        // Three zeroed allocations, not one zeroed and two copies of it: a zeroed
+        // allocation is handed out already zero, a clone writes every byte again.
+        let blocks = std::array::from_fn(|_| vec![[0i16; BLOCK_AREA]; blocks_x * blocks_y]);
+        CoefficientPlanes { blocks, blocks_x, blocks_y }
     }
 }
 
@@ -667,13 +669,15 @@ fn block_samples(levels: &[i16; BLOCK_AREA], table: &QuantTable) -> [f32; BLOCK_
 }
 
 /// Dequantizes and inverse-transforms the three components of block `block` and writes the
-/// block's visible pixels into `frame` (edge blocks may extend past the image).
+/// block's pixels that lie inside `window` into `frame`, which holds exactly the window's
+/// pixels (edge blocks may extend past the image, and blocks on the window's border past
+/// the window).
 ///
 /// A pixel depends on its own block only — the three component block grids coincide (no
 /// chroma subsampling) — so the 8×8 spatial samples live in stack buffers for exactly as
 /// long as the conversion needs them; nothing image-sized is kept. Shared by the
 /// from-scratch reconstruction and the incremental decoder, so both produce bit-identical
-/// pixels from identical coefficients.
+/// pixels from identical coefficients, and a window's pixels are the whole frame's.
 ///
 /// The work follows what the block carries. A component with no non-zero AC level costs
 /// one sample (`flat_sample`), any other a transform bounded by its support
@@ -695,6 +699,7 @@ pub(crate) fn refresh_block(
     luma_table: &QuantTable,
     chroma_table: &QuantTable,
     frame: &mut Image,
+    window: CropWindow,
 ) {
     let table = |c: usize| if c == 0 { luma_table } else { chroma_table };
     let levels = |c: usize| &planes.blocks[c][block];
@@ -702,7 +707,7 @@ pub(crate) fn refresh_block(
     let flat: [Option<f32>; COMPONENTS] = std::array::from_fn(|c| flat_sample(levels(c), table(c)));
     if let [Some(y), Some(cb), Some(cr)] = flat {
         let pixel = pixel_from_samples([y, cb, cr]);
-        write_block(frame, origin, |c, _, run| run.fill(pixel[c]));
+        write_block(frame, window, origin, |c, _, run| run.fill(pixel[c]));
         return;
     }
     let spatial: [[f32; BLOCK_AREA]; COMPONENTS] = std::array::from_fn(|c| match flat[c] {
@@ -714,25 +719,33 @@ pub(crate) fn refresh_block(
         [rgb[0][i], rgb[1][i], rgb[2][i]] =
             pixel_from_samples([spatial[0][i], spatial[1][i], spatial[2][i]]);
     }
-    write_block(frame, origin, |c, dy, run| {
-        run.copy_from_slice(&rgb[c][dy * BLOCK..dy * BLOCK + run.len()]);
+    write_block(frame, window, origin, |c, start, run| {
+        run.copy_from_slice(&rgb[c][start..start + run.len()]);
     });
 }
 
-/// Calls `write(channel, dy, run)` for each of the block's visible row runs in each of
-/// the frame's planes, where `(x0, y0)` is the block's top-left pixel and `dy` the run's
-/// row within the block.
+/// Calls `write(channel, start, run)` for each row run of the block whose top-left pixel
+/// is `(x0, y0)` that lies inside `window`, in each of the planes of `frame` (which holds
+/// the window's pixels); `start` is the run's first position in the block's raster order.
 fn write_block(
     frame: &mut Image,
+    window: CropWindow,
     (x0, y0): (usize, usize),
     mut write: impl FnMut(usize, usize, &mut [f32]),
 ) {
-    let width = frame.width();
-    let run = (x0 + BLOCK).min(width) - x0;
+    let columns = x0.max(window.x0)..(x0 + BLOCK).min(window.x0 + window.width);
+    let rows = y0.max(window.y0)..(y0 + BLOCK).min(window.y0 + window.height);
+    if columns.is_empty() {
+        return;
+    }
+    let stride = frame.width();
+    let frame_columns = columns.start - window.x0..columns.end - window.x0;
     for c in 0..Image::CHANNELS {
-        let rows = frame.plane_mut(c)[y0 * width..].chunks_mut(width).take(BLOCK);
-        for (dy, row) in rows.enumerate() {
-            write(c, dy, &mut row[x0..x0 + run]);
+        let plane = frame.plane_mut(c);
+        for y in rows.clone() {
+            let row = (y - window.y0) * stride;
+            let start = (y - y0) * BLOCK + columns.start - x0;
+            write(c, start, &mut plane[row + frame_columns.start..row + frame_columns.end]);
         }
     }
 }
@@ -753,8 +766,9 @@ fn reconstruct_image(
     let luma_table = QuantTable::luma(quality)?;
     let chroma_table = QuantTable::chroma(quality)?;
     let mut frame = Image::zeros(width, height)?;
+    let whole = CropWindow::whole(width, height);
     for block in 0..planes.blocks_x * planes.blocks_y {
-        refresh_block(planes, block, &luma_table, &chroma_table, &mut frame);
+        refresh_block(planes, block, &luma_table, &chroma_table, &mut frame, whole);
     }
     Ok(frame)
 }

@@ -10,10 +10,22 @@
 //! decode work, and late scans (which mostly extend zero runs) refresh only a fraction of
 //! the blocks.
 //!
+//! A decoder reconstructs a pixel *window* of the image
+//! ([`ProgressiveImage::window_decoder`]), and its frame is the window's size. A reader
+//! that presents a centre crop opens the decoder at the crop's window and never builds the
+//! pixels it would throw away: on a 752×512 frame at crop 0.75 the 443² window touches
+//! 3 136 of the 6 016 blocks. The entropy decode cannot skip anything — a scan's symbols
+//! for every block precede the next block's — but the block refresh, the larger share of
+//! a read, runs only over blocks that intersect the window, and each writes only its rows
+//! and columns inside it. [`ProgressiveImage::progressive_decoder`] is the whole-image
+//! window.
+//!
 //! The decoder keeps no spatial planes. A block's 8×8 samples exist only on the stack,
 //! between its inverse DCT and the colour conversion that writes its pixels into the
-//! frame (`refresh_block`), so a decoder costs the coefficient planes, one dirty flag per
-//! block and the frame — nothing else image-sized is allocated or zero-filled.
+//! frame (`refresh_block`), so a decoder costs the coefficient planes (three zeroed
+//! allocations), one dirty flag per block and the window-sized frame, each sample of
+//! which is written once at construction — nothing else image-sized is allocated or
+//! filled.
 //!
 //! A refreshed block costs what its coefficients carry. A component with no non-zero AC
 //! level — every block after the DC scan — is one sample, two multiplies from its DC
@@ -33,7 +45,8 @@
 //! # The incremental-refresh invariant
 //!
 //! After advancing to `k` scans — one at a time, in jumps, or any mixture —
-//! [`frame`](ProgressiveDecoder::frame) is **bitwise identical** to `image.decode(k)`.
+//! [`frame`](ProgressiveDecoder::frame) is **bitwise identical** to
+//! `crop(image.decode(k), window)`, which for the whole-image window is `image.decode(k)`.
 //! This holds structurally rather than by parallel maintenance of two code paths:
 //!
 //! * both paths funnel scans through the same `decode_scan`, so the coefficient planes
@@ -41,20 +54,26 @@
 //! * a block is flagged dirty exactly when a scan *changed* one of its stored
 //!   coefficients (in any component), flags are only ever set between two refreshes, and
 //!   the pixels of a block are a pure function of its three components' coefficients
-//!   (`refresh_block`, which `decode` runs over every block), so skipping clean blocks
-//!   cannot change their pixels and rebuilding a dirty one from its latest coefficients
-//!   gives what `decode` gives;
+//!   (`refresh_block`, which `decode` runs over every block with the whole-image window),
+//!   so skipping clean blocks cannot change their pixels and rebuilding a dirty one from
+//!   its latest coefficients gives what `decode` gives;
 //! * the component block grids coincide (no chroma subsampling), so a dirty block is
 //!   rebuilt in all three components and a pixel depends on no block but its own: the
-//!   dirty mask, shared across components, reaches every pixel that could have changed.
+//!   dirty mask, shared across components, reaches every pixel that could have changed;
+//! * a block that does not intersect the window holds none of the frame's pixels, so
+//!   skipping it loses nothing, and a window pixel is written by its own block's refresh
+//!   exactly as `decode` writes it, only at the window's offset.
 //!
 //! The zero-scan starting state needs no transform at all: the inverse DCT of an all-zero
 //! block is exactly `+0.0` everywhere, so every pixel of the initial frame is the one
 //! colour three zero samples convert to — the same mid-grey image `decode(0)` produces.
 //!
 //! `crates/projpeg/tests/incremental_parity.rs` pins the invariant for every prefix and
-//! every jump of several scan plans; `CalibrationCurves::sample_curves` (scan by scan) and
-//! the planner's reads (in jumps) in `rescnn-core` are the consumers.
+//! every jump of several scan plans, and `crates/projpeg/tests/window_parity.rs` for random
+//! windows (single pixels, windows that clip edge blocks, the whole image) over random
+//! scan plans. `CalibrationCurves::sample_curves` (scan by scan) and the planner's reads
+//! (in jumps) in `rescnn-core` are the consumers; each opens its decoder at the centre
+//! crop's window.
 //!
 //! # Examples
 //! ```
@@ -73,7 +92,9 @@
 //! # }
 //! ```
 
-use rescnn_imaging::Image;
+use std::ops::Range;
+
+use rescnn_imaging::{CropWindow, Image, ImagingError};
 
 use crate::codec::{
     decode_scan, pixel_from_samples, refresh_block, CoefficientPlanes, ProgressiveImage,
@@ -83,8 +104,9 @@ use crate::error::{CodecError, Result};
 use crate::quant::QuantTable;
 
 /// An incremental decoder over a [`ProgressiveImage`]: moves forward through the scans,
-/// re-running the inverse DCT only for the blocks the applied scans actually changed, and
-/// only once per block however many scans one call applies.
+/// re-running the inverse DCT only for the blocks the applied scans actually changed that
+/// intersect its pixel window, and only once per block however many scans one call
+/// applies.
 ///
 /// See the [module docs](self) for the invariant tying [`frame`](Self::frame) to
 /// [`ProgressiveImage::decode`]. The decoder only moves forward; decoding a smaller
@@ -96,6 +118,11 @@ pub struct ProgressiveDecoder<'a> {
     planes: CoefficientPlanes,
     /// Per-block-grid-position change flags of the scans being applied (scratch).
     dirty: Vec<bool>,
+    /// The pixels the frame holds.
+    window: CropWindow,
+    /// The block columns and rows that intersect the window.
+    block_columns: Range<usize>,
+    block_rows: Range<usize>,
     frame: Image,
     scans_applied: usize,
     luma_table: QuantTable,
@@ -103,7 +130,7 @@ pub struct ProgressiveDecoder<'a> {
 }
 
 impl ProgressiveImage {
-    /// Starts incremental decoding of this image. The decoder begins at zero scans
+    /// Starts incremental decoding of the whole image. The decoder begins at zero scans
     /// applied, i.e. [`frame`](ProgressiveDecoder::frame) equals `self.decode(0)`.
     ///
     /// # Errors
@@ -112,14 +139,39 @@ impl ProgressiveImage {
     pub fn progressive_decoder(&self) -> Result<ProgressiveDecoder<'_>> {
         ProgressiveDecoder::new(self)
     }
+
+    /// Starts incremental decoding of the pixels in `window` only: the decoder's frame is
+    /// the window, bitwise `crop(self.decode(k), window)` after `k` scans.
+    ///
+    /// # Errors
+    /// Returns [`CodecError::Imaging`] if the window is empty or reaches outside the
+    /// image, or an error if the stored quality factor is invalid.
+    pub fn window_decoder(&self, window: CropWindow) -> Result<ProgressiveDecoder<'_>> {
+        ProgressiveDecoder::open(self, window)
+    }
 }
 
 impl<'a> ProgressiveDecoder<'a> {
-    /// Creates a decoder positioned before the first scan of `image`.
+    /// Creates a decoder of the whole of `image`, positioned before its first scan.
     ///
     /// # Errors
     /// Returns an error if the stored quality factor is invalid.
     pub fn new(image: &'a ProgressiveImage) -> Result<Self> {
+        Self::open(image, CropWindow::whole(image.width(), image.height()))
+    }
+
+    /// A decoder of the pixels of `image` inside `window`, positioned before the first
+    /// scan ([`ProgressiveImage::window_decoder`]).
+    fn open(image: &'a ProgressiveImage, window: CropWindow) -> Result<Self> {
+        if !window.fits(image.width(), image.height()) {
+            return Err(ImagingError::InvalidCrop {
+                width: image.width(),
+                height: image.height(),
+                crop_width: window.width,
+                crop_height: window.height,
+            }
+            .into());
+        }
         let luma_table = QuantTable::luma(image.quality())?;
         let chroma_table = QuantTable::chroma(image.quality())?;
         let blocks_x = image.width().div_ceil(BLOCK);
@@ -127,11 +179,14 @@ impl<'a> ProgressiveDecoder<'a> {
         // Zeroed coefficients reconstruct to exactly +0.0 in every component (each
         // accumulator of the inverse DCT stays +0.0), so no transform is needed here:
         // every pixel of the zero-scan frame is the one colour zero samples convert to.
-        let frame = Image::filled(image.width(), image.height(), pixel_from_samples([0.0; 3]))?;
+        let frame = Image::filled(window.width, window.height, pixel_from_samples([0.0; 3]))?;
         Ok(ProgressiveDecoder {
             image,
             planes: CoefficientPlanes::zeroed(blocks_x, blocks_y),
             dirty: vec![false; blocks_x * blocks_y],
+            window,
+            block_columns: window.x0 / BLOCK..(window.x0 + window.width).div_ceil(BLOCK),
+            block_rows: window.y0 / BLOCK..(window.y0 + window.height).div_ceil(BLOCK),
             frame,
             scans_applied: 0,
             luma_table,
@@ -154,8 +209,9 @@ impl<'a> ProgressiveDecoder<'a> {
         self.image.num_scans() - self.scans_applied
     }
 
-    /// The decoded frame for the current prefix — bitwise identical to
-    /// `image.decode(self.scans_applied())`.
+    /// The decoded window for the current prefix — bitwise identical to
+    /// `crop(image.decode(self.scans_applied()), window)`, and so to
+    /// `image.decode(self.scans_applied())` for a whole-image decoder.
     pub fn frame(&self) -> &Image {
         &self.frame
     }
@@ -205,14 +261,20 @@ impl<'a> ProgressiveDecoder<'a> {
         {
             decode_scan(scan, index, &mut self.planes, Some(&mut self.dirty))?;
         }
-        for (block, _) in self.dirty.iter().enumerate().filter(|(_, &flag)| flag) {
-            refresh_block(
-                &self.planes,
-                block,
-                &self.luma_table,
-                &self.chroma_table,
-                &mut self.frame,
-            );
+        let blocks_x = self.planes.blocks_x;
+        for row in self.block_rows.clone() {
+            let blocks =
+                row * blocks_x + self.block_columns.start..row * blocks_x + self.block_columns.end;
+            for block in blocks.filter(|&block| self.dirty[block]) {
+                refresh_block(
+                    &self.planes,
+                    block,
+                    &self.luma_table,
+                    &self.chroma_table,
+                    &mut self.frame,
+                    self.window,
+                );
+            }
         }
         self.scans_applied = scans;
         Ok(&self.frame)
@@ -223,6 +285,7 @@ impl std::fmt::Debug for ProgressiveDecoder<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ProgressiveDecoder")
             .field("dimensions", &(self.image.width(), self.image.height()))
+            .field("window", &self.window)
             .field("scans_applied", &self.scans_applied)
             .field("remaining_scans", &self.remaining_scans())
             .finish()

@@ -289,19 +289,19 @@ fn resnet50_fold_block_table() {
 /// The arena planner's reservation covers a real forward exactly: after
 /// reserving from the plan, even the *first* forward at that resolution — and
 /// every warm one after it — performs zero tracked allocations. Covered under
-/// default dispatch (ResNet-50) and at the paper's 224² and 448² operating
-/// points with every stride-1 3×3 layer forced onto Winograd (the thin basic +
-/// bottleneck network, whose back-to-back 3×3 → 3×3 and 3×3 → 1×1 pairs run
-/// one layer after the other).
+/// default dispatch (ResNet-50) and at the paper's 448² operating point with
+/// every stride-1 3×3 layer forced onto Winograd (the thin basic + bottleneck
+/// network).
 #[test]
 fn arena_plan_reservation_makes_first_forward_allocation_free() {
     let _guard = lock();
-    let thin = Network::from_arch(&thin_residual_arch(), 7);
-    let winograd = EngineContext::new().with_algo(ConvAlgo::Winograd);
     let cases = [
-        (&Network::new(ModelKind::ResNet50, 4, 11), 56usize, EngineContext::new()),
-        (&thin, 224, winograd),
-        (&thin, 448, winograd),
+        (Network::new(ModelKind::ResNet50, 4, 11), 56usize, EngineContext::new()),
+        (
+            Network::from_arch(&thin_residual_arch(), 7),
+            448,
+            EngineContext::new().with_algo(ConvAlgo::Winograd),
+        ),
     ];
     for (net, res, context) in &cases {
         let shape = Shape::chw(3, *res, *res);

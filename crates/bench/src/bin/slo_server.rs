@@ -1,5 +1,5 @@
 //! Real-clock harness for the async serving front-end: paces bursty and
-//! steady arrival traces against a live [`SloServer`], reporting wall-clock
+//! steady arrival traces against a live `SloServer`, reporting wall-clock
 //! latency percentiles, shed/degrade counts, gate rejections, and drain
 //! latency, then replays each run's recorded trace through the virtual-clock
 //! batch scheduler and exits 1 if any admission decision diverges or any

@@ -1,6 +1,6 @@
 //! Cross-layer deterministic chaos harness for the resilient serving core.
 //!
-//! [`ChaosPlan`] generalises [`FaultPlan`](crate::load::FaultPlan) from
+//! [`ChaosPlan`] generalises [`crate::load::FaultPlan`] from
 //! single-layer stream corruption to coordinated, seeded injection at every
 //! lifecycle layer:
 //!

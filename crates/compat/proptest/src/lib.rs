@@ -190,7 +190,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::Range;
 
-    /// Length specification for [`vec`]: a fixed size or a half-open range.
+    /// Length specification for [`vec()`]: a fixed size or a half-open range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,

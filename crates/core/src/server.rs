@@ -469,9 +469,9 @@ impl Shared {
     }
 }
 
-/// The async serving front-end. See the [module docs](self) for the lifecycle
-/// and backpressure contracts, and `docs/serving-frontend.md` for the full
-/// design.
+/// The async serving front-end. The lifecycle and backpressure contracts are
+/// stated in the docs of its (private) `server` module and in
+/// `docs/serving-frontend.md`, with the full design.
 #[derive(Debug)]
 pub struct SloServer {
     shared: Arc<Shared>,

@@ -117,7 +117,8 @@ impl TraceDecision {
 }
 
 /// A recorded serving run: request stamps, step boundaries, and the decisions
-/// they produced. See the [module docs](self) for the determinism contract.
+/// they produced. The determinism contract is stated in the docs of its
+/// (private) `trace` module.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ServingTrace {
     /// Request stamps in submission (ticket) order.

@@ -203,7 +203,7 @@ impl SsimIntegrals {
 /// The result lies in `[-1, 1]`; identical images score exactly `1.0`.
 ///
 /// Window statistics come from sliding integral sums (running sums of luma, luma², and
-/// the cross-product — see [`SsimIntegrals`]), making each window O(1) instead of
+/// the cross-product — see `SsimIntegrals`), making each window O(1) instead of
 /// O(window²). Relative to the reference implementation
 /// ([`crate::reference::ssim_with`]), only the association order of the five window sums
 /// changes (summed-area differences instead of a fresh row-major accumulation per

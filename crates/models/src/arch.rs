@@ -457,52 +457,22 @@ impl Lowering {
         Ok(shapes)
     }
 
-    /// The size-only interpreter: the arena forward's takes and gives at
-    /// `input`, replayed on a [`PlanArena`].
-    ///
-    /// The plan holds the buffers a forward allocates from an empty arena,
-    /// then any a forward from an arena reserved with them would still miss:
-    /// a reserve makes every planned buffer free from the start, so best fit
-    /// can hand an early take one the plan created for a later one.
+    /// The arena plan at `input`: each slot's buffer must hold the largest
+    /// activation an op writes to it (the classifier's logits leave the
+    /// arena), and the peak is the largest sum of the slots' live volumes
+    /// (the borrowed network input is not the arena's).
     pub(crate) fn arena_plan(&self, input: Shape) -> std::result::Result<ArenaPlan, TensorError> {
-        let (mut buffer_elems, peak_live_elems) = self.replay(input, Vec::new())?;
-        // Each round adds at least one buffer; the shipped families need no
-        // round, and the op count only guards against a policy that never
-        // settles.
-        for _ in 0..self.ops.len() {
-            let (missed, _) = self.replay(input, buffer_elems.clone())?;
-            if missed.is_empty() {
-                break;
-            }
-            buffer_elems.extend(missed);
-        }
-        Ok(ArenaPlan {
-            buffer_elems,
-            peak_live_bytes: peak_live_elems * std::mem::size_of::<f32>(),
-        })
-    }
-
-    /// Replays the forward on a [`PlanArena`] whose free buffers are
-    /// `reserved`: every op but a classifier takes its output, a retire gives
-    /// its slot back (the borrowed network input has nothing to give).
-    /// Returns the buffers it had to create and the peak live elements.
-    fn replay(
-        &self,
-        input: Shape,
-        reserved: Vec<usize>,
-    ) -> std::result::Result<(Vec<usize>, usize), TensorError> {
-        let mut arena = PlanArena { free: reserved, ..PlanArena::default() };
-        let mut slots: [Option<PlanHandle>; SLOTS] = [None; SLOTS];
+        let (mut buffer_elems, mut live, mut peak) = (vec![0; SLOTS], [0; SLOTS], 0);
         self.walk(input, |op, _, out| match op.kind {
-            OpKind::Retire => {
-                if let Some(handle) = slots[op.input].take() {
-                    arena.give(handle);
-                }
+            OpKind::Retire => live[op.input] = 0,
+            OpKind::Classifier(_) => {}
+            _ => {
+                buffer_elems[op.output] = buffer_elems[op.output].max(out.volume());
+                live[op.output] = out.volume();
+                peak = peak.max(live.iter().sum());
             }
-            OpKind::Classifier(_) => slots[op.output] = None,
-            _ => slots[op.output] = Some(arena.take(out)),
         })?;
-        Ok((arena.created, arena.peak_live_elems))
+        Ok(ArenaPlan { buffer_elems, peak_live_bytes: peak * std::mem::size_of::<f32>() })
     }
 }
 
@@ -572,20 +542,19 @@ impl Lowerer {
     }
 }
 
-/// The planned activation-arena footprint of one `(model, resolution)` pair:
-/// the exact buffer sizes a forward pass at that input shape takes from its
-/// arena (in first-allocation order, then any a plan-reserved forward would
-/// still miss), derived by simulating the forward's take/retire sequence
-/// against the arena's best-fit policy — ping-pong chains reuse one another's
-/// buffers, residual branches extend liveness across their block.
+/// The planned activation-arena footprint of one `(model, resolution)` pair.
+/// The lowering gives every activation one of four slots (`SLOTS`), free again
+/// only after its retire, and the arena forward keeps one buffer per slot;
+/// the plan is each buffer's size at that input shape and the peak of the
+/// live activations.
 ///
 /// [`ArenaPlan::reserve`] pre-populates an arena so the *first* forward at the
-/// planned resolution already allocates nothing; mixed-resolution serving keys
-/// one plan per resolution bucket and the shared arena grows to the per-bucket
-/// maxima.
+/// planned resolution — or at any smaller one, since no activation shrinks as
+/// the input grows — already allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArenaPlan {
-    /// Element counts of the arena buffers the forward allocates, in order.
+    /// Element count of each slot's buffer: the largest activation the
+    /// forward writes to that slot (0 for a slot it never uses).
     pub buffer_elems: Vec<usize>,
     /// Peak bytes of simultaneously-live activations during the forward.
     pub peak_live_bytes: usize,
@@ -597,59 +566,9 @@ impl ArenaPlan {
         self.buffer_elems.iter().sum::<usize>() * std::mem::size_of::<f32>()
     }
 
-    /// Pre-populates an arena with this plan's buffers.
+    /// Grows an arena's slot buffers to this plan's sizes.
     pub fn reserve(&self, arena: &mut ActivationArena) {
         arena.reserve(&self.buffer_elems);
-    }
-}
-
-/// Size-only twin of [`ActivationArena`] used by the planner: same best-fit
-/// reuse policy over buffer capacities, recording every allocation it cannot
-/// serve from retired buffers. It runs the same op list as the arena forward,
-/// so planner and executor take and give in the same order by construction;
-/// `tests/prepacked_forward.rs` pins that a reserve-from-plan really makes the
-/// first forward allocation-free.
-#[derive(Default)]
-struct PlanArena {
-    free: Vec<usize>,
-    created: Vec<usize>,
-    live_elems: usize,
-    peak_live_elems: usize,
-}
-
-/// A simulated taken buffer: the capacity it occupies and the logical length it
-/// was taken for.
-#[derive(Clone, Copy)]
-struct PlanHandle {
-    cap: usize,
-    len: usize,
-}
-
-impl PlanArena {
-    fn take(&mut self, shape: Shape) -> PlanHandle {
-        let len = shape.volume();
-        let position = self
-            .free
-            .iter()
-            .enumerate()
-            .filter(|(_, &cap)| cap >= len)
-            .min_by_key(|(_, &cap)| cap)
-            .map(|(index, _)| index);
-        let cap = match position {
-            Some(index) => self.free.swap_remove(index),
-            None => {
-                self.created.push(len);
-                len
-            }
-        };
-        self.live_elems += len;
-        self.peak_live_elems = self.peak_live_elems.max(self.live_elems);
-        PlanHandle { cap, len }
-    }
-
-    fn give(&mut self, handle: PlanHandle) {
-        self.free.push(handle.cap);
-        self.live_elems -= handle.len;
     }
 }
 

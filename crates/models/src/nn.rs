@@ -38,8 +38,10 @@
 //! A [`Network`] keeps its architecture's [`Lowering`] next to one prepared
 //! convolution per lowered one. The arena forward (and both halves of a
 //! folded batch) and the reference forward (int8 calibration is its hook)
-//! interpret that op list, taking and retiring activations exactly where
-//! the size-only planner does.
+//! interpret that op list. In the arena forward each op writes the arena
+//! buffer of its output slot and each retire gives that buffer back, so the
+//! arena grows to [`Network::arena_plan`] — the largest activation each slot
+//! holds — by construction.
 
 use std::ops::Range;
 
@@ -117,15 +119,16 @@ impl ConvBn {
         ConvBn { prepared, act }
     }
 
-    /// Prepared forward with an explicit fused tail (block tails pass the
-    /// post-residual activation; the layer's own activation is `None` there).
+    /// Prepared forward into `out` with an explicit fused tail (block tails
+    /// pass the post-residual activation; the layer's own activation is
+    /// `None` there).
     fn forward_tail(
         &self,
         input: &Tensor,
         residual: Option<&Tensor>,
         activation: FusedActivation,
-        arena: &mut ActivationArena,
-    ) -> Result<Tensor> {
+        out: &mut Tensor,
+    ) -> Result<()> {
         // A fused tail *replaces* the layer's own activation, which is only
         // sound while tail convolutions are built with `Activation::None` (as
         // every shipped block family is) — otherwise the reference path would
@@ -134,10 +137,9 @@ impl ConvBn {
             activation == self.act.fused() || matches!(self.act, Activation::None),
             "fused tail would drop this layer's own activation"
         );
-        let mut out = arena.take(self.prepared.params().output_shape(input.shape())?);
         let epilogue = ConvEpilogue { activation, residual };
-        self.prepared.forward_fused_into(input, epilogue, &mut out)?;
-        Ok(out)
+        self.prepared.forward_fused_into(input, epilogue, out)?;
+        Ok(())
     }
 
     /// Widens the layer's recorded int8 activation range with one observed
@@ -247,25 +249,26 @@ impl Linear {
 }
 
 /// One live activation of a forward pass: the caller's input is borrowed (no
-/// per-request clone), everything a network op writes is owned and retired
-/// as soon as the op list says it is dead.
+/// per-request clone), everything a network op writes is owned, with the
+/// arena buffer it came from, and retired as soon as the op list says it is
+/// dead.
 enum Cursor<'a> {
     Borrowed(&'a Tensor),
-    Owned(Tensor),
+    Owned(Tensor, usize),
 }
 
 impl Cursor<'_> {
     fn get(&self) -> &Tensor {
         match self {
             Cursor::Borrowed(t) => t,
-            Cursor::Owned(t) => t,
+            Cursor::Owned(t, _) => t,
         }
     }
 
-    /// Retires an owned activation back to the arena.
+    /// Retires an owned activation back to its arena buffer.
     fn retire(self, arena: &mut ActivationArena) {
-        if let Cursor::Owned(t) = self {
-            arena.give(t);
+        if let Cursor::Owned(t, buffer) = self {
+            arena.give(buffer, t);
         }
     }
 
@@ -273,7 +276,7 @@ impl Cursor<'_> {
     fn into_tensor(self) -> Tensor {
         match self {
             Cursor::Borrowed(t) => t.clone(),
-            Cursor::Owned(t) => t,
+            Cursor::Owned(t, _) => t,
         }
     }
 }
@@ -405,8 +408,9 @@ impl Network {
     }
 
     /// The arena interpreter: runs `ops` over the activations in `slots` (one
-    /// image or a batch of them), taking each op's output from the arena and
-    /// giving every retired activation back.
+    /// image or a batch of them), taking each op's output from the arena
+    /// buffer of its output slot and giving every retired activation back to
+    /// the buffer it came from.
     fn run_ops(
         &self,
         ops: &[Op],
@@ -417,16 +421,20 @@ impl Network {
             let x = live(slots, op.input);
             let out = match op.kind {
                 OpKind::Conv { conv, residual, act } => {
+                    let conv = &self.convs[conv];
+                    let mut out =
+                        arena.take(op.output, conv.prepared.params().output_shape(x.shape())?);
                     let residual = residual.map(|slot| live(slots, slot));
-                    self.convs[conv].forward_tail(x, residual, act.fused(), arena)?
+                    conv.forward_tail(x, residual, act.fused(), &mut out)?;
+                    out
                 }
                 OpKind::MaxPool(pool) => {
-                    let mut out = arena.take(pool.output_shape(x.shape())?);
+                    let mut out = arena.take(op.output, pool.output_shape(x.shape())?);
                     max_pool2d_into(x, &pool, &mut out)?;
                     out
                 }
                 OpKind::GlobalAvgPool => {
-                    let mut out = arena.take(Shape::new(x.shape().n, x.shape().c, 1, 1));
+                    let mut out = arena.take(op.output, Shape::new(x.shape().n, x.shape().c, 1, 1));
                     global_avg_pool_into(x, &mut out)?;
                     out
                 }
@@ -445,7 +453,7 @@ impl Network {
                     continue;
                 }
             };
-            slots[op.output] = Some(Cursor::Owned(out));
+            slots[op.output] = Some(Cursor::Owned(out, op.output));
         }
         Ok(())
     }
@@ -489,9 +497,10 @@ impl Network {
     }
 
     /// Plans the activation-arena footprint of a forward pass at one input
-    /// shape: the buffer sizes [`forward_with_arena`](Self::forward_with_arena)
-    /// allocates plus the peak live-activation bytes, from the same op list
-    /// (see [`ArchSpec::arena_plan`]). The plan depends only on the
+    /// shape: the size each slot's buffer grows to in
+    /// [`forward_with_arena`](Self::forward_with_arena) plus the peak
+    /// live-activation bytes, from the same op list (see
+    /// [`ArchSpec::arena_plan`]). The plan depends only on the
     /// architecture and the input shape — not on the thread budget or the
     /// dispatch state — because the op list fixes every take and retire
     /// whatever the kernels.
@@ -562,7 +571,8 @@ impl Network {
     ///   at 224², no fold at 448². Each image of the group runs alone up to
     ///   that block.
     /// * **Tail.** The group's fold-block inputs are copied into one N-image
-    ///   tensor, and the rest of the network runs on it once: every
+    ///   tensor (the arena buffer after the lowered slots' ones), and the
+    ///   rest of the network runs on it once: every
     ///   GEMM-lowered convolution folds the images into its GEMM columns, so
     ///   a layer's weights stream once per group instead of once per image.
     /// * **Dispatch.** A group that folds is one pool task. Every image of a
@@ -579,8 +589,9 @@ impl Network {
     /// its tail activations are N images wide, so a worker's arena and
     /// scratch pool grow past the single-image
     /// [`arena_plan`](Self::arena_plan); the fold rule does not bound that
-    /// growth (ResNet-50, groups of four at 112² and 168²: about 7 MiB of
-    /// arena and 6 MiB of scratch per worker). Each executing thread's
+    /// growth. ResNet-50 in groups of four holds five arena buffers per
+    /// worker, 4.0 MiB at 112² and 9.6 MiB at 168² (also for a worker that
+    /// serves both), plus about 6 MiB of scratch. Each executing thread's
     /// persistent arena keeps warm batches allocation-free.
     ///
     /// # Errors
@@ -650,7 +661,7 @@ impl Network {
         let block = self.lowering.blocks[fold];
         let (head, tail) = self.lowering.ops.split_at(block.start);
         let logits = with_thread_arena(|arena| -> Result<Tensor> {
-            let mut folded = arena.take(Shape::new(group.len(), image.c, image.h, image.w));
+            let mut folded = arena.take(SLOTS, Shape::new(group.len(), image.c, image.h, image.w));
             let chunks = folded.as_mut_slice().chunks_exact_mut(image.volume());
             for (input, chunk) in group.iter().zip(chunks) {
                 let mut slots = slots_with(0, Cursor::Borrowed(input));
@@ -659,7 +670,7 @@ impl Network {
                 chunk.copy_from_slice(x.get().as_slice());
                 x.retire(arena);
             }
-            let mut slots = slots_with(block.input, Cursor::Owned(folded));
+            let mut slots = slots_with(block.input, Cursor::Owned(folded, SLOTS));
             self.run_ops(tail, &mut slots, arena)?;
             Ok(take_live(&mut slots, self.lowering.output))
         })?;
@@ -723,7 +734,7 @@ fn run_reference(
                 continue;
             }
         };
-        slots[op.output] = Some(Cursor::Owned(out));
+        slots[op.output] = Some(Cursor::Owned(out, op.output));
     }
     Ok(take_live(&mut slots, lowering.output))
 }
@@ -821,10 +832,10 @@ mod tests {
         assert!(!plan.buffer_elems.is_empty());
         assert!(plan.arena_bytes() > 0);
         assert!(plan.peak_live_bytes > 0);
-        // Ping-pong reuse must keep the buffer count far below the layer count.
+        // One buffer per slot keeps the buffer count far below the layer count.
         assert!(
             plan.buffer_elems.len() < net.num_layers(),
-            "planner found no reuse: {} buffers for {} layers",
+            "{} buffers for {} layers",
             plan.buffer_elems.len(),
             net.num_layers()
         );

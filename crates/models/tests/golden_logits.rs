@@ -105,9 +105,9 @@ fn conv_layers_match_golden_shapes_at_224() {
 #[test]
 fn resnet18_arena_plans_match_golden() {
     let expected = [
-        ("0b27a1e97fd8d5f5", 1_003_520),
-        ("8ef391528ff9fbf5", 4_014_080),
-        ("9ac87e11a87fb3f5", 16_056_320),
+        ("efc1d3e9798b25f5", 1_003_520),
+        ("fe3590dbc076bbf5", 4_014_080),
+        ("9eebea06081f33f5", 16_056_320),
     ];
     assert_eq!(plan_digests(ModelKind::ResNet18), expected.map(|(h, p)| (h.to_string(), p)));
 }
@@ -115,9 +115,9 @@ fn resnet18_arena_plans_match_golden() {
 #[test]
 fn resnet50_arena_plans_match_golden() {
     let expected = [
-        ("f59214cc04d0f94f", 2_007_040),
-        ("f7abe4247e9d894f", 8_028_160),
-        ("5da22d783896694f", 32_112_640),
+        ("de85aae5dc3c1ff5", 2_007_040),
+        ("e1ebd040bfbc63f5", 8_028_160),
+        ("b32959cc7726d3f5", 32_112_640),
     ];
     assert_eq!(plan_digests(ModelKind::ResNet50), expected.map(|(h, p)| (h.to_string(), p)));
 }
@@ -125,9 +125,9 @@ fn resnet50_arena_plans_match_golden() {
 #[test]
 fn mobilenet_v2_arena_plans_match_golden() {
     let expected = [
-        ("e9039f45c08d3a4f", 1_705_984),
-        ("563319aad38c254f", 6_823_936),
-        ("aec97a11c547f94f", 27_295_744),
+        ("a95eba16e4a869f5", 1_705_984),
+        ("ed2746442fc2ebf5", 6_823_936),
+        ("22faaa39daec53f5", 27_295_744),
     ];
     assert_eq!(plan_digests(ModelKind::MobileNetV2), expected.map(|(h, p)| (h.to_string(), p)));
 }

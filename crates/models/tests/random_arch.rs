@@ -11,9 +11,11 @@
 //! * the arena forward equals the reference forward bitwise,
 //! * `forward_batch` of 2–4 equal-shape inputs (folded at a stage entry when
 //!   one qualifies) equals the per-image forward bitwise,
-//! * `ArchSpec::arena_plan` equals `Network::arena_plan`, and
+//! * `ArchSpec::arena_plan` equals `Network::arena_plan`,
+//! * a cold forward grows an empty arena to exactly the plan's bytes,
 //! * after a reserve from that plan the first forward makes zero tracked
-//!   allocations.
+//!   allocations, and
+//! * so does the first forward from that arena at every smaller extent.
 //!
 //! Each case is drawn from one `u64` seed; a failing case prints it. Seeds
 //! that once failed go into `REGRESSION_SEEDS`.
@@ -26,9 +28,10 @@ use rescnn_tensor::{scratch, ActivationArena, Conv2dParams, Pool2dParams, Shape,
 
 /// Seeds of cases that failed once; each is re-checked on every run.
 ///
-/// * `0xa223_d121_8b2f_cdff`: a plan-reserved arena missed once, because best
-///   fit handed an early take a buffer the plan had created for a later one
-///   (`Lowering::arena_plan` now adds what a reserved forward still misses).
+/// * `0xa223_d121_8b2f_cdff`: a plan-reserved arena missed once, when the
+///   arena reused buffers best fit and could hand an early take a buffer the
+///   plan had created for a later one (the arena now keeps one buffer per
+///   lowered slot, and the plan sizes each).
 const REGRESSION_SEEDS: [u64; 1] = [0xa223_d121_8b2f_cdff];
 
 /// Serializes tests in this binary: they observe the global allocation
@@ -129,6 +132,13 @@ fn check(seed: u64) -> Result<(), String> {
     if arch.arena_plan(shape).map_err(|e| e.to_string())? != plan {
         return fail("ArchSpec::arena_plan differs from Network::arena_plan");
     }
+    // The planner and the executor agree by construction: a cold forward
+    // grows each slot's buffer to the plan's size for it.
+    let mut cold = ActivationArena::new();
+    net.forward_with_arena(&inputs[0], &mut cold).map_err(|e| e.to_string())?;
+    if cold.resident_bytes() != plan.arena_bytes() {
+        return fail("a cold forward's arena differs from the plan");
+    }
     // The kernel scratch pool is warm from the forwards above, so only the
     // planned activation buffers are left to allocate.
     let mut arena = ActivationArena::new();
@@ -137,6 +147,20 @@ fn check(seed: u64) -> Result<(), String> {
     net.forward_with_arena(&inputs[0], &mut arena).map_err(|e| e.to_string())?;
     if scratch::heap_allocations() != reserved {
         return fail("the first forward from a plan-reserved arena allocated");
+    }
+    // A worker serving several rungs keeps one set of buffers, sized to its
+    // largest plan: no smaller extent's first forward grows it.
+    for smaller in 1..extent {
+        let input = Tensor::random_uniform(Shape::chw(3, smaller, smaller), 1.0, seed);
+        // Warm the scratch pool and lazy caches at this extent elsewhere.
+        net.forward_with_arena(&input, &mut ActivationArena::new()).map_err(|e| e.to_string())?;
+        let warm = scratch::heap_allocations();
+        net.forward_with_arena(&input, &mut arena).map_err(|e| e.to_string())?;
+        if scratch::heap_allocations() != warm {
+            return fail(&format!(
+                "the first forward at {smaller}px from the reserved arena allocated"
+            ));
+        }
     }
     Ok(())
 }

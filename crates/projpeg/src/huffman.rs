@@ -178,7 +178,7 @@ impl HuffmanCode {
     /// Decodes one symbol from the reader, or `None` on end of stream / unknown code.
     ///
     /// Entropy decoding is the larger part of applying a scan, so this is table-driven:
-    /// one lookup of the next [`LUT_BITS`] bits resolves every code that short, and longer
+    /// one lookup of the next `LUT_BITS` (9) bits resolves every code that short, and longer
     /// codes are searched by length in a sorted list. For every table and every byte
     /// string the result — and the number of bits consumed, also on `None` — is what
     /// matching the stream bit by bit against all 256 codes gives (the test-only

@@ -108,7 +108,7 @@ use crate::quant::QuantTable;
 /// intersect its pixel window, and only once per block however many scans one call
 /// applies.
 ///
-/// See the [module docs](self) for the invariant tying [`frame`](Self::frame) to
+/// The (private) `progressive` module docs state the invariant tying [`frame`](Self::frame) to
 /// [`ProgressiveImage::decode`]. The decoder only moves forward; decoding a smaller
 /// prefix requires a fresh decoder. If [`advance`](Self::advance) or
 /// [`advance_to`](Self::advance_to) returns a stream error, the decoder's state is

@@ -1,19 +1,22 @@
 //! Reusable activation-tensor arena.
 //!
-//! The engine's [`scratch`](crate::scratch) pool recycles *kernel working
-//! memory* (packed panels, im2col stripes); this module recycles the much
-//! larger *activation tensors* a network forward pass produces — one fresh
+//! The engine's [`crate::scratch`] pool recycles *kernel working memory*
+//! (packed panels, im2col stripes); this module recycles the much larger
+//! *activation tensors* a network forward pass produces — one fresh
 //! `vec![0.0; C*H*W]` per layer in the unmanaged path, which at 448² inputs
 //! means hundreds of megabytes of allocate + memset per ResNet-50 forward.
 //!
-//! An [`ActivationArena`] hands out [`Tensor`]s backed by retired buffers
-//! (best-fit by capacity, **without** zeroing — see [`ActivationArena::take`])
-//! and takes them back with [`ActivationArena::give`]. A model runs its whole
-//! forward out of one arena: after a warm-up pass at each served resolution
-//! bucket, steady-state forwards perform zero heap allocations for
-//! activations. Allocation misses advance the same process-wide counter as the
-//! scratch pool ([`crate::scratch::heap_allocations`]), so one counter pins the
-//! engine's entire zero-allocation property.
+//! An [`ActivationArena`] is a short table of buffers indexed by the caller's
+//! slot. A forward pass that assigns every activation a slot ahead of time
+//! (the lowered op list in `rescnn-models` does) takes each output from its
+//! slot's buffer ([`ActivationArena::take`], **without** zeroing) and gives it
+//! back there when the activation dies ([`ActivationArena::give`]). A buffer
+//! only grows, to the largest take its slot has seen, so after one pass at the
+//! largest served resolution — or an [`ActivationArena::reserve`] of that
+//! pass's plan — forwards at it and every smaller resolution perform zero heap
+//! allocations for activations. Growths advance the same process-wide counter
+//! as the scratch pool ([`crate::scratch::heap_allocations`]), so one counter
+//! pins the engine's entire zero-allocation property.
 //!
 //! Buffer reuse is pure memory recycling — it never changes computed values —
 //! so arena-backed execution is bitwise identical to fresh-allocation
@@ -25,27 +28,22 @@ use crate::scratch;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
-/// Maximum retired buffers an arena retains; beyond this the smallest retired
-/// buffer is dropped in favour of larger ones (mixed-resolution serving keeps
-/// the per-bucket maxima resident).
-const MAX_SLOTS: usize = 24;
-
-/// A pool of retired activation buffers, reused best-fit by capacity.
+/// One reusable activation buffer per caller-assigned slot.
 ///
 /// # Examples
 /// ```
 /// use rescnn_tensor::{ActivationArena, Shape};
 ///
 /// let mut arena = ActivationArena::new();
-/// let a = arena.take(Shape::chw(8, 16, 16));
-/// arena.give(a);
-/// let b = arena.take(Shape::chw(4, 16, 16)); // reuses the retired buffer
+/// let a = arena.take(0, Shape::chw(8, 16, 16));
+/// arena.give(0, a);
+/// let b = arena.take(0, Shape::chw(4, 16, 16)); // reuses buffer 0
 /// assert_eq!(b.shape().volume(), 4 * 16 * 16);
 /// # drop(b);
 /// ```
 #[derive(Debug, Default)]
 pub struct ActivationArena {
-    slots: Vec<Vec<f32>>,
+    buffers: Vec<Vec<f32>>,
     /// Bytes of activations currently checked out (taken and not yet given
     /// back). Pure bookkeeping — never allocates.
     live_bytes: usize,
@@ -60,33 +58,18 @@ impl ActivationArena {
         Self::default()
     }
 
-    /// Takes a tensor of the given shape backed by a recycled buffer when one
-    /// is large enough (best fit), allocating otherwise (which advances
-    /// [`crate::scratch::heap_allocations`]).
+    /// Takes buffer `slot` as a tensor of the given shape, first growing it to
+    /// exactly the shape's volume when its capacity is short (which advances
+    /// [`crate::scratch::heap_allocations`]). A slot whose buffer is checked
+    /// out has none, so taking it again allocates.
     ///
     /// **Contents are unspecified** — recycled buffers are *not* zeroed (that
     /// memset is part of what the arena saves). Every consumer must overwrite
     /// the full tensor; all engine kernels' `_into` variants do.
-    pub fn take(&mut self, shape: Shape) -> Tensor {
+    pub fn take(&mut self, slot: usize, shape: Shape) -> Tensor {
         let len = shape.volume();
-        // Best fit: the smallest retired buffer that is large enough, so one
-        // high-resolution buffer is not burned on a low-resolution request.
-        let position = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, buffer)| buffer.capacity() >= len)
-            .min_by_key(|(_, buffer)| buffer.capacity())
-            .map(|(index, _)| index);
-        let mut buffer = match position {
-            Some(index) => self.slots.swap_remove(index),
-            None => {
-                scratch::record_external_allocation();
-                #[cfg(test)]
-                tests::MISSES_ON_THIS_THREAD.with(|misses| misses.set(misses.get() + 1));
-                Vec::with_capacity(len)
-            }
-        };
+        self.grow(slot, len);
+        let mut buffer = std::mem::take(&mut self.buffers[slot]);
         // Truncate-then-resize initializes only the region beyond the buffer's
         // previous length; the (stale) prefix is already-initialized memory.
         if buffer.len() > len {
@@ -100,46 +83,53 @@ impl ActivationArena {
         Tensor::from_vec(shape, buffer).expect("buffer sized to the shape's volume")
     }
 
-    /// Returns a tensor's buffer to the arena for reuse.
-    pub fn give(&mut self, tensor: Tensor) {
+    /// Returns a tensor's buffer to slot `slot`; if the slot already holds a
+    /// buffer, the larger of the two is kept.
+    pub fn give(&mut self, slot: usize, tensor: Tensor) {
         // Saturating: tensors not taken from this arena may legitimately be
         // retired into it (warm-up paths); accounting must never underflow.
         self.live_bytes =
             self.live_bytes.saturating_sub(tensor.shape().volume() * std::mem::size_of::<f32>());
         let buffer = tensor.into_vec();
-        if buffer.capacity() == 0 {
-            return;
-        }
-        if self.slots.len() < MAX_SLOTS {
-            self.slots.push(buffer);
-        } else if let Some(smallest) =
-            self.slots.iter().enumerate().min_by_key(|(_, b)| b.capacity()).map(|(i, _)| i)
-        {
-            if self.slots[smallest].capacity() < buffer.capacity() {
-                self.slots[smallest] = buffer;
-            }
+        let held = self.buffer(slot);
+        if buffer.capacity() > held.capacity() {
+            *held = buffer;
         }
     }
 
-    /// Pre-populates the arena so a forward pass planned to use buffers of
-    /// exactly these element counts will not allocate: takes every size (in the
-    /// given order, allocating on miss) and retires them all.
-    pub fn reserve(&mut self, sizes: &[usize]) {
-        let tensors: Vec<Tensor> =
-            sizes.iter().map(|&len| self.take(Shape::new(1, 1, 1, len.max(1)))).collect();
-        for tensor in tensors {
-            self.give(tensor);
+    /// Grows buffer `k` to hold `elems[k]` elements, so a forward pass
+    /// planned to take at most that much from each slot will not allocate.
+    pub fn reserve(&mut self, elems: &[usize]) {
+        for (slot, &len) in elems.iter().enumerate() {
+            self.grow(slot, len);
         }
     }
 
-    /// Number of retired buffers currently held.
-    pub fn slots(&self) -> usize {
-        self.slots.len()
+    /// Buffer `slot`, adding empty slots up to it.
+    fn buffer(&mut self, slot: usize) -> &mut Vec<f32> {
+        if slot >= self.buffers.len() {
+            self.buffers.resize_with(slot + 1, Vec::new);
+        }
+        &mut self.buffers[slot]
     }
 
-    /// Bytes resident across all retired buffers.
+    /// Replaces a buffer shorter than `len` elements by one of exactly `len`.
+    fn grow(&mut self, slot: usize, len: usize) {
+        let buffer = self.buffer(slot);
+        if buffer.capacity() < len {
+            scratch::record_external_allocation();
+            #[cfg(test)]
+            tests::MISSES_ON_THIS_THREAD.with(|misses| misses.set(misses.get() + 1));
+            // Free the short buffer before the larger one is allocated.
+            *buffer = Vec::new();
+            *buffer = Vec::with_capacity(len);
+        }
+    }
+
+    /// Bytes resident across the buffers the arena holds (checked-out ones
+    /// excluded).
     pub fn resident_bytes(&self) -> usize {
-        self.slots.iter().map(|b| b.capacity() * std::mem::size_of::<f32>()).sum()
+        self.buffers.iter().map(|b| b.capacity() * std::mem::size_of::<f32>()).sum()
     }
 
     /// Bytes of activations currently checked out of the arena.
@@ -198,34 +188,44 @@ mod tests {
     #[test]
     fn reuses_retired_buffers_without_allocating() {
         let mut arena = ActivationArena::new();
-        let first = arena.take(Shape::chw(2, 8, 8));
+        let first = arena.take(0, Shape::chw(2, 8, 8));
         let ptr = first.as_slice().as_ptr();
-        arena.give(first);
+        arena.give(0, first);
 
         let warm = misses_on_this_thread();
-        let second = arena.take(Shape::chw(1, 8, 8));
-        assert_eq!(second.as_slice().as_ptr(), ptr, "best fit should reuse the retired buffer");
+        let second = arena.take(0, Shape::chw(1, 8, 8));
+        assert_eq!(second.as_slice().as_ptr(), ptr, "the slot's buffer should be reused");
         assert_eq!(second.shape().volume(), 64);
         assert_eq!(misses_on_this_thread() - warm, 0, "reuse must not allocate");
-        arena.give(second);
+        arena.give(0, second);
     }
 
     #[test]
     fn misses_advance_the_shared_counter() {
         let mut arena = ActivationArena::new();
         let before = scratch::heap_allocations();
-        let t = arena.take(Shape::chw(1, 4, 4));
+        let t = arena.take(0, Shape::chw(1, 4, 4));
         assert!(scratch::heap_allocations() > before);
-        arena.give(t);
+        arena.give(0, t);
     }
 
     #[test]
-    fn best_fit_prefers_the_smallest_sufficient_buffer() {
+    fn each_slot_grows_exactly_to_its_largest_take() {
         let mut arena = ActivationArena::new();
-        arena.reserve(&[1024, 64]);
-        let t = arena.take(Shape::new(1, 1, 1, 60));
-        let buffer = t.into_vec();
-        assert!(buffer.len() == 60 && buffer.capacity() < 1024);
+        let cold = misses_on_this_thread();
+        for len in [64, 100, 80] {
+            let t = arena.take(1, Shape::new(1, 1, 1, len));
+            arena.give(1, t);
+        }
+        assert_eq!(misses_on_this_thread() - cold, 2, "one miss per growth");
+        assert_eq!(arena.resident_bytes(), 100 * 4, "slot 0 is empty, slot 1 holds 100");
+        // A slot taken twice without a give allocates for the second take; the
+        // larger buffer is the one kept.
+        let a = arena.take(1, Shape::new(1, 1, 1, 100));
+        let b = arena.take(1, Shape::new(1, 1, 1, 30));
+        arena.give(1, b);
+        arena.give(1, a);
+        assert_eq!(arena.resident_bytes(), 100 * 4);
     }
 
     #[test]
@@ -234,28 +234,15 @@ mod tests {
         let cold = misses_on_this_thread();
         arena.reserve(&[512, 256, 256]);
         let warm = misses_on_this_thread();
-        assert_eq!(warm - cold, 3, "the reservation's own misses are counted");
-        let a = arena.take(Shape::new(1, 1, 1, 512));
-        let b = arena.take(Shape::new(1, 1, 1, 250));
-        let c = arena.take(Shape::new(1, 1, 1, 256));
+        assert_eq!(warm - cold, 3, "the reservation's own growths are counted");
+        let a = arena.take(0, Shape::new(1, 1, 1, 512));
+        let b = arena.take(1, Shape::new(1, 1, 1, 250));
+        let c = arena.take(2, Shape::new(1, 1, 1, 256));
         assert_eq!(misses_on_this_thread() - warm, 0);
-        arena.give(a);
-        arena.give(b);
-        arena.give(c);
-        assert_eq!(arena.slots(), 3);
-        assert!(arena.resident_bytes() >= (512 + 256 + 256) * 4);
-    }
-
-    #[test]
-    fn slot_cap_keeps_the_largest_buffers() {
-        let mut arena = ActivationArena::new();
-        for len in 0..MAX_SLOTS + 4 {
-            arena.give(Tensor::zeros(Shape::new(1, 1, 1, len + 1)));
-        }
-        assert_eq!(arena.slots(), MAX_SLOTS);
-        let largest = arena.take(Shape::new(1, 1, 1, MAX_SLOTS + 4));
-        assert_eq!(largest.shape().volume(), MAX_SLOTS + 4);
-        drop(largest);
+        arena.give(0, a);
+        arena.give(1, b);
+        arena.give(2, c);
+        assert_eq!(arena.resident_bytes(), (512 + 256 + 256) * 4);
     }
 
     #[test]
@@ -263,31 +250,31 @@ mod tests {
         let mut arena = ActivationArena::new();
         assert_eq!(arena.live_bytes(), 0);
         assert_eq!(arena.peak_live_bytes(), 0);
-        let a = arena.take(Shape::new(1, 1, 1, 100)); // 400 B live
-        let b = arena.take(Shape::new(1, 1, 1, 50)); // 600 B live (peak)
+        let a = arena.take(0, Shape::new(1, 1, 1, 100)); // 400 B live
+        let b = arena.take(1, Shape::new(1, 1, 1, 50)); // 600 B live (peak)
         assert_eq!(arena.live_bytes(), 600);
         assert_eq!(arena.peak_live_bytes(), 600);
-        arena.give(a); // 200 B live
+        arena.give(0, a); // 200 B live
         assert_eq!(arena.live_bytes(), 200);
         assert_eq!(arena.peak_live_bytes(), 600, "peak holds after a give");
-        let c = arena.take(Shape::new(1, 1, 1, 75)); // 500 B live, below peak
+        let c = arena.take(0, Shape::new(1, 1, 1, 75)); // 500 B live, below peak
         assert_eq!(arena.live_bytes(), 500);
         assert_eq!(arena.peak_live_bytes(), 600);
-        arena.give(b);
+        arena.give(1, b);
         arena.reset_peak();
         assert_eq!(arena.peak_live_bytes(), 300, "reset restarts from the live level");
-        arena.give(c);
+        arena.give(0, c);
         assert_eq!(arena.live_bytes(), 0);
     }
 
     #[test]
     fn foreign_gives_saturate_instead_of_underflowing() {
         let mut arena = ActivationArena::new();
-        arena.give(Tensor::zeros(Shape::new(1, 1, 1, 64)));
+        arena.give(0, Tensor::zeros(Shape::new(1, 1, 1, 64)));
         assert_eq!(arena.live_bytes(), 0, "a give of a non-arena tensor must not underflow");
-        let t = arena.take(Shape::new(1, 1, 1, 32));
+        let t = arena.take(0, Shape::new(1, 1, 1, 32));
         assert_eq!(arena.live_bytes(), 128);
-        arena.give(t);
+        arena.give(0, t);
     }
 
     #[test]
@@ -296,24 +283,24 @@ mod tests {
         arena.reserve(&[256]);
         arena.reset_peak();
         let warm = misses_on_this_thread();
-        let t = arena.take(Shape::new(1, 1, 1, 256));
+        let t = arena.take(0, Shape::new(1, 1, 1, 256));
         assert_eq!(arena.peak_live_bytes(), 1024);
-        arena.give(t);
+        arena.give(0, t);
         assert_eq!(misses_on_this_thread() - warm, 0, "byte accounting must stay free");
     }
 
     #[test]
     fn thread_arena_persists_across_calls() {
         let ptr = with_thread_arena(|arena| {
-            let t = arena.take(Shape::chw(3, 5, 5));
+            let t = arena.take(0, Shape::chw(3, 5, 5));
             let ptr = t.as_slice().as_ptr() as usize;
-            arena.give(t);
+            arena.give(0, t);
             ptr
         });
         let again = with_thread_arena(|arena| {
-            let t = arena.take(Shape::chw(3, 5, 5));
+            let t = arena.take(0, Shape::chw(3, 5, 5));
             let again = t.as_slice().as_ptr() as usize;
-            arena.give(t);
+            arena.give(0, t);
             again
         });
         assert_eq!(ptr, again, "the thread arena must persist between scopes");

@@ -11,7 +11,7 @@
 //! * **Packing** — A is repacked into `MR`-row column-major panels and B into
 //!   `NR`-column row-major panels, so the microkernel reads both operands at stride
 //!   1 regardless of the original layouts. Panels live in the thread-local
-//!   [`scratch`](crate::scratch) arena and are reused across layers. Callers pack
+//!   [`crate::scratch`] arena and are reused across layers. Callers pack
 //!   B in column stripes of at most [`MAX_B_PANEL_ELEMS`] elements (512 KiB), a
 //!   quarter of a 2 MiB per-core L2: a stripe is the operand every row tile of a
 //!   chunk re-reads, so it must survive in L2 between those reads while the A
@@ -50,7 +50,7 @@
 //!   accumulation order, and results are bitwise identical for every thread
 //!   count.
 //!
-//! The convolution dispatch layer in [`conv`](crate::conv) lowers convolutions onto
+//! The convolution dispatch layer in `conv` lowers convolutions onto
 //! [`packed_gemm_strided`]; dense GEMM callers use the [`crate::gemm_packed`]
 //! wrapper.
 

@@ -11,7 +11,7 @@
 //! * **Parked workers.** The first parallel dispatch spawns `num_threads() − 1`
 //!   workers (the submitting thread always participates as a worker itself). Idle
 //!   workers park on a condvar; waking them is the only per-call cost.
-//! * **Job-queue handoff.** A dispatch publishes a [`Job`] — a type-erased task
+//! * **Job-queue handoff.** A dispatch publishes a `Job` — a type-erased task
 //!   plus an atomic chunk cursor — onto a shared queue and wakes the pool. Workers
 //!   claim chunk indices with a `fetch_add`, so uneven chunk costs load-balance
 //!   automatically, and several jobs can be in flight at once (concurrent
@@ -185,7 +185,7 @@ pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
 /// run where the panicking task had merely returned an error, for every thread
 /// count.
 ///
-/// A [`CancellationToken`](crate::CancellationToken) in scope is honoured at
+/// A [`crate::CancellationToken`] in scope is honoured at
 /// *task* boundaries here: a task whose token has fired before it starts
 /// yields `Err("cancelled …")` without running, and a task whose token fires
 /// mid-run has its (partially-skipped, garbage) result replaced by the same
@@ -238,10 +238,16 @@ struct Job {
     done_signal: Condvar,
 }
 
-// Safety: the task pointer is only dereferenced while the submitting thread blocks
-// in `for_each_chunk` (see `Job` docs); the closure itself is `Sync`, so calling it
-// from several threads is sound.
+// SAFETY: `task` is the only field that is not `Send + Sync` by itself. It points
+// at a `dyn Fn(usize) + Sync` closure, so calling it through a shared reference
+// from several threads at once is sound. It is only called from `Job::work` for
+// a claimed index below `total`, and `run_on_pool` does not return (so the
+// closure does not die) before `Job::wait` has counted all `total` chunks
+// complete; a pool worker that still holds the `Arc<Job>` after that finds the
+// cursor exhausted and never dereferences it.
 unsafe impl Send for Job {}
+// SAFETY: as for `Send` above; every other field is an atomic, a `Mutex` or a
+// `Condvar`.
 unsafe impl Sync for Job {}
 
 struct JobDone {
@@ -262,7 +268,10 @@ impl Job {
             let result = if self.poisoned.load(Ordering::Acquire) {
                 Ok(())
             } else {
-                // Dereference is in-bounds: index < total (see `Job` docs).
+                // SAFETY: `index < total` and this chunk is not yet counted in
+                // `done.completed`, so the submitter is still blocked in
+                // `run_on_pool` (its `Job::wait` needs every chunk counted) and
+                // `task` still points at its live closure.
                 catch_unwind(AssertUnwindSafe(|| unsafe { (*self.task)(index) }))
             };
             let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
@@ -456,7 +465,11 @@ pub fn pool_size() -> usize {
 /// most `workers - 1` pool workers join in.
 fn run_on_pool(total: usize, workers: usize, task: &(dyn Fn(usize) + Sync)) {
     let shared = pool();
-    // Erase the stack lifetime: `Job` documents why the pointer never dangles.
+    // SAFETY: the transmute only erases the closure's stack lifetime; the fat
+    // pointer's layout is unchanged. The pointer is dereferenced only in
+    // `Job::work`, for chunks counted complete before `job.wait()` below
+    // returns, and this function blocks in `job.wait()` (task panics are caught
+    // in `Job::work`, so it always gets there) while `task` is still borrowed.
     let task: *const (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(task) };
     let job = Arc::new(Job {
         task,
@@ -541,8 +554,12 @@ where
         }
         let start = index * chunk_len;
         let end = (start + chunk_len).min(len);
-        // Safety: chunk windows [start, end) are pairwise disjoint across indices
-        // and in-bounds, and `data` is exclusively borrowed for the whole dispatch.
+        debug_assert!(start < end && end <= len, "chunk {index} outside the data");
+        // SAFETY: `index < n_chunks = len.div_ceil(chunk_len)`, so `[start, end)`
+        // is a non-empty window inside `data`. `run_on_pool` runs each index
+        // once and windows of distinct indices are disjoint, so no two `&mut`
+        // chunks alias. `data` stays exclusively borrowed until `run_on_pool`
+        // returns, after every chunk is done.
         let chunk = unsafe { std::slice::from_raw_parts_mut(base.get().add(start), end - start) };
         f(index, chunk);
     });
@@ -603,7 +620,14 @@ impl<T> SendPtr<T> {
     }
 }
 
+// SAFETY: a `SendPtr` is only built by `for_each_chunk`, over a `&mut [T]` it
+// borrows exclusively for the dispatch, and threads only turn it into the
+// pairwise-disjoint chunks described there. With `T: Send`, giving each
+// thread exclusive access to its own elements is what sending `chunks_mut`
+// pieces to other threads allows.
 unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: as for `Send` above: shared access to the wrapper only copies the
+// pointer; every element behind it is reached through one chunk at a time.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! 3. **Elementwise stage as GEMMs**: the per-point channel reduction
 //!    `M(t) = U(t) · V(t)` is one `O×I × I×P` matrix product per transform point
 //!    `t ∈ 0..16`, where `P` is the number of tiles — executed on the packed
-//!    microkernel from [`engine`](crate::engine), with `V` written *directly* into
+//!    microkernel from [`crate::engine`], with `V` written *directly* into
 //!    packed-B panel layout by the input transform (no repack pass).
 //! 4. **Output transform**: `Y = Aᵀ·M·A` folds the 16 points back into the 2×2
 //!    output tile, with the per-channel bias and an optional [`FusedActivation`]
@@ -27,7 +27,7 @@
 //! width and a cap on the packed-`V` footprint; chunks run on the persistent
 //! worker pool ([`parallel::for_each_task`]). All working buffers (packed `V`,
 //! the 16 `M` matrices) are slots of one workspace the *calling* thread takes
-//! from its [`scratch`](crate::scratch) arena per dispatch — one slot per
+//! from its [`crate::scratch`] arena per dispatch — one slot per
 //! concurrent task, never the workers' arenas, because which workers join a
 //! dispatch of a few chunks varies from call to call — so steady-state forward
 //! passes perform zero heap allocations here too.
@@ -38,8 +38,8 @@
 //! element is written by exactly one task, and each task uses one fixed
 //! accumulation order (the engine's KC-blocked reduction per transform point,
 //! then the fixed 16-term inverse transform) — results are therefore **bitwise
-//! identical for every thread count**. Against [`ConvAlgo::Im2colPacked`]
-//! (crate::ConvAlgo::Im2colPacked) the results are *not* bitwise equal: Winograd
+//! identical for every thread count**. Against
+//! [`crate::ConvAlgo::Im2colPacked`] the results are *not* bitwise equal: Winograd
 //! legitimately reassociates the arithmetic, and the contract — pinned by
 //! `tests/winograd_parity.rs` — is elementwise agreement within `1e-4` at
 //! unit-scale activations.
@@ -130,7 +130,7 @@ impl WinogradFilter {
     }
 
     /// Computes the F(4×4, 3×3) filter transform: `U = G·g·Gᵀ` with the 6×3
-    /// `G` of [`f4_filter_stencil`], lifting every kernel to 36 transform
+    /// `G` of `f4_filter_stencil`, lifting every kernel to 36 transform
     /// points in the same prepacked panel layout as [`Self::prepare`]. Memory
     /// cost is `36/9 = 4×` the original weights (vs `1.78×` for F(2×2)), paid
     /// once per layer.
@@ -1240,12 +1240,10 @@ pub fn conv2d_winograd_f4(
 }
 
 /// Measures the F(4×4, 3×3) numerical error for one layer shape: the maximum
-/// elementwise difference against [`ConvAlgo::Im2colPacked`]
-/// (crate::ConvAlgo::Im2colPacked) on a deterministic unit-scale input and
+/// elementwise difference against [`crate::ConvAlgo::Im2colPacked`] on a deterministic unit-scale input and
 /// half-scale weights — the same operating point the parity suites pin. A pure
 /// function of the shape (the probe data is seeded from it), so the
-/// calibration gate ([`MeasuredSweepConfig::f4_tolerance`]
-/// (../hwsim/struct.MeasuredSweepConfig.html)) is reproducible across hosts
+/// calibration gate (`MeasuredSweepConfig::f4_tolerance` in `rescnn-hwsim`) is reproducible across hosts
 /// and thread counts.
 ///
 /// # Errors

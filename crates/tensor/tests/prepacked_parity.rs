@@ -155,17 +155,17 @@ fn arena_backed_outputs_match_fresh_buffers_bitwise() {
         let mut fresh = Tensor::zeros(params.output_shape(input.shape()).unwrap());
         prepared.forward_with_algo_into(&input, algo, ConvEpilogue::default(), &mut fresh).unwrap();
 
-        // Poison a recycled buffer, then run into it.
+        // Poison slot 0's buffer, then run into it.
         let oshape = fresh.shape();
-        let mut poison = arena.take(oshape);
+        let mut poison = arena.take(0, oshape);
         poison.as_mut_slice().fill(f32::NAN);
-        arena.give(poison);
-        let mut recycled = arena.take(oshape);
+        arena.give(0, poison);
+        let mut recycled = arena.take(0, oshape);
         prepared
             .forward_with_algo_into(&input, algo, ConvEpilogue::default(), &mut recycled)
             .unwrap();
         assert_eq!(fresh.as_slice(), recycled.as_slice(), "{algo} left stale buffer contents");
-        arena.give(recycled);
+        arena.give(0, recycled);
     }
 }
 

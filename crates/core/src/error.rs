@@ -22,8 +22,8 @@ pub enum CoreError {
     /// A dataset required for training or calibration was empty.
     EmptyDataset,
     /// A request's plan/execute stage panicked and was isolated to this record
-    /// (the panic never escapes the serving layer; see `BatchScheduler` /
-    /// `SloScheduler`).
+    /// (the panic never escapes the serving layer's admission core, which
+    /// every scheduler and the server drain through).
     Panicked {
         /// The rendered panic payload.
         message: String,

@@ -18,17 +18,18 @@
 //!   ([`ingest`](DynamicResolutionPipeline::ingest) → [`ScanIndex`]), and read from the
 //!   stream and that index alone
 //!   ([`plan_with_storage`](DynamicResolutionPipeline::plan_with_storage)).
-//! * [`BatchScheduler`] — the batched serving layer: groups queued requests into
-//!   resolution buckets, executes each bucket with batch-level data parallelism over
-//!   the persistent engine worker pool, and reports per-bucket latency/throughput
-//!   ([`BucketStats`]) alongside a [`PipelineReport`] identical to sequential
-//!   evaluation. Per-request failures (corrupt streams, contained panics) are
-//!   isolated into [`ServeReport::errors`] instead of aborting the batch.
 //! * [`SloScheduler`] — the SLO-aware serving core: per-request deadlines over a
 //!   deterministic virtual clock, admission control fed by a calibrated
 //!   [`ResolutionLatencyModel`], load-shedding that *degrades resolution* down the
-//!   ladder (bounded by an SSIM floor) before it ever sheds, and the same
-//!   per-request fault isolation.
+//!   ladder (bounded by an SSIM floor) before it ever sheds, and per-request fault
+//!   isolation. Admitted requests execute as resolution buckets with batch-level
+//!   data parallelism over the persistent engine worker pool.
+//! * [`BatchScheduler`] — the offline drain over the same core: every request
+//!   arrives at once with no deadline, so each is served at its planned
+//!   resolution. It reports per-bucket latency/throughput ([`BucketStats`])
+//!   alongside a [`PipelineReport`] identical to sequential evaluation, and
+//!   isolates per-request failures (corrupt streams, contained panics) into
+//!   [`ServeReport::errors`] instead of aborting the batch.
 //!
 //! # Examples
 //! ```no_run

@@ -188,7 +188,7 @@ pub struct PipelineReport {
 impl PipelineReport {
     /// Folds per-sample records into the aggregate report, accumulating in
     /// iteration order. Both the sequential [`DynamicResolutionPipeline::evaluate`]
-    /// and the batch scheduler build their reports through this one fold, which is
+    /// and the serving core build their reports through this one fold, which is
     /// what makes their "identical results" guarantee structural rather than two
     /// loops kept in sync by hand.
     pub(crate) fn from_records<'r>(
@@ -422,8 +422,9 @@ impl DynamicResolutionPipeline {
     /// Assembles a pipeline from its parts.
     ///
     /// # Errors
-    /// Returns an error if the configuration has no candidate resolutions or the FLOP
-    /// accounting fails.
+    /// Returns an error if the configuration has no candidate resolutions, the scale
+    /// model can choose a resolution that is not one of them, or the FLOP accounting
+    /// fails.
     pub fn new(
         config: PipelineConfig,
         scale_model: ScaleModel,
@@ -431,6 +432,13 @@ impl DynamicResolutionPipeline {
     ) -> Result<Self> {
         if config.resolutions.is_empty() {
             return Err(CoreError::InvalidConfig { reason: "no candidate resolutions".into() });
+        }
+        // Plans are served, priced and degraded on the ladder: every rung the scale
+        // model can choose must be on it.
+        let ladder = &config.resolutions;
+        if let Some(rung) = scale_model.resolutions().iter().find(|r| !ladder.contains(r)) {
+            let reason = format!("scale model rung {rung} is not on the ladder {ladder:?}");
+            return Err(CoreError::InvalidConfig { reason });
         }
         // A bad warm-start calibration file degrades to the analytic cost
         // model with a recorded warning — it must not fail construction.
@@ -572,7 +580,7 @@ impl DynamicResolutionPipeline {
     }
 
     /// [`plan`](Self::plan) without installing the pipeline's engine context —
-    /// for callers (the batch scheduler) that manage their own thread budget.
+    /// for callers (the serving core) that manage their own thread budget.
     ///
     /// The planner decodes incrementally and early-exits at the storage policy's
     /// thresholds: the preview walk stops at the first sufficient scan prefix and
@@ -702,8 +710,7 @@ impl DynamicResolutionPipeline {
                 walk.measure_rung(&original, preview_res, storage.threshold_for(preview_res), 0)?;
             let depth = preview.point.scans;
             let mut rungs = vec![(preview_res, preview)];
-            let ladder = self.config.resolutions.iter().chain(self.scale_model.resolutions());
-            for resolution in ladder.copied().collect::<BTreeSet<usize>>() {
+            for resolution in self.config.resolutions.iter().copied().collect::<BTreeSet<usize>>() {
                 if resolution != preview_res {
                     let threshold = storage.threshold_for(resolution);
                     rungs.push((
@@ -855,6 +862,12 @@ impl DynamicResolutionPipeline {
         plan: &InferencePlan,
     ) -> Result<InferenceRecord> {
         let chosen_resolution = plan.chosen_resolution;
+        let backbone_gflops =
+            self.backbone_gflops.get(&chosen_resolution).copied().ok_or_else(|| {
+                CoreError::InvalidConfig {
+                    reason: format!("plan resolution {chosen_resolution} is not on the ladder"),
+                }
+            })?;
 
         // Stage 2: charge for whatever extra data the chosen resolution required.
         let scans_read = plan.preview_point.scans.max(plan.chosen_point.scans);
@@ -879,7 +892,7 @@ impl DynamicResolutionPipeline {
             total_bytes: plan.encoded.total_bytes(),
             quality: plan.quality,
             correct,
-            backbone_gflops: self.backbone_gflops.get(&chosen_resolution).copied().unwrap_or(0.0),
+            backbone_gflops,
             scale_gflops: self.scale_gflops,
         })
     }
@@ -1005,6 +1018,27 @@ mod tests {
         let bad = PipelineConfig::new(ModelKind::ResNet18, DatasetKind::CarsLike)
             .with_resolutions(vec![]);
         assert!(DynamicResolutionPipeline::new(bad, scale_model, AccuracyOracle::new(0)).is_err());
+    }
+
+    #[test]
+    fn pipeline_rejects_scale_model_rungs_off_the_ladder() {
+        let config =
+            ScaleModelConfig { resolutions: vec![112, 224, 336], epochs: 5, ..Default::default() };
+        let trainer = ScaleModelTrainer::new(config, ModelKind::ResNet18, DatasetKind::CarsLike);
+        let train = DatasetSpec::cars_like().with_len(12).with_max_dimension(64).build(1);
+        let scale_model = trainer.train(&train, 2).unwrap();
+        let short = PipelineConfig::new(ModelKind::ResNet18, DatasetKind::CarsLike)
+            .with_resolutions(vec![112, 224]);
+        match DynamicResolutionPipeline::new(short, scale_model.clone(), AccuracyOracle::new(0)) {
+            Err(CoreError::InvalidConfig { reason }) => {
+                assert!(reason.contains("336"), "the error must name the rung: {reason}")
+            }
+            other => panic!("expected InvalidConfig, got {:?}", other.map(|_| ())),
+        }
+        // A ladder holding every scale-model rung, and more, is fine.
+        let wider = PipelineConfig::new(ModelKind::ResNet18, DatasetKind::CarsLike)
+            .with_resolutions(vec![112, 168, 224, 336]);
+        assert!(DynamicResolutionPipeline::new(wider, scale_model, AccuracyOracle::new(0)).is_ok());
     }
 
     #[test]

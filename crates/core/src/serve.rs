@@ -1,29 +1,22 @@
-//! Batched serving: resolution-bucketed scheduling of concurrent inference
-//! requests over the persistent engine worker pool.
+//! Batched serving: resolution-bucketed drains of queued inference requests
+//! over the persistent engine worker pool.
 //!
 //! The paper's thesis is that resolution is the dominant lever on CNN serving
 //! cost; a production deployment therefore sees *mixed-resolution* traffic — the
-//! scale model sends easy images to 112² and hard ones to 448². Executing such a
-//! queue one request at a time wastes the batch-level parallelism the persistent
-//! pool makes cheap. The [`BatchScheduler`] instead:
+//! scale model sends easy images to 112² and hard ones to 448². The
+//! [`BatchScheduler`] drains such a queue through the crate's one serving loop,
+//! the SLO admission core (`slo.rs`), with every request at arrival 0 and no
+//! deadline: the core **plans** every request (preview read + scale model,
+//! data-parallel across requests), **admits** each plan at its own resolution,
+//! and **executes** each resolution bucket in batches of at most
+//! [`max_batch`](BatchOptions::max_batch), splitting the thread budget between
+//! sample-level and kernel-level parallelism with [`split_parallelism`].
 //!
-//! 1. **Plans** every queued request ([`DynamicResolutionPipeline::plan`]): the
-//!    preview read + scale-model stage commits each request to a backbone
-//!    resolution. Planning itself is data-parallel across requests.
-//! 2. **Buckets** the plans by chosen resolution, so each batch is
-//!    shape-homogeneous — the layout that lets a backbone execute it as one
-//!    batched forward pass.
-//! 3. **Executes** each bucket in batches of at most
-//!    [`max_batch`](BatchOptions::max_batch), splitting the thread budget between
-//!    sample-level (outer) and kernel-level (inner) parallelism with
-//!    [`split_parallelism`]: a full batch runs one sample per worker, a partial
-//!    batch keeps every worker on one sample at a time.
-//! 4. **Reports** per-bucket latency/throughput ([`BucketStats`]) plus an
-//!    aggregate [`PipelineReport`] that is *identical* — bitwise, including float
-//!    accumulation order — to what the sequential
-//!    [`evaluate`](DynamicResolutionPipeline::evaluate) path produces, because
-//!    records are folded in submission order regardless of bucket or batch
-//!    scheduling.
+//! The drain reports per-bucket latency/throughput ([`BucketStats`]) plus an
+//! aggregate [`PipelineReport`] that is *identical* — bitwise, including float
+//! accumulation order — to the sequential
+//! [`evaluate`](DynamicResolutionPipeline::evaluate), because records are folded
+//! in submission order whatever the bucketing did.
 //!
 //! # Fault isolation
 //!
@@ -31,21 +24,24 @@
 //! bit-flipped progressive stream (see
 //! [`BatchScheduler::submit_with_storage`]), or one whose stage panics, must
 //! never take the rest of its batch down. Each request's plan and execute
-//! stages therefore run under [`parallel_map_isolated`]: a failure — including
-//! a caught panic, surfaced as [`CoreError::Panicked`] — becomes a
+//! stages therefore run under
+//! [`parallel_map_isolated`](rescnn_tensor::parallel_map_isolated): a failure
+//! — including a caught panic, surfaced as [`CoreError::Panicked`] — becomes a
 //! [`RequestError`] in [`ServeReport::errors`] while every other request
 //! completes and is folded into the partial report.
-
-use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
 use rescnn_data::{Dataset, Sample};
 use rescnn_projpeg::ProgressiveImage;
-use rescnn_tensor::{num_threads, parallel_map_isolated, split_parallelism};
+use rescnn_tensor::split_parallelism;
 
 use crate::error::{CoreError, Result};
-use crate::pipeline::{DynamicResolutionPipeline, InferencePlan, InferenceRecord, PipelineReport};
+use crate::pipeline::{DynamicResolutionPipeline, PipelineReport};
+use crate::slo::{
+    thread_budget, AdmissionCore, QueuedRequest, ResolutionLatencyModel, SloOptions, SloOutcome,
+    SloRequest,
+};
 
 /// Tuning knobs for the batch scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -129,8 +125,9 @@ pub struct ServeReport {
     pub threads: usize,
 }
 
-/// Groups queued inference requests by chosen resolution and executes them as
-/// homogeneous batches over the persistent worker pool.
+/// Drains queued inference requests through the serving core: groups them by
+/// chosen resolution and executes them as homogeneous batches over the
+/// persistent worker pool.
 ///
 /// # Examples
 /// ```no_run
@@ -153,12 +150,10 @@ pub struct BatchScheduler<'a> {
     queue: Vec<QueuedRequest<'a>>,
 }
 
-/// One queued request: the sample plus, optionally, an externally supplied
-/// storage state (the path by which corrupt streams reach the scheduler).
-#[derive(Debug)]
-struct QueuedRequest<'a> {
-    sample: &'a Sample,
-    storage: Option<ProgressiveImage>,
+/// A drain request: it arrives at 0 and has no deadline, so admission serves
+/// its plan at the planned resolution.
+fn unbounded(sample: &Sample) -> SloRequest<'_> {
+    SloRequest::new(sample, 0.0, f64::INFINITY)
 }
 
 impl<'a> BatchScheduler<'a> {
@@ -170,7 +165,7 @@ impl<'a> BatchScheduler<'a> {
     /// Enqueues one request, returning its position in the queue. Results are
     /// always reported in submission order.
     pub fn submit(&mut self, sample: &'a Sample) -> usize {
-        self.queue.push(QueuedRequest { sample, storage: None });
+        self.queue.push(unbounded(sample).into_queued());
         self.queue.len() - 1
     }
 
@@ -179,13 +174,13 @@ impl<'a> BatchScheduler<'a> {
     /// (possibly corrupt or truncated) streams enter the scheduler. A stream
     /// error is isolated to this request; see [`ServeReport::errors`].
     pub fn submit_with_storage(&mut self, sample: &'a Sample, storage: ProgressiveImage) -> usize {
-        self.queue.push(QueuedRequest { sample, storage: Some(storage) });
+        self.queue.push(unbounded(sample).with_storage(storage).into_queued());
         self.queue.len() - 1
     }
 
     /// Enqueues every sample of a dataset in order.
     pub fn submit_all(&mut self, dataset: &'a Dataset) {
-        self.queue.extend(dataset.iter().map(|sample| QueuedRequest { sample, storage: None }));
+        self.queue.extend(dataset.iter().map(|sample| unbounded(sample).into_queued()));
     }
 
     /// Number of requests currently queued.
@@ -193,16 +188,8 @@ impl<'a> BatchScheduler<'a> {
         self.queue.len()
     }
 
-    /// The scheduler's total thread budget.
-    fn thread_budget(&self) -> usize {
-        self.options
-            .threads
-            .or(self.pipeline.engine_context().threads)
-            .unwrap_or_else(num_threads)
-            .max(1)
-    }
-
-    /// Drains the queue: plans, buckets, executes, and aggregates.
+    /// Drains the queue through the admission core and projects its outcomes
+    /// onto a [`ServeReport`].
     ///
     /// Per-request failures — codec errors from corrupt streams, stage panics
     /// (contained as [`CoreError::Panicked`]) — are isolated into
@@ -214,134 +201,69 @@ impl<'a> BatchScheduler<'a> {
         if self.queue.is_empty() {
             return Err(CoreError::EmptyDataset);
         }
-        let queue = std::mem::take(&mut self.queue);
-        let threads = self.thread_budget();
+        let options = SloOptions::default().with_batch(self.options);
+        let threads = thread_budget(self.pipeline, &options);
         let max_batch = self.options.max_batch.max(1);
-
-        // Stage 1: plan every request (data-parallel across the queue), each
-        // under its own fault-isolation boundary.
-        let planning_start = Instant::now();
-        let plans = run_batch_isolated(self.pipeline, threads, queue.len(), |index| {
-            let entry = &queue[index];
-            match &entry.storage {
-                Some(encoded) => {
-                    self.pipeline.plan_with_storage_unscoped(entry.sample, encoded.clone())
-                }
-                None => self.pipeline.plan_unscoped(entry.sample),
-            }
-        });
-        let planning_seconds = planning_start.elapsed().as_secs_f64();
-        let mut errors: Vec<RequestError> = Vec::new();
-        let mut plan_slots: Vec<Option<InferencePlan>> = Vec::with_capacity(queue.len());
-        for (index, outcome) in plans.into_iter().enumerate() {
-            match outcome {
-                Ok(plan) => plan_slots.push(Some(plan)),
-                Err(error) => {
-                    errors.push(RequestError { index, sample_id: queue[index].sample.id, error });
-                    plan_slots.push(None);
-                }
-            }
+        // An empty latency model prices every rung at 0 ms; with no deadline,
+        // no policy and steps at `now = ∞`, the core admits every plan as is.
+        let mut core = AdmissionCore::with_resolved(
+            self.pipeline,
+            options,
+            threads,
+            false,
+            ResolutionLatencyModel::from_estimates([]),
+            None,
+        );
+        let mut sample_ids = Vec::with_capacity(self.queue.len());
+        for request in std::mem::take(&mut self.queue) {
+            sample_ids.push(request.sample.get().id);
+            core.submit(request);
         }
-
-        // Stage 2: bucket the planned requests by chosen resolution (BTreeMap ⇒
-        // ascending buckets). Failed plans never reach a bucket.
-        let mut buckets: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
-        for (index, plan) in plan_slots.iter().enumerate() {
-            if let Some(plan) = plan {
-                buckets.entry(plan.chosen_resolution).or_default().push(index);
-            }
-        }
-
-        // Stage 3: execute each bucket in homogeneous batches.
-        let mut records: Vec<Option<InferenceRecord>> = vec![None; queue.len()];
-        let mut bucket_stats = Vec::with_capacity(buckets.len());
-        for (&resolution, members) in &buckets {
-            let (outer, inner) = split_parallelism(max_batch.min(members.len()), threads);
-            let bucket_start = Instant::now();
-            let mut batches = 0usize;
-            for batch in members.chunks(max_batch) {
-                let outcomes = run_batch_isolated(self.pipeline, threads, batch.len(), |slot| {
-                    let index = batch[slot];
-                    let plan = plan_slots[index].as_ref().expect("bucketed requests have plans");
-                    self.pipeline.execute_unscoped(queue[index].sample, plan)
-                });
-                for (slot, outcome) in outcomes.into_iter().enumerate() {
-                    let index = batch[slot];
-                    match outcome {
-                        Ok(record) => records[index] = Some(record),
-                        Err(error) => errors.push(RequestError {
-                            index,
-                            sample_id: queue[index].sample.id,
-                            error,
-                        }),
-                    }
+        core.drain();
+        let planning_seconds = core.planning_seconds;
+        let buckets = core
+            .bucket_timings
+            .iter()
+            .map(|(&resolution, timing)| {
+                let (outer, inner) = split_parallelism(max_batch.min(timing.requests), threads);
+                BucketStats {
+                    resolution,
+                    requests: timing.requests,
+                    batches: timing.batches,
+                    outer_parallelism: outer,
+                    inner_parallelism: inner,
+                    total_seconds: timing.seconds,
+                    mean_batch_latency_ms: timing.seconds * 1e3 / timing.batches.max(1) as f64,
+                    throughput_rps: timing.requests as f64 / timing.seconds.max(1e-12),
                 }
-                batches += 1;
-            }
-            let total_seconds = bucket_start.elapsed().as_secs_f64();
-            bucket_stats.push(BucketStats {
-                resolution,
-                requests: members.len(),
-                batches,
-                outer_parallelism: outer,
-                inner_parallelism: inner,
-                total_seconds,
-                mean_batch_latency_ms: total_seconds * 1e3 / batches.max(1) as f64,
-                throughput_rps: members.len() as f64 / total_seconds.max(1e-12),
-            });
-        }
-        // The decoded storage state is the bulk of the scheduler's memory; release
-        // it before aggregation.
-        drop(plan_slots);
-
-        // Failures arrive plan-stage-first then bucket-by-bucket; report them in
-        // submission order.
-        errors.sort_by_key(|e| e.index);
-
-        // Stage 4: fold the completed records in submission order through the
-        // same `PipelineReport::from_records` the sequential evaluate path uses,
-        // so the identical-results guarantee is structural, whatever the
-        // batching did. On a run with failures this yields a *partial* report
-        // over exactly the requests that completed.
-        let records: Vec<InferenceRecord> = records.into_iter().flatten().collect();
-        let report = PipelineReport::from_records("dynamic".to_string(), &records);
-        Ok(ServeReport { report, buckets: bucket_stats, errors, planning_seconds, threads })
-    }
-}
-
-/// Runs `f(i)` for `i` in `0..count` with the scheduler's inner/outer thread
-/// split and a per-task fault-isolation boundary, returning the outcomes in
-/// index order. The pipeline's [`EngineContext`](rescnn_tensor::EngineContext)
-/// is installed first so [`parallel_map_isolated`] carries it (algorithm
-/// overrides included) onto pool workers; the inner thread budget replaces the
-/// pipeline's own setting for the duration of the batch. A task that panics
-/// yields [`CoreError::Panicked`] in its own slot — the pool and the other
-/// tasks are unaffected.
-pub(crate) fn run_batch_isolated<T, F>(
-    pipeline: &DynamicResolutionPipeline,
-    threads: usize,
-    count: usize,
-    f: F,
-) -> Vec<Result<T>>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T> + Sync,
-{
-    pipeline.engine_context().scope(|| {
-        parallel_map_isolated(count, threads, f)
-            .into_iter()
-            .map(|outcome| match outcome {
-                Ok(result) => result,
-                // Cooperative cancellations (a token installed around the batch,
-                // e.g. by the SLO watchdog) are refused at the task boundary and
-                // reported as such, not as panics.
-                Err(message) if message.starts_with("cancelled") => {
-                    Err(CoreError::Cancelled { reason: message })
-                }
-                Err(message) => Err(CoreError::Panicked { message }),
             })
-            .collect()
-    })
+            .collect();
+        // A ServeReport carries no wall time of its own.
+        let (drained, _) = core.finish(0.0);
+        let errors = drained
+            .outcomes
+            .into_iter()
+            .enumerate()
+            .filter_map(|(index, outcome)| match outcome {
+                SloOutcome::Completed(_) => None,
+                SloOutcome::Failed(error) => {
+                    Some(RequestError { index, sample_id: sample_ids[index], error })
+                }
+                SloOutcome::Rejected(why) => {
+                    unreachable!(
+                        "a drain without deadlines or breakers rejected a request: {why:?}"
+                    )
+                }
+            })
+            .collect();
+        // The core folded the completed records in submission order through the
+        // same `PipelineReport::from_records` the sequential evaluate path uses,
+        // so the identical-results guarantee is structural; on a run with
+        // failures it is a *partial* report over exactly the requests that
+        // completed.
+        let report = PipelineReport { label: "dynamic".to_string(), ..drained.report };
+        Ok(ServeReport { report, buckets, errors, planning_seconds, threads })
+    }
 }
 
 impl DynamicResolutionPipeline {
@@ -394,9 +316,11 @@ mod tests {
         let data = DatasetSpec::cars_like().with_len(24).with_max_dimension(96).build(123);
         let sequential = pipeline.evaluate(&data).unwrap();
         for max_batch in [1usize, 3, 8, 32] {
+            let call_start = std::time::Instant::now();
             let served = pipeline
                 .evaluate_batched(&data, BatchOptions::default().with_max_batch(max_batch))
                 .unwrap();
+            let call_seconds = call_start.elapsed().as_secs_f64();
             assert_eq!(served.report, sequential, "batch size {max_batch} changed the report");
             let bucketed: usize = served.buckets.iter().map(|b| b.requests).sum();
             assert_eq!(bucketed, data.len(), "every request must land in a bucket");
@@ -410,7 +334,15 @@ mod tests {
                 assert!(bucket.batches <= bucket.requests.div_ceil(max_batch));
                 assert!(bucket.throughput_rps > 0.0);
                 assert!(bucket.outer_parallelism * bucket.inner_parallelism <= served.threads);
+                assert_eq!(bucket.batches, bucket.requests.div_ceil(max_batch));
+                assert!(bucket.total_seconds > 0.0);
             }
+            assert!(served.planning_seconds > 0.0);
+            let timed: f64 = served.buckets.iter().map(|b| b.total_seconds).sum();
+            assert!(
+                timed + served.planning_seconds <= call_seconds,
+                "plan and execute timers must fit inside the call's wall time"
+            );
         }
     }
 

@@ -5,8 +5,11 @@
 //! system can turn *per request, at admission time* when it is about to miss a
 //! deadline: executing at 224² instead of 448² cuts backbone cost roughly 4×
 //! while the calibrated storage policy keeps delivered SSIM above a
-//! deployment-chosen floor. The [`SloScheduler`] builds that policy on top of
-//! the resolution-bucketed [`BatchScheduler`](crate::BatchScheduler) machinery:
+//! deployment-chosen floor. This module holds the crate's one serving loop,
+//! the admission core every front end drains through: the [`SloScheduler`],
+//! the real-clock [`SloServer`](crate::SloServer), and the
+//! [`BatchScheduler`](crate::BatchScheduler) (arrival 0, no deadline). Each
+//! step of the core runs
 //!
 //! 1. **Plan.** Every request is planned (preview read + scale model) under a
 //!    per-request fault-isolation boundary, committing it to a *planned*
@@ -76,7 +79,7 @@ use serde::Serialize;
 use rescnn_data::Sample;
 use rescnn_hwsim::{CalibratedCostModel, CpuProfile};
 use rescnn_projpeg::ProgressiveImage;
-use rescnn_tensor::{ConvAlgo, EngineContext};
+use rescnn_tensor::{parallel_map_isolated, ConvAlgo, EngineContext};
 
 use crate::error::{CoreError, Result};
 use crate::lifecycle::{
@@ -84,7 +87,7 @@ use crate::lifecycle::{
 };
 use crate::pipeline::{DynamicResolutionPipeline, InferencePlan, InferenceRecord, PipelineReport};
 use crate::precision::PrecisionGate;
-use crate::serve::{run_batch_isolated, BatchOptions};
+use crate::serve::BatchOptions;
 use crate::trace::{ServingTrace, TraceDecision, TraceRequest, TraceStep};
 
 /// Cancellation reason the drain deadline settles stragglers with. Shared with
@@ -183,7 +186,7 @@ pub(crate) enum SampleRef<'a> {
 }
 
 impl SampleRef<'_> {
-    fn get(&self) -> &Sample {
+    pub(crate) fn get(&self) -> &Sample {
         match self {
             SampleRef::Borrowed(sample) => sample,
             SampleRef::Shared(sample) => sample,
@@ -321,7 +324,8 @@ pub struct CompletedRequest {
 /// Policy knobs for the SLO scheduler.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct SloOptions {
-    /// Batching/thread/strictness knobs shared with the batch scheduler.
+    /// Batch size and thread budget, the same knobs a
+    /// [`BatchScheduler`](crate::BatchScheduler) drain runs with.
     pub batch: BatchOptions,
     /// Minimum delivered SSIM a degraded request may be served at. `None`
     /// allows degrading to the cheapest resolution of the ladder.
@@ -603,10 +607,6 @@ impl<'a> SloScheduler<'a> {
         self.queue.len()
     }
 
-    fn thread_budget(&self) -> usize {
-        thread_budget(self.pipeline, &self.options)
-    }
-
     /// Drains the queue: plans, admits over the virtual clock, executes, and
     /// aggregates.
     ///
@@ -633,19 +633,12 @@ impl<'a> SloScheduler<'a> {
         }
         let wall_start = Instant::now();
         let queue = std::mem::take(&mut self.queue);
-        let threads = self.thread_budget();
+        let threads = thread_budget(self.pipeline, &self.options);
         let mut core = AdmissionCore::new(self.pipeline, self.options.clone(), threads, record)?;
         for request in queue {
             core.submit(request.into_queued());
         }
-        // A batch drain is the degenerate real-clock run: every step happens
-        // at `now = ∞` and is a whole round, so each step drains everything
-        // currently pending (all first attempts in round 0, each round's
-        // retries thereafter) — exactly the rounds loop this core was
-        // extracted from, bit for bit.
-        while core.has_pending() {
-            core.admit_step(f64::INFINITY, None);
-        }
+        core.drain();
         Ok(core.finish(wall_start.elapsed().as_secs_f64()))
     }
 
@@ -680,7 +673,7 @@ impl<'a> SloScheduler<'a> {
         }
         let wall_start = Instant::now();
         let queue = std::mem::take(&mut self.queue);
-        let threads = self.thread_budget();
+        let threads = thread_budget(self.pipeline, &self.options);
         let mut core = AdmissionCore::new(self.pipeline, self.options.clone(), threads, true)?;
         let mut feed = queue
             .into_iter()
@@ -708,9 +701,7 @@ impl<'a> SloScheduler<'a> {
         if trace.hard_cancelled {
             core.cancel_pending(DRAIN_CANCEL_REASON);
         } else {
-            while core.has_pending() {
-                core.admit_step(f64::INFINITY, None);
-            }
+            core.drain();
         }
         let (report, replayed) = core.finish(wall_start.elapsed().as_secs_f64());
         Ok((report, replayed.expect("a replay records its own trace")))
@@ -728,14 +719,49 @@ pub(crate) fn thread_budget(pipeline: &DynamicResolutionPipeline, options: &SloO
         .max(1)
 }
 
+/// Runs `f(i)` for `i` in `0..count` with the scheduler's inner/outer thread
+/// split and a per-task fault-isolation boundary, returning the outcomes in
+/// index order. The pipeline's [`EngineContext`] is installed first so
+/// [`parallel_map_isolated`] carries it (algorithm overrides included) onto
+/// pool workers; the inner thread budget replaces the pipeline's own setting
+/// for the duration of the batch. A task that panics yields
+/// [`CoreError::Panicked`] in its own slot — the pool and the other tasks are
+/// unaffected.
+fn run_batch_isolated<T, F>(
+    pipeline: &DynamicResolutionPipeline,
+    threads: usize,
+    count: usize,
+    f: F,
+) -> Vec<Result<T>>
+where
+    T: Send,
+    F: Fn(usize) -> Result<T> + Sync,
+{
+    pipeline.engine_context().scope(|| {
+        parallel_map_isolated(count, threads, f)
+            .into_iter()
+            .map(|outcome| match outcome {
+                Ok(result) => result,
+                // Cooperative cancellations (a token installed around the batch,
+                // e.g. by the SLO watchdog) are refused at the task boundary and
+                // reported as such, not as panics.
+                Err(message) if message.starts_with("cancelled") => {
+                    Err(CoreError::Cancelled { reason: message })
+                }
+                Err(message) => Err(CoreError::Panicked { message }),
+            })
+            .collect()
+    })
+}
+
 /// The incremental admission core: one shared virtual server stepped by
 /// explicit `now` values.
 ///
-/// Both serving modes drive this one state machine. The batch
-/// [`SloScheduler::run`] submits everything and steps whole rounds at
-/// `now = ∞` until the pending set drains — the original run-to-completion
-/// rounds loop. The real-clock [`SloServer`](crate::SloServer) submits
-/// requests as they arrive and steps at wall `now`, one *wave* (as many
+/// Every serving front end drives this one state machine. The batch drains
+/// ([`SloScheduler::run`], and [`BatchScheduler::run`](crate::BatchScheduler::run)
+/// with every request at arrival 0 and no deadline) submit everything and step
+/// whole rounds at `now = ∞` until the pending set drains. The real-clock
+/// [`SloServer`](crate::SloServer) submits requests as they arrive and steps at wall `now`, one *wave* (as many
 /// attempts as it has threads) at a time, so a request's outcome is delivered
 /// when its own wave finishes rather than when everything that arrived with
 /// it has, and a request arriving meanwhile joins the next wave instead of
@@ -760,6 +786,18 @@ pub(crate) struct AdmissionCore<'a> {
     retry_attempts: usize,
     watchdog_cancelled: usize,
     trace: Option<ServingTrace>,
+    /// Wall seconds of the plan stage, summed over steps.
+    pub(crate) planning_seconds: f64,
+    /// Execute-stage totals per served resolution, summed over steps.
+    pub(crate) bucket_timings: BTreeMap<usize, BucketTiming>,
+}
+
+/// Execute-stage totals of one resolution (its int8 and f32 buckets together).
+#[derive(Debug, Default)]
+pub(crate) struct BucketTiming {
+    pub(crate) requests: usize,
+    pub(crate) batches: usize,
+    pub(crate) seconds: f64,
 }
 
 impl<'a> AdmissionCore<'a> {
@@ -824,6 +862,17 @@ impl<'a> AdmissionCore<'a> {
             retry_attempts: 0,
             watchdog_cancelled: 0,
             trace: record.then(ServingTrace::default),
+            planning_seconds: 0.0,
+            bucket_timings: BTreeMap::new(),
+        }
+    }
+
+    /// Drains the core as a batch: every step is a whole round at `now = ∞`,
+    /// taking everything pending (all first attempts, then each round's
+    /// retries).
+    pub(crate) fn drain(&mut self) {
+        while self.has_pending() {
+            self.admit_step(f64::INFINITY, None);
         }
     }
 
@@ -953,6 +1002,7 @@ impl<'a> AdmissionCore<'a> {
 
         // Stage 1: plan every attempt that needs one (retries of execute
         // failures keep their plan) under per-request isolation.
+        let planning_start = Instant::now();
         let need_plan: Vec<usize> = round
             .iter()
             .enumerate()
@@ -1043,9 +1093,7 @@ impl<'a> AdmissionCore<'a> {
                 }
             }
         } else {
-            // No breaker: the flat data-parallel plan stage (identical in
-            // structure — and in round 0, in per-task work — to the
-            // policy-free scheduler).
+            // No breaker: the flat data-parallel plan stage.
             let planned = run_batch_isolated(pipeline, threads, need_plan.len(), |i| {
                 self.plan_request(round[need_plan[i]].index)
             });
@@ -1053,6 +1101,7 @@ impl<'a> AdmissionCore<'a> {
                 gates[need_plan[i]] = Some(Gate::Plan(outcome));
             }
         }
+        self.planning_seconds += planning_start.elapsed().as_secs_f64();
 
         // Resolve gates: sheds and final plan failures settle now; plan
         // failures with retry budget re-plan next round from scratch.
@@ -1214,11 +1263,13 @@ impl<'a> AdmissionCore<'a> {
                 let Some((service_ms, cancelled, int8)) = fit else {
                     continue;
                 };
-                let final_plan = if resolution == plan.chosen_resolution {
-                    plan.clone()
+                // At its own rung the plan itself is admitted, not a copy: it
+                // carries the whole stored stream.
+                let replanned = if resolution == plan.chosen_resolution {
+                    None
                 } else {
                     match pipeline.replan_at(request.sample.get(), &plan, resolution) {
-                        Ok(replanned) => replanned,
+                        Ok(replanned) => Some(replanned),
                         Err(error) => {
                             self.outcomes[attempt.index] = Some(SloOutcome::Failed(error));
                             placed = true;
@@ -1227,13 +1278,15 @@ impl<'a> AdmissionCore<'a> {
                     }
                 };
                 if let Some(floor) = self.options.ssim_floor {
-                    if resolution != planned_resolution && final_plan.quality() < floor {
+                    let quality = replanned.as_ref().unwrap_or(&plan).quality();
+                    if resolution != planned_resolution && quality < floor {
                         if floor_break {
                             break;
                         }
                         continue;
                     }
                 }
+                let final_plan = replanned.unwrap_or(plan);
                 self.server_free_ms = virtual_start + service_ms;
                 if memory_skipped {
                     self.memory_demoted_flag[attempt.index] = true;
@@ -1273,8 +1326,8 @@ impl<'a> AdmissionCore<'a> {
         // pre-fired cancellation token — the execute task is refused at
         // its task boundary, so the cancellation path is exercised
         // end-to-end while spending zero backbone compute. Everything
-        // else executes as homogeneous resolution buckets under
-        // per-request isolation, mirroring the batch scheduler.
+        // else executes as homogeneous resolution buckets of at most
+        // `max_batch` attempts under per-request isolation.
         let (doomed, normal): (Vec<AdmittedAttempt>, Vec<AdmittedAttempt>) =
             admitted.into_iter().partition(|entry| entry.cancelled);
         let mut executed: Vec<(AdmittedAttempt, Result<InferenceRecord>)> =
@@ -1317,12 +1370,13 @@ impl<'a> AdmissionCore<'a> {
         }
         let mut normal_results: Vec<Option<Result<InferenceRecord>>> = Vec::new();
         normal_results.resize_with(normal.len(), || None);
-        for (&(_, int8), members) in &buckets {
+        for (&(resolution, int8), members) in &buckets {
             let precision = if int8 {
                 EngineContext::new().with_algo(ConvAlgo::Int8)
             } else {
                 EngineContext::new()
             };
+            let bucket_start = Instant::now();
             for batch in members.chunks(max_batch) {
                 let results = precision.scope(|| {
                     run_batch_isolated(pipeline, threads, batch.len(), |slot| {
@@ -1354,6 +1408,10 @@ impl<'a> AdmissionCore<'a> {
                     normal_results[batch[slot]] = Some(result);
                 }
             }
+            let timing = self.bucket_timings.entry(resolution).or_default();
+            timing.requests += members.len();
+            timing.batches += members.len().div_ceil(max_batch);
+            timing.seconds += bucket_start.elapsed().as_secs_f64();
         }
         for (pos, entry) in normal.into_iter().enumerate() {
             let result = normal_results[pos].take().expect("every admitted attempt was executed");

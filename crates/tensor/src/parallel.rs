@@ -119,8 +119,8 @@ pub fn split_parallelism(batch: usize, threads: usize) -> (usize, usize) {
 /// parallelism with [`split_parallelism`]. This is the one shared implementation
 /// of indexed batch dispatch: `Network::forward_batch` runs one task per
 /// folded group of equal-shape images and one per image otherwise (it splits
-/// the batch by the same `split_parallelism` first), the core
-/// `BatchScheduler` one per request.
+/// the batch by the same `split_parallelism` first), the core's serving
+/// loop (through `parallel_map_isolated`) one per request.
 ///
 /// The caller's [`EngineContext`](crate::EngineContext) is snapshotted and
 /// re-installed around every task — also on pool worker threads, which have no

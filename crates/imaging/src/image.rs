@@ -150,6 +150,7 @@ impl Image {
     ///
     /// # Panics
     /// Panics if `channel >= 3`.
+    #[inline]
     pub fn plane_mut(&mut self, channel: usize) -> &mut [f32] {
         assert!(channel < Self::CHANNELS, "channel out of range");
         let size = self.width * self.height;

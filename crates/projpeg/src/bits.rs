@@ -59,14 +59,19 @@ impl BitWriter {
 ///
 /// Bits are buffered a word at a time: `acc` holds the next unconsumed bits left-aligned,
 /// so reading, peeking and skipping are shifts rather than per-bit byte lookups — the
-/// table-driven entropy decoder peeks a 16-bit window and consumes one code length.
+/// entropy decoder peeks one word and takes a code and the amplitude bits after it from
+/// that word. While eight bytes remain, a refill is one big-endian 8-byte load; only the
+/// last seven bytes of a stream are loaded byte by byte.
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
     bytes: &'a [u8],
-    /// Index of the next byte not yet loaded into `acc`.
+    /// Index of the next byte not yet counted in `acc`.
     next: usize,
-    /// Unconsumed bits, left-aligned (bit 63 is the next bit of the stream); every bit
-    /// below the top `count` is zero.
+    /// Unconsumed bits, left-aligned (bit 63 is the next bit of the stream). Below the
+    /// top `count` bits it holds the stream's following bits or zeros: a word refill
+    /// loads eight bytes but counts only the whole bytes that fit, so the top bits of
+    /// byte `next` may already be there, where every later refill ORs the same bits
+    /// again. Past the end of the stream it holds zeros.
     acc: u64,
     /// Number of valid bits in `acc`.
     count: u32,
@@ -78,9 +83,22 @@ impl<'a> BitReader<'a> {
         BitReader { bytes, next: 0, acc: 0, count: 0 }
     }
 
-    /// Tops the accumulator up to more than 56 bits, or to everything the stream has left.
+    /// Tops the accumulator up to at least 56 bits, or to everything the stream has left.
+    ///
+    /// While eight bytes remain this is one load, with no branch on how much is buffered:
+    /// the whole bytes that fit are counted (at most 63 bits are ever counted on this
+    /// path, so the shift stays in range). Only the stream's last seven bytes go through
+    /// the byte loop, and once they do the word path never runs again.
     #[inline]
     fn refill(&mut self) {
+        if let Some(word) = self.bytes.get(self.next..self.next + 8) {
+            let word = u64::from_be_bytes(word.try_into().expect("a range of eight bytes"));
+            self.acc |= word >> self.count;
+            let whole_bytes = (63 - self.count) / 8;
+            self.next += whole_bytes as usize;
+            self.count += whole_bytes * 8;
+            return;
+        }
         while self.count <= 56 {
             let Some(&byte) = self.bytes.get(self.next) else { break };
             self.acc |= u64::from(byte) << (56 - self.count);
@@ -89,17 +107,17 @@ impl<'a> BitReader<'a> {
         }
     }
 
-    /// The next 16 bits of the stream (zero-padded past its end) without consuming them,
-    /// and how many bits are really available (possibly more than 16).
+    /// The next 64 bits of the stream, left-aligned, without consuming them, and how many
+    /// of them are really there: at least 56 unless the stream ends first, enough for a
+    /// code (at most 16 bits) and the amplitude bits after it (at most 17). The bits past
+    /// that count are the stream's following bits, or zeros past its end.
     #[inline]
-    pub(crate) fn peek16(&mut self) -> (u32, u32) {
-        if self.count < 16 {
-            self.refill();
-        }
-        ((self.acc >> 48) as u32, self.count)
+    pub(crate) fn peek(&mut self) -> (u64, u32) {
+        self.refill();
+        (self.acc, self.count)
     }
 
-    /// Skips `bits` bits, which a preceding [`peek16`](Self::peek16) reported available.
+    /// Skips `bits` bits, which a preceding [`peek`](Self::peek) reported available.
     #[inline]
     pub(crate) fn consume(&mut self, bits: u32) {
         debug_assert!(bits <= self.count && bits < 64, "consume past the peeked window");
@@ -229,15 +247,28 @@ mod tests {
         fn remaining_bits(&self) -> usize {
             self.bytes.len() * 8 - self.bit
         }
+
+        /// The next 64 bits, left-aligned and zero-padded past the end, not consumed.
+        fn peek64(&self) -> u64 {
+            let mut ahead = BitwiseReader { bytes: self.bytes, bit: self.bit };
+            let mut out = 0u64;
+            for _ in 0..64 {
+                out = (out << 1) | u64::from(ahead.read_bits(1).unwrap_or(0));
+            }
+            out
+        }
     }
 
     #[test]
     fn word_buffered_reads_match_bit_at_a_time_reads() {
-        // Every mix of read widths, peeks and skips over streams of every short length,
-        // including reads that run off the end, must agree with the bitwise reference on
-        // each value and on the position afterwards.
+        // Every mix of read widths, peeks and skips over streams of every length up to
+        // 200 bytes, including reads that run off the end, must agree with the bitwise
+        // reference on each value and on the position afterwards. Every stream of eight
+        // bytes or more is walked across the point where fewer than eight bytes remain,
+        // so word refills, byte refills and the switch between them all meet the
+        // reference, at every alignment the random widths produce.
         let mut rng = crate::Xorshift(0x9e37_79b9_7f4a_7c15);
-        for len in 0..40usize {
+        for len in 0..=200usize {
             for _ in 0..20 {
                 let bytes = rng.bytes(len);
                 let mut fast = BitReader::new(&bytes);
@@ -246,15 +277,20 @@ mod tests {
                     let width = rng.below(33) as u8;
                     if rng.below(4) == 0 {
                         // Peek, then skip part of what is there.
-                        let (window, avail) = fast.peek16();
+                        let (window, avail) = fast.peek();
                         let left = slow.remaining_bits();
-                        assert!(avail as usize == left || (avail >= 16 && avail as usize <= left));
-                        if avail < 16 {
-                            assert_eq!(window & ((1 << (16 - avail)) - 1), 0, "zero padding");
-                        }
-                        let skip = u32::from(width).min(avail).min(16);
+                        assert!(avail as usize == left || (avail >= 56 && avail as usize <= left));
+                        // The window is the stream's next bits up to some point at or
+                        // past `avail`, and zeros after it (zeros past the stream's end).
+                        let reference = slow.peek64();
+                        let agree = (window ^ reference).leading_zeros();
+                        assert!(agree >= avail, "len {len}: peeked bits differ");
+                        assert!(agree == 64 || window << agree == 0, "len {len}: bits past avail");
+                        let skip = u32::from(width).min(avail);
                         let expected = slow.read_bits(skip as u8).unwrap();
-                        assert_eq!(window >> (16 - skip), expected);
+                        if skip > 0 {
+                            assert_eq!((window >> (64 - skip)) as u32, expected);
+                        }
                         fast.consume(skip);
                     } else {
                         let got = fast.read_bits(width);

@@ -8,6 +8,8 @@
 //! here are real (Huffman-entropy-coded bits plus headers), so bytes-read vs. quality
 //! trade-offs measured downstream are genuine.
 
+use std::ops::Range;
+
 use serde::{Deserialize, Serialize};
 
 use rescnn_imaging::{CropWindow, Image};
@@ -15,8 +17,11 @@ use rescnn_imaging::{CropWindow, Image};
 use crate::bits::{BitReader, BitWriter};
 use crate::color::{rgb_to_ycbcr, ycbcr_to_rgb};
 use crate::dct::{
-    forward_dct, inverse_dct, inverse_dct_corner, inverse_dct_dc, BLOCK, BLOCK_AREA, ZIGZAG,
+    forward_dct, inverse_dct_columns, inverse_dct_dc, inverse_dct_row, tables as dct_tables,
+    DctTables, BLOCK, BLOCK_AREA, ZIGZAG,
 };
+#[cfg(test)]
+use crate::dct::{inverse_dct, inverse_dct_corner};
 use crate::error::{CodecError, Result};
 use crate::huffman::HuffmanCode;
 use crate::quant::QuantTable;
@@ -474,15 +479,11 @@ fn encode_amplitude(value: i32, bits: u8) -> u32 {
 }
 
 fn decode_amplitude(raw: u32, bits: u8) -> i32 {
-    if bits == 0 {
-        return 0;
-    }
-    let half = 1u32 << (bits - 1);
-    if raw >= half {
-        raw as i32
-    } else {
-        raw as i32 - (1 << bits) + 1
-    }
+    // A negative value's top amplitude bit is clear; with no amplitude bits `half` is 0
+    // and the value 0. A select, not a branch: the sign of a level is not predictable.
+    let half = (1u32 << bits) >> 1;
+    let offset = if raw < half { (1i32 << bits) - 1 } else { 0 };
+    raw as i32 - offset
 }
 
 /// Collects the (symbol, amplitude) pairs for one scan. DC bands use differential coding;
@@ -554,6 +555,12 @@ fn encode_scan(planes: &CoefficientPlanes, band: ScanBand) -> EncodedScan {
 /// decoder re-runs the IDCT for exactly those blocks. A write that stores the value
 /// already present (e.g. a zero DC difference on a still-zero block) is not a change, so
 /// unflagged blocks are guaranteed to reconstruct to bit-identical pixels.
+///
+/// Each symbol and the amplitude bits after it come from one peeked word of the stream
+/// (`BitReader::peek`: at least 56 bits while the stream lasts, and a code plus its
+/// amplitude is at most 16 + 17), and are consumed together. The checks run in the order
+/// a symbol-then-amplitude read makes them, so a damaged stream fails with the same
+/// error at the same symbol.
 pub(crate) fn decode_scan(
     scan: &EncodedScan,
     scan_index: usize,
@@ -564,28 +571,24 @@ pub(crate) fn decode_scan(
         .ok_or(CodecError::CorruptStream { scan: scan_index })?;
     let mut reader = BitReader::new(&scan.data[consumed..]);
     let band = scan.band;
-    let blocks_per_component = planes.blocks_x * planes.blocks_y;
 
-    for c in 0..COMPONENTS {
+    for blocks in &mut planes.blocks {
         if band.is_dc() {
             let mut prev = 0i32;
-            for b in 0..blocks_per_component {
-                let bits = code
-                    .decode(&mut reader)
-                    .ok_or(CodecError::TruncatedStream { scan: scan_index })?;
+            for (b, block) in blocks.iter_mut().enumerate() {
+                let (window, available) = reader.peek();
+                let (bits, len) = code
+                    .lookup(window, available)
+                    .map_err(|_| CodecError::TruncatedStream { scan: scan_index })?;
                 // Coefficients are i16, so a valid DC difference fits 17
                 // magnitude bits; anything larger is a corrupt symbol (and
                 // would overflow the amplitude decoder's shifts).
                 if bits > 17 {
                     return Err(CodecError::CorruptStream { scan: scan_index });
                 }
-                let raw = if bits > 0 {
-                    reader
-                        .read_bits(bits)
-                        .ok_or(CodecError::TruncatedStream { scan: scan_index })?
-                } else {
-                    0
-                };
+                let raw = amplitude_bits(window, available, len, bits)
+                    .ok_or(CodecError::TruncatedStream { scan: scan_index })?;
+                reader.consume(len + u32::from(bits));
                 let diff = decode_amplitude(raw, bits);
                 // The encoder only writes differences whose running sum is a stored
                 // (i16) level; anything else is a corrupt stream, not a value to wrap.
@@ -595,23 +598,25 @@ pub(crate) fn decode_scan(
                     .ok_or(CodecError::CorruptStream { scan: scan_index })?;
                 prev = i32::from(level);
                 if let Some(flags) = dirty.as_deref_mut() {
-                    if planes.blocks[c][b][0] != level {
-                        flags[b] = true;
-                    }
+                    flags[b] |= block[0] != level;
                 }
-                planes.blocks[c][b][0] = level;
+                block[0] = level;
             }
         } else {
-            for b in 0..blocks_per_component {
+            for (b, block) in blocks.iter_mut().enumerate() {
+                let mut changed = false;
                 let mut zz = band.start;
                 while zz <= band.end {
-                    let symbol = code
-                        .decode(&mut reader)
-                        .ok_or(CodecError::TruncatedStream { scan: scan_index })?;
+                    let (window, available) = reader.peek();
+                    let (symbol, len) = code
+                        .lookup(window, available)
+                        .map_err(|_| CodecError::TruncatedStream { scan: scan_index })?;
                     if symbol == EOB {
+                        reader.consume(len);
                         break;
                     }
                     if symbol == ZRL {
+                        reader.consume(len);
                         zz += 16;
                         continue;
                     }
@@ -621,17 +626,17 @@ pub(crate) fn decode_scan(
                     if zz > band.end {
                         return Err(CodecError::CorruptStream { scan: scan_index });
                     }
-                    let raw = reader
-                        .read_bits(bits)
+                    let raw = amplitude_bits(window, available, len, bits)
                         .ok_or(CodecError::TruncatedStream { scan: scan_index })?;
+                    reader.consume(len + u32::from(bits));
                     let level = decode_amplitude(raw, bits) as i16;
-                    if let Some(flags) = dirty.as_deref_mut() {
-                        if planes.blocks[c][b][ZIGZAG[zz]] != level {
-                            flags[b] = true;
-                        }
-                    }
-                    planes.blocks[c][b][ZIGZAG[zz]] = level;
+                    let slot = &mut block[ZIGZAG[zz]];
+                    changed |= *slot != level;
+                    *slot = level;
                     zz += 1;
+                }
+                if let Some(flags) = dirty.as_deref_mut() {
+                    flags[b] |= changed;
                 }
             }
         }
@@ -639,52 +644,112 @@ pub(crate) fn decode_scan(
     Ok(())
 }
 
-/// Raster positions in the top-left 4×4 corner of a block, as a bit mask.
-const CORNER_4: u64 = 0x0F0F_0F0F;
-
-/// The one sample all 64 positions of a component block reconstruct to when it has no
-/// non-zero AC level — bitwise every sample of `inverse_dct(&table.dequantize(levels))`
-/// (see `inverse_dct_dc`) — or `None` when it has one.
-fn flat_sample(levels: &[i16; BLOCK_AREA], table: &QuantTable) -> Option<f32> {
-    levels[1..]
-        .iter()
-        .all(|&level| level == 0)
-        .then(|| inverse_dct_dc(f32::from(levels[0]) * table.step(0)))
-}
-
-/// `inverse_dct(&table.dequantize(levels))`, bitwise, at a cost bound by the levels'
-/// support: the 4×4-bounded transform when every non-zero level lies in the top-left 4×4
-/// corner, the full 8×8 one otherwise (`inverse_dct_corner` states why no bit differs).
-fn block_samples(levels: &[i16; BLOCK_AREA], table: &QuantTable) -> [f32; BLOCK_AREA] {
-    let support = levels
-        .iter()
-        .enumerate()
-        .fold(0u64, |mask, (i, &level)| mask | (u64::from(level != 0) << i));
-    let coeffs = table.dequantize(levels);
-    if support & !CORNER_4 == 0 {
-        inverse_dct_corner::<4>(&coeffs)
-    } else {
-        inverse_dct(&coeffs)
+/// The `bits` amplitude bits that follow a `len`-bit code at the top of `window`, of which
+/// `available` bits are the stream's, or `None` when the stream ends first.
+#[inline]
+fn amplitude_bits(window: u64, available: u32, len: u32, bits: u8) -> Option<u32> {
+    let bits = u32::from(bits);
+    if len + bits > available {
+        return None;
     }
+    Some((u128::from(window << len) << bits >> 64) as u32)
 }
 
-/// Dequantizes and inverse-transforms the three components of block `block` and writes the
-/// block's pixels that lie inside `window` into `frame`, which holds exactly the window's
-/// pixels (edge blocks may extend past the image, and blocks on the window's border past
-/// the window).
+/// For each raster position of a block, the bit of the smallest square top-left corner
+/// holding it: bit `max(row, column)`.
+const RING_BITS: [u16; BLOCK_AREA] = {
+    let mut bits = [0u16; BLOCK_AREA];
+    let mut i = 0;
+    while i < BLOCK_AREA {
+        let (row, column) = (i / BLOCK, i % BLOCK);
+        bits[i] = 1 << if row > column { row } else { column };
+        i += 1;
+    }
+    bits
+};
+
+/// The side of the smallest corner in {1, 2, 3, 4, 8} that holds every non-zero level of
+/// a component block — 1 when it has no AC level — found by one OR-reduction over the
+/// 64 levels, with no early exit, so it vectorises.
+#[inline]
+fn support_side(levels: &[i16; BLOCK_AREA]) -> usize {
+    let rings = levels
+        .iter()
+        .zip(&RING_BITS)
+        .fold(0u16, |rings, (&level, &bit)| rings | if level != 0 { bit } else { 0 });
+    // The corner side for each support extent (the highest ring bit plus one; only
+    // `0..=8` occur), looked up rather than branched on.
+    const SIDE_OF_EXTENT: [u8; 17] = [1, 1, 2, 3, 4, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8];
+    usize::from(SIDE_OF_EXTENT[(16 - rings.leading_zeros()) as usize])
+}
+
+/// The one sample every position of a component block with no AC level (support side 1)
+/// reconstructs to: bitwise every sample of `inverse_dct(&table.dequantize(levels))`
+/// (see `inverse_dct_dc`).
+#[inline]
+fn dc_sample(levels: &[i16; BLOCK_AREA], table: &QuantTable) -> f32 {
+    inverse_dct_dc(f32::from(levels[0]) * table.step(0))
+}
+
+/// The first pass of the inverse DCT of a component block whose levels fit the top-left
+/// `side × side` corner, dequantizing only the corner's levels.
+#[inline]
+fn corner_columns(
+    t: &DctTables,
+    columns: &mut [[f32; BLOCK]; BLOCK],
+    side: usize,
+    levels: &[i16; BLOCK_AREA],
+    table: &QuantTable,
+) {
+    inverse_dct_columns(t, columns, side, |i| f32::from(levels[i]) * table.step(i));
+}
+
+/// The sample all 64 positions of a component block reconstruct to when it has no
+/// non-zero AC level, or `None` when it has one: the support test and flat path
+/// `refresh_block` runs.
+#[cfg(test)]
+fn flat_sample(levels: &[i16; BLOCK_AREA], table: &QuantTable) -> Option<f32> {
+    (support_side(levels) == 1).then(|| dc_sample(levels, table))
+}
+
+/// A component block's samples through the support test and corner dispatch
+/// `refresh_block` runs: bitwise `inverse_dct(&table.dequantize(levels))`.
+#[cfg(test)]
+fn block_samples(levels: &[i16; BLOCK_AREA], table: &QuantTable) -> [f32; BLOCK_AREA] {
+    let side = support_side(levels);
+    if side == 1 {
+        return [dc_sample(levels, table); BLOCK_AREA];
+    }
+    let t = dct_tables();
+    let mut columns = [[0.0f32; BLOCK]; BLOCK];
+    corner_columns(t, &mut columns, side, levels, table);
+    let mut samples = [0.0f32; BLOCK_AREA];
+    for (y, row) in samples.chunks_exact_mut(BLOCK).enumerate() {
+        row.copy_from_slice(&inverse_dct_row(t, &columns, side, y));
+    }
+    samples
+}
+
+/// Dequantizes and inverse-transforms the three components of the block in block column
+/// `column` and block row `row`, and writes the block's pixels that lie inside `window`
+/// into `frame`, which holds exactly the window's pixels (edge blocks may extend past the
+/// image, and blocks on the window's border past the window).
 ///
 /// A pixel depends on its own block only — the three component block grids coincide (no
-/// chroma subsampling) — so the 8×8 spatial samples live in stack buffers for exactly as
-/// long as the conversion needs them; nothing image-sized is kept. Shared by the
+/// chroma subsampling) — so a block is reconstructed a row at a time: nothing image-sized
+/// is kept, and nothing block-sized but each component's first pass. Shared by the
 /// from-scratch reconstruction and the incremental decoder, so both produce bit-identical
 /// pixels from identical coefficients, and a window's pixels are the whole frame's.
 ///
-/// The work follows what the block carries. A component with no non-zero AC level costs
-/// one sample (`flat_sample`), any other a transform bounded by its support
-/// (`block_samples`). When all three components are flat, the 64 pixels are one colour:
-/// `pixel_from_samples` runs once and each plane's row runs are filled with it. Otherwise
-/// the colour conversion runs lane by lane over the block and each plane's row runs are
-/// copied out.
+/// The work follows what the block carries. Each component's support — the smallest
+/// corner in {1, 2, 3, 4, 8} that holds its non-zero levels (`support_side`) — picks its
+/// transform: a component with no AC level costs one sample (`dc_sample`), any other the
+/// inverse DCT of that corner, dequantized alone (`corner_columns`, then a second pass per
+/// row). When all three components are flat, the 64 pixels are one colour:
+/// `pixel_from_samples` runs once and each plane's rows are filled with it. Otherwise each
+/// row inside the window is produced by the three components' second passes, converted
+/// lane by lane and stored at once. A row wholly inside the window is one fixed 8-lane
+/// store per plane.
 ///
 /// Exactness: each path performs the operations of the full 8×8 transform and of
 /// `pixel_from_samples`, minus terms that are a product with a zero coefficient (or with
@@ -695,57 +760,111 @@ fn block_samples(levels: &[i16; BLOCK_AREA], table: &QuantTable) -> [f32; BLOCK_
 /// bitwise those of the full transform and a per-pixel conversion.
 pub(crate) fn refresh_block(
     planes: &CoefficientPlanes,
-    block: usize,
+    (column, row): (usize, usize),
     luma_table: &QuantTable,
     chroma_table: &QuantTable,
     frame: &mut Image,
     window: CropWindow,
 ) {
-    let table = |c: usize| if c == 0 { luma_table } else { chroma_table };
-    let levels = |c: usize| &planes.blocks[c][block];
-    let origin = ((block % planes.blocks_x) * BLOCK, (block / planes.blocks_x) * BLOCK);
-    let flat: [Option<f32>; COMPONENTS] = std::array::from_fn(|c| flat_sample(levels(c), table(c)));
-    if let [Some(y), Some(cb), Some(cr)] = flat {
-        let pixel = pixel_from_samples([y, cb, cr]);
-        write_block(frame, window, origin, |c, _, run| run.fill(pixel[c]));
+    let Some(clip) = BlockClip::new(window, (column * BLOCK, row * BLOCK)) else { return };
+    let block = row * planes.blocks_x + column;
+    let levels: [&[i16; BLOCK_AREA]; COMPONENTS] =
+        std::array::from_fn(|c| &planes.blocks[c][block]);
+    let tables: [&QuantTable; COMPONENTS] = [luma_table, chroma_table, chroma_table];
+    let sides = levels.map(support_side);
+    let flat: [f32; COMPONENTS] = std::array::from_fn(|c| dc_sample(levels[c], tables[c]));
+    if sides == [1; COMPONENTS] {
+        let pixel = pixel_from_samples(flat);
+        clip.fill(frame, pixel);
         return;
     }
-    let spatial: [[f32; BLOCK_AREA]; COMPONENTS] = std::array::from_fn(|c| match flat[c] {
-        Some(sample) => [sample; BLOCK_AREA],
-        None => block_samples(levels(c), table(c)),
-    });
-    let mut rgb = [[0.0f32; BLOCK_AREA]; 3];
-    for i in 0..BLOCK_AREA {
-        [rgb[0][i], rgb[1][i], rgb[2][i]] =
-            pixel_from_samples([spatial[0][i], spatial[1][i], spatial[2][i]]);
+    let t = dct_tables();
+    let mut columns = [[[0.0f32; BLOCK]; BLOCK]; COMPONENTS];
+    for c in 0..COMPONENTS {
+        if sides[c] > 1 {
+            corner_columns(t, &mut columns[c], sides[c], levels[c], tables[c]);
+        }
     }
-    write_block(frame, window, origin, |c, start, run| {
-        run.copy_from_slice(&rgb[c][start..start + run.len()]);
+    clip.write_rows(frame, |y| {
+        let [luma, cb, cr]: [[f32; BLOCK]; COMPONENTS] = std::array::from_fn(|c| match sides[c] {
+            1 => [flat[c]; BLOCK],
+            side => inverse_dct_row(t, &columns[c], side, y),
+        });
+        let mut rgb = [[0.0f32; BLOCK]; 3];
+        for x in 0..BLOCK {
+            [rgb[0][x], rgb[1][x], rgb[2][x]] = pixel_from_samples([luma[x], cb[x], cr[x]]);
+        }
+        rgb
     });
 }
 
-/// Calls `write(channel, start, run)` for each row run of the block whose top-left pixel
-/// is `(x0, y0)` that lies inside `window`, in each of the planes of `frame` (which holds
-/// the window's pixels); `start` is the run's first position in the block's raster order.
-fn write_block(
-    frame: &mut Image,
-    window: CropWindow,
-    (x0, y0): (usize, usize),
-    mut write: impl FnMut(usize, usize, &mut [f32]),
-) {
-    let columns = x0.max(window.x0)..(x0 + BLOCK).min(window.x0 + window.width);
-    let rows = y0.max(window.y0)..(y0 + BLOCK).min(window.y0 + window.height);
-    if columns.is_empty() {
-        return;
+/// The part of a block that lies inside a decoder's window, in block coordinates.
+struct BlockClip {
+    /// Block rows (`0..8`) inside the window.
+    rows: Range<usize>,
+    /// Block columns (`0..8`) inside the window.
+    columns: Range<usize>,
+    /// The frame position (column, row) of the clip's top-left pixel.
+    origin: (usize, usize),
+    /// The window's width: the frame's row stride.
+    stride: usize,
+}
+
+impl BlockClip {
+    /// The clip of the block whose top-left pixel is `(x0, y0)`, or `None` when it holds no
+    /// pixel of `window`.
+    #[inline]
+    fn new(window: CropWindow, (x0, y0): (usize, usize)) -> Option<Self> {
+        let columns = x0.max(window.x0)..(x0 + BLOCK).min(window.x0 + window.width);
+        let rows = y0.max(window.y0)..(y0 + BLOCK).min(window.y0 + window.height);
+        if columns.is_empty() || rows.is_empty() {
+            return None;
+        }
+        Some(BlockClip {
+            rows: rows.start - y0..rows.end - y0,
+            columns: columns.start - x0..columns.end - x0,
+            origin: (columns.start - window.x0, rows.start - window.y0),
+            stride: window.width,
+        })
     }
-    let stride = frame.width();
-    let frame_columns = columns.start - window.x0..columns.end - window.x0;
-    for c in 0..Image::CHANNELS {
-        let plane = frame.plane_mut(c);
-        for y in rows.clone() {
-            let row = (y - window.y0) * stride;
-            let start = (y - y0) * BLOCK + columns.start - x0;
-            write(c, start, &mut plane[row + frame_columns.start..row + frame_columns.end]);
+
+    /// Writes `rgb_row(y)`, the block's row `y` in each channel, into the planes of
+    /// `frame` (which holds the window's pixels) for every row of the clip, a row at a
+    /// time, so each is stored as soon as it is converted.
+    #[inline]
+    fn write_rows(&self, frame: &mut Image, mut rgb_row: impl FnMut(usize) -> [[f32; BLOCK]; 3]) {
+        for y in self.rows.clone() {
+            for (c, values) in rgb_row(y).into_iter().enumerate() {
+                self.store(frame.plane_mut(c), y, values);
+            }
+        }
+    }
+
+    /// Fills the clip with one colour, a plane at a time.
+    #[inline]
+    fn fill(&self, frame: &mut Image, pixel: [f32; 3]) {
+        for (c, value) in pixel.into_iter().enumerate() {
+            let plane = frame.plane_mut(c);
+            for y in self.rows.clone() {
+                self.store(plane, y, [value; BLOCK]);
+            }
+        }
+    }
+
+    /// Stores the clipped columns of the block's row `y` into `plane`, a plane of a frame
+    /// `stride` pixels wide holding the window. A row wholly inside the window is one fixed
+    /// 8-lane store; a row cut by the window's edge (or the image's) is clipped.
+    #[inline]
+    fn store(&self, plane: &mut [f32], y: usize, values: [f32; BLOCK]) {
+        let (x, first_row) = self.origin;
+        let at = (first_row + y - self.rows.start) * self.stride + x;
+        if self.columns.len() == BLOCK {
+            let run: &mut [f32; BLOCK] =
+                (&mut plane[at..at + BLOCK]).try_into().expect("a whole block row");
+            *run = values;
+        } else {
+            let len = self.columns.len();
+            plane[at..at + len].copy_from_slice(&values[self.columns.clone()]);
         }
     }
 }
@@ -767,8 +886,10 @@ fn reconstruct_image(
     let chroma_table = QuantTable::chroma(quality)?;
     let mut frame = Image::zeros(width, height)?;
     let whole = CropWindow::whole(width, height);
-    for block in 0..planes.blocks_x * planes.blocks_y {
-        refresh_block(planes, block, &luma_table, &chroma_table, &mut frame, whole);
+    for row in 0..planes.blocks_y {
+        for column in 0..planes.blocks_x {
+            refresh_block(planes, (column, row), &luma_table, &chroma_table, &mut frame, whole);
+        }
     }
     Ok(frame)
 }
@@ -1157,6 +1278,147 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The corner sides `refresh_block` dispatches to.
+    const SIDES: [usize; 5] = [1, 2, 3, 4, 8];
+
+    /// Seeds of `refresh_block` cases that failed once; each is re-checked on every run.
+    ///
+    /// * `0x4c44_f3bc_0d6c_7267`: a 2 × 1 window at `(10, 17)` of a 19 × 18 image, cutting
+    ///   an edge block on both axes, at quality 1. It failed against two deliberately
+    ///   broken copies of the refresh (mutation checks): a clipped row copied from the
+    ///   block's first column instead of the window's, and 3-corner components
+    ///   transformed over the 2-corner only.
+    const REFRESH_REGRESSION_SEEDS: [u64; 1] = [0x4c44_f3bc_0d6c_7267];
+
+    /// Levels whose support reaches exactly `extent` (the largest `max(row, column) + 1`
+    /// over the non-zero levels; 0 is an all-zero block): one non-zero level on the ring
+    /// `extent - 1`, random ones inside it, every magnitude at most 127.
+    fn levels_with_extent(rng: &mut crate::Xorshift, extent: usize) -> [i16; BLOCK_AREA] {
+        let mut levels = [0i16; BLOCK_AREA];
+        if extent == 0 {
+            return levels;
+        }
+        for v in 0..extent {
+            for u in 0..extent {
+                if rng.below(2) == 0 {
+                    levels[v * BLOCK + u] = rng.below(255) as i16 - 127;
+                }
+            }
+        }
+        let (ring, along) = (extent - 1, rng.below(extent as u64) as usize);
+        let (v, u) = if rng.below(2) == 0 { (ring, along) } else { (along, ring) };
+        let magnitude = 1 + rng.below(127) as i16;
+        levels[v * BLOCK + u] = if rng.below(2) == 0 { magnitude } else { -magnitude };
+        levels
+    }
+
+    /// One block of a 3 × 3 block grid through `refresh_block`, against the scalar 8×8
+    /// reference transform of each component and a per-pixel `pixel_from_samples`.
+    ///
+    /// One component's support lies exactly on a corner boundary of [`SIDES`] or one past
+    /// it, so the dispatch must pick exactly that corner or the next one; the others are
+    /// drawn from every extent. The quality is 1, 50, 90 or 100 (component 0 takes the
+    /// luma table, 1 and 2 the chroma one); the image stops short of the grid by up to 7
+    /// pixels on each axis, and the window is any rectangle of the image, so edge blocks
+    /// are clipped by the image and the window alike. Pixels of the window outside the
+    /// block must keep the frame's fill. Finally, the corner just below the chosen one — a
+    /// deliberately wrong mask, which drops the support's last ring — must not reproduce
+    /// the reference samples, so a dispatch that picked it would fail here.
+    fn check_refresh(seed: u64) -> std::result::Result<(), String> {
+        let mut rng = crate::Xorshift((seed ^ 0x2545_f491_4f6c_dd1d).max(1));
+        let quality = [1u8, 50, 90, 100][rng.below(4) as usize];
+        let luma = QuantTable::luma(quality).unwrap();
+        let chroma = QuantTable::chroma(quality).unwrap();
+        let table = |c: usize| if c == 0 { &luma } else { &chroma };
+        let width = 3 * BLOCK - rng.below(8) as usize;
+        let height = 3 * BLOCK - rng.below(8) as usize;
+        let block = rng.below(9) as usize;
+        let tested = rng.below(3) as usize;
+        let boundary = SIDES[rng.below(5) as usize];
+        let extent = boundary + usize::from(boundary < BLOCK && rng.below(2) == 0);
+        let mut planes = CoefficientPlanes::zeroed(3, 3);
+        for (c, blocks) in planes.blocks.iter_mut().enumerate() {
+            let drawn = if c == tested { extent } else { rng.below(9) as usize };
+            blocks[block] = levels_with_extent(&mut rng, drawn);
+        }
+        let context = format!(
+            "seed {seed:#x}: q{quality}, {width}x{height}, block {block}, component {tested} \
+             with extent {extent}"
+        );
+        let levels = &planes.blocks[tested][block];
+        let side = *SIDES.iter().find(|&&side| side >= extent).unwrap();
+        if support_side(levels) != side {
+            return Err(format!("{context}: dispatched to {} not {side}", support_side(levels)));
+        }
+
+        let x0 = rng.below(width as u64) as usize;
+        let y0 = rng.below(height as u64) as usize;
+        let window = CropWindow {
+            x0,
+            y0,
+            width: 1 + rng.below((width - x0) as u64) as usize,
+            height: 1 + rng.below((height - y0) as u64) as usize,
+        };
+        let fill = [-1.0f32; 3];
+        let mut frame = Image::filled(window.width, window.height, fill).unwrap();
+        refresh_block(&planes, (block % 3, block / 3), &luma, &chroma, &mut frame, window);
+
+        let reference: [[f32; BLOCK_AREA]; COMPONENTS] = std::array::from_fn(|c| {
+            inverse_dct_reference(&table(c).dequantize(&planes.blocks[c][block]))
+        });
+        let (bx, by) = ((block % 3) * BLOCK, (block / 3) * BLOCK);
+        for y in 0..window.height {
+            for x in 0..window.width {
+                let (ix, iy) = (window.x0 + x, window.y0 + y);
+                let expected = if (bx..bx + BLOCK).contains(&ix) && (by..by + BLOCK).contains(&iy) {
+                    let i = (iy - by) * BLOCK + ix - bx;
+                    pixel_from_samples(reference.map(|samples| samples[i]))
+                } else {
+                    fill
+                };
+                if frame.pixel(x, y).map(f32::to_bits) != expected.map(f32::to_bits) {
+                    return Err(format!(
+                        "{context}, {window:?}: pixel ({ix}, {iy}) is {:?}, expected {expected:?}",
+                        frame.pixel(x, y)
+                    ));
+                }
+            }
+        }
+
+        if let Some(&wrong) = SIDES.iter().rev().find(|&&smaller| smaller < side) {
+            let t = dct_tables();
+            let mut columns = [[0.0f32; BLOCK]; BLOCK];
+            corner_columns(t, &mut columns, wrong, levels, table(tested));
+            let exact = (0..BLOCK).all(|y| {
+                let row = inverse_dct_row(t, &columns, wrong, y);
+                row.iter()
+                    .zip(&reference[tested][y * BLOCK..])
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+            });
+            if exact {
+                return Err(format!("{context}: the {wrong}-corner mask went unnoticed"));
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn refresh_block_dispatches_every_support_to_an_exact_corner(seed in 0u64..u64::MAX) {
+            let outcome = check_refresh(seed);
+            proptest::prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+    }
+
+    #[test]
+    fn refresh_regression_seeds_match_the_reference() {
+        for seed in REFRESH_REGRESSION_SEEDS {
+            check_refresh(seed).unwrap();
         }
     }
 }

@@ -29,24 +29,27 @@ fn alpha(k: usize) -> f32 {
 /// expressions the transforms previously evaluated inline, so table lookups return
 /// bit-identical `f32`s and the rewritten loops below reproduce the original results
 /// bitwise — only the transcendental calls are gone.
-struct DctTables {
-    /// `basis[k * BLOCK + n] = cos((2n+1) k π / 16)`.
-    basis: [f32; BLOCK_AREA],
+pub(crate) struct DctTables {
+    /// `basis[k][n] = cos((2n+1) k π / 16)`.
+    basis: [[f32; BLOCK]; BLOCK],
     /// `basis_t[n * BLOCK + k]`: the transpose, for passes whose contiguous lane is `k`.
     basis_t: [f32; BLOCK_AREA],
     /// `alpha[k]`: the DCT normalization factors.
     alpha: [f32; BLOCK],
 }
 
-fn tables() -> &'static DctTables {
+pub(crate) fn tables() -> &'static DctTables {
     static TABLES: std::sync::OnceLock<DctTables> = std::sync::OnceLock::new();
     TABLES.get_or_init(|| {
-        let mut t =
-            DctTables { basis: [0.0; BLOCK_AREA], basis_t: [0.0; BLOCK_AREA], alpha: [0.0; BLOCK] };
+        let mut t = DctTables {
+            basis: [[0.0; BLOCK]; BLOCK],
+            basis_t: [0.0; BLOCK_AREA],
+            alpha: [0.0; BLOCK],
+        };
         for k in 0..BLOCK {
             t.alpha[k] = alpha(k);
             for n in 0..BLOCK {
-                t.basis[k * BLOCK + n] = basis(k, n);
+                t.basis[k][n] = basis(k, n);
                 t.basis_t[n * BLOCK + k] = basis(k, n);
             }
         }
@@ -84,7 +87,7 @@ pub fn forward_dct(block: &[f32; BLOCK_AREA]) -> [f32; BLOCK_AREA] {
         // Lanes: acc[u] accumulates over y.
         let mut acc = [0.0f32; BLOCK];
         for y in 0..BLOCK {
-            let b = t.basis[v * BLOCK + y];
+            let b = t.basis[v][y];
             let row = &tmp[y * BLOCK..(y + 1) * BLOCK];
             for u in 0..BLOCK {
                 acc[u] += row[u] * b;
@@ -117,36 +120,64 @@ pub fn inverse_dct(coeffs: &[f32; BLOCK_AREA]) -> [f32; BLOCK_AREA] {
 /// coefficients outside the corner are not read.
 pub(crate) fn inverse_dct_corner<const K: usize>(coeffs: &[f32; BLOCK_AREA]) -> [f32; BLOCK_AREA] {
     let t = tables();
+    let mut columns = [[0.0f32; BLOCK]; BLOCK];
+    inverse_dct_columns(t, &mut columns, K, |i| coeffs[i]);
     let mut out = [0.0f32; BLOCK_AREA];
-    // `tmp[y][u]` for `u < K`; the columns past the corner are exactly +0.0.
-    let mut tmp = [[0.0f32; K]; BLOCK];
-    for (y, tmp_row) in tmp.iter_mut().enumerate() {
-        // Lanes: acc[u] accumulates over v; `(alpha * coeff) * basis` preserves the
-        // original left-to-right product order.
-        let mut acc = [0.0f32; K];
-        for v in 0..K {
-            let a = t.alpha[v];
-            let b = t.basis[v * BLOCK + y];
-            let row = &coeffs[v * BLOCK..v * BLOCK + K];
-            for u in 0..K {
-                acc[u] += a * row[u] * b;
-            }
-        }
-        *tmp_row = acc;
-    }
-    for (y, tmp_row) in tmp.iter().enumerate() {
-        // Lanes: acc[x] accumulates over u.
-        let mut acc = [0.0f32; BLOCK];
-        for (u, &sample) in tmp_row.iter().enumerate() {
-            let s = t.alpha[u] * sample;
-            let row = &t.basis[u * BLOCK..(u + 1) * BLOCK];
-            for x in 0..BLOCK {
-                acc[x] += s * row[x];
-            }
-        }
-        out[y * BLOCK..(y + 1) * BLOCK].copy_from_slice(&acc);
+    for (y, out_row) in out.chunks_exact_mut(BLOCK).enumerate() {
+        out_row.copy_from_slice(&inverse_dct_row(t, &columns, K, y));
     }
     out
+}
+
+/// The first pass of [`inverse_dct_corner`] over the top-left `k × k` corner, run across
+/// rows: for `u < k`, `columns[u][y]` accumulates `(alpha[v] * coeff) * basis[v][y]` over
+/// `v < k`, lanes over `y`, and is left multiplied by `alpha[u]` — the factor the second
+/// pass applies to it. The columns past the corner are not written; the second pass does
+/// not read them. `coeff(i)` is the raster-order coefficient `i`; only the corner's are
+/// asked for, so a caller can dequantize them as they are read.
+///
+/// Each lane performs the scalar loop's operations for its `(u, y)` in the same order —
+/// the same left-to-right products, the terms added in the order of `v` — and `alpha[u] *
+/// tmp` is the product the scalar second pass forms, so every value rounds as it did.
+#[inline]
+pub(crate) fn inverse_dct_columns(
+    t: &DctTables,
+    columns: &mut [[f32; BLOCK]; BLOCK],
+    k: usize,
+    coeff: impl Fn(usize) -> f32,
+) {
+    for (u, column) in columns.iter_mut().enumerate().take(k) {
+        let mut acc = [0.0f32; BLOCK];
+        for v in 0..k {
+            let s = t.alpha[v] * coeff(v * BLOCK + u);
+            let basis = &t.basis[v];
+            for y in 0..BLOCK {
+                acc[y] += s * basis[y];
+            }
+        }
+        *column = acc.map(|sample| t.alpha[u] * sample);
+    }
+}
+
+/// Row `y` of the second pass of [`inverse_dct_corner`] over the first `k` columns that
+/// [`inverse_dct_columns`] left: lanes over `x`, accumulating `columns[u][y] * basis[u][x]`
+/// over `u < k` in order.
+#[inline]
+pub(crate) fn inverse_dct_row(
+    t: &DctTables,
+    columns: &[[f32; BLOCK]; BLOCK],
+    k: usize,
+    y: usize,
+) -> [f32; BLOCK] {
+    let mut acc = [0.0f32; BLOCK];
+    for (u, column) in columns.iter().enumerate().take(k) {
+        let s = column[y];
+        let row = &t.basis[u];
+        for x in 0..BLOCK {
+            acc[x] += s * row[x];
+        }
+    }
+    acc
 }
 
 /// The one sample [`inverse_dct`] produces, at all 64 positions, for a block whose only

@@ -23,7 +23,7 @@ pub struct HuffmanCode {
     /// Decode table over the next [`LUT_BITS`] bits of the stream: `length << 8 | symbol`
     /// of the code that is a prefix of the index, or 0 when no code of at most `LUT_BITS`
     /// bits is.
-    lut: Box<[u16]>,
+    lut: Box<[u16; 1 << LUT_BITS]>,
     /// `(length, code, symbol)` of every code longer than [`LUT_BITS`], ascending.
     long_codes: Vec<(u8, u16, u8)>,
 }
@@ -134,7 +134,7 @@ impl HuffmanCode {
         // ascending order, as a bit-by-bit search would). Codes that do fit are assigned in
         // ascending order of their left-aligned value, so the short ones claim disjoint
         // ranges of the lookup table.
-        let mut lut = vec![0u16; 1 << LUT_BITS].into_boxed_slice();
+        let mut lut = Box::new([0u16; 1 << LUT_BITS]);
         let mut long_codes = Vec::new();
         for &s in &symbols {
             let (len, code) = (lengths[s], codes[s]);
@@ -177,44 +177,60 @@ impl HuffmanCode {
 
     /// Decodes one symbol from the reader, or `None` on end of stream / unknown code.
     ///
-    /// Entropy decoding is the larger part of applying a scan, so this is table-driven:
-    /// one lookup of the next `LUT_BITS` (9) bits resolves every code that short, and longer
-    /// codes are searched by length in a sorted list. For every table and every byte
-    /// string the result — and the number of bits consumed, also on `None` — is what
-    /// matching the stream bit by bit against all 256 codes gives (the test-only
-    /// `decode_linear`, which this replaced): `None` after consuming what is left when the
-    /// stream ends inside a code, `None` after 16 bits when no code matches.
+    /// Entropy decoding is the larger part of applying a scan, so this is table-driven
+    /// ([`lookup`](Self::lookup)). For every table and every byte string the result — and
+    /// the number of bits consumed, also on `None` — is what matching the stream bit by
+    /// bit against all 256 codes gives (the test-only `decode_linear`, which this
+    /// replaced): `None` after consuming what is left when the stream ends inside a code,
+    /// `None` after 16 bits when no code matches.
     #[inline]
     pub fn decode(&self, reader: &mut BitReader<'_>) -> Option<u8> {
-        let (window, available) = reader.peek16();
-        let entry = self.lut[(window >> (16 - LUT_BITS)) as usize];
+        let (window, available) = reader.peek();
+        match self.lookup(window, available) {
+            Ok((symbol, len)) => {
+                reader.consume(len);
+                Some(symbol)
+            }
+            Err(skipped) => {
+                reader.consume(skipped);
+                None
+            }
+        }
+    }
+
+    /// Matches the code at the top of `window` (left-aligned stream bits, of which
+    /// `available` are really there and the rest read as zeros past the stream's end):
+    /// `Ok((symbol, code length))`, or `Err(bits)` with the bits [`decode`](Self::decode)
+    /// consumes when nothing matches. Nothing is consumed here, so a caller can take the
+    /// amplitude bits that follow the code from the same window.
+    ///
+    /// One lookup of the next `LUT_BITS` (9) bits resolves every code that short; longer
+    /// codes are searched by length in a sorted list.
+    #[inline]
+    pub(crate) fn lookup(&self, window: u64, available: u32) -> Result<(u8, u32), u32> {
+        let entry = self.lut[(window >> (64 - LUT_BITS)) as usize];
         let len = u32::from(entry >> 8);
         if len != 0 {
             if len <= available {
-                reader.consume(len);
-                return Some(entry as u8);
+                return Ok((entry as u8, len));
             }
             // The shortest match leans on the zero padding past the end of the stream, so
             // no code matches the bits that are really there.
-            reader.consume(available);
-            return None;
+            return Err(available);
         }
         for len in LUT_BITS + 1..=MAX_CODE_LEN {
             if u32::from(len) > available {
-                reader.consume(available);
-                return None;
+                return Err(available);
             }
-            let code = (window >> (16 - len)) as u16;
+            let code = (window >> (64 - len)) as u16;
             let at = self.long_codes.partition_point(|&(l, c, _)| (l, c) < (len, code));
             if let Some(&(l, c, symbol)) = self.long_codes.get(at) {
                 if (l, c) == (len, code) {
-                    reader.consume(u32::from(len));
-                    return Some(symbol);
+                    return Ok((symbol, u32::from(len)));
                 }
             }
         }
-        reader.consume(u32::from(MAX_CODE_LEN));
-        None
+        Err(u32::from(MAX_CODE_LEN))
     }
 
     /// Serializes the table in the compact JPEG `DHT` layout: 16 bytes holding the number

@@ -20,21 +20,31 @@
 //! and columns inside it. [`ProgressiveImage::progressive_decoder`] is the whole-image
 //! window.
 //!
-//! The decoder keeps no spatial planes. A block's 8×8 samples exist only on the stack,
-//! between its inverse DCT and the colour conversion that writes its pixels into the
-//! frame (`refresh_block`), so a decoder costs the coefficient planes (three zeroed
+//! The decoder keeps no spatial planes. A block's samples exist only on the stack — its
+//! components' first passes, then one row at a time between the second pass and the
+//! colour conversion that writes it into the frame (`refresh_block`) — so a decoder costs the coefficient planes (three zeroed
 //! allocations), one dirty flag per block and the window-sized frame, each sample of
 //! which is written once at construction — nothing else image-sized is allocated or
 //! filled.
 //!
-//! A refreshed block costs what its coefficients carry. A component with no non-zero AC
-//! level — every block after the DC scan — is one sample, two multiplies from its DC
-//! level, and a block whose three components are all like that is one colour conversion
-//! and a fill of its row runs. A component whose levels all lie in the top-left 4×4
-//! corner (the standard plan's second scan reaches no further) runs a 4×4-bounded
-//! inverse DCT, 384 multiply-adds against the full transform's 1 024. Only a component
-//! with a level outside that corner pays the full 8×8 transform. Every path is bitwise
-//! equal to the full transform (the argument is on `refresh_block`).
+//! A refreshed block costs what its coefficients carry. Each component's support — the
+//! smallest top-left corner of side 1, 2, 3, 4 or 8 that holds its non-zero levels — is
+//! found by one OR-reduction over its 64 levels and picks its transform. A component with
+//! no non-zero AC level — every block after the DC scan — is one sample, two multiplies
+//! from its DC level, and a block whose three components are all like that is one colour
+//! conversion and a fill of its rows. Any other component dequantizes its corner alone and
+//! runs the inverse DCT bounded by it: the first pass across rows (eight lanes, one corner
+//! column at a time), the second a block row at a time, and each row is converted to RGB
+//! and stored as soon as it exists — one fixed 8-lane store per plane when the row lies
+//! wholly inside the window. The standard plan's second scan reaches only the 3×3 corner:
+//! 264 multiply-adds against the full transform's 1 024. Every path is bitwise equal to
+//! the full transform (the argument is on `refresh_block`).
+//!
+//! The entropy decode reads a scan a word at a time. While eight bytes of it remain, a
+//! refill is one big-endian 8-byte load, so the accumulator holds at least 56 bits, and a
+//! symbol (a code of at most 16 bits) and its amplitude bits (at most 17) are both taken
+//! from that one refilled word. Each block's coefficients are borrowed once and its dirty
+//! flag is set once, from whether any of its stored levels changed.
 //!
 //! A reader that knows its depth needs no intermediate frames:
 //! [`advance_to`](ProgressiveDecoder::advance_to) entropy-decodes every pending scan
@@ -263,12 +273,13 @@ impl<'a> ProgressiveDecoder<'a> {
         }
         let blocks_x = self.planes.blocks_x;
         for row in self.block_rows.clone() {
-            let blocks =
-                row * blocks_x + self.block_columns.start..row * blocks_x + self.block_columns.end;
-            for block in blocks.filter(|&block| self.dirty[block]) {
+            for column in self.block_columns.clone() {
+                if !self.dirty[row * blocks_x + column] {
+                    continue;
+                }
                 refresh_block(
                     &self.planes,
-                    block,
+                    (column, row),
                     &self.luma_table,
                     &self.chroma_table,
                     &mut self.frame,

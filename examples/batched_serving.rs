@@ -3,9 +3,12 @@
 //! A queue of concurrent inference requests is planned (preview + scale model),
 //! grouped into resolution buckets, and executed bucket-by-bucket with batch-level
 //! data parallelism. The aggregate report is identical to serving the queue one
-//! request at a time — batching is purely an execution-efficiency decision — while
-//! the per-bucket statistics show where the resolution/cost trade-off puts the
-//! serving time.
+//! request at a time — batching is purely an execution-efficiency decision — and the
+//! per-bucket table shows how the scale model spreads the queue over the ladder.
+//!
+//! The execute stage is still an accuracy-oracle lookup: no backbone runs on the
+//! serving path yet (ROADMAP slice 3a). So the table's execute columns time bookkeeping
+//! only, and the drain's wall time is its planning.
 //!
 //! Run with: `cargo run --release --example batched_serving`
 
@@ -57,12 +60,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!(
+        "execute runs no backbone yet (ROADMAP slice 3a): the drain's wall time is planning, \
+         and the exec columns below time the execute stage's bookkeeping only\n"
+    );
+    println!(
         "{:>10} {:>9} {:>8} {:>13} {:>14} {:>12}",
-        "bucket", "requests", "batches", "outer/inner", "batch latency", "throughput"
+        "bucket", "requests", "batches", "outer/inner", "exec ms/batch", "exec req/s"
     );
     for bucket in &served.buckets {
         println!(
-            "{:>7}² {:>9} {:>8} {:>12} {:>11.1} ms {:>8.1} req/s",
+            "{:>7}² {:>9} {:>8} {:>12} {:>14.3} {:>12.0}",
             bucket.resolution,
             bucket.requests,
             bucket.batches,

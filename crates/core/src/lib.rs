@@ -57,7 +57,6 @@
 
 #![warn(missing_docs)]
 
-mod boot;
 mod calibration;
 mod error;
 mod features;
@@ -71,7 +70,6 @@ mod server;
 mod slo;
 mod trace;
 
-pub use boot::{run_boot_sweep, start_boot_calibration, BootCalibration, BootCalibrationConfig};
 pub use calibration::{
     CalibrationCurves, SampleCurve, ScanPoint, StorageCalibrator, StoragePolicy,
 };
@@ -81,8 +79,7 @@ pub use lifecycle::{
     BreakerState, CircuitBreaker, CircuitBreakerPolicy, RetryPolicy, SourceId, WatchdogPolicy,
 };
 pub use pipeline::{
-    install_conv_calibration, CalibrationInstall, DynamicResolutionPipeline, InferencePlan,
-    InferenceRecord, PipelineConfig, PipelineReport, PipelineWarning,
+    DynamicResolutionPipeline, InferencePlan, InferenceRecord, PipelineConfig, PipelineReport,
 };
 pub use precision::{PrecisionGate, PrecisionGateConfig, PrecisionVerdict};
 pub use scale_model::{ScaleModel, ScaleModelConfig, ScaleModelTrainer, TrainingExample};
@@ -100,16 +97,18 @@ pub use trace::{ServingTrace, TraceDecision, TraceRequest, TraceStep};
 
 #[cfg(test)]
 pub(crate) mod test_sync {
-    //! Serialization of tests that install process-wide dispatch calibration or
-    //! observe the process-wide allocation counter: without it, concurrent
-    //! tests in this binary race on that shared state.
+    //! Serialization of tests that take tracked engine buffers (real network
+    //! forwards: activation arena and kernel scratch) or read the process-wide
+    //! `rescnn_tensor::scratch::heap_allocations` counter: without it, a
+    //! concurrent forward in this binary advances the counter another test
+    //! asserts a zero delta of.
 
     use std::sync::{Mutex, MutexGuard};
 
-    static CALIBRATION_LOCK: Mutex<()> = Mutex::new(());
+    static TRACKED_ALLOCATIONS_LOCK: Mutex<()> = Mutex::new(());
 
-    pub(crate) fn calibration_lock() -> MutexGuard<'static, ()> {
-        CALIBRATION_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    pub(crate) fn tracked_allocations_lock() -> MutexGuard<'static, ()> {
+        TRACKED_ALLOCATIONS_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 }
 

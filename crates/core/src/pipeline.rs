@@ -57,15 +57,6 @@ pub struct PipelineConfig {
     /// process-global state — so pipelines with different settings can serve
     /// concurrently without racing.
     pub engine_threads: Option<usize>,
-    /// Path to a persisted convolution-dispatch calibration (written by
-    /// `rescnn_hwsim::CalibratedCostModel::save`). When set, pipeline
-    /// construction loads it and installs the measured-fastest-algorithm table
-    /// via [`install_conv_calibration`], so serving starts warm with the
-    /// dispatch defaults wall-clock sweeps picked on this host. Unlike thread
-    /// budgets, the table is deliberately process-wide: it supplies *default*
-    /// choices only (scoped/global overrides and uncalibrated shapes are
-    /// unaffected), so concurrent pipelines cannot disagree about it.
-    pub conv_calibration: Option<String>,
 }
 
 impl PipelineConfig {
@@ -81,7 +72,6 @@ impl PipelineConfig {
             storage: StoragePolicy::read_all(),
             scale_model_kind: ModelKind::MobileNetV2,
             engine_threads: None,
-            conv_calibration: None,
         }
     }
 
@@ -107,13 +97,6 @@ impl PipelineConfig {
     /// (scoped per call via [`EngineContext`]; does not mutate process state).
     pub fn with_engine_threads(mut self, threads: usize) -> Self {
         self.engine_threads = Some(threads.max(1));
-        self
-    }
-
-    /// Warm-starts convolution dispatch from a persisted calibration file (see
-    /// [`PipelineConfig::conv_calibration`]).
-    pub fn with_conv_calibration(mut self, path: impl Into<String>) -> Self {
-        self.conv_calibration = Some(path.into());
         self
     }
 
@@ -314,90 +297,6 @@ impl StorageRead {
     }
 }
 
-/// What [`install_conv_calibration`] accomplished: how much of the file this
-/// build could use, and what it had to leave behind.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CalibrationInstall {
-    /// Calibrated layer shapes now steering default dispatch.
-    pub shapes: usize,
-    /// Persisted entries skipped because their algorithm names are unknown to
-    /// this build (a file written by a newer engine). The load still succeeds;
-    /// callers surface these as [`PipelineWarning::CalibrationEntriesSkipped`].
-    pub skipped: Vec<rescnn_hwsim::SkippedCalibration>,
-}
-
-/// Loads a convolution-dispatch calibration persisted by
-/// `rescnn_hwsim::CalibratedCostModel::save` and installs its
-/// measured-fastest-algorithm table process-wide
-/// ([`rescnn_tensor::install_algo_calibration`]), returning the number of
-/// calibrated layer shapes along with any entries the load skipped.
-///
-/// Serving deployments run the measured sweep offline (see
-/// `examples/kernel_tuning.rs`), persist it, and point
-/// [`PipelineConfig::with_conv_calibration`] at the file so every pipeline in
-/// the process starts warm. Explicit algorithm overrides and shapes absent from
-/// the table are unaffected. Entries whose algorithm name this build does not
-/// recognize are skipped (and reported), not fatal: a calibration file from a
-/// newer engine still warm-starts every arm this build has.
-///
-/// # Errors
-/// Returns [`CoreError::InvalidConfig`] if the file cannot be read or parsed.
-pub fn install_conv_calibration(path: &str) -> Result<CalibrationInstall> {
-    let model = rescnn_hwsim::CalibratedCostModel::load(path, rescnn_hwsim::CpuProfile::host())
-        .map_err(|e| CoreError::InvalidConfig {
-            reason: format!("conv calibration {path}: {e}"),
-        })?;
-    let table = model.dispatch_table();
-    let shapes = table.len();
-    rescnn_tensor::install_algo_calibration(Some(table));
-    Ok(CalibrationInstall { shapes, skipped: model.skipped_entries().to_vec() })
-}
-
-/// A non-fatal condition recorded during pipeline construction: the pipeline
-/// is fully usable, but degraded from what the configuration asked for.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub enum PipelineWarning {
-    /// A configured conv-calibration file could not be loaded (missing,
-    /// truncated, corrupt). The pipeline fell back to the analytic cost model
-    /// instead of failing construction — a stale warm-start file must never
-    /// take serving down.
-    CalibrationLoadFailed {
-        /// The configured calibration path.
-        path: String,
-        /// Why the load failed.
-        reason: String,
-    },
-    /// A conv-calibration file loaded, but some of its entries named kernel
-    /// algorithms this build does not have (the file came from a newer
-    /// engine). Every entry this build understands was installed; the named
-    /// arm simply contributes nothing to dispatch.
-    CalibrationEntriesSkipped {
-        /// The configured calibration path.
-        path: String,
-        /// The unrecognized algorithm name.
-        algo: String,
-        /// How many persisted entries carried that name.
-        lines: usize,
-    },
-}
-
-impl std::fmt::Display for PipelineWarning {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PipelineWarning::CalibrationLoadFailed { path, reason } => write!(
-                f,
-                "conv calibration {path} failed to load ({reason}); using the analytic cost model"
-            ),
-            PipelineWarning::CalibrationEntriesSkipped { path, algo, lines } => write!(
-                f,
-                "conv calibration {path}: skipped {lines} entr{} for unknown algorithm \
-                 {algo:?}; remaining entries installed",
-                if *lines == 1 { "y" } else { "ies" }
-            ),
-        }
-    }
-}
-
 /// The dynamic-resolution pipeline.
 #[derive(Debug, Clone)]
 pub struct DynamicResolutionPipeline {
@@ -410,8 +309,6 @@ pub struct DynamicResolutionPipeline {
     /// content address (shared across clones; see
     /// [`DynamicResolutionPipeline::ingest`]).
     scan_index: Arc<Mutex<ScanIndexStore>>,
-    /// Non-fatal degradations recorded at construction.
-    warnings: Vec<PipelineWarning>,
 }
 
 /// Streams a pipeline keeps a [`ScanIndex`] for (a few hundred bytes each) before the
@@ -440,34 +337,6 @@ impl DynamicResolutionPipeline {
             let reason = format!("scale model rung {rung} is not on the ladder {ladder:?}");
             return Err(CoreError::InvalidConfig { reason });
         }
-        // A bad warm-start calibration file degrades to the analytic cost
-        // model with a recorded warning — it must not fail construction.
-        let mut warnings = Vec::new();
-        if let Some(path) = &config.conv_calibration {
-            match install_conv_calibration(path) {
-                Ok(install) => {
-                    // Aggregate skips per unknown algorithm name: one warning
-                    // per foreign arm, not one per persisted line.
-                    let mut by_algo: BTreeMap<&str, usize> = BTreeMap::new();
-                    for entry in &install.skipped {
-                        *by_algo.entry(entry.algo.as_str()).or_insert(0) += 1;
-                    }
-                    for (algo, lines) in by_algo {
-                        warnings.push(PipelineWarning::CalibrationEntriesSkipped {
-                            path: path.clone(),
-                            algo: algo.to_string(),
-                            lines,
-                        });
-                    }
-                }
-                Err(error) => {
-                    warnings.push(PipelineWarning::CalibrationLoadFailed {
-                        path: path.clone(),
-                        reason: error.to_string(),
-                    });
-                }
-            }
-        }
         let backbone_arch = config.backbone.arch(config.dataset.num_classes());
         let mut backbone_gflops = BTreeMap::new();
         for &res in &config.resolutions {
@@ -482,7 +351,6 @@ impl DynamicResolutionPipeline {
             backbone_gflops,
             scale_gflops,
             scan_index: Arc::new(Mutex::new(ScanIndexStore::new(SCAN_INDEX_CAPACITY))),
-            warnings,
         })
     }
 
@@ -491,13 +359,6 @@ impl DynamicResolutionPipeline {
     pub(crate) fn with_scan_index_capacity(mut self, capacity: usize) -> Self {
         self.scan_index = Arc::new(Mutex::new(ScanIndexStore::new(capacity)));
         self
-    }
-
-    /// Non-fatal degradations recorded while the pipeline was constructed
-    /// (e.g. an unreadable calibration warm-start file). Empty in the healthy
-    /// case.
-    pub fn warnings(&self) -> &[PipelineWarning] {
-        &self.warnings
     }
 
     /// Planned peak-live activation bytes of one backbone forward at
@@ -1808,140 +1669,6 @@ mod tests {
             assert_eq!(shared.indexed(digest, sample).unwrap(), expected_index);
             assert_eq!(shared.scan_index.lock().unwrap().len(), 1);
         }
-    }
-
-    #[test]
-    fn conv_calibration_warm_start_installs_table() {
-        // A pipeline configured with a persisted calibration installs it at
-        // construction; an unloadable file degrades to the analytic cost model
-        // with a typed warning instead of failing construction.
-        let _guard = crate::test_sync::calibration_lock();
-        use rescnn_hwsim::{CalibratedCostModel, CpuProfile};
-        use rescnn_models::ConvLayerShape;
-        use rescnn_tensor::{Conv2dParams, ConvAlgo, ConvShapeKey, Shape};
-
-        let missing = PipelineConfig::new(ModelKind::ResNet18, DatasetKind::CarsLike)
-            .with_conv_calibration("/nonexistent/rescnn-calibration.txt");
-        let config =
-            ScaleModelConfig { resolutions: vec![112, 224], epochs: 5, ..Default::default() };
-        let trainer = ScaleModelTrainer::new(config, ModelKind::ResNet18, DatasetKind::CarsLike);
-        let train = DatasetSpec::cars_like().with_len(12).with_max_dimension(64).build(1);
-        let scale_model = trainer.train(&train, 2).unwrap();
-        let degraded =
-            DynamicResolutionPipeline::new(missing, scale_model.clone(), AccuracyOracle::new(0))
-                .expect("a missing calibration degrades, it does not fail construction");
-        assert_eq!(degraded.warnings().len(), 1);
-        let PipelineWarning::CalibrationLoadFailed { path, .. } = &degraded.warnings()[0] else {
-            panic!("expected a load-failure warning, got {:?}", degraded.warnings()[0]);
-        };
-        assert_eq!(path, "/nonexistent/rescnn-calibration.txt");
-        assert!(
-            degraded.warnings()[0].to_string().contains("analytic cost model"),
-            "the warning must say what the pipeline fell back to"
-        );
-        // The degraded pipeline still serves inference.
-        let probe = DatasetSpec::cars_like().with_len(1).with_max_dimension(64).build(9);
-        degraded.infer(&probe[0]).expect("degraded pipeline must still serve");
-
-        // A calibration file that was written and then truncated mid-byte (a
-        // crash during persist) degrades the same way.
-        let truncated_path =
-            std::env::temp_dir().join(format!("rescnn-core-truncated-{}.txt", std::process::id()));
-        {
-            let mut probe_model = CalibratedCostModel::new(CpuProfile::host());
-            probe_model.record(
-                &ConvLayerShape {
-                    params: Conv2dParams::new(13, 13, 3, 1, 1),
-                    input: Shape::chw(13, 37, 37),
-                },
-                ConvAlgo::Winograd,
-                1.0e-3,
-            );
-            probe_model.save(&truncated_path).unwrap();
-            // Tear the final record line (never just the trailing newline).
-            let bytes = std::fs::read(&truncated_path).unwrap();
-            std::fs::write(&truncated_path, &bytes[..bytes.len() - 5]).unwrap();
-        }
-        let torn = PipelineConfig::new(ModelKind::ResNet18, DatasetKind::CarsLike)
-            .with_conv_calibration(truncated_path.to_string_lossy().to_string());
-        let torn =
-            DynamicResolutionPipeline::new(torn, scale_model.clone(), AccuracyOracle::new(0))
-                .expect("a truncated calibration degrades, it does not fail construction");
-        assert_eq!(torn.warnings().len(), 1, "truncated file must warn exactly once");
-        std::fs::remove_file(&truncated_path).ok();
-
-        // Calibrate an exotic shape no test network uses, so the installed
-        // table cannot perturb any other test's dispatch decisions.
-        let layer = ConvLayerShape {
-            params: Conv2dParams::new(13, 13, 3, 1, 1),
-            input: Shape::chw(13, 37, 37),
-        };
-        let mut model = CalibratedCostModel::new(CpuProfile::host());
-        model.record(&layer, ConvAlgo::Winograd, 1.0e-3);
-        model.record(&layer, ConvAlgo::Im2colPacked, 2.0e-3);
-        let path =
-            std::env::temp_dir().join(format!("rescnn-core-warmstart-{}.txt", std::process::id()));
-        model.save(&path).unwrap();
-
-        let warm = PipelineConfig::new(ModelKind::ResNet18, DatasetKind::CarsLike)
-            .with_conv_calibration(path.to_string_lossy().to_string());
-        let pipeline =
-            DynamicResolutionPipeline::new(warm, scale_model, AccuracyOracle::new(0)).unwrap();
-        assert!(pipeline.warnings().is_empty(), "a loadable calibration must not warn");
-        assert!(pipeline.config().conv_calibration.is_some());
-        let table = rescnn_tensor::installed_algo_calibration().expect("table installed");
-        let key = ConvShapeKey::new(layer.params, layer.input);
-        assert_eq!(table.get(&key), Some(ConvAlgo::Winograd));
-        assert_eq!(
-            rescnn_tensor::select_algo(&layer.params, layer.input),
-            ConvAlgo::Winograd,
-            "dispatch must pick the measured-fastest algorithm for calibrated shapes"
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn forward_compatible_calibration_warns_but_installs() {
-        // A calibration file from a newer engine build — carrying an arm this
-        // build lacks — must still install every entry it understands, with a
-        // typed warning naming the foreign arm and how many lines it lost.
-        let _guard = crate::test_sync::calibration_lock();
-        let path =
-            std::env::temp_dir().join(format!("rescnn-core-future-{}.txt", std::process::id()));
-        std::fs::write(
-            &path,
-            "rescnn-conv-calibration v1\n\
-             measure 13 13 3 1 1 1 37 37 im2col_packed 2e-3\n\
-             measure 13 13 3 1 1 1 37 37 int4_packed 1e-3\n\
-             measure 13 13 3 1 1 1 41 41 int4_packed 1e-3\n",
-        )
-        .unwrap();
-
-        let config =
-            ScaleModelConfig { resolutions: vec![112, 224], epochs: 5, ..Default::default() };
-        let trainer = ScaleModelTrainer::new(config, ModelKind::ResNet18, DatasetKind::CarsLike);
-        let train = DatasetSpec::cars_like().with_len(12).with_max_dimension(64).build(1);
-        let scale_model = trainer.train(&train, 2).unwrap();
-        let warm = PipelineConfig::new(ModelKind::ResNet18, DatasetKind::CarsLike)
-            .with_conv_calibration(path.to_string_lossy().to_string());
-        let pipeline =
-            DynamicResolutionPipeline::new(warm, scale_model, AccuracyOracle::new(0)).unwrap();
-        std::fs::remove_file(&path).ok();
-
-        assert_eq!(
-            pipeline.warnings(),
-            &[PipelineWarning::CalibrationEntriesSkipped {
-                path: path.to_string_lossy().to_string(),
-                algo: "int4_packed".into(),
-                lines: 2,
-            }]
-        );
-        assert!(pipeline.warnings()[0].to_string().contains("int4_packed"));
-        // The entry this build understands really did install.
-        let table = rescnn_tensor::installed_algo_calibration().expect("table installed");
-        use rescnn_tensor::{Conv2dParams, ConvAlgo, ConvShapeKey, Shape};
-        let key = ConvShapeKey::new(Conv2dParams::new(13, 13, 3, 1, 1), Shape::chw(13, 37, 37));
-        assert_eq!(table.get(&key), Some(ConvAlgo::Im2colPacked));
     }
 
     #[test]

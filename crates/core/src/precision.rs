@@ -263,6 +263,7 @@ mod tests {
 
     #[test]
     fn gate_is_deterministic_and_bounded() {
+        let _guard = crate::test_sync::tracked_allocations_lock();
         let classes = DatasetKind::CarsLike.num_classes();
         let config = PrecisionGateConfig { samples: 2, ..Default::default() };
         let gate =
@@ -289,6 +290,7 @@ mod tests {
 
     #[test]
     fn impossible_floors_reject_every_resolution() {
+        let _guard = crate::test_sync::tracked_allocations_lock();
         let classes = DatasetKind::CarsLike.num_classes();
         let strict = PrecisionGateConfig {
             samples: 1,

@@ -365,7 +365,7 @@ mod tests {
     /// by zero.
     #[test]
     fn warm_scheduler_runs_do_not_allocate_tracked_buffers() {
-        let _guard = crate::test_sync::calibration_lock();
+        let _guard = crate::test_sync::tracked_allocations_lock();
         let pipeline = build_pipeline(vec![112, 224]);
         let data = DatasetSpec::cars_like().with_len(6).with_max_dimension(72).build(3);
         let options = BatchOptions::default().with_max_batch(3);

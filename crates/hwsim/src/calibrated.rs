@@ -15,9 +15,9 @@
 //!   MAC counts) still rank sensibly.
 //! * **Dispatch feedback** — [`CalibratedCostModel::dispatch_table`] exports the
 //!   measured-fastest algorithm per shape as a
-//!   [`rescnn_tensor::AlgoCalibration`]; installing it
-//!   ([`rescnn_tensor::install_algo_calibration`]) makes `conv2d_dispatch`'s
-//!   *default* choice measurement-driven while explicit overrides keep winning.
+//!   [`rescnn_tensor::AlgoCalibration`]; a network given it
+//!   (`rescnn_models::Network::with_arms`) runs each swept shape on its
+//!   measured-fastest arm, while a scoped pin keeps winning.
 //! * **Persistence** — [`save`](CalibratedCostModel::save) /
 //!   [`load`](CalibratedCostModel::load) round-trip the measurements through a
 //!   line-oriented text file, so a serving process can start warm from a sweep
@@ -43,8 +43,9 @@ const FORMAT_HEADER: &str = "rescnn-conv-calibration v1";
 /// algorithm name is unknown to this build — typically a file written by a
 /// newer engine with an extra kernel arm. Skipping (instead of failing the
 /// whole load) keeps calibration files forward-compatible: every measurement
-/// this build *can* interpret still loads, and the skips are surfaced so the
-/// serving layer can warn rather than silently run uncalibrated.
+/// this build *can* interpret still loads, and the skips are recorded
+/// ([`CalibratedCostModel::skipped_entries`]) so a caller can warn rather than
+/// silently run uncalibrated.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SkippedCalibration {
     /// The unrecognized algorithm name exactly as it appeared in the file.
@@ -203,10 +204,9 @@ impl CalibratedCostModel {
         layers.iter().map(|layer| self.predict_seconds(layer, self.best_algo(layer))).sum()
     }
 
-    /// Exports the measured-fastest algorithm per swept shape as the dispatch
-    /// table [`rescnn_tensor::conv2d_dispatch`] consults once installed with
-    /// [`rescnn_tensor::install_algo_calibration`]. Only shapes with at least
-    /// one measurement appear — unmeasured shapes keep the engine's heuristics.
+    /// Exports the measured-fastest algorithm per swept shape as a table of
+    /// arms for `rescnn_models::Network::with_arms`. Only shapes with at least
+    /// one measurement appear — unmeasured shapes keep the engine's rule.
     pub fn dispatch_table(&self) -> AlgoCalibration {
         let mut table = AlgoCalibration::new();
         for (key, entries) in &self.measurements {

@@ -1,14 +1,13 @@
 //! The measured-dispatch feedback loop, end to end: sweep real kernels with the
 //! `MeasuredTuner`, persist the calibrated cost model to disk, reload it, and
-//! verify that installing its dispatch table makes `conv2d_dispatch` pick the
-//! measured-fastest algorithm per shape — with explicit overrides still winning.
+//! verify that a `Network` given its dispatch table runs the measured-fastest
+//! algorithm per swept shape — with `select_algo` untouched, unswept shapes on
+//! the rule and explicit pins still winning. CI runs it under
+//! `RESCNN_THREADS=1,2,4`.
 
 use rescnn_hwsim::{CalibratedCostModel, CpuProfile, MeasuredSweepConfig, MeasuredTuner};
-use rescnn_models::ConvLayerShape;
-use rescnn_tensor::{
-    conv2d_dispatch, install_algo_calibration, installed_algo_calibration, planned_conv_algo,
-    select_algo, Conv2dParams, ConvAlgo, ConvShapeKey, EngineContext, Shape, Tensor,
-};
+use rescnn_models::{ArchSpec, BlockSpec, ConvLayerShape, ModelKind, Network};
+use rescnn_tensor::{select_algo, Conv2dParams, ConvAlgo, EngineContext, Shape, Tensor};
 
 /// Small layers keep the wall-clock sweep fast: one Winograd-eligible 3×3 and
 /// one pointwise layer (which Winograd cannot execute).
@@ -46,61 +45,59 @@ fn measured_calibration_round_trips_and_steers_dispatch() {
     assert_eq!(reloaded.len(), model.len());
     assert_eq!(reloaded.dispatch_table(), model.dispatch_table());
 
-    // The static rule's answers while no table is installed: what an
-    // uncalibrated shape must keep getting, and what uninstalling restores.
+    // A thin network whose convolutions at 24² include both swept shapes: a
+    // basic block's second 3×3 (8→8) and a bottleneck's 1×1 expand (8→16).
+    let arch = ArchSpec {
+        kind: ModelKind::ResNet18,
+        blocks: vec![
+            BlockSpec::BasicBlock { in_ch: 3, out_ch: 8, stride: 1 },
+            BlockSpec::Bottleneck { in_ch: 8, mid_ch: 16, out_ch: 8, stride: 1 },
+            BlockSpec::GlobalAvgPool,
+            BlockSpec::Classifier { in_features: 8, num_classes: 4 },
+        ],
+        num_classes: 4,
+    };
+    let resolution = layers[0].input.h;
+    let net_layers = arch.conv_layers(resolution).unwrap();
+    assert!(layers.iter().all(|layer| net_layers.contains(layer)), "both swept shapes run");
+    let rule: Vec<ConvAlgo> =
+        net_layers.iter().map(|layer| select_algo(&layer.params, layer.input)).collect();
+
+    // The reloaded table, held by the network: every swept shape runs on its
+    // measured-fastest arm, every other layer keeps the rule, and no table
+    // reaches `select_algo`.
+    let net = Network::from_arch(&arch, 5).with_arms(reloaded.dispatch_table());
+    for (layer, rule) in net_layers.iter().zip(&rule) {
+        let arm = net.conv_arm(&layer.params, layer.input);
+        if layers.contains(layer) {
+            let fastest = reloaded.best_algo(layer);
+            assert!(fastest.supports(&layer.params));
+            assert_eq!(arm, fastest, "the network must run the measured-fastest arm");
+        } else {
+            assert_eq!(arm, *rule, "an unswept shape keeps the rule");
+        }
+        assert_eq!(select_algo(&layer.params, layer.input), *rule);
+    }
     let unseen = Conv2dParams::new(8, 8, 3, 1, 1);
     let unseen_input = Shape::chw(8, 40, 40);
-    let rule_unseen = select_algo(&unseen, unseen_input);
-    assert_eq!(rule_unseen, ConvAlgo::WinogradF4, "10×10 F(4×4) tiles fill a panel");
-    let rule_swept = select_algo(&layers[0].params, layers[0].input);
+    assert_eq!(select_algo(&unseen, unseen_input), ConvAlgo::WinogradF4, "10×10 F(4×4) tiles");
+    assert_eq!(net.conv_arm(&unseen, unseen_input), ConvAlgo::WinogradF4);
 
-    // Install the reloaded table: conv2d_dispatch now runs the measured-fastest
-    // algorithm for each swept shape.
-    let table = reloaded.dispatch_table();
-    let previous = install_algo_calibration(Some(table));
-    assert!(previous.is_none());
-    assert!(installed_algo_calibration().is_some());
+    // The measured arms run: the prepared forward equals the reference forward
+    // (both resolve every arm through the table) and repeats its own bits.
+    let input = Tensor::random_uniform(Shape::chw(3, resolution, resolution), 1.0, 11);
+    let logits = net.forward(&input).unwrap();
+    assert_eq!(logits.as_slice(), net.forward_reference(&input).unwrap().as_slice());
+    assert_eq!(logits.as_slice(), net.forward(&input).unwrap().as_slice());
 
-    for layer in &layers {
-        let fastest = reloaded.best_algo(layer);
-        assert!(fastest.supports(&layer.params));
-        assert_eq!(
-            select_algo(&layer.params, layer.input),
-            fastest,
-            "calibrated dispatch must pick the measured-fastest algorithm"
-        );
-        let input = Tensor::random_uniform(layer.input, 1.0, 11);
-        let weight = Tensor::random_uniform(
-            Shape::new(
-                layer.params.out_channels,
-                layer.params.in_channels,
-                layer.params.kernel,
-                layer.params.kernel,
-            ),
-            0.5,
-            12,
-        );
-        let (_, ran) = conv2d_dispatch(&input, &weight, None, &layer.params).unwrap();
-        assert_eq!(ran, fastest);
-    }
-
-    // An uncalibrated shape keeps the static rule.
-    assert!(installed_algo_calibration()
-        .unwrap()
-        .get(&ConvShapeKey::new(unseen, unseen_input))
-        .is_none());
-    assert_eq!(select_algo(&unseen, unseen_input), rule_unseen);
-
-    // A scoped override still beats the calibrated default.
+    // A scoped pin still beats the measured table.
     let layer = &layers[0];
-    let scoped = EngineContext::new()
-        .with_algo(ConvAlgo::Direct)
-        .scope(|| planned_conv_algo(&layer.params, layer.input));
-    assert_eq!(scoped, ConvAlgo::Direct);
-
-    // Uninstall restores rule-only dispatch.
-    let removed = install_algo_calibration(None);
-    assert!(removed.is_some());
-    assert!(installed_algo_calibration().is_none());
-    assert_eq!(select_algo(&layers[0].params, layers[0].input), rule_swept);
+    let pinned = EngineContext::new().with_algo(ConvAlgo::Direct);
+    assert_eq!(pinned.scope(|| net.conv_arm(&layer.params, layer.input)), ConvAlgo::Direct);
+    let plain = Network::from_arch(&arch, 5);
+    assert_eq!(
+        pinned.scope(|| net.forward(&input)).unwrap().as_slice(),
+        pinned.scope(|| plain.forward(&input)).unwrap().as_slice(),
+        "under a pin the table changes nothing"
+    );
 }

@@ -35,6 +35,15 @@
 //! vector reduction agrees with the old scalar `linear` only to reassociation
 //! level (~1e-4) — logits are *not* bit-comparable with pre-PR recordings.
 //!
+//! # Arms
+//!
+//! Which arm a convolution runs on is a pure function of the forward's
+//! [`EngineContext`] pin, the network's own measured table
+//! ([`Network::with_arms`]) and the layer shape, resolved in that order by
+//! [`Network::conv_arm`]; no process-wide state enters it. Both forwards
+//! resolve every convolution through it, so `forward == forward_reference`
+//! and folded batches == per-image forwards hold under a table too.
+//!
 //! A [`Network`] keeps its architecture's [`Lowering`] next to one prepared
 //! convolution per lowered one. The arena forward (and both halves of a
 //! folded batch) and the reference forward (int8 calibration is its hook)
@@ -44,14 +53,15 @@
 //! holds — by construction.
 
 use std::ops::Range;
+use std::sync::Arc;
 
 use rescnn_tensor::parallel::parallel_map_indexed;
 use rescnn_tensor::{
     add_relu_in_place, conv2d_winograd_f4_prepared, conv2d_winograd_prepared, conv2d_with_algo,
     global_avg_pool_into, linear_prepared, linear_prepared_into, max_pool2d_into, num_threads,
-    planned_conv_algo, relu6_in_place, relu_in_place, softmax, with_thread_arena, ActivationArena,
-    Conv2dParams, ConvAlgo, ConvEpilogue, FusedActivation, PreparedGemmB, PreparedLayer, Shape,
-    Tensor,
+    relu6_in_place, relu_in_place, select_algo, softmax, with_thread_arena, ActivationArena,
+    AlgoCalibration, Conv2dParams, ConvAlgo, ConvEpilogue, EngineContext, FusedActivation,
+    PreparedGemmB, PreparedLayer, Shape, Tensor,
 };
 
 use crate::arch::{Activation, ArchSpec, ArenaPlan, Lowering, ModelKind, Op, OpKind, SLOTS};
@@ -119,11 +129,12 @@ impl ConvBn {
         ConvBn { prepared, act }
     }
 
-    /// Prepared forward into `out` with an explicit fused tail (block tails
-    /// pass the post-residual activation; the layer's own activation is
-    /// `None` there).
+    /// Prepared forward into `out` on the arm [`conv_arm`] resolves, with an
+    /// explicit fused tail (block tails pass the post-residual activation;
+    /// the layer's own activation is `None` there).
     fn forward_tail(
         &self,
+        arms: Option<&AlgoCalibration>,
         input: &Tensor,
         residual: Option<&Tensor>,
         activation: FusedActivation,
@@ -137,8 +148,9 @@ impl ConvBn {
             activation == self.act.fused() || matches!(self.act, Activation::None),
             "fused tail would drop this layer's own activation"
         );
+        let algo = conv_arm(arms, self.prepared.params(), input.shape());
         let epilogue = ConvEpilogue { activation, residual };
-        self.prepared.forward_fused_into(input, epilogue, out)?;
+        self.prepared.forward_with_algo_into(input, algo, epilogue, out)?;
         Ok(())
     }
 
@@ -159,9 +171,9 @@ impl ConvBn {
     /// the prepared panels, separate activation passes, fresh allocations. Kept
     /// as the measured baseline and the parity target — bitwise identical to
     /// [`ConvBn::forward_tail`] with the layer's own activation.
-    fn forward_reference(&self, input: &Tensor) -> Result<Tensor> {
+    fn forward_reference(&self, arms: Option<&AlgoCalibration>, input: &Tensor) -> Result<Tensor> {
         let params = self.prepared.params();
-        let algo = planned_conv_algo(params, input.shape());
+        let algo = conv_arm(arms, params, input.shape());
         if algo == ConvAlgo::Winograd {
             let filter = self.prepared.winograd_filter()?;
             let out = conv2d_winograd_prepared(
@@ -206,6 +218,17 @@ impl ConvBn {
         }
         Ok(out)
     }
+}
+
+/// The arm a convolution of `params` on `input` runs on: the innermost
+/// [`EngineContext`] pin when it can execute the shape, then the entry of the
+/// network's table `arms` when its arm can, then [`select_algo`]'s rule.
+fn conv_arm(arms: Option<&AlgoCalibration>, params: &Conv2dParams, input: Shape) -> ConvAlgo {
+    EngineContext::current()
+        .algo
+        .filter(|algo| algo.supports(params))
+        .or_else(|| arms?.arm(params, input))
+        .unwrap_or_else(|| select_algo(params, input))
 }
 
 /// A linear classifier on the packed GEMM, shared by both forward paths.
@@ -323,6 +346,9 @@ pub struct Network {
     convs: Vec<ConvBn>,
     linears: Vec<Linear>,
     num_classes: usize,
+    /// Measured arms per layer shape ([`with_arms`](Self::with_arms)), shared
+    /// by clones.
+    arms: Option<Arc<AlgoCalibration>>,
 }
 
 impl Network {
@@ -349,7 +375,34 @@ impl Network {
             .iter()
             .map(|l| Linear::new(l.in_features, l.num_classes, bump()))
             .collect();
-        Network { kind: arch.kind, lowering, convs, linears, num_classes: arch.num_classes }
+        Network {
+            kind: arch.kind,
+            lowering,
+            convs,
+            linears,
+            num_classes: arch.num_classes,
+            arms: None,
+        }
+    }
+
+    /// The network with a measured table of arms (e.g.
+    /// `rescnn_hwsim::CalibratedCostModel::dispatch_table`): every
+    /// convolution whose exact shape the table lists runs on the listed arm
+    /// when that arm can execute it, beneath an [`EngineContext`] pin and
+    /// above [`select_algo`]'s rule (see [`conv_arm`](Self::conv_arm)). The
+    /// table belongs to this value and its clones, not to the process.
+    pub fn with_arms(mut self, arms: AlgoCalibration) -> Self {
+        self.arms = Some(Arc::new(arms));
+        self
+    }
+
+    /// The arm this network runs a convolution of `params` on `input` with,
+    /// in the calling thread's [`EngineContext`]: the scope's pin when it can
+    /// execute the shape, then this network's measured table
+    /// ([`with_arms`](Self::with_arms)) when its entry can, then
+    /// [`select_algo`].
+    pub fn conv_arm(&self, params: &Conv2dParams, input: Shape) -> ConvAlgo {
+        conv_arm(self.arms.as_deref(), params, input)
     }
 
     /// The model family this network was built from.
@@ -425,7 +478,7 @@ impl Network {
                     let mut out =
                         arena.take(op.output, conv.prepared.params().output_shape(x.shape())?);
                     let residual = residual.map(|slot| live(slots, slot));
-                    conv.forward_tail(x, residual, act.fused(), &mut out)?;
+                    conv.forward_tail(self.arms.as_deref(), x, residual, act.fused(), &mut out)?;
                     out
                 }
                 OpKind::MaxPool(pool) => {
@@ -472,7 +525,7 @@ impl Network {
     pub fn forward_reference(&self, input: &Tensor) -> Result<Tensor> {
         self.check_input(input)?;
         run_reference(&self.lowering, &self.linears, input, |conv, x| {
-            self.convs[conv].forward_reference(x)
+            self.convs[conv].forward_reference(self.arms.as_deref(), x)
         })
     }
 
@@ -488,10 +541,10 @@ impl Network {
     /// See [`Network::forward`].
     pub fn calibrate_int8_ranges(&mut self, input: &Tensor) -> Result<()> {
         self.check_input(input)?;
-        let convs = &mut self.convs;
+        let (arms, convs) = (self.arms.as_deref(), &mut self.convs);
         run_reference(&self.lowering, &self.linears, input, |conv, x| {
             convs[conv].observe_int8_range(x);
-            convs[conv].forward_reference(x)
+            convs[conv].forward_reference(arms, x)
         })?;
         Ok(())
     }
@@ -823,6 +876,31 @@ mod tests {
             let again = net.forward(&input).unwrap();
             assert_eq!(fast.as_slice(), again.as_slice());
         }
+    }
+
+    #[test]
+    fn conv_arm_takes_the_pin_then_the_table_then_the_rule() {
+        use rescnn_tensor::ConvShapeKey;
+        let dense = Conv2dParams::new(16, 16, 3, 1, 1);
+        let pointwise = Conv2dParams::new(16, 16, 1, 1, 0);
+        let (listed, unlisted) = (Shape::chw(16, 32, 32), Shape::chw(16, 40, 40));
+        let mut table = AlgoCalibration::new();
+        table.set(ConvShapeKey::new(dense, listed), ConvAlgo::Winograd);
+        // An entry whose arm cannot execute its shape is ignored.
+        table.set(ConvShapeKey::new(pointwise, listed), ConvAlgo::Depthwise);
+        let plain = Network::new(ModelKind::ResNet18, 3, 0);
+        // Clones share the table.
+        let tabled = plain.clone().with_arms(table).clone();
+        assert_eq!(plain.conv_arm(&dense, listed), ConvAlgo::WinogradF4);
+        assert_eq!(tabled.conv_arm(&dense, listed), ConvAlgo::Winograd);
+        assert_eq!(select_algo(&dense, listed), ConvAlgo::WinogradF4, "no table moves the rule");
+        assert_eq!(tabled.conv_arm(&dense, unlisted), select_algo(&dense, unlisted));
+        assert_eq!(tabled.conv_arm(&pointwise, listed), ConvAlgo::Gemm1x1);
+        // A pin beats the table; a pin that cannot execute the shape does not.
+        let pinned =
+            |algo| EngineContext::new().with_algo(algo).scope(|| tabled.conv_arm(&dense, listed));
+        assert_eq!(pinned(ConvAlgo::Im2colPacked), ConvAlgo::Im2colPacked);
+        assert_eq!(pinned(ConvAlgo::Gemm1x1), ConvAlgo::Winograd);
     }
 
     #[test]

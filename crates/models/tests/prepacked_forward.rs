@@ -11,8 +11,8 @@ use std::sync::{Mutex, MutexGuard};
 
 use rescnn_models::{ArchSpec, BlockSpec, ModelKind, Network};
 use rescnn_tensor::{
-    install_algo_calibration, scratch, select_algo, ActivationArena, AlgoCalibration, ConvAlgo,
-    ConvShapeKey, EngineContext, Shape, Tensor,
+    scratch, select_algo, ActivationArena, AlgoCalibration, ConvAlgo, ConvShapeKey, EngineContext,
+    Shape, Tensor,
 };
 
 /// Serializes tests in this binary: they observe the process-wide allocation
@@ -65,9 +65,9 @@ fn prepared_forward_matches_reference_under_winograd_dispatch() {
     // fused (bias + residual + activation) Winograd output transform in the
     // prepared path, vs fused bias + activation and a separate add_relu in the
     // reference. Both must agree bitwise, for both transform sizes and both
-    // residual block families. An installed calibration table naming the same
-    // arm for every eligible shape — what a measured sweep installs — must
-    // steer the forward to the same bits as the pin.
+    // residual block families. A measured table naming the same arm for
+    // every eligible shape, held by the network, must steer the forward to
+    // the same bits as the pin.
     let input = Tensor::random_uniform(Shape::chw(3, 56, 56), 1.0, 23);
     for (arch, seed) in [(ModelKind::ResNet18.arch(4), 17), (thin_residual_arch(), 13)] {
         let net = Network::from_arch(&arch, seed);
@@ -83,12 +83,59 @@ fn prepared_forward_matches_reference_under_winograd_dispatch() {
                     table.set(ConvShapeKey::new(layer.params, layer.input), algo);
                 }
             }
-            install_algo_calibration(Some(table));
-            let calibrated = net.forward(&input);
-            install_algo_calibration(None);
+            let calibrated = net.clone().with_arms(table).forward(&input);
             assert_eq!(calibrated.unwrap().as_slice(), fast.as_slice(), "{algo} table != pin");
         }
     }
+}
+
+/// A measured table belongs to the `Network` that holds it, not to the
+/// process: a network given a table naming F(2×2) for every eligible shape and
+/// a plain one of the same weights, forwarding concurrently, each repeat their
+/// own bits — the pin's and the rule's. The tabled network's folded batch
+/// equals its per-image forwards, and a pin still beats its table.
+#[test]
+fn measured_arms_belong_to_the_network_value() {
+    let _guard = lock();
+    let (arch, res) = (ModelKind::ResNet18.arch(4), 56);
+    let mut table = AlgoCalibration::new();
+    for layer in arch.conv_layers(res).unwrap() {
+        if ConvAlgo::Winograd.supports(&layer.params) {
+            table.set(ConvShapeKey::new(layer.params, layer.input), ConvAlgo::Winograd);
+        }
+    }
+    let plain = Network::from_arch(&arch, 31);
+    let tabled = Network::from_arch(&arch, 31).with_arms(table);
+    let input = Tensor::random_uniform(Shape::chw(3, res, res), 1.0, 7);
+    let pin = |algo| EngineContext::new().with_algo(algo);
+    let default = plain.forward(&input).unwrap();
+    let winograd = pin(ConvAlgo::Winograd).scope(|| plain.forward(&input).unwrap());
+    assert_ne!(default.as_slice(), winograd.as_slice(), "the rule runs no F(2×2) at {res}²");
+    assert_eq!(tabled.forward(&input).unwrap().as_slice(), winograd.as_slice(), "table != pin");
+
+    std::thread::scope(|scope| {
+        let runs = [&plain, &tabled].map(|net| {
+            let input = &input;
+            scope.spawn(move || (0..3).map(|_| net.forward(input).unwrap()).collect::<Vec<_>>())
+        });
+        for (run, expected) in runs.into_iter().zip([&default, &winograd]) {
+            for logits in run.join().unwrap() {
+                assert_eq!(logits.as_slice(), expected.as_slice(), "a concurrent forward moved");
+            }
+        }
+    });
+
+    let batch: Vec<Tensor> =
+        (0..4).map(|i| Tensor::random_uniform(Shape::chw(3, res, res), 1.0, 40 + i)).collect();
+    assert!(tabled.fold_block(batch[0].shape(), batch.len()).is_some());
+    // One thread keeps the batch one group, so its tail runs folded.
+    let folded = EngineContext::new().with_threads(1).scope(|| tabled.forward_batch(&batch));
+    for (image, logits) in batch.iter().zip(folded.unwrap()) {
+        assert_eq!(logits.as_slice(), tabled.forward(image).unwrap().as_slice(), "fold != image");
+    }
+
+    let packed = |net: &Network| pin(ConvAlgo::Im2colPacked).scope(|| net.forward(&input).unwrap());
+    assert_eq!(packed(&tabled).as_slice(), packed(&plain).as_slice(), "the table beat a pin");
 }
 
 /// The default rule inside a real forward, one rung per arm it can choose:

@@ -178,7 +178,7 @@ impl HuffmanCode {
     /// Decodes one symbol from the reader, or `None` on end of stream / unknown code.
     ///
     /// Entropy decoding is the larger part of applying a scan, so this is table-driven
-    /// ([`lookup`](Self::lookup)). For every table and every byte string the result — and
+    /// (the crate-private `lookup`). For every table and every byte string the result — and
     /// the number of bits consumed, also on `None` — is what matching the stream bit by
     /// bit against all 256 codes gives (the test-only `decode_linear`, which this
     /// replaced): `None` after consuming what is left when the stream ends inside a code,

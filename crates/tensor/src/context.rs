@@ -34,8 +34,8 @@ pub struct EngineContext {
     /// Worker-thread budget for kernels in this scope (`None` inherits).
     pub threads: Option<usize>,
     /// Convolution algorithm pinned for this scope (`None` inherits). Takes
-    /// precedence over calibrated and heuristic dispatch; shapes the algorithm
-    /// cannot execute still fall back as usual.
+    /// precedence over a network's measured table and the default rule;
+    /// shapes the algorithm cannot execute still fall back as usual.
     pub algo: Option<ConvAlgo>,
 }
 

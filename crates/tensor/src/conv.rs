@@ -25,20 +25,18 @@
 //! and [`conv2d_dispatch`] additionally reports which algorithm ran so autotuners can
 //! sweep algorithms per resolution.
 //!
-//! Default selection is **measurement-aware**: an [`AlgoCalibration`] table — built by
-//! `rescnn-hwsim`'s measured tuner from wall-clock sweeps and installed process-wide
-//! via [`install_algo_calibration`] — maps exact layer shapes to their measured-fastest
-//! algorithm, and [`select_algo`] consults it before falling back to the static
-//! rule. A scoped [`EngineContext::with_algo`](crate::EngineContext::with_algo)
-//! override takes precedence over calibration.
+//! Default selection is a pure function of the layer shape. A scoped
+//! [`EngineContext::with_algo`](crate::EngineContext::with_algo) pin takes
+//! precedence over it ([`planned_conv_algo`]). An [`AlgoCalibration`] table —
+//! built by `rescnn-hwsim`'s measured tuner from wall-clock sweeps — is a plain
+//! value: a network that holds one consults it between the pin and the rule.
 //!
 //! Weights are stored as `O × I/g × K × K` tensors (encoded in the NCHW [`Shape`] as
 //! `n = O`, `c = I/g`, `h = w = K`).
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -174,7 +172,7 @@ pub enum ConvAlgo {
     /// fused f32 dequant + epilogue writeback (VNNI / `vpmaddubsw` / portable
     /// kernel tiers, all bitwise interchangeable). Quantization is an
     /// *approximation*, so this arm is never a heuristic default: dispatch
-    /// reaches it only through an installed calibration table (gated per shape
+    /// reaches it only through a network's measured table of arms (gated per shape
     /// on [`int8_unit_error`](crate::quant::int8_unit_error) against
     /// [`INT8_TOLERANCE`](crate::quant::INT8_TOLERANCE), plus the serving
     /// layer's end-to-end accuracy budget) or an explicit override. See
@@ -256,11 +254,10 @@ impl ConvShapeKey {
 /// that was measured fastest on this host.
 ///
 /// Built by `rescnn-hwsim`'s calibrated cost model from `MeasuredTuner` sweeps
-/// (and persistable to disk there, so serving starts warm), then installed
-/// process-wide with [`install_algo_calibration`]. [`select_algo`] consults the
-/// installed table before its static rule; an [`EngineContext`](crate::EngineContext)
-/// pin still wins, and entries whose algorithm cannot execute the shape are
-/// ignored defensively.
+/// (and persistable to disk there, so serving starts warm). The table is a
+/// plain value: a network that holds one runs each listed shape on its
+/// [`arm`](Self::arm), beneath an [`EngineContext`](crate::EngineContext) pin
+/// and above [`select_algo`]'s rule.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AlgoCalibration {
     choices: HashMap<ConvShapeKey, ConvAlgo>,
@@ -283,6 +280,12 @@ impl AlgoCalibration {
         self.choices.get(key).copied()
     }
 
+    /// The recorded algorithm for `params` on `input` when it can execute that
+    /// shape (entries it cannot execute are ignored defensively).
+    pub fn arm(&self, params: &Conv2dParams, input: Shape) -> Option<ConvAlgo> {
+        self.get(&ConvShapeKey::new(*params, input)).filter(|algo| algo.supports(params))
+    }
+
     /// Number of calibrated shapes.
     pub fn len(&self) -> usize {
         self.choices.len()
@@ -298,65 +301,6 @@ impl AlgoCalibration {
     pub fn entries(&self) -> impl Iterator<Item = (&ConvShapeKey, ConvAlgo)> {
         self.choices.iter().map(|(key, &algo)| (key, algo))
     }
-}
-
-/// Fast-path flag: true while a calibration table is installed, so the dispatch
-/// hot path skips the lock entirely in the (default) uncalibrated state.
-static CALIBRATION_ACTIVE: AtomicBool = AtomicBool::new(false);
-
-/// The installed calibration table (`None` by default).
-static CALIBRATION: RwLock<Option<Arc<AlgoCalibration>>> = RwLock::new(None);
-
-/// Installs (or, with `None`, removes) the process-wide dispatch calibration
-/// table consulted by [`select_algo`]. Returns the previously installed table.
-///
-/// Calibration supplies *default choices* only — it never overrides an explicit
-/// [`EngineContext`](crate::EngineContext) pin, and shapes
-/// absent from the table fall back to the static rule — so installing one
-/// is safe for every concurrent caller and is intentionally process-wide: a table
-/// measured on this host is equally valid for every pipeline in the process.
-pub fn install_algo_calibration(
-    calibration: Option<AlgoCalibration>,
-) -> Option<Arc<AlgoCalibration>> {
-    let calibration = calibration.map(Arc::new);
-    let mut slot = CALIBRATION.write().unwrap_or_else(|e| e.into_inner());
-    // The fast-path flag is updated while holding the write lock, so it can
-    // never disagree with the stored table under concurrent install/uninstall.
-    CALIBRATION_ACTIVE.store(calibration.is_some(), Ordering::Release);
-    std::mem::replace(&mut *slot, calibration)
-}
-
-/// Merges `additions` into the process-wide calibration table in one step
-/// under the table's write lock — new entries win on conflicting shapes,
-/// everything else is preserved — so concurrent installers (a boot sweep
-/// finishing while a pipeline warm-starts from disk) can never lose each
-/// other's entries to a read-modify-write race. Returns the merged table size.
-pub fn merge_algo_calibration(additions: &AlgoCalibration) -> usize {
-    let mut slot = CALIBRATION.write().unwrap_or_else(|e| e.into_inner());
-    let mut merged = slot.as_deref().cloned().unwrap_or_default();
-    for (key, algo) in additions.entries() {
-        merged.set(*key, algo);
-    }
-    let len = merged.len();
-    CALIBRATION_ACTIVE.store(true, Ordering::Release);
-    *slot = Some(Arc::new(merged));
-    len
-}
-
-/// The currently installed calibration table, if any.
-pub fn installed_algo_calibration() -> Option<Arc<AlgoCalibration>> {
-    if !CALIBRATION_ACTIVE.load(Ordering::Acquire) {
-        return None;
-    }
-    CALIBRATION.read().unwrap_or_else(|e| e.into_inner()).clone()
-}
-
-/// The calibrated algorithm for `(params, input)` when a table is installed, the
-/// entry exists, and its algorithm can actually execute the shape.
-fn calibrated_algo(params: &Conv2dParams, input: Shape) -> Option<ConvAlgo> {
-    let table = installed_algo_calibration()?;
-    let algo = table.get(&ConvShapeKey::new(*params, input))?;
-    algo.supports(params).then_some(algo)
 }
 
 /// Fewest Winograd tiles a layer must offer before default dispatch leaves
@@ -396,18 +340,16 @@ fn winograd_default(params: &Conv2dParams, input: Shape) -> Option<ConvAlgo> {
 
 /// Chooses the engine algorithm for a convolution shape.
 ///
-/// This is the default beneath the one override: a scoped
+/// This is the default beneath a scoped
 /// [`EngineContext::with_algo`](crate::EngineContext::with_algo) pin, which
-/// [`planned_conv_algo`] applies first. Dispatch rules, in priority order:
-/// 1. An installed [`AlgoCalibration`] entry for this exact shape — the algorithm
-///    wall-clock sweeps measured fastest on this host — wins (when it can execute
-///    the shape).
-/// 2. 1×1 stride-1 pad-0 convolutions (the majority of ResNet-50 layers) skip im2col
+/// [`planned_conv_algo`] applies first, and beneath a network's own measured
+/// [`AlgoCalibration`], if it holds one. Dispatch rules, in priority order:
+/// 1. 1×1 stride-1 pad-0 convolutions (the majority of ResNet-50 layers) skip im2col
 ///    entirely — the input planes already are the GEMM right-hand side.
-/// 3. Depthwise convolutions (`groups == in == out`, the MobileNetV2 workhorse) run the
+/// 2. Depthwise convolutions (`groups == in == out`, the MobileNetV2 workhorse) run the
 ///    dedicated shift-and-accumulate kernel; lowering them to GEMM would spend
 ///    `k²`-fold more memory traffic for rank-1 matrix products.
-/// 4. Dense 3×3 stride-1 layers whose output fills at least one column panel with
+/// 3. Dense 3×3 stride-1 layers whose output fills at least one column panel with
 ///    Winograd tiles ([`WINOGRAD_MIN_TILES`]) run a Winograd arm:
 ///    [`ConvAlgo::WinogradF4`] when `in_channels ≤` [`WINOGRAD_F4_MAX_IN_CHANNELS`]
 ///    and `⌈oh/4⌉·⌈ow/4⌉` reaches the threshold, [`ConvAlgo::Winograd`] for wider
@@ -417,18 +359,15 @@ fn winograd_default(params: &Conv2dParams, input: Shape) -> Option<ConvAlgo> {
 ///    a property of the layer's resolution, not of the host. Measured per shape
 ///    in `docs/winograd.md` (wins of 1.7–2.6× above the threshold,
 ///    losses down to 0.2× below it).
-/// 5. Everything else runs packing-aware im2col stripes + packed GEMM, with stripe
+/// 4. Everything else runs packing-aware im2col stripes + packed GEMM, with stripe
 ///    heights sized from the output resolution so packed panels stay cache-resident.
 ///
-/// Rules 2–5 are deterministic and host-independent. Rule 4 changes numerics
+/// The rules are deterministic and host-independent. Rule 3 changes numerics
 /// within the arms' contracts (F(2×2) ≤ 1e-4, F(4×4) ≤ 4e-4 at the admitted
 /// widths, both against [`ConvAlgo::Im2colPacked`] at unit scale); pin
 /// [`EngineContext::with_algo`](crate::EngineContext::with_algo)`(ConvAlgo::Im2colPacked)`
 /// for an A/B against the pre-rule behaviour.
 pub fn select_algo(params: &Conv2dParams, input: Shape) -> ConvAlgo {
-    if let Some(algo) = calibrated_algo(params, input) {
-        return algo;
-    }
     if ConvAlgo::Gemm1x1.supports(params) {
         ConvAlgo::Gemm1x1
     } else if ConvAlgo::Depthwise.supports(params) {
@@ -466,7 +405,7 @@ pub fn conv2d_with_algo(
 
 /// The algorithm [`conv2d_dispatch`] would run for `(params, input)` right now:
 /// the innermost [`EngineContext`](crate::EngineContext) algorithm pin when it
-/// supports the shape, else the calibrated/heuristic [`select_algo`] choice.
+/// supports the shape, else the [`select_algo`] rule.
 ///
 /// Exposed so callers that keep per-algorithm cached state (e.g. the model zoo's
 /// cached Winograd filter transforms) can see the decision without running the
@@ -1453,7 +1392,6 @@ mod tests {
 
     #[test]
     fn dispatch_selects_the_documented_algorithms() {
-        let _guard = crate::test_sync::global_state_lock();
         let shape = Shape::chw(16, 32, 32);
         assert_eq!(select_algo(&Conv2dParams::new(16, 32, 1, 1, 0), shape), ConvAlgo::Gemm1x1);
         assert_eq!(select_algo(&Conv2dParams::depthwise(16, 3, 1, 1), shape), ConvAlgo::Depthwise);
@@ -1472,7 +1410,6 @@ mod tests {
 
     #[test]
     fn dispatch_reports_and_matches_reference() {
-        let _guard = crate::test_sync::global_state_lock();
         for params in [
             Conv2dParams::new(5, 7, 3, 1, 1),
             Conv2dParams::new(5, 7, 1, 1, 0),
@@ -1489,7 +1426,6 @@ mod tests {
 
     #[test]
     fn forced_algo_overrides_and_falls_back() {
-        let _guard = crate::test_sync::global_state_lock();
         let params = Conv2dParams::new(4, 4, 3, 1, 1);
         let input = sample_input(Shape::chw(4, 10, 10), 1);
         let weight = sample_weight(&params, 2);
@@ -1524,53 +1460,6 @@ mod tests {
             assert_eq!(ConvAlgo::from_name(&algo.to_string()), Some(algo));
         }
         assert_eq!(ConvAlgo::from_name("made_up"), None);
-    }
-
-    #[test]
-    fn calibration_steers_default_dispatch_but_not_overrides() {
-        let _guard = crate::test_sync::global_state_lock();
-        let params = Conv2dParams::new(4, 4, 3, 1, 1);
-        let input_shape = Shape::chw(4, 12, 12);
-        let other_shape = Shape::chw(4, 20, 20);
-
-        let mut table = AlgoCalibration::new();
-        assert!(table.is_empty());
-        table.set(ConvShapeKey::new(params, input_shape), ConvAlgo::Winograd);
-        // An entry whose algorithm cannot execute its shape must be ignored.
-        let pointwise = Conv2dParams::new(4, 4, 1, 1, 0);
-        table.set(ConvShapeKey::new(pointwise, input_shape), ConvAlgo::Depthwise);
-        assert_eq!(table.len(), 2);
-        assert_eq!(table.entries().count(), 2);
-
-        let previous = install_algo_calibration(Some(table));
-        assert!(previous.is_none());
-        assert!(installed_algo_calibration().is_some());
-
-        // Calibrated shape: the measured choice becomes the default.
-        assert_eq!(select_algo(&params, input_shape), ConvAlgo::Winograd);
-        assert_eq!(planned_conv_algo(&params, input_shape), ConvAlgo::Winograd);
-        let input = sample_input(input_shape, 1);
-        let weight = sample_weight(&params, 2);
-        let (out, algo) = conv2d_dispatch(&input, &weight, None, &params).unwrap();
-        assert_eq!(algo, ConvAlgo::Winograd);
-        let reference = conv2d_direct(&input, &weight, None, &params).unwrap();
-        assert!(out.max_abs_diff(&reference).unwrap() < 1e-4);
-
-        // Uncalibrated shape: heuristics still apply.
-        assert_eq!(select_algo(&params, other_shape), ConvAlgo::Im2colPacked);
-        // Unsupported calibrated entry: ignored, heuristics apply.
-        assert_eq!(select_algo(&pointwise, input_shape), ConvAlgo::Gemm1x1);
-
-        // An explicit override still beats calibration.
-        let scoped = crate::context::EngineContext::new()
-            .with_algo(ConvAlgo::Im2colPacked)
-            .scope(|| planned_conv_algo(&params, input_shape));
-        assert_eq!(scoped, ConvAlgo::Im2colPacked);
-
-        let removed = install_algo_calibration(None);
-        assert_eq!(removed.map(|t| t.len()), Some(2));
-        assert!(installed_algo_calibration().is_none());
-        assert_eq!(select_algo(&params, input_shape), ConvAlgo::Im2colPacked);
     }
 
     #[test]

@@ -44,13 +44,13 @@
 //!    [`WINOGRAD_MIN_TILES`] 4×4 output tiles, [`ConvAlgo::Winograd`] for wider
 //!    layers with that many 2×2 tiles, packed im2col stripes
 //!    ([`ConvAlgo::Im2colPacked`]) below the threshold and for everything else.
-//!    The rule is deterministic and host-independent; an installed
-//!    measurement-derived [`AlgoCalibration`] table (see
-//!    [`install_algo_calibration`]) overrides it per exact shape. The chosen
-//!    algorithm is observable via [`conv2d_dispatch`] and can be pinned per scope
-//!    with [`EngineContext::with_algo`] (`ConvAlgo::Im2colPacked` restores the
+//!    The rule is a pure function of the layer shape, deterministic and
+//!    host-independent. The chosen algorithm is observable via
+//!    [`conv2d_dispatch`] and can be pinned per scope with
+//!    [`EngineContext::with_algo`] (`ConvAlgo::Im2colPacked` restores the
 //!    pre-rule behaviour for an A/B), so autotuners can sweep algorithms per
-//!    resolution.
+//!    resolution. A measurement-derived [`AlgoCalibration`] table is a plain
+//!    value; a network that holds one consults it between the pin and the rule.
 //! 6. **Per-call configuration** ([`EngineContext`]) — thread budgets and
 //!    algorithm overrides are scoped values rather than global mutations, so
 //!    concurrent pipelines with different settings never race.
@@ -91,9 +91,9 @@ pub use cancel::CancellationToken;
 pub use context::EngineContext;
 pub use conv::{
     conv2d, conv2d_depthwise, conv2d_direct, conv2d_dispatch, conv2d_gemm_1x1,
-    conv2d_im2col_packed, conv2d_with_algo, install_algo_calibration, installed_algo_calibration,
-    merge_algo_calibration, planned_conv_algo, select_algo, AlgoCalibration, ConvAlgo,
-    ConvEpilogue, ConvShapeKey, PreparedLayer, WINOGRAD_F4_MAX_IN_CHANNELS, WINOGRAD_MIN_TILES,
+    conv2d_im2col_packed, conv2d_with_algo, planned_conv_algo, select_algo, AlgoCalibration,
+    ConvAlgo, ConvEpilogue, ConvShapeKey, PreparedLayer, WINOGRAD_F4_MAX_IN_CHANNELS,
+    WINOGRAD_MIN_TILES,
 };
 pub use engine::{Epilogue, FusedActivation, GemmLhs, PreparedGemmA, PreparedGemmB};
 pub use error::{Result, TensorError};
@@ -124,8 +124,8 @@ pub use winograd::{
 #[cfg(test)]
 pub(crate) mod test_sync {
     //! Serialization of tests that mutate process-global engine state (the worker
-    //! thread count, the installed calibration table): without it, concurrent tests
-    //! in this binary race and fail intermittently.
+    //! thread count and pool): without it, concurrent tests in this binary race
+    //! and fail intermittently.
 
     use std::sync::{Mutex, MutexGuard};
 
@@ -177,7 +177,6 @@ mod proptests {
         #[test]
         fn engine_dispatch_matches_direct((ic, oc, k, s, p, hw) in small_conv_case()) {
             prop_assume!(hw + 2 * p >= k);
-            let _guard = crate::test_sync::global_state_lock();
             let params = Conv2dParams::new(ic, oc, k, s, p);
             let input = Tensor::random_uniform(Shape::chw(ic, hw, hw), 1.0, (ic * 7 + hw) as u64);
             let weight = Tensor::random_uniform(Shape::new(oc, ic, k, k), 0.7, (oc * 5 + k) as u64);

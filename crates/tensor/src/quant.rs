@@ -42,8 +42,8 @@
 //! # Accuracy gate
 //!
 //! Quantization is an approximation, so [`ConvAlgo::Int8`](crate::ConvAlgo)
-//! is **never** a heuristic default: dispatch reaches it only through an
-//! installed calibration table or an explicit override. Sweeps admit a shape
+//! is **never** a heuristic default: dispatch reaches it only through a
+//! network's measured table of arms or an explicit override. Sweeps admit a shape
 //! only when [`int8_unit_error`] — a pure function of the shape, mirroring
 //! [`winograd_f4_unit_error`](crate::winograd_f4_unit_error) — stays within
 //! [`INT8_TOLERANCE`], and the serving layer adds an end-to-end top-1/SSIM

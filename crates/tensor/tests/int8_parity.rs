@@ -250,7 +250,7 @@ fn warm_quantized_path_does_not_allocate() {
 #[test]
 fn gate_off_leaves_f32_forwards_bitwise_identical() {
     let _guard = lock();
-    // No shape ever selects Int8 without installed calibration.
+    // The rule never selects Int8; only a pin or a measured table can.
     for (ic, oc, k, s) in [(64usize, 64usize, 3usize, 56usize), (256, 64, 1, 56), (3, 64, 7, 224)] {
         let params = Conv2dParams::new(ic, oc, k, 1, k / 2);
         assert_ne!(

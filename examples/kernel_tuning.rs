@@ -168,8 +168,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 5. Close the loop: feed the measured sweeps into a calibrated cost model,
-    //    export the measured-fastest dispatch table, and persist it — the file a
-    //    serving deployment points `PipelineConfig::with_conv_calibration` at.
+    //    export the measured-fastest dispatch table, and persist it. A serving
+    //    deployment reloads the file with `CalibratedCostModel::load` and hands
+    //    its table to the network it serves:
+    //    `Network::new(..).with_arms(model.dispatch_table())`.
     let mut calibrated = CalibratedCostModel::new(HwCpuProfile::host());
     let layers = arch.conv_layers(224)?;
     calibrated.calibrate_layers(&tuner, &layers[..layers.len().min(12)]);

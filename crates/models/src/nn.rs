@@ -21,10 +21,11 @@
 //! * fuses each layer's activation — and each residual block's tail
 //!   (`+identity → ReLU`) — into the kernel's output write instead of separate
 //!   sweeps over the feature map, and
-//! * runs entirely out of a reusable [`ActivationArena`] (per thread, persistent
-//!   on the engine's worker pool), so warm forwards perform **zero heap
-//!   allocations** for activations and packing — pinned by
-//!   `rescnn_tensor::scratch::heap_allocations` in `tests/prepacked_forward.rs`.
+//! * runs entirely on views of a reusable [`ActivationArena`] (per thread,
+//!   persistent on the engine's worker pool), so warm forwards perform **zero
+//!   heap allocations** for activations and packing — pinned by
+//!   `rescnn_tensor::scratch::heap_allocations` in `tests/prepacked_forward.rs`
+//!   — and zero-fill no activation memory.
 //!
 //! All three transformations are bitwise-neutral (data movement, fusion of
 //! pointwise tails in the same order, buffer recycling), so
@@ -41,27 +42,31 @@
 //! [`EngineContext`] pin, the network's own measured table
 //! ([`Network::with_arms`]) and the layer shape, resolved in that order by
 //! [`Network::conv_arm`]; no process-wide state enters it. Both forwards
-//! resolve every convolution through it, so `forward == forward_reference`
+//! resolve every convolution through it and run it with
+//! [`PreparedLayer::forward_with_algo_into`], so `forward == forward_reference`
 //! and folded batches == per-image forwards hold under a table too.
 //!
 //! A [`Network`] keeps its architecture's [`Lowering`] next to one prepared
 //! convolution per lowered one. The arena forward (and both halves of a
 //! folded batch) and the reference forward (int8 calibration is its hook)
-//! interpret that op list. In the arena forward each op writes the arena
-//! buffer of its output slot and each retire gives that buffer back, so the
-//! arena grows to [`Network::arena_plan`] — the largest activation each slot
-//! holds — by construction.
+//! interpret that op list. In the arena forward each op writes a
+//! [`TensorViewMut`] over the front of its output slot's buffer and reads
+//! [`TensorView`]s of the caller's input or other slots; a retire only
+//! accounts its activation dead. So the arena grows to
+//! [`Network::arena_plan`] — the largest activation each slot holds — by
+//! construction. The logits are a fresh tensor the caller owns.
 
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
 use rescnn_tensor::parallel::parallel_map_indexed;
 use rescnn_tensor::{
-    add_relu_in_place, conv2d_winograd_f4_prepared, conv2d_winograd_prepared, conv2d_with_algo,
-    global_avg_pool_into, linear_prepared, linear_prepared_into, max_pool2d_into, num_threads,
-    relu6_in_place, relu_in_place, select_algo, softmax, with_thread_arena, ActivationArena,
-    AlgoCalibration, Conv2dParams, ConvAlgo, ConvEpilogue, EngineContext, FusedActivation,
-    PreparedGemmB, PreparedLayer, Shape, Tensor,
+    add_relu_in_place, conv2d_with_algo, global_avg_pool_into, linear_prepared,
+    linear_prepared_into, max_pool2d_into, num_threads, relu6_in_place, relu_in_place, select_algo,
+    softmax, with_thread_arena, ActivationArena, AlgoCalibration, ArenaReads, Conv2dParams,
+    ConvAlgo, ConvEpilogue, EngineContext, FusedActivation, PreparedGemmB, PreparedLayer, Shape,
+    Tensor, TensorView, TensorViewMut,
 };
 
 use crate::arch::{Activation, ArchSpec, ArenaPlan, Lowering, ModelKind, Op, OpKind, SLOTS};
@@ -135,10 +140,10 @@ impl ConvBn {
     fn forward_tail(
         &self,
         arms: Option<&AlgoCalibration>,
-        input: &Tensor,
-        residual: Option<&Tensor>,
+        input: TensorView<'_>,
+        residual: Option<TensorView<'_>>,
         activation: FusedActivation,
-        out: &mut Tensor,
+        out: TensorViewMut<'_>,
     ) -> Result<()> {
         // A fused tail *replaces* the layer's own activation, which is only
         // sound while tail convolutions are built with `Activation::None` (as
@@ -174,39 +179,13 @@ impl ConvBn {
     fn forward_reference(&self, arms: Option<&AlgoCalibration>, input: &Tensor) -> Result<Tensor> {
         let params = self.prepared.params();
         let algo = conv_arm(arms, params, input.shape());
-        if algo == ConvAlgo::Winograd {
-            let filter = self.prepared.winograd_filter()?;
-            let out = conv2d_winograd_prepared(
-                input,
-                filter,
-                self.prepared.bias(),
-                params,
-                self.act.fused(),
-            )?;
-            return Ok(out);
-        }
-        if algo == ConvAlgo::WinogradF4 {
-            let filter = self.prepared.winograd_filter_f4()?;
-            let out = conv2d_winograd_f4_prepared(
-                input,
-                filter,
-                self.prepared.bias(),
-                params,
-                self.act.fused(),
-            )?;
-            return Ok(out);
-        }
-        if algo == ConvAlgo::Int8 {
-            // The quantized path must read the same prepared weight panels and
-            // calibration-recorded activation range as the hot path, or the two
-            // would disagree bitwise whenever a range is recorded.
+        if matches!(algo, ConvAlgo::Winograd | ConvAlgo::WinogradF4 | ConvAlgo::Int8) {
+            // These arms read the prepared layer's cached banks and int8's
+            // calibration-recorded activation range, as the hot path does, or
+            // the two would disagree bitwise whenever a range is recorded.
             let mut out = Tensor::zeros(params.output_shape(input.shape())?);
-            self.prepared.forward_with_algo_into(
-                input,
-                ConvAlgo::Int8,
-                ConvEpilogue::activation(self.act.fused()),
-                &mut out,
-            )?;
+            let epilogue = ConvEpilogue::activation(self.act.fused());
+            self.prepared.forward_with_algo_into(input, algo, epilogue, &mut out)?;
             return Ok(out);
         }
         let mut out =
@@ -257,8 +236,7 @@ impl Linear {
 
     /// The logits' shape for `x`, after checking `x` is a pooled feature
     /// vector of the right width.
-    fn output_shape(&self, x: &Tensor) -> Result<Shape> {
-        let shape = x.shape();
+    fn output_shape(&self, shape: Shape) -> Result<Shape> {
         if shape.c != self.in_features || shape.h != 1 || shape.w != 1 {
             return Err(ModelError::BadInput {
                 reason: format!(
@@ -271,57 +249,50 @@ impl Linear {
     }
 }
 
-/// One live activation of a forward pass: the caller's input is borrowed (no
-/// per-request clone), everything a network op writes is owned, with the
-/// arena buffer it came from, and retired as soon as the op list says it is
-/// dead.
-enum Cursor<'a> {
-    Borrowed(&'a Tensor),
-    Owned(Tensor, usize),
+/// What a slot of the arena interpreter holds: the caller's borrowed input
+/// (no per-request clone), or the activation in an arena buffer.
+#[derive(Clone, Copy)]
+enum Live<'a> {
+    Input(TensorView<'a>),
+    Buffer(usize, Shape),
 }
 
-impl Cursor<'_> {
-    fn get(&self) -> &Tensor {
+impl<'a> Live<'a> {
+    fn shape(self) -> Shape {
         match self {
-            Cursor::Borrowed(t) => t,
-            Cursor::Owned(t, _) => t,
+            Live::Input(x) => x.shape(),
+            Live::Buffer(_, shape) => shape,
         }
     }
 
-    /// Retires an owned activation back to its arena buffer.
+    fn view(self, reads: ArenaReads<'a>) -> TensorView<'a> {
+        match self {
+            Live::Input(x) => x,
+            Live::Buffer(buffer, shape) => reads.view(buffer, shape),
+        }
+    }
+
+    /// Accounts the activation dead; the caller's input is not the arena's.
     fn retire(self, arena: &mut ActivationArena) {
-        if let Cursor::Owned(t, buffer) = self {
-            arena.give(buffer, t);
-        }
-    }
-
-    /// The activation as an owned tensor (a borrowed input is cloned).
-    fn into_tensor(self) -> Tensor {
-        match self {
-            Cursor::Borrowed(t) => t.clone(),
-            Cursor::Owned(t, _) => t,
+        if let Live::Buffer(buffer, _) = self {
+            arena.release(buffer);
         }
     }
 }
 
-/// The interpreters' slot table ([`SLOTS`] activations; see [`Lowering`]).
-type Slots<'a> = [Option<Cursor<'a>>; SLOTS];
+/// An interpreter's slot table ([`SLOTS`] activations; see [`Lowering`]).
+type Slots<T> = [Option<T>; SLOTS];
 
 /// A slot table holding `input` in slot `slot`.
-fn slots_with(slot: usize, input: Cursor<'_>) -> Slots<'_> {
-    let mut slots: Slots<'_> = Default::default();
+fn slots_with<T>(slot: usize, input: T) -> Slots<T> {
+    let mut slots: Slots<T> = Default::default();
     slots[slot] = Some(input);
     slots
 }
 
 /// The activation in a slot the op list reads.
-fn live<'s>(slots: &'s Slots<'_>, slot: usize) -> &'s Tensor {
-    slots[slot].as_ref().expect("the op list reads a live slot").get()
-}
-
-/// The activation the op list leaves in `slot`.
-fn take_live(slots: &mut Slots<'_>, slot: usize) -> Tensor {
-    slots[slot].take().expect("the op list leaves its output live").into_tensor()
+fn live<T>(slots: &Slots<T>, slot: usize) -> &T {
+    slots[slot].as_ref().expect("the op list reads a live slot")
 }
 
 /// An executable convolutional network.
@@ -455,49 +426,56 @@ impl Network {
         arena: &mut ActivationArena,
     ) -> Result<Tensor> {
         self.check_input(input)?;
-        let mut slots = slots_with(0, Cursor::Borrowed(input));
-        self.run_ops(&self.lowering.ops, &mut slots, arena)?;
-        Ok(take_live(&mut slots, self.lowering.output))
+        let mut slots = slots_with(0, Live::Input(input.into()));
+        let logits = self.run_ops(&self.lowering.ops, &mut slots, arena)?;
+        Ok(self.result(logits, &slots, arena))
     }
 
     /// The arena interpreter: runs `ops` over the activations in `slots` (one
-    /// image or a batch of them), taking each op's output from the arena
-    /// buffer of its output slot and giving every retired activation back to
-    /// the buffer it came from.
-    fn run_ops(
+    /// image or a batch of them), writing each op's output through a view of
+    /// the arena buffer of its output slot and reading its operands as views;
+    /// a retire only accounts its activation dead. Returns the classifier's
+    /// logits when `ops` run it.
+    fn run_ops<'a>(
         &self,
         ops: &[Op],
-        slots: &mut Slots<'_>,
+        slots: &mut Slots<Live<'a>>,
         arena: &mut ActivationArena,
-    ) -> Result<()> {
+    ) -> Result<Option<Tensor>> {
+        let mut logits = None;
         for op in ops {
-            let x = live(slots, op.input);
-            let out = match op.kind {
+            let x = *live(slots, op.input);
+            let shape = match op.kind {
                 OpKind::Conv { conv, residual, act } => {
                     let conv = &self.convs[conv];
-                    let mut out =
-                        arena.take(op.output, conv.prepared.params().output_shape(x.shape())?);
-                    let residual = residual.map(|slot| live(slots, slot));
-                    conv.forward_tail(self.arms.as_deref(), x, residual, act.fused(), &mut out)?;
-                    out
+                    let shape = conv.prepared.params().output_shape(x.shape())?;
+                    let (out, reads) = arena.write(op.output, shape);
+                    let residual = residual.map(|slot| live(slots, slot).view(reads));
+                    let arms = self.arms.as_deref();
+                    conv.forward_tail(arms, x.view(reads), residual, act.fused(), out)?;
+                    shape
                 }
                 OpKind::MaxPool(pool) => {
-                    let mut out = arena.take(op.output, pool.output_shape(x.shape())?);
-                    max_pool2d_into(x, &pool, &mut out)?;
-                    out
+                    let shape = pool.output_shape(x.shape())?;
+                    let (out, reads) = arena.write(op.output, shape);
+                    max_pool2d_into(x.view(reads), &pool, out)?;
+                    shape
                 }
                 OpKind::GlobalAvgPool => {
-                    let mut out = arena.take(op.output, Shape::new(x.shape().n, x.shape().c, 1, 1));
-                    global_avg_pool_into(x, &mut out)?;
-                    out
+                    let shape = Shape::new(x.shape().n, x.shape().c, 1, 1);
+                    let (out, reads) = arena.write(op.output, shape);
+                    global_avg_pool_into(x.view(reads), out)?;
+                    shape
                 }
                 OpKind::Classifier(index) => {
                     let linear = &self.linears[index];
                     // The logits leave the forward (caller owns them), so they are
                     // a fresh — tiny — allocation rather than an arena buffer.
-                    let mut out = Tensor::zeros(linear.output_shape(x)?);
+                    let mut out = Tensor::zeros(linear.output_shape(x.shape())?);
+                    let x = x.view(arena.reads());
                     linear_prepared_into(x, &linear.weight, Some(&linear.bias), &mut out)?;
-                    out
+                    logits = Some(out);
+                    continue;
                 }
                 OpKind::Retire => {
                     if let Some(dead) = slots[op.input].take() {
@@ -506,9 +484,23 @@ impl Network {
                     continue;
                 }
             };
-            slots[op.output] = Some(Cursor::Owned(out, op.output));
+            slots[op.output] = Some(Live::Buffer(op.output, shape));
         }
-        Ok(())
+        Ok(logits)
+    }
+
+    /// A forward's result: the classifier's logits, or a copy of what an
+    /// architecture without one leaves in its output slot.
+    fn result(
+        &self,
+        logits: Option<Tensor>,
+        slots: &Slots<Live<'_>>,
+        arena: &ActivationArena,
+    ) -> Tensor {
+        logits.unwrap_or_else(|| {
+            let out = live(slots, self.lowering.output).view(arena.reads());
+            Tensor::from_vec(out.shape(), out.as_slice().to_vec()).expect("a view holds its volume")
+        })
     }
 
     /// The reference execution, kept as the measured baseline and the
@@ -555,7 +547,7 @@ impl Network {
     /// live-activation bytes, from the same op list (see
     /// [`ArchSpec::arena_plan`]). The plan depends only on the
     /// architecture and the input shape — not on the thread budget or the
-    /// dispatch state — because the op list fixes every take and retire
+    /// dispatch state — because the op list fixes every write and retire
     /// whatever the kernels.
     ///
     /// # Errors
@@ -624,7 +616,7 @@ impl Network {
     ///   at 224², no fold at 448². Each image of the group runs alone up to
     ///   that block.
     /// * **Tail.** The group's fold-block inputs are copied into one N-image
-    ///   tensor (the arena buffer after the lowered slots' ones), and the
+    ///   activation (the arena buffer after the lowered slots' ones), and the
     ///   rest of the network runs on it once: every
     ///   GEMM-lowered convolution folds the images into its GEMM columns, so
     ///   a layer's weights stream once per group instead of once per image.
@@ -713,19 +705,22 @@ impl Network {
         let image = self.lowering.block_shapes(group[0].shape())?[fold];
         let block = self.lowering.blocks[fold];
         let (head, tail) = self.lowering.ops.split_at(block.start);
+        let folded = Shape::new(group.len(), image.c, image.h, image.w);
         let logits = with_thread_arena(|arena| -> Result<Tensor> {
-            let mut folded = arena.take(SLOTS, Shape::new(group.len(), image.c, image.h, image.w));
-            let chunks = folded.as_mut_slice().chunks_exact_mut(image.volume());
-            for (input, chunk) in group.iter().zip(chunks) {
-                let mut slots = slots_with(0, Cursor::Borrowed(input));
+            // The fold buffer is live from before the first head runs.
+            arena.write(SLOTS, folded);
+            for (index, input) in group.iter().enumerate() {
+                let mut slots = slots_with(0, Live::Input(input.into()));
                 self.run_ops(head, &mut slots, arena)?;
                 let x = slots[block.input].take().expect("a block's input is live");
-                chunk.copy_from_slice(x.get().as_slice());
+                let (mut out, reads) = arena.write(SLOTS, folded);
+                let chunk = &mut out.as_mut_slice()[index * image.volume()..][..image.volume()];
+                chunk.copy_from_slice(x.view(reads).as_slice());
                 x.retire(arena);
             }
-            let mut slots = slots_with(block.input, Cursor::Owned(folded, SLOTS));
-            self.run_ops(tail, &mut slots, arena)?;
-            Ok(take_live(&mut slots, self.lowering.output))
+            let mut slots = slots_with(block.input, Live::Buffer(SLOTS, folded));
+            let logits = self.run_ops(tail, &mut slots, arena)?;
+            Ok(self.result(logits, &slots, arena))
         })?;
         let out = logits.shape();
         let per_image = Shape::new(1, out.c, out.h, out.w);
@@ -757,7 +752,7 @@ fn run_reference(
     input: &Tensor,
     mut conv: impl FnMut(usize, &Tensor) -> Result<Tensor>,
 ) -> Result<Tensor> {
-    let mut slots = slots_with(0, Cursor::Borrowed(input));
+    let mut slots = slots_with(0, Cow::Borrowed(input));
     for op in &lowering.ops {
         let x = live(&slots, op.input);
         let out = match op.kind {
@@ -779,7 +774,7 @@ fn run_reference(
             OpKind::GlobalAvgPool => rescnn_tensor::global_avg_pool(x),
             OpKind::Classifier(index) => {
                 let linear = &linears[index];
-                linear.output_shape(x)?;
+                linear.output_shape(x.shape())?;
                 linear_prepared(x, &linear.weight, Some(&linear.bias))?
             }
             OpKind::Retire => {
@@ -787,9 +782,9 @@ fn run_reference(
                 continue;
             }
         };
-        slots[op.output] = Some(Cursor::Owned(out, op.output));
+        slots[op.output] = Some(Cow::Owned(out));
     }
-    Ok(take_live(&mut slots, lowering.output))
+    Ok(slots[lowering.output].take().expect("the op list leaves its output live").into_owned())
 }
 
 /// Splits a batch into [`Network::forward_batch`]'s groups: one contiguous,

@@ -44,6 +44,7 @@ use crate::engine::{self, ColumnLayout, FusedActivation, NR};
 use crate::error::{Result, TensorError};
 use crate::shape::{Conv2dParams, Shape};
 use crate::tensor::Tensor;
+use crate::view::{validate_into, TensorView, TensorViewMut};
 use crate::winograd::{conv2d_winograd_fused_into, WinogradFilter, TILE, TILE_F4};
 use crate::{parallel, scratch};
 
@@ -84,14 +85,15 @@ pub(crate) fn validate_bias(params: &Conv2dParams, bias: Option<&[f32]>) -> Resu
 /// # Errors
 /// Returns an error if the parameters, weight shape, or bias length are inconsistent with
 /// the input shape.
-pub fn conv2d_direct(
-    input: &Tensor,
+pub fn conv2d_direct<'a>(
+    input: impl Into<TensorView<'a>>,
     weight: &Tensor,
     bias: Option<&[f32]>,
     params: &Conv2dParams,
 ) -> Result<Tensor> {
     validate_weight(params, weight)?;
     validate_bias(params, bias)?;
+    let input = input.into();
     let ishape = input.shape();
     let oshape = params.output_shape(ishape)?;
     let mut out = Tensor::zeros(oshape);
@@ -121,7 +123,8 @@ pub fn conv2d_direct(
                                 if iw < 0 || iw >= ishape.w as isize {
                                     continue;
                                 }
-                                acc += input.get(n, ic, ih as usize, iw as usize)
+                                acc += input.as_slice()
+                                    [ishape.offset(n, ic, ih as usize, iw as usize)]
                                     * weight.get(oc, icg, kh, kw);
                             }
                         }
@@ -642,28 +645,11 @@ impl PreparedLayer {
             + self.int8.get().map_or(0, crate::quant::QuantizedConv::resident_bytes)
     }
 
-    /// Runs the layer through dispatch with a fused epilogue, writing into a
-    /// caller-provided output tensor (every element of which is overwritten —
-    /// arena-recycled buffers with stale contents are fine). Returns the
-    /// algorithm that executed.
-    ///
-    /// # Errors
-    /// Returns an error if the input, output, or residual shapes are
-    /// inconsistent with the layer.
-    pub fn forward_fused_into(
-        &self,
-        input: &Tensor,
-        epilogue: ConvEpilogue<'_>,
-        out: &mut Tensor,
-    ) -> Result<ConvAlgo> {
-        let algo = planned_conv_algo(&self.params, input.shape());
-        self.forward_with_algo_into(input, algo, epilogue, out)?;
-        Ok(algo)
-    }
-
     /// Runs the layer with an explicit algorithm (shapes the algorithm cannot
     /// execute fall back to [`ConvAlgo::Im2colPacked`], mirroring
     /// [`conv2d_with_algo`]), writing into `out` with the fused epilogue.
+    /// Every element of `out` is overwritten, and nothing past it, so its
+    /// prior contents do not matter.
     ///
     /// The engine algorithms run fully prepacked and fused; the reference
     /// algorithm ([`ConvAlgo::Direct`]) runs its allocating path followed by
@@ -673,13 +659,14 @@ impl PreparedLayer {
     /// # Errors
     /// Returns an error if the input, output, or residual shapes are
     /// inconsistent with the layer.
-    pub fn forward_with_algo_into(
+    pub fn forward_with_algo_into<'a>(
         &self,
-        input: &Tensor,
+        input: impl Into<TensorView<'a>>,
         algo: ConvAlgo,
         epilogue: ConvEpilogue<'_>,
-        out: &mut Tensor,
+        out: impl Into<TensorViewMut<'a>>,
     ) -> Result<()> {
+        let (input, mut out) = (input.into(), out.into());
         let algo = if algo.supports(&self.params) { algo } else { ConvAlgo::Im2colPacked };
         let bias = self.bias.as_deref();
         let gemm_weights = match &self.weights {
@@ -734,49 +721,30 @@ impl PreparedLayer {
                 )
             }
             ConvAlgo::Direct => {
-                let oshape = validate_into(&self.params, input, &epilogue, out)?;
+                let oshape = self.params.output_shape(input.shape())?;
+                validate_into("conv", oshape, out.shape(), epilogue.residual_shape())?;
                 let tmp = conv2d_direct(input, &self.weight(), bias, &self.params)?;
-                debug_assert_eq!(tmp.shape(), oshape);
                 out.as_mut_slice().copy_from_slice(tmp.as_slice());
-                apply_epilogue_separately(out, &epilogue);
+                apply_epilogue_separately(out.as_mut_slice(), &epilogue);
                 Ok(())
             }
         }
-    }
-
-    /// Runs the layer through dispatch with a fused epilogue, allocating the
-    /// output.
-    ///
-    /// # Errors
-    /// See [`PreparedLayer::forward_fused_into`].
-    pub fn forward_fused(&self, input: &Tensor, epilogue: ConvEpilogue<'_>) -> Result<Tensor> {
-        let mut out = Tensor::zeros(self.params.output_shape(input.shape())?);
-        self.forward_fused_into(input, epilogue, &mut out)?;
-        Ok(out)
-    }
-
-    /// Plain prepared forward: dispatch, no fused tail.
-    ///
-    /// # Errors
-    /// See [`PreparedLayer::forward_fused_into`].
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        self.forward_fused(input, ConvEpilogue::default())
     }
 }
 
 /// The unfused composition of a [`ConvEpilogue`]: separate residual-add and
 /// activation passes over the finished convolution output. Used by the
 /// reference algorithms; bitwise identical to the fused kernels' epilogues.
-fn apply_epilogue_separately(out: &mut Tensor, epilogue: &ConvEpilogue<'_>) {
+fn apply_epilogue_separately(out: &mut [f32], epilogue: &ConvEpilogue<'_>) {
     match (epilogue.residual, epilogue.activation) {
         (None, FusedActivation::None) => {}
         (Some(skip), act) => {
-            for (o, &s) in out.as_mut_slice().iter_mut().zip(skip.as_slice()) {
+            for (o, &s) in out.iter_mut().zip(skip.as_slice()) {
                 *o = act.apply(*o + s);
             }
         }
         (None, act) => {
-            for o in out.as_mut_slice().iter_mut() {
+            for o in out.iter_mut() {
                 *o = act.apply(*o);
             }
         }
@@ -808,7 +776,7 @@ pub(crate) fn valid_out_range(
 /// operand. `dst` must arrive zeroed (padding positions are never written).
 #[allow(clippy::too_many_arguments)]
 fn im2col_pack_stripe(
-    input: &Tensor,
+    input: &TensorView<'_>,
     params: &Conv2dParams,
     batch: usize,
     group: usize,
@@ -926,7 +894,7 @@ pub struct ConvEpilogue<'a> {
     pub activation: FusedActivation,
     /// Residual operand (must match the output shape) added before the
     /// activation — the ResNet block tail.
-    pub residual: Option<&'a Tensor>,
+    pub residual: Option<TensorView<'a>>,
 }
 
 impl<'a> ConvEpilogue<'a> {
@@ -936,38 +904,15 @@ impl<'a> ConvEpilogue<'a> {
     }
 
     /// Adds a residual operand.
-    pub fn with_residual(mut self, residual: &'a Tensor) -> Self {
-        self.residual = Some(residual);
+    pub fn with_residual(mut self, residual: impl Into<TensorView<'a>>) -> Self {
+        self.residual = Some(residual.into());
         self
     }
-}
 
-/// Validates an `_into` call's output (and optional residual) tensor against the
-/// convolution's output shape, returning that shape.
-pub(crate) fn validate_into(
-    params: &Conv2dParams,
-    input: &Tensor,
-    epilogue: &ConvEpilogue<'_>,
-    out: &Tensor,
-) -> Result<Shape> {
-    let oshape = params.output_shape(input.shape())?;
-    if out.shape() != oshape {
-        return Err(TensorError::ShapeMismatch {
-            left: out.shape().as_array().to_vec(),
-            right: oshape.as_array().to_vec(),
-            op: "conv output buffer",
-        });
+    /// The residual operand's shape, if there is one.
+    pub(crate) fn residual_shape(&self) -> Option<Shape> {
+        self.residual.map(|skip| skip.shape())
     }
-    if let Some(residual) = epilogue.residual {
-        if residual.shape() != oshape {
-            return Err(TensorError::ShapeMismatch {
-                left: residual.shape().as_array().to_vec(),
-                right: oshape.as_array().to_vec(),
-                op: "conv residual",
-            });
-        }
-    }
-    Ok(oshape)
 }
 
 /// Engine path for general convolutions: packing-aware im2col stripes + packed
@@ -986,12 +931,12 @@ pub fn conv2d_im2col_packed(
     validate_weight(params, weight)?;
     let mut out = Tensor::zeros(params.output_shape(input.shape())?);
     im2col_packed_into(
-        input,
+        input.into(),
         ConvWeights::Raw(weight.as_slice()),
         bias,
         params,
         ConvEpilogue::default(),
-        &mut out,
+        (&mut out).into(),
     )?;
     Ok(out)
 }
@@ -1004,16 +949,17 @@ pub fn conv2d_im2col_packed(
 /// writes column `j` of a stripe to its image's plane. Every output element
 /// accumulates exactly as in a single-image call, so the fold changes no bit.
 fn im2col_packed_into(
-    input: &Tensor,
+    input: TensorView<'_>,
     weights: ConvWeights<'_>,
     bias: Option<&[f32]>,
     params: &Conv2dParams,
     epilogue: ConvEpilogue<'_>,
-    out: &mut Tensor,
+    mut out: TensorViewMut<'_>,
 ) -> Result<()> {
     validate_bias(params, bias)?;
     let ishape = input.shape();
-    let oshape = validate_into(params, input, &epilogue, out)?;
+    let oshape = params.output_shape(ishape)?;
+    validate_into("conv", oshape, out.shape(), epilogue.residual_shape())?;
 
     let k = params.kernel;
     let in_per_group = params.in_channels / params.groups;
@@ -1026,7 +972,7 @@ fn im2col_packed_into(
     let stripe_oh = engine::b_stripe_rows(rows, oshape.w).clamp(1, batch_rows.max(1));
     let parallel = params.macs(ishape).unwrap_or(0) >= engine::PARALLEL_MIN_MACS;
 
-    let residual = epilogue.residual.map(Tensor::as_slice);
+    let residual = epilogue.residual.map(|skip| skip.as_slice());
     let out_data = out.as_mut_slice();
     for g in 0..params.groups {
         let lhs = weights.group_lhs(g, out_per_group, rows);
@@ -1043,7 +989,7 @@ fn im2col_packed_into(
                 let oh0 = row0.max(n * oshape.h) - n * oshape.h;
                 let oh1 = row1.min((n + 1) * oshape.h) - n * oshape.h;
                 let col_base = (n * oshape.h + oh0 - row0) * oshape.w;
-                im2col_pack_stripe(input, params, n, g, oshape, oh0, oh1, col_base, &mut bpack);
+                im2col_pack_stripe(&input, params, n, g, oshape, oh0, oh1, col_base, &mut bpack);
             }
             engine::parallel_packed_gemm(
                 lhs,
@@ -1084,12 +1030,12 @@ pub fn conv2d_gemm_1x1(
     validate_weight(params, weight)?;
     let mut out = Tensor::zeros(params.output_shape(input.shape())?);
     gemm_1x1_into(
-        input,
+        input.into(),
         ConvWeights::Raw(weight.as_slice()),
         bias,
         params,
         ConvEpilogue::default(),
-        &mut out,
+        (&mut out).into(),
     )?;
     Ok(out)
 }
@@ -1099,12 +1045,12 @@ pub fn conv2d_gemm_1x1(
 /// `j % (h·w)` of image `j / (h·w)`), so one column stripe may draw from
 /// several small images; as in [`im2col_packed_into`] no bit changes.
 fn gemm_1x1_into(
-    input: &Tensor,
+    input: TensorView<'_>,
     weights: ConvWeights<'_>,
     bias: Option<&[f32]>,
     params: &Conv2dParams,
     epilogue: ConvEpilogue<'_>,
-    out: &mut Tensor,
+    mut out: TensorViewMut<'_>,
 ) -> Result<()> {
     if !ConvAlgo::Gemm1x1.supports(params) {
         return Err(TensorError::ShapeMismatch {
@@ -1115,7 +1061,7 @@ fn gemm_1x1_into(
     }
     validate_bias(params, bias)?;
     let ishape = input.shape();
-    validate_into(params, input, &epilogue, out)?;
+    validate_into("conv", params.output_shape(ishape)?, out.shape(), epilogue.residual_shape())?;
 
     let hw = ishape.h * ishape.w;
     let batch_cols = ishape.n * hw;
@@ -1125,7 +1071,7 @@ fn gemm_1x1_into(
     let stripe_cols_max = engine::b_stripe_cols(in_per_group);
     let parallel = params.macs(ishape).unwrap_or(0) >= engine::PARALLEL_MIN_MACS;
 
-    let residual = epilogue.residual.map(Tensor::as_slice);
+    let residual = epilogue.residual.map(|skip| skip.as_slice());
     let in_data = input.as_slice();
     let out_data = out.as_mut_slice();
     for g in 0..params.groups {
@@ -1191,7 +1137,8 @@ pub fn conv2d_depthwise(
         });
     }
     let mut out = Tensor::zeros(params.output_shape(input.shape())?);
-    depthwise_into(input, weight.as_slice(), bias, params, ConvEpilogue::default(), &mut out)?;
+    let epilogue = ConvEpilogue::default();
+    depthwise_into(input.into(), weight.as_slice(), bias, params, epilogue, (&mut out).into())?;
     Ok(out)
 }
 
@@ -1200,12 +1147,12 @@ pub fn conv2d_depthwise(
 /// it is still cache-resident — one fused pass instead of separate full-tensor
 /// sweeps after the convolution.
 fn depthwise_into(
-    input: &Tensor,
+    input: TensorView<'_>,
     wdata: &[f32],
     bias: Option<&[f32]>,
     params: &Conv2dParams,
     epilogue: ConvEpilogue<'_>,
-    out: &mut Tensor,
+    mut out: TensorViewMut<'_>,
 ) -> Result<()> {
     if !ConvAlgo::Depthwise.supports(params) {
         return Err(TensorError::InvalidGrouping {
@@ -1216,7 +1163,8 @@ fn depthwise_into(
     }
     validate_bias(params, bias)?;
     let ishape = input.shape();
-    let oshape = validate_into(params, input, &epilogue, out)?;
+    let oshape = params.output_shape(ishape)?;
+    validate_into("conv", oshape, out.shape(), epilogue.residual_shape())?;
 
     let k = params.kernel;
     let stride = params.stride;
@@ -1226,7 +1174,7 @@ fn depthwise_into(
     let out_plane = oshape.h * oshape.w;
     let parallel = params.macs(ishape).unwrap_or(0) >= engine::PARALLEL_MIN_MACS;
 
-    let residual = epilogue.residual.map(Tensor::as_slice);
+    let residual = epilogue.residual.map(|skip| skip.as_slice());
     let activation = epilogue.activation;
     let in_data = input.as_slice();
     let in_plane = ishape.h * ishape.w;
@@ -1552,7 +1500,7 @@ mod tests {
             for (n, g) in (0..batch).flat_map(|n| (0..groups).map(move |g| (n, g))) {
                 let mut runs = vec![0.0f32; len];
                 let mut oracle = vec![0.0f32; len];
-                im2col_pack_stripe(&input, &params, n, g, oshape, oh0, oh1, 0, &mut runs);
+                im2col_pack_stripe(&(&input).into(), &params, n, g, oshape, oh0, oh1, 0, &mut runs);
                 im2col_pack_stripe_per_element(&input, &params, n, g, oshape, oh0, oh1, &mut oracle);
                 prop_assert!(
                     runs.iter().zip(&oracle).all(|(x, y)| x.to_bits() == y.to_bits()),

@@ -25,6 +25,9 @@
 //! 3. **Scratch arena** ([`scratch`]) — packing buffers and im2col stripes are
 //!    recycled through a thread-local pool: steady-state forward passes perform zero
 //!    per-layer heap allocations.
+//!    Activations live in an [`ActivationArena`] of per-slot buffers, and every
+//!    `_into` kernel reads a [`TensorView`] and writes a [`TensorViewMut`] (a
+//!    [`Shape`] over a borrowed slice), so no buffer is refilled per layer.
 //! 4. **Parallelism** ([`parallel`]) — output rows/planes are split into disjoint
 //!    chunks executed on a lazily-initialized **persistent worker pool** (parked
 //!    workers, job-queue handoff; per-call cost is a wakeup rather than a thread
@@ -84,9 +87,10 @@ pub mod quant;
 pub mod scratch;
 mod shape;
 mod tensor;
+mod view;
 pub mod winograd;
 
-pub use arena::{with_thread_arena, ActivationArena};
+pub use arena::{with_thread_arena, ActivationArena, ArenaReads};
 pub use cancel::CancellationToken;
 pub use context::EngineContext;
 pub use conv::{
@@ -99,9 +103,9 @@ pub use engine::{Epilogue, FusedActivation, GemmLhs, PreparedGemmA, PreparedGemm
 pub use error::{Result, TensorError};
 pub use gemm::{gemm_naive, gemm_packed, matmul, MatDims};
 pub use ops::{
-    add_relu_in_place, avg_pool2d, avg_pool2d_into, batch_norm, global_avg_pool,
-    global_avg_pool_into, linear, linear_prepared, linear_prepared_into, max_pool2d,
-    max_pool2d_into, relu, relu6, relu6_in_place, relu_in_place, sigmoid, softmax,
+    add_relu_in_place, avg_pool2d, batch_norm, global_avg_pool, global_avg_pool_into, linear,
+    linear_prepared, linear_prepared_into, max_pool2d, max_pool2d_into, relu, relu6,
+    relu6_in_place, relu_in_place, sigmoid, softmax,
 };
 pub use parallel::{
     num_threads, panic_message, parallel_map_isolated, set_num_threads, shutdown_pool,
@@ -115,6 +119,7 @@ pub use quant::{
 pub use quant::{int8_microkernel_dispatch, int8_microkernel_reference};
 pub use shape::{conv_output_extent, Conv2dParams, Pool2dParams, Shape};
 pub use tensor::Tensor;
+pub use view::{TensorView, TensorViewMut};
 pub use winograd::{
     conv2d_winograd, conv2d_winograd_f4, conv2d_winograd_f4_fused_into,
     conv2d_winograd_f4_prepared, conv2d_winograd_fused_into, conv2d_winograd_prepared,

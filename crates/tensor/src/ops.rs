@@ -1,15 +1,17 @@
 //! Non-convolution neural-network operators: activations, pooling, normalization,
 //! fully-connected layers, and softmax.
 //!
-//! The pooling / pooling-like operators and the linear layer additionally offer
-//! `_into` variants writing into a caller-provided tensor (every element of
-//! which is overwritten), so arena-backed forward passes allocate nothing.
+//! Max pooling, global average pooling and the prepared linear layer
+//! additionally offer `_into` variants that read a [`TensorView`] and write a
+//! [`TensorViewMut`] (every element of which is overwritten, and nothing past
+//! it), so arena-backed forward passes allocate nothing.
 
 use crate::conv::valid_out_range;
 use crate::engine::{self, PreparedGemmB};
 use crate::error::{Result, TensorError};
 use crate::shape::{Pool2dParams, Shape};
 use crate::tensor::Tensor;
+use crate::view::{validate_into, TensorView, TensorViewMut};
 
 /// Rectified linear unit, elementwise.
 pub fn relu(input: &Tensor) -> Tensor {
@@ -95,7 +97,7 @@ pub fn batch_norm(
 /// Returns an error if the window does not fit in the padded input.
 pub fn max_pool2d(input: &Tensor, params: &Pool2dParams) -> Result<Tensor> {
     let mut out = Tensor::zeros(params.output_shape(input.shape())?);
-    pool2d_into(input, params, PoolKind::Max, &mut out)?;
+    pool2d_into(input.into(), params, PoolKind::Max, (&mut out).into())?;
     Ok(out)
 }
 
@@ -103,8 +105,12 @@ pub fn max_pool2d(input: &Tensor, params: &Pool2dParams) -> Result<Tensor> {
 ///
 /// # Errors
 /// Returns an error if the window does not fit, or `out` has the wrong shape.
-pub fn max_pool2d_into(input: &Tensor, params: &Pool2dParams, out: &mut Tensor) -> Result<()> {
-    pool2d_into(input, params, PoolKind::Max, out)
+pub fn max_pool2d_into<'a>(
+    input: impl Into<TensorView<'a>>,
+    params: &Pool2dParams,
+    out: impl Into<TensorViewMut<'a>>,
+) -> Result<()> {
+    pool2d_into(input.into(), params, PoolKind::Max, out.into())
 }
 
 /// Average pooling over square windows (zero padding contributes to the divisor only when
@@ -114,16 +120,8 @@ pub fn max_pool2d_into(input: &Tensor, params: &Pool2dParams, out: &mut Tensor) 
 /// Returns an error if the window does not fit in the padded input.
 pub fn avg_pool2d(input: &Tensor, params: &Pool2dParams) -> Result<Tensor> {
     let mut out = Tensor::zeros(params.output_shape(input.shape())?);
-    pool2d_into(input, params, PoolKind::Avg, &mut out)?;
+    pool2d_into(input.into(), params, PoolKind::Avg, (&mut out).into())?;
     Ok(out)
-}
-
-/// [`avg_pool2d`] writing into a caller-provided tensor (fully overwritten).
-///
-/// # Errors
-/// Returns an error if the window does not fit, or `out` has the wrong shape.
-pub fn avg_pool2d_into(input: &Tensor, params: &Pool2dParams, out: &mut Tensor) -> Result<()> {
-    pool2d_into(input, params, PoolKind::Avg, out)
 }
 
 #[derive(Clone, Copy)]
@@ -133,20 +131,14 @@ enum PoolKind {
 }
 
 fn pool2d_into(
-    input: &Tensor,
+    input: TensorView<'_>,
     params: &Pool2dParams,
     kind: PoolKind,
-    out: &mut Tensor,
+    mut out: TensorViewMut<'_>,
 ) -> Result<()> {
     let ishape = input.shape();
     let oshape = params.output_shape(ishape)?;
-    if out.shape() != oshape {
-        return Err(TensorError::ShapeMismatch {
-            left: out.shape().as_array().to_vec(),
-            right: oshape.as_array().to_vec(),
-            op: "pool output buffer",
-        });
-    }
+    validate_into("pool", oshape, out.shape(), None)?;
     // Outputs whose whole window lies inside the image: valid for the first
     // tap and for the last. Max pooling fills those a row at a time; the
     // border, and average pooling, take the general per-output loop.
@@ -276,22 +268,17 @@ pub fn global_avg_pool(input: &Tensor) -> Tensor {
 ///
 /// # Errors
 /// Returns an error if `out` has the wrong shape.
-pub fn global_avg_pool_into(input: &Tensor, out: &mut Tensor) -> Result<()> {
+pub fn global_avg_pool_into<'a>(
+    input: impl Into<TensorView<'a>>,
+    out: impl Into<TensorViewMut<'a>>,
+) -> Result<()> {
+    let (input, mut out) = (input.into(), out.into());
     let ishape = input.shape();
-    let expected = Shape::new(ishape.n, ishape.c, 1, 1);
-    if out.shape() != expected {
-        return Err(TensorError::ShapeMismatch {
-            left: out.shape().as_array().to_vec(),
-            right: expected.as_array().to_vec(),
-            op: "global_avg_pool output buffer",
-        });
-    }
+    validate_into("global_avg_pool", Shape::new(ishape.n, ishape.c, 1, 1), out.shape(), None)?;
     let area = (ishape.h * ishape.w).max(1) as f32;
-    for n in 0..ishape.n {
-        for c in 0..ishape.c {
-            let sum: f32 = input.plane(n, c).iter().sum();
-            out.set(n, c, 0, 0, sum / area);
-        }
+    for (index, mean) in out.as_mut_slice().iter_mut().enumerate() {
+        let sum: f32 = input.plane(index / ishape.c, index % ishape.c).iter().sum();
+        *mean = sum / area;
     }
     Ok(())
 }
@@ -371,12 +358,13 @@ pub fn linear_prepared(
 ///
 /// # Errors
 /// See [`linear_prepared`]; additionally errors if `out` has the wrong shape.
-pub fn linear_prepared_into(
-    input: &Tensor,
+pub fn linear_prepared_into<'a>(
+    input: impl Into<TensorView<'a>>,
     weight: &PreparedGemmB,
     bias: Option<&[f32]>,
-    out: &mut Tensor,
+    out: impl Into<TensorViewMut<'a>>,
 ) -> Result<()> {
+    let (input, mut out) = (input.into(), out.into());
     let ishape = input.shape();
     let (k, out_features) = (weight.k(), weight.cols());
     if ishape.h != 1 || ishape.w != 1 || ishape.c != k {
@@ -386,14 +374,7 @@ pub fn linear_prepared_into(
             op: "linear_prepared input",
         });
     }
-    let expected = Shape::new(ishape.n, out_features, 1, 1);
-    if out.shape() != expected {
-        return Err(TensorError::ShapeMismatch {
-            left: out.shape().as_array().to_vec(),
-            right: expected.as_array().to_vec(),
-            op: "linear_prepared output buffer",
-        });
-    }
+    validate_into("linear_prepared", Shape::new(ishape.n, out_features, 1, 1), out.shape(), None)?;
     if let Some(b) = bias {
         if b.len() != out_features {
             return Err(TensorError::LengthMismatch { expected: out_features, actual: b.len() });

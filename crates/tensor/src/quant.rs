@@ -49,13 +49,12 @@
 //! [`INT8_TOLERANCE`], and the serving layer adds an end-to-end top-1/SSIM
 //! budget on top (see `rescnn-core`'s precision gate).
 
-use crate::conv::{
-    stripe_height, valid_out_range, validate_bias, validate_into, validate_weight, ConvEpilogue,
-};
+use crate::conv::{stripe_height, valid_out_range, validate_bias, validate_weight, ConvEpilogue};
 use crate::engine::{FusedActivation, MC, MR, NR, PARALLEL_MIN_MACS};
 use crate::error::{Result, TensorError};
 use crate::shape::{Conv2dParams, Shape};
 use crate::tensor::Tensor;
+use crate::view::{validate_into, TensorView, TensorViewMut};
 use crate::{parallel, scratch};
 
 /// Symmetric clamp magnitude for quantized weights. `63` (not `127`) so the
@@ -453,10 +452,7 @@ pub fn int8_microkernel_dispatch(quads: usize, apanel: &[i32], bpanel: &[u8]) ->
 /// Quantizes one batch image into a u8 plane buffer — a single pointwise,
 /// auto-vectorizable pass. The im2col pack then only *moves bytes*, so each
 /// input element is rounded once instead of `kernel²` times.
-fn quantize_batch(input: &Tensor, batch: usize, aq: ActQuant, dst: &mut [u8]) {
-    let ishape = input.shape();
-    let chw = ishape.c * ishape.h * ishape.w;
-    let src = &input.as_slice()[batch * chw..(batch + 1) * chw];
+fn quantize_image(src: &[f32], aq: ActQuant, dst: &mut [u8]) {
     let inv_scale = 1.0 / aq.scale;
     let zp = aq.zero_point as f32;
     for (d, &x) in dst.iter_mut().zip(src) {
@@ -640,17 +636,18 @@ fn parallel_int8_gemm(
 /// never depends on the batch it arrives in (`Network::forward_batch` runs a
 /// group's tail as one N-image tensor and must match per-image forwards).
 pub(crate) fn int8_packed_into(
-    input: &Tensor,
+    input: TensorView<'_>,
     qconv: &QuantizedConv,
     bias: Option<&[f32]>,
     params: &Conv2dParams,
     epilogue: ConvEpilogue<'_>,
     range: Option<(f32, f32)>,
-    out: &mut Tensor,
+    mut out: TensorViewMut<'_>,
 ) -> Result<()> {
     validate_bias(params, bias)?;
     let ishape = input.shape();
-    let oshape = validate_into(params, input, &epilogue, out)?;
+    let oshape = params.output_shape(ishape)?;
+    validate_into("conv", oshape, out.shape(), epilogue.residual_shape())?;
     debug_assert_eq!(qconv.rows, params.in_channels * params.kernel * params.kernel);
     debug_assert_eq!(qconv.out_channels, params.out_channels);
 
@@ -660,7 +657,7 @@ pub(crate) fn int8_packed_into(
     let stripe_oh = stripe_height(rows, oshape);
     let parallel = params.macs(ishape).unwrap_or(0) >= PARALLEL_MIN_MACS;
 
-    let residual = epilogue.residual.map(Tensor::as_slice);
+    let residual = epilogue.residual.map(|skip| skip.as_slice());
     let out_data = out.as_mut_slice();
     let image_len = ishape.c * ishape.h * ishape.w;
     let mut qinput = scratch::take_bytes(image_len);
@@ -668,7 +665,7 @@ pub(crate) fn int8_packed_into(
         let image = &input.as_slice()[n * image_len..(n + 1) * image_len];
         let (lo, hi) = range.unwrap_or_else(|| slice_range(image));
         let aq = ActQuant::from_range(lo, hi);
-        quantize_batch(input, n, aq, &mut qinput);
+        quantize_image(image, aq, &mut qinput);
         let region_start = n * region_len;
         let region = &mut out_data[region_start..region_start + region_len];
         let skip = residual.map(|s| &s[region_start..region_start + region_len]);
@@ -717,7 +714,8 @@ pub fn conv2d_int8(
 ) -> Result<Tensor> {
     let qconv = QuantizedConv::prepare(weight, params)?;
     let mut out = Tensor::zeros(params.output_shape(input.shape())?);
-    int8_packed_into(input, &qconv, bias, params, ConvEpilogue::default(), None, &mut out)?;
+    let epilogue = ConvEpilogue::default();
+    int8_packed_into(input.into(), &qconv, bias, params, epilogue, None, (&mut out).into())?;
     Ok(out)
 }
 

@@ -50,6 +50,7 @@ use crate::engine::{self, Epilogue, GemmLhs, OutPtr, WriteMode, MR, NR};
 use crate::error::{Result, TensorError};
 use crate::shape::Conv2dParams;
 use crate::tensor::Tensor;
+use crate::view::{validate_into, TensorView, TensorViewMut};
 use crate::{parallel, scratch};
 
 pub use crate::engine::FusedActivation;
@@ -539,15 +540,16 @@ pub fn conv2d_winograd_prepared(
 /// Returns an error if the parameters are not Winograd-eligible, the filter
 /// bank's channel counts do not match them, the bias length is inconsistent, or
 /// the output/residual shapes do not match the convolution's output shape.
-pub fn conv2d_winograd_fused_into(
-    input: &Tensor,
+pub fn conv2d_winograd_fused_into<'a>(
+    input: impl Into<TensorView<'a>>,
     filter: &WinogradFilter,
     bias: Option<&[f32]>,
     params: &Conv2dParams,
     activation: FusedActivation,
-    residual: Option<&Tensor>,
-    out: &mut Tensor,
+    residual: Option<TensorView<'_>>,
+    out: impl Into<TensorViewMut<'a>>,
 ) -> Result<()> {
+    let (input, out) = (input.into(), out.into());
     winograd_fused_into_any(input, filter, bias, params, activation, residual, out, false)
 }
 
@@ -556,13 +558,13 @@ pub fn conv2d_winograd_fused_into(
 /// the worker pool.
 #[allow(clippy::too_many_arguments)]
 fn winograd_fused_into_any(
-    input: &Tensor,
+    input: TensorView<'_>,
     filter: &WinogradFilter,
     bias: Option<&[f32]>,
     params: &Conv2dParams,
     activation: FusedActivation,
-    residual: Option<&Tensor>,
-    out: &mut Tensor,
+    residual: Option<TensorView<'_>>,
+    mut out: TensorViewMut<'_>,
     f4: bool,
 ) -> Result<()> {
     let expected_points = if f4 { POINTS_F4 } else { POINTS };
@@ -590,23 +592,8 @@ fn winograd_fused_into_any(
     crate::conv::validate_bias(params, bias)?;
     let ishape = input.shape();
     let oshape = params.output_shape(ishape)?;
-    if out.shape() != oshape {
-        return Err(TensorError::ShapeMismatch {
-            left: out.shape().as_array().to_vec(),
-            right: oshape.as_array().to_vec(),
-            op: "winograd output buffer",
-        });
-    }
-    if let Some(skip) = residual {
-        if skip.shape() != oshape {
-            return Err(TensorError::ShapeMismatch {
-                left: skip.shape().as_array().to_vec(),
-                right: oshape.as_array().to_vec(),
-                op: "winograd residual",
-            });
-        }
-    }
-    let residual = residual.map(Tensor::as_slice);
+    validate_into("winograd", oshape, out.shape(), residual.map(|skip| skip.shape()))?;
+    let residual = residual.map(|skip| skip.as_slice());
 
     let (in_ch, out_ch) = (filter.in_channels, filter.out_channels);
     let (oh, ow) = (oshape.h, oshape.w);
@@ -1207,15 +1194,16 @@ pub fn conv2d_winograd_f4_prepared(
 /// Returns an error if the parameters are not Winograd-eligible, the filter
 /// bank is not an F(4×4) bank or its channels do not match, the bias length is
 /// inconsistent, or the output/residual shapes do not match.
-pub fn conv2d_winograd_f4_fused_into(
-    input: &Tensor,
+pub fn conv2d_winograd_f4_fused_into<'a>(
+    input: impl Into<TensorView<'a>>,
     filter: &WinogradFilter,
     bias: Option<&[f32]>,
     params: &Conv2dParams,
     activation: FusedActivation,
-    residual: Option<&Tensor>,
-    out: &mut Tensor,
+    residual: Option<TensorView<'_>>,
+    out: impl Into<TensorViewMut<'a>>,
 ) -> Result<()> {
+    let (input, out) = (input.into(), out.into());
     winograd_fused_into_any(input, filter, bias, params, activation, residual, out, true)
 }
 

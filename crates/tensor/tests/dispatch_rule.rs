@@ -8,8 +8,10 @@
 //! count; CI re-runs it under `RESCNN_THREADS=1,2,4` with the parity suites.
 //!
 //! Only thread-local dispatch state (an `EngineContext` pin) is touched here,
-//! so the tests need no cross-test lock. The process-wide calibration table's
-//! precedence is pinned by `conv::tests::calibration_steers_default_dispatch_but_not_overrides`.
+//! so the tests need no cross-test lock. A network's measured table of arms
+//! sits between the pin and this rule in `rescnn-models`' `Network::conv_arm`,
+//! whose precedence is pinned by
+//! `nn::tests::conv_arm_takes_the_pin_then_the_table_then_the_rule`.
 
 use rescnn_tensor::{
     planned_conv_algo, select_algo, winograd_f4_unit_error, Conv2dParams, ConvAlgo, EngineContext,

@@ -16,9 +16,9 @@
 
 use rescnn_tensor::{
     conv2d_im2col_packed, conv2d_int8, int8_microkernel_dispatch, int8_microkernel_reference,
-    int8_unit_error, scratch, select_algo, set_num_threads, tensor_range, ActQuant, Conv2dParams,
-    ConvAlgo, ConvEpilogue, FusedActivation, PreparedLayer, Shape, Tensor, INT8_TOLERANCE,
-    INT8_WEIGHT_QMAX,
+    int8_unit_error, planned_conv_algo, scratch, select_algo, set_num_threads, tensor_range,
+    ActQuant, Conv2dParams, ConvAlgo, ConvEpilogue, FusedActivation, PreparedLayer, Shape, Tensor,
+    INT8_TOLERANCE, INT8_WEIGHT_QMAX,
 };
 
 /// Serializes this binary's tests: some mutate the process-wide thread count or
@@ -265,9 +265,8 @@ fn gate_off_leaves_f32_forwards_bitwise_identical() {
     let mut out = Tensor::zeros(params.output_shape(input.shape()).unwrap());
 
     let baseline = PreparedLayer::new(weight.clone(), None, params).unwrap();
-    let algo = baseline
-        .forward_fused_into(&input, ConvEpilogue::activation(FusedActivation::None), &mut out)
-        .unwrap();
+    let algo = planned_conv_algo(&params, input.shape());
+    baseline.forward_with_algo_into(&input, algo, ConvEpilogue::default(), &mut out).unwrap();
     assert_ne!(algo, ConvAlgo::Int8);
     let f32_out = out.as_slice().to_vec();
 
@@ -277,9 +276,8 @@ fn gate_off_leaves_f32_forwards_bitwise_identical() {
     let (lo, hi) = tensor_range(&input);
     quant_ready.set_int8_range(lo, hi);
     quant_ready.int8_weights().unwrap();
-    let algo = quant_ready
-        .forward_fused_into(&input, ConvEpilogue::activation(FusedActivation::None), &mut out)
-        .unwrap();
+    let algo = planned_conv_algo(&params, input.shape());
+    quant_ready.forward_with_algo_into(&input, algo, ConvEpilogue::default(), &mut out).unwrap();
     assert_ne!(algo, ConvAlgo::Int8, "int8 prepack must not change dispatch");
     assert_eq!(f32_out, out.as_slice(), "int8 prepack must not perturb the f32 forward");
 }

@@ -15,9 +15,10 @@
 //!   from.
 
 use rescnn_tensor::{
-    add_relu_in_place, conv2d_with_algo, linear, linear_prepared, relu6_in_place, relu_in_place,
-    ActivationArena, Conv2dParams, ConvAlgo, ConvEpilogue, FusedActivation, PreparedGemmA,
-    PreparedGemmB, PreparedLayer, Shape, Tensor,
+    add_relu_in_place, conv2d_with_algo, global_avg_pool, global_avg_pool_into, linear,
+    linear_prepared, linear_prepared_into, max_pool2d, max_pool2d_into, relu6_in_place,
+    relu_in_place, Conv2dParams, ConvAlgo, ConvEpilogue, FusedActivation, Pool2dParams,
+    PreparedGemmA, PreparedGemmB, PreparedLayer, Shape, Tensor, TensorViewMut,
 };
 
 fn sample(params: &Conv2dParams, res: usize, seed: u64) -> (Tensor, Tensor, Vec<f32>) {
@@ -140,33 +141,67 @@ fn fused_activations_match_separate_passes_bitwise() {
     }
 }
 
-/// Arena-recycled (stale-content) output buffers must produce the same bits as
-/// fresh zeroed buffers: every kernel overwrites its full output.
+/// Runs `kernel` into a view over the front of a longer all-NaN buffer, as an
+/// arena slot holds stale values: it must write the view exactly — `fresh`'s
+/// bits (computed into a zeroed tensor) and nothing past the view.
+fn assert_overwrites_exactly(what: &str, fresh: &Tensor, kernel: impl FnOnce(TensorViewMut<'_>)) {
+    let len = fresh.shape().volume();
+    let mut buffer = vec![f32::NAN; len + 37];
+    kernel(TensorViewMut::new(fresh.shape(), &mut buffer[..len]).unwrap());
+    assert_eq!(bits(&buffer[..len]), bits(fresh.as_slice()), "{what} left stale contents");
+    assert!(buffer[len..].iter().all(|x| x.is_nan()), "{what} wrote past its view");
+}
+
+/// Stale output buffers must produce the same bits as fresh zeroed ones: every
+/// `_into` kernel overwrites its full output view and nothing beyond it. Each
+/// arm with and without a residual, at batch 1 and 3, then the pools and the
+/// prepared classifier.
 #[test]
 fn arena_backed_outputs_match_fresh_buffers_bitwise() {
-    let mut arena = ActivationArena::new();
-    for algo in [ConvAlgo::Im2colPacked, ConvAlgo::Gemm1x1, ConvAlgo::Winograd] {
-        let params = match algo {
-            ConvAlgo::Gemm1x1 => Conv2dParams::new(14, 10, 1, 1, 0),
-            _ => Conv2dParams::new(6, 9, 3, 1, 1),
-        };
-        let (input, weight, bias) = sample(&params, 20, 11);
+    let dense = Conv2dParams::new(6, 9, 3, 1, 1);
+    let arms = [
+        (ConvAlgo::Im2colPacked, Conv2dParams::new(6, 9, 3, 2, 1)),
+        (ConvAlgo::Gemm1x1, Conv2dParams::new(14, 10, 1, 1, 0)),
+        (ConvAlgo::Depthwise, Conv2dParams::depthwise(9, 3, 1, 1)),
+        (ConvAlgo::Winograd, dense),
+        (ConvAlgo::WinogradF4, dense),
+        (ConvAlgo::Int8, dense),
+        (ConvAlgo::Direct, dense),
+    ];
+    for (algo, params) in arms {
+        let (_, weight, bias) = sample(&params, 1, 11);
         let prepared = PreparedLayer::new(weight, Some(bias), params).unwrap();
-        let mut fresh = Tensor::zeros(params.output_shape(input.shape()).unwrap());
-        prepared.forward_with_algo_into(&input, algo, ConvEpilogue::default(), &mut fresh).unwrap();
-
-        // Poison slot 0's buffer, then run into it.
-        let oshape = fresh.shape();
-        let mut poison = arena.take(0, oshape);
-        poison.as_mut_slice().fill(f32::NAN);
-        arena.give(0, poison);
-        let mut recycled = arena.take(0, oshape);
-        prepared
-            .forward_with_algo_into(&input, algo, ConvEpilogue::default(), &mut recycled)
-            .unwrap();
-        assert_eq!(fresh.as_slice(), recycled.as_slice(), "{algo} left stale buffer contents");
-        arena.give(0, recycled);
+        for batch in [1usize, 3] {
+            let input =
+                Tensor::random_uniform(Shape::new(batch, params.in_channels, 13, 13), 1.0, 5);
+            let oshape = params.output_shape(input.shape()).unwrap();
+            let skip = Tensor::random_uniform(oshape, 1.0, 6);
+            for epilogue in [ConvEpilogue::activation(FusedActivation::Relu), relu_tail(&skip)] {
+                let run = |out: TensorViewMut<'_>| {
+                    prepared.forward_with_algo_into(&input, algo, epilogue, out).unwrap()
+                };
+                let mut fresh = Tensor::zeros(oshape);
+                run((&mut fresh).into());
+                let residual = epilogue.residual.is_some();
+                assert_overwrites_exactly(&format!("{algo} ×{batch} {residual}"), &fresh, run);
+            }
+        }
     }
+    let input = Tensor::random_uniform(Shape::new(3, 5, 9, 9), 1.0, 7);
+    let pool = Pool2dParams::new(3, 2, 1);
+    assert_overwrites_exactly("max pool", &max_pool2d(&input, &pool).unwrap(), |out| {
+        max_pool2d_into(&input, &pool, out).unwrap()
+    });
+    assert_overwrites_exactly("global average pool", &global_avg_pool(&input), |out| {
+        global_avg_pool_into(&input, out).unwrap()
+    });
+    let features = global_avg_pool(&input);
+    let w = Tensor::random_uniform(Shape::new(1, 1, 4, 5), 0.4, 8).into_vec();
+    let (packed, bias) = (PreparedGemmB::prepare_transposed(&w, 4, 5), [0.1, -0.2, 0.3, 0.0]);
+    let logits = linear_prepared(&features, &packed, Some(&bias)).unwrap();
+    assert_overwrites_exactly("classifier", &logits, |out| {
+        linear_prepared_into(&features, &packed, Some(&bias), out).unwrap()
+    });
 }
 
 /// The prepacked linear layer agrees with the scalar reference within
